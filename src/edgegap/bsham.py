@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import LogHermitian, count_above, count_below
+from .counting import LogHermitian, count_above
 from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
@@ -30,6 +30,9 @@ from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
 from .oscillator import p_coeff, psi_inf
 
 _TAIL_REL = 1e-16
+# bs_count forms C diag(s) C^* this many momentum nodes at a time, so
+# the complex columns never exist all at once
+_MOMENTUM_BLOCK = 16
 
 
 def _log_envelope(j: int, b: float, x_ref: float, k):
@@ -191,24 +194,18 @@ def _support_nodes(v, quad, b, k_reach):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
-def bs_count(j: int, lam: float, scenario, quad: QuadratureSpec = None,
-             j_sum: int = None) -> int:
-    """n_-(1; V^{1/2}(H0 - z)^{-1}V^{1/2}) at z = E_j^+ + lam.
+def _resolvent_columns(j: int, j_sum: int, v, w, b: float,
+                       quad: QuadratureSpec):
+    """The lam-independent part of bs_count, one column per fiber pair.
 
-    The resolvent kernel is expanded over fiber eigenpairs j' <= j_sum
-    (default 2j+2) and integrated over momentum; the band-j denominator
-    uses the gap model so (g + lam) stays exactly positive far in the
-    Gaussian tail.  Serves as the cross-route oracle for effective_count.
+    Returns (amp, phase, k_wts, band, energy, gap, edge).  Column
+    c = i j_sum + j' - 1 of the kernel factor C is amp[:, c] * phase[:, i]:
+    the V^{1/2}-weighted eigenvector of band j' at momentum node i,
+    interpolated onto the support nodes, times its plane wave e^{iky}.
+    k_wts are the momentum weights, energy the band energies and
+    gap = g_j(k), each per column.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    quad = quad or scenario.quad
-    v, w, b = scenario.v, scenario.w, scenario.b
-    if v is None or v.amplitude == 0.0:
-        return 0
-    j_sum = j_sum or (2 * j + 2)
     edge = gap_edges(b, w, j)[0]
-    z = edge + lam
     k_sym = k_truncation_symmetric(j, b, v.support.x_extent[0],
                                    v.support.x_extent[1])
     xs, ys, ws = _support_nodes(v, quad, b, k_sym)
@@ -216,29 +213,70 @@ def bs_count(j: int, lam: float, scenario, quad: QuadratureSpec = None,
     disc = FiberDiscretization(b=b, w=w)
     panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
     k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
-    nn = len(xs)
-    mat = np.zeros((nn, nn), dtype=complex)
-    last_band = np.zeros((nn, nn), dtype=complex)
     root_v = np.sqrt(v.amplitude * ws)
-    for k, wk in zip(k_pts, k_wts):
-        pairs = solve_fiber(disc, float(k), j_sum)
+    amp = np.empty((len(xs), len(k_pts) * j_sum))
+    energy = np.empty(amp.shape[1])
+    for i, k in enumerate(k_pts):
         grid = disc.grid(float(k))
-        phase = np.exp(1j * k * ys)
-        for pair in pairs:
-            if pair.j == j:
-                denom = -(float(gap_model.gap(k)) + lam)
-            else:
-                denom = pair.energy - z
+        for pair in solve_fiber(disc, float(k), j_sum):
+            c = i * j_sum + pair.j - 1
             vec = np.interp(xs, grid, pair.values, left=0.0, right=0.0)
-            col = root_v * vec * phase
-            term = (wk / (2.0 * math.pi * denom)) * np.outer(col, col.conj())
-            mat += term
-            if pair.j == j_sum:
-                last_band += term
-    # the last retained band bounds the first omitted one (1/(E - z) decays)
-    remainder = float(np.abs(np.linalg.eigvalsh(last_band)).max())
-    if remainder > 0.25:
-        warnings.warn(f"last fiber level still contributes {remainder:.3f} "
-                      "in operator norm; raise j_sum", TruncationWarning)
-    report = count_below(mat, 1.0)
-    return report.count
+            amp[:, c] = root_v * vec
+            energy[c] = pair.energy
+    phase = np.exp(1j * ys[:, None] * k_pts[None, :])
+    band = np.tile(np.arange(1, j_sum + 1), len(k_pts))
+    return (amp, phase, np.repeat(k_wts, j_sum), band, energy,
+            np.repeat(gap_model.gap(k_pts), j_sum), edge)
+
+
+def bs_count(j: int, lam, scenario, quad: QuadratureSpec = None,
+             j_sum: int = None):
+    """n_-(1; V^{1/2}(H0 - z)^{-1}V^{1/2}) at z = E_j^+ + lam.
+
+    The resolvent kernel is expanded over fiber eigenpairs j' <= j_sum
+    (default 2j+2) and integrated over momentum; the band-j denominator
+    uses the gap model so (g + lam) stays exactly positive far in the
+    Gaussian tail.  Serves as the cross-route oracle for effective_count.
+
+    Only the denominators depend on lam.  The fiber solves, the
+    interpolated kernel columns C, their weights w, the band energies
+    and g_j(k) are assembled once per call, and each depth costs the
+    product C diag(w / (2 pi denom)) C^*, formed in blocks of momenta.
+    lam may be a sequence of depths sharing that assembly; a list of
+    counts is then returned.
+    """
+    lams = [float(x) for x in np.atleast_1d(lam)]
+    if not lams or min(lams) <= 0:
+        raise ValueError("lam must be positive")
+    quad = quad or scenario.quad
+    v, w, b = scenario.v, scenario.w, scenario.b
+    if v is None or v.amplitude == 0.0:
+        counts = [0] * len(lams)
+    else:
+        j_sum = j_sum or (2 * j + 2)
+        amp, phase, k_wts, band, energy, gap, edge = _resolvent_columns(
+            j, j_sum, v, w, b, quad)
+        nn, n_k = phase.shape
+        last = band == j_sum
+        counts, remainder = [], 0.0
+        for depth in lams:
+            z = edge + depth
+            denom = np.where(band == j, -(gap + depth), energy - z)
+            scale = k_wts / (2.0 * math.pi * denom)
+            # the last retained band bounds the first omitted one (1/(E - z)
+            # decays); its norm is that of the small Gram of its columns
+            tail = amp[:, last] * phase * np.sqrt(np.abs(scale[last]))
+            remainder = max(remainder, float(
+                np.linalg.eigvalsh(tail.conj().T @ tail).max()))
+            # n_-(1; M) = n_+(1; -M), with -M assembled directly
+            neg = np.zeros((nn, nn), dtype=complex)
+            for lo in range(0, n_k, _MOMENTUM_BLOCK):
+                cs = slice(lo * j_sum, (lo + _MOMENTUM_BLOCK) * j_sum)
+                part = amp[:, cs] * np.repeat(
+                    phase[:, lo:lo + _MOMENTUM_BLOCK], j_sum, axis=1)
+                neg -= (part * scale[cs]) @ part.conj().T
+            counts.append(count_above(neg, 1.0).count)
+        if remainder > 0.25:
+            warnings.warn(f"last fiber level still contributes {remainder:.3f} "
+                          "in operator norm; raise j_sum", TruncationWarning)
+    return counts if np.ndim(lam) else counts[0]

@@ -358,13 +358,12 @@ def cmd_effective_count(sc: Scenario, out: Path):
 def cmd_bs_count(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
     p = sc.verify_params("bs")
-    j_sum = int(p["j_sum"])
-    rows, counts = [], {}
-    for lam in sc.lam_grid.values():
-        with _WarningBox() as box:
-            n = bs_count(sc.j, lam, sc, j_sum=j_sum)
-        rows.append((lam, sc.j, "bs_fiber", 1.0, n, box.text, 53))
-        counts[lam] = n
+    lams = sc.lam_grid.values()
+    with _WarningBox() as box:
+        counts = dict(zip(lams, bs_count(sc.j, lams, sc,
+                                         j_sum=int(p["j_sum"]))))
+    rows = [(lam, sc.j, "bs_fiber", 1.0, n, box.text, 53)
+            for lam, n in counts.items()]
     verdicts = []
     lam0 = sc.lam_grid.start
     eps, slack = float(p["cross_eps"]), int(p["cross_slack"])

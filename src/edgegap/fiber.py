@@ -7,11 +7,19 @@ same window (h^4 accuracy); eigenvectors come from the full solve.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
-computed as an eigenvalue difference between the operator with W and
-the same-grid operator with the constant potential W_+, refined by
-Rayleigh-quotient iteration in arbitrary precision: the two solves share
-every discretization error to leading order, so the tiny difference
-survives at full relative accuracy.
+never formed as a difference of energies.  The operator with W and the
+same-grid operator with the constant W_+ differ by D = diag(W_+ - W)
+exactly, so their eigenpairs obey the twin identity
+
+    (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>,
+
+whose right side sums the eigenvector tails where W < W_+.  Those tails
+are rebuilt in log form from a ratio recurrence run from the Dirichlet
+wall, in the direction where they grow (the componentwise accuracy
+behind twisted factorizations, Dhillon & Parlett, LAA 387, 2004), so the
+tiny difference keeps full relative accuracy in double precision.  The
+eigenvector overlap defect 1 - <v_+, v_W>^2 comes from one deflated
+solve with the same right side.
 """
 
 from __future__ import annotations
@@ -20,9 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from .oscillator import psi_inf
@@ -197,111 +204,170 @@ def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
 
 @dataclass(frozen=True)
 class EdgeComparison:
-    """High-precision gap-edge data at one momentum.
+    """Gap-edge data at one momentum from the same-grid twin operators.
 
-    gap_dist is E_j(k; W_+) - E_j(k; W) on the shared grid (equal to the
-    continuum gap distance up to an O(h^2) relative bias); overlap is the
-    inner product of the two refined eigenvectors; scaled_distance is
-    2 sqrt(1 - overlap^2) / sqrt(gap_dist), evaluated before leaving
-    arbitrary precision so neither factor under- or overflows.
+    H_+ (constant W_+) and H_W share one grid, so H_+ = H_W + D exactly,
+    with D = diag(W_+ - W).  gap_dist is E_j(k; W_+) - E_j(k; W) on that
+    grid (the continuum gap distance up to an O(h^2) relative bias);
+    overlap is c = <v_+, v_W>, defect is 1 - c^2 and scaled_distance is
+    2 sqrt(defect) / sqrt(gap_dist).  All three keep full relative
+    accuracy in double precision far below one ulp of the edge energy.
+    energy_w is the Rayleigh quotient of v_W and energy_limit is
+    energy_w + gap_dist.
     """
 
     j: int
     k: float
     gap_dist: float
     overlap: float
+    defect: float
     scaled_distance: float
     energy_w: float
     energy_limit: float
 
 
-def _mp_tridiag_solve(diag, off, shift, rhs):
-    """Solve (T - shift) u = rhs for tridiagonal T, partial pivoting.
+# tails are rebuilt below this fraction of the eigenvector's maximum: the
+# eigensolver bounds the error of its components absolutely, and on wide
+# windows its tails do stall at a floor (near 1e-46 of the maximum)
+_ANCHOR_REL = 1e-3
 
-    diag/off/rhs are mpmath vectors; returns the solution list.
+
+def _rayleigh_quotient(diag, p, v) -> float:
+    """v.T T v / v.T v for T = tridiag(-p, diag, -p) with Dirichlet walls.
+
+    Gradient form, p sum (v_{i+1} - v_i)^2 + sum (diag_i - 2p) v_i^2 with
+    zero walls, never forms the O(p) terms that cancel, so it keeps full
+    relative accuracy (exact sums keep it within an ulp); the
+    eigensolver's own value is ~1e-12 off.
+    """
+    grad = np.diff(np.concatenate(([0.0], v, [0.0])))
+    terms = np.concatenate((p * grad * grad, (diag - 2.0 * p) * v * v))
+    return math.fsum(terms.tolist()) / math.fsum((v * v).tolist())
+
+
+def _left_tail_logs(diag, p, energy, v):
+    """(a, ln|v[:a]|) for an eigenvector of tridiag(-p, diag, -p).
+
+    The ratios r_i = v_{i+1}/v_i obey r_0 = (diag_0 - energy)/p and
+    r_i = (diag_i - energy)/p - 1/r_{i-1} from the Dirichlet wall.  Run
+    as q = r - 1, q_i = delta_i + q_{i-1}/(1 + q_{i-1}) with
+    delta_i = (diag_i - 2p - energy)/p, it adds positive terms wherever
+    the operator lies above the energy: v grows away from the wall, the
+    stable direction, and ln r is accurate to a few ulps.  It runs up to
+    the first index a where |v| reaches _ANCHOR_REL of its maximum or
+    the region stops being classically forbidden, anchored to v[a].
+    """
+    delta = (diag - 2.0 * p - energy) / p
+    big = np.abs(v) >= _ANCHOR_REL * np.abs(v).max()
+    a = int(min(np.argmax(big), np.argmax(delta <= 0.0)))
+    q = np.empty(a)
+    carry = 1.0  # q_{-1}/(1 + q_{-1}) at the wall, where q_{-1} is infinite
+    for i, d in enumerate(delta[:a].tolist()):
+        q[i] = d + carry
+        carry = q[i] / (1.0 + q[i])
+    return a, math.log(abs(v[a])) - np.cumsum(np.log1p(q)[::-1])[::-1]
+
+
+def _log_eigenvector(diag, p, energy, v):
+    """(ln|v|, sign v), unit-normalized, with both tails in log form."""
+    n = len(v)
+    with np.errstate(divide="ignore"):
+        log_v = np.log(np.abs(v))
+    sign = np.sign(v)
+    a, left = _left_tail_logs(diag, p, energy, v)
+    log_v[:a], sign[:a] = left, sign[a]
+    a, right = _left_tail_logs(diag[::-1], p, energy, v[::-1])
+    log_v[n - a:], sign[n - a:] = right[::-1], sign[n - 1 - a]
+    top = log_v.max()
+    log_v -= top + 0.5 * math.log(float(np.sum(np.exp(2.0 * (log_v - top)))))
+    return log_v, sign
+
+
+def _log_signed_sum(log_terms, signs) -> float:
+    top = log_terms.max()
+    return top + math.log(float(np.sum(signs * np.exp(log_terms - top))))
+
+
+def _deflated_solve(diag, off, shift, v, rhs):
+    """u with (T - shift) u = rhs and v.T u = 0, T = tridiag(off, diag, off).
+
+    T - shift may be singular to every digit along its eigenvector v,
+    and rhs is orthogonal to v.  Row and column m of the largest |v_m|
+    (the twist index of a twisted factorization) are set aside; the rest
+    of T - shift is a tridiagonal B, well conditioned because v_m is
+    large.  Then u = B^-1 rhs - u_m B^-1 a_m off index m, with a_m the
+    rest of column m, and v.T u = 0 fixes u_m.
     """
     n = len(diag)
-    a = [diag[i] - shift for i in range(n)]
-    lower = [off[i] for i in range(n - 1)]
-    upper = [off[i] for i in range(n - 1)]
-    extra = [mpmath.mpf(0)] * n  # second superdiagonal fill from pivoting
-    b = list(rhs)
-    for i in range(n - 1):
-        if abs(lower[i]) > abs(a[i]):
-            a[i], lower[i] = lower[i], a[i]
-            if i < n - 1:
-                upper[i], a[i + 1] = a[i + 1], upper[i]
-            if i < n - 2:
-                extra[i], upper[i + 1] = upper[i + 1], extra[i]
-            b[i], b[i + 1] = b[i + 1], b[i]
-        m = lower[i] / a[i]
-        a[i + 1] -= m * upper[i]
-        if i < n - 2:
-            upper[i + 1] -= m * extra[i]
-        b[i + 1] -= m * b[i]
-    u = [mpmath.mpf(0)] * n
-    u[n - 1] = b[n - 1] / a[n - 1]
-    if n > 1:
-        u[n - 2] = (b[n - 2] - upper[n - 2] * u[n - 1]) / a[n - 2]
-    for i in range(n - 3, -1, -1):
-        u[i] = (b[i] - upper[i] * u[i + 1] - extra[i] * u[i + 2]) / a[i]
-    return u
-
-
-def _mp_rayleigh_refine(diag_f, off_f, theta0, v0, iters=4):
-    """Rayleigh-quotient iteration from a double-precision seed.
-
-    Cubically convergent; with a seed vector good to ~1e-8 a handful of
-    iterations reach working precision.  Returns (theta, v) in mpmath.
-    """
-    n = len(diag_f)
-    diag = [mpmath.mpf(float(d)) for d in diag_f]
-    off = [mpmath.mpf(float(o)) for o in off_f]
-    v = [mpmath.mpf(float(val)) for val in v0]
-    nrm = mpmath.sqrt(mpmath.fsum(val * val for val in v))
-    v = [val / nrm for val in v]
-    theta = mpmath.mpf(float(theta0))
-    for _ in range(iters):
-        u = _mp_tridiag_solve(diag, off, theta, v)
-        nrm = mpmath.sqrt(mpmath.fsum(val * val for val in u))
-        v = [val / nrm for val in u]
-        tv = [diag[i] * v[i]
-              + (off[i - 1] * v[i - 1] if i > 0 else 0)
-              + (off[i] * v[i + 1] if i < n - 1 else 0)
-              for i in range(n)]
-        theta = mpmath.fsum(v[i] * tv[i] for i in range(n))
-    return theta, v
-
-
-def _comparison_dps(j: int, k: float, b: float) -> int:
-    # the gap distance scales like exp(-k^2/b); keep ~25 digits beyond it
-    return max(50, int(25 + (k * k / b) / math.log(10.0)))
+    m = int(np.argmax(np.abs(v)))
+    rest = np.arange(n) != m
+    link = np.concatenate((off[:m - 1], [0.0], off[m + 1:]))
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:], ab[1], ab[2, :-1] = link, (diag - shift)[rest], link
+    sides = np.zeros((n - 1, 2))
+    sides[:, 0] = rhs[rest]
+    sides[m - 1:m + 1, 1] = off[m - 1:m + 1]  # a_m
+    y, z = solve_banded((1, 1), ab, sides).T
+    u_m = -(v[rest] @ y) / (v[m] - v[rest] @ z)
+    return np.insert(y - u_m * z, m, u_m)
 
 
 @lru_cache(maxsize=256)
 def _edge_comparison_cached(j, k, b, w, n, half_width):
     disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
-    x, diag_w, off, h = disc.tridiagonal(k)
+    _, diag_w, off, _ = disc.tridiagonal(k)
     w_plus = 0.0 if w is None else w.w_plus_limit
     _, diag_p, _, _ = disc.tridiagonal(k, w_override=w_plus)
+    p = -float(off[0])
     i0 = j - 1
-    ev_w, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(i0, i0))
-    ev_p, vec_p = eigh_tridiagonal(diag_p, off, select="i", select_range=(i0, i0))
-    with mpmath.workdps(_comparison_dps(j, k, b)):
-        th_w, v_w = _mp_rayleigh_refine(diag_w, off, ev_w[0], vec_w[:, 0])
-        th_p, v_p = _mp_rayleigh_refine(diag_p, off, ev_p[0], vec_p[:, 0])
-        gap = th_p - th_w
-        c = abs(mpmath.fsum(a * bb for a, bb in zip(v_w, v_p)))
-        c = min(c, mpmath.mpf(1))
-        dist = 2 * mpmath.sqrt((1 - c) * (1 + c))
-        scaled = dist / mpmath.sqrt(gap) if gap > 0 else mpmath.mpf(0)
-        return EdgeComparison(j=j, k=k, gap_dist=float(gap), overlap=float(c),
-                              scaled_distance=float(scaled),
-                              energy_w=float(th_w), energy_limit=float(th_p))
+    _, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(i0, i0))
+    _, vec_p = eigh_tridiagonal(diag_p, off, select="i", select_range=(i0, i0))
+    vec_w, vec_p = vec_w[:, 0], vec_p[:, 0]
+    energy_w = _rayleigh_quotient(diag_w, p, vec_w)
+    if w is None:
+        return EdgeComparison(j=j, k=k, gap_dist=0.0, overlap=1.0, defect=0.0,
+                              scaled_distance=0.0, energy_w=energy_w,
+                              energy_limit=energy_w)
+    jump = diag_p - diag_w  # D, exact: both diagonals share every other term
+    on = jump > 0.0
+    if not on.any():
+        raise ConvergenceFailure(
+            f"W_+ - W vanishes on the whole fiber window at k={k}: "
+            f"half_width {half_width:g} misses the jump; widen it")
+    if vec_w @ vec_p < 0.0:
+        vec_w = -vec_w
+    log_w, sign_w = _log_eigenvector(diag_w, p, energy_w, vec_w)
+    log_p, sign_p = _log_eigenvector(
+        diag_p, p, _rayleigh_quotient(diag_p, p, vec_p), vec_p)
+    # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>
+    log_dw = np.log(jump[on]) + log_w[on]
+    log_s = _log_signed_sum(log_dw + log_p[on], sign_w[on] * sign_p[on])
+    # v_W = c v_+ + u with u orthogonal to v_+ solves the deflated system
+    # (H_+ - E_W) u = D v_W - <v_+, D v_W> v_+, so 1 - c^2 = |u|^2; the
+    # right side is scaled by its largest entry to stay in double range
+    scale = float(log_dw.max())
+    v_plus = sign_p * np.exp(log_p)
+    rhs = -math.exp(log_s - scale) * v_plus
+    rhs[on] += sign_w[on] * np.exp(log_dw - scale)
+    u = _deflated_solve(diag_p, off, energy_w, v_plus, rhs)
+    log_defect = 2.0 * scale + math.log(float(u @ u))
+    defect = math.exp(log_defect)
+    log_c = 0.5 * math.log1p(-defect)
+    log_gap = log_s - log_c
+    gap = math.exp(log_gap)
+    scaled = 2.0 * math.exp(0.5 * (log_defect - log_gap))
+    return EdgeComparison(j=j, k=k, gap_dist=gap, overlap=math.exp(log_c),
+                          defect=defect, scaled_distance=scaled,
+                          energy_w=energy_w, energy_limit=energy_w + gap)
 
 
 def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
-    """Gap distance and projection overlap against the same-grid limit operator."""
+    """Gap distance and projection overlap against the same-grid limit operator.
+
+    Raises ConvergenceFailure when W = W_+ on the whole window (the jump
+    lies beyond half_width), where the twin operators coincide although
+    the continuum gap distance is positive.
+    """
     return _edge_comparison_cached(j, k, disc.b, disc.w, disc.n, disc.half_width)
 
 
@@ -324,21 +390,23 @@ def projection_distance(j: int, k: float, disc: FiberDiscretization) -> float:
     """Trace-norm distance of the rank-one band projection from its limit.
 
     The limit projection is discretized as the same-grid constant-W_+
-    operator, so the distance is exactly 0 when W vanishes.  May
-    underflow to 0.0 at momenta where the overlap defect drops below
-    double range.
+    operator, so the distance is exactly 0 when W vanishes.  It is
+    2 sqrt(1 - c^2), taken from the overlap defect 1 - c^2 itself:
+    rebuilt from the overlap c, it would vanish as soon as the defect
+    drops below machine epsilon (near k = 5.5 for the unit step).
     """
     if disc.w is None:
         return 0.0
-    return trace_norm_distance(edge_comparison(disc, j, k).overlap)
+    return 2.0 * math.sqrt(edge_comparison(disc, j, k).defect)
 
 
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
     Node values use the cheap double-precision Richardson energies while
-    g > 1e-6 and switch to the same-grid twin comparison below, where the
-    edge distance is unrepresentable as a difference of doubles.  The
+    g > 1e-6 and switch to the twin identity of edge_comparison below,
+    where the edge distance is unrepresentable as a difference of
+    doubles but the tail sum <v_+, D v_W> still resolves it.  The
     spline interpolates ln g (slowly varying: asymptotically a parabola
     in k), and weight(k, lam) = (g + lam)^{-1/2} is the resolvent-type
     factor used in kernel assembly.

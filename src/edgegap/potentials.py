@@ -150,17 +150,6 @@ def upper_envelope(w: EdgePotential, delta: float) -> EdgePotential:
                          w_plus=w.w_plus_limit, delta=delta)
 
 
-def eval_edge_potential(w: EdgePotential, x) -> float:
-    return w(x)
-
-
-def potential_limits(w: EdgePotential):
-    """(W_minus, W_plus, x_plus); ConstantPotential is raised at construction."""
-    if w.w_minus_limit >= w.w_plus_limit:
-        raise ConstantPotential("W_- must be strictly below W_+")
-    return (w.w_minus_limit, w.w_plus_limit, w.x_plus)
-
-
 def gap_condition(w: EdgePotential, b: float) -> bool:
     """True iff W_+ - W_- < 2b, the condition opening every gap."""
     if b <= 0:

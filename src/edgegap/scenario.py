@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import EdgegapError, ScenarioError
+from .fiber import FiberDiscretization
 from .geometry import PolygonDomain
 from .operators import QuadratureSpec
 from .potentials import EdgePotential, Perturbation, gap_condition
@@ -205,13 +206,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     fiber_doc = doc.get("fiber", {})
     fiber_n = int(fiber_doc.get("n", 2001))
-    if fiber_n < 3:
-        raise ScenarioError("fiber grid needs n >= 3")
     half_width = fiber_doc.get("half_width")
     if half_width is not None:
         half_width = float(half_width)
-        if half_width <= 0:
-            raise ScenarioError("fiber half_width must be positive")
+    try:
+        # the same check FiberDiscretization makes later, as a config error
+        FiberDiscretization(b=b, w=w, n=fiber_n, half_width=half_width)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid fiber block: {exc}") from exc
 
     j = int(doc.get("j", 1))
     if j < 1:

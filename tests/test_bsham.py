@@ -57,6 +57,17 @@ def test_resolvent_route_crosses_gram_route(coarse_scenario):
         assert lo <= n <= hi
 
 
+def test_resolvent_depth_grid_shares_one_assembly(coarse_scenario):
+    lams = [lam for lam, _ in BRACKETS]
+    counts = bs_count(1, lams, coarse_scenario, j_sum=6)
+    assert counts[1] == bs_count(1, lams[1], coarse_scenario, j_sum=6)
+    for n, (_, (lo, hi)) in zip(counts, BRACKETS):
+        assert lo <= n <= hi
+    with pytest.raises(ValueError):
+        bs_count(1, [1e-3, -1e-4], coarse_scenario)
+    assert bs_count(1, lams, Bundle(w=coarse_scenario.w, v=None)) == [0, 0, 0]
+
+
 def test_resolvent_default_depth_warns(coarse_scenario):
     with pytest.warns(TruncationWarning, match="raise j_sum"):
         bs_count(1, 1e-3, coarse_scenario)

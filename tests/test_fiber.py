@@ -30,7 +30,8 @@ from edgegap.fiber import (
     verify_tep2,
     verify_teth1,
 )
-from edgegap.potentials import step_potential
+from edgegap.potentials import EdgePotential, step_potential
+from tests.mp_edge_oracle import mp_edge_comparison
 
 GAP_ORACLE = {
     4.0: (7.945920365052581877e-9, 2e-3),
@@ -170,3 +171,56 @@ def test_gap_model_spline(step01):
 def test_gap_model_free_case():
     model = GapModel(1.0, None, 1, -2.0, 2.0)
     assert np.all(model.gap(np.array([-1.0, 0.0, 1.0])) == 0.0)
+
+
+# (potential, j, k, half_width); the wide window puts the jump where the
+# eigensolver's own tail components have stalled at their error floor
+TWIN_CASES = [("step", 1, k, None) for k in (2.0, 4.0, 5.0, 6.0, 8.0)] + [
+    ("step", 2, 6.0, None), ("step", 2, 10.0, None), ("step", 1, 16.0, 20.0),
+    ("two_step_upper", 1, 4.0, None), ("piecewise_constant", 1, 5.0, None),
+    ("smooth_monotone", 1, 5.0, None)]
+TWIN_POTENTIALS = {
+    "step": step_potential(0.0, 1.0, 0.0),
+    "two_step_upper": EdgePotential(kind="two_step_upper", w_minus=0.2,
+                                    w_plus=1.0, delta=0.5),
+    "piecewise_constant": EdgePotential(kind="piecewise_constant",
+                                        breakpoints=(-1.0, 0.5),
+                                        values=(0.0, 0.4, 1.0)),
+    "smooth_monotone": EdgePotential(kind="smooth_monotone", w_minus=0.0,
+                                     w_plus=1.0, center=0.0, width=1.5),
+}
+
+
+@pytest.mark.parametrize("kind,j,k,half_width", TWIN_CASES)
+def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
+                                                         half_width):
+    disc = FiberDiscretization(b=1.0, w=TWIN_POTENTIALS[kind],
+                               half_width=half_width)
+    if kind == "smooth_monotone":
+        # D = diag(W_+ - W) has no zero on the window: both tails count
+        _, diag_w, _, _ = disc.tridiagonal(k)
+        _, diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
+        assert np.all(diag_p - diag_w > 0)
+    cmp = edge_comparison(disc, j, k)
+    oracle = mp_edge_comparison(disc, j, k)
+    assert cmp.gap_dist == pytest.approx(oracle["gap_dist"], rel=1e-11, abs=0)
+    assert cmp.defect == pytest.approx(oracle["defect"], rel=1e-11, abs=0)
+    assert cmp.scaled_distance == pytest.approx(oracle["scaled_distance"],
+                                                rel=1e-11, abs=0)
+    assert abs(cmp.energy_w - oracle["energy_w"]) <= 4 * math.ulp(
+        oracle["energy_w"])
+
+
+def test_window_missing_the_jump_is_an_error(disc01):
+    # the window [k - 12, k + 12] lies right of the step at 0: W = W_+
+    # on every grid point, so the twin operators coincide
+    with pytest.raises(ConvergenceFailure, match="half_width"):
+        edge_comparison(disc01, 1, 16.0)
+
+
+def test_projection_distance_beyond_machine_epsilon(disc01):
+    # at k = 6 the overlap rounds to 1.0, yet the defect is ~3e-21
+    cmp = edge_comparison(disc01, 1, 6.0)
+    assert cmp.overlap == 1.0
+    assert projection_distance(1, 6.0, disc01) == pytest.approx(
+        cmp.scaled_distance * math.sqrt(cmp.gap_dist), rel=1e-12)

@@ -247,6 +247,23 @@ def test_cli_convergence_failure_exit(tmp_path):
     assert run(["bands", "--config", cfg, "--out", str(out), "--j", "3"]) == 3
 
 
+@pytest.mark.parametrize("fiber", [{"n": 150}, {"half_width": 2.0}],
+                         ids=["n_below_200", "half_width_below_margin"])
+def test_cli_unusable_fiber_grid_exit(tmp_path, capsys, fiber):
+    cfg = write_cfg(tmp_path, base_doc(fiber=fiber))
+    assert run(["gaps", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "invalid fiber block" in capsys.readouterr().err
+
+
+def test_cli_window_missing_the_jump_exit(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc(
+        verify={"teth1": {"k_near": 16.0, "k_far": 17.0}}))
+    out = tmp_path / "teth1"
+    assert run(["verify", "teth1", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "half_width" in err and "Traceback" not in err
+
+
 def test_cli_failed_verdict_exit(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(
         m_grid=[20, 40],
