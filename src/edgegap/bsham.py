@@ -5,13 +5,15 @@ Three routes to the same counting function, kept numerically independent:
 * sjstar_sj: Gram matrix of the band-limited, gap-weighted kernel
   (2 pi)^{-1/2} V(x,y)^{1/2} e^{iky} psi_inf(x;k) (g_j(k) + lam)^{-1/2}
   over a momentum half-line, with closed-form section integrals in y.
-* antiwick_matrix: the same operator reassembled from coherent-family
-  overlap integrals by tensor Gauss quadrature over the phase plane.
+* full_line_gram: sjstar_sj on the symmetric window (-K, K), with the
+  y-integrals over the support done either in closed form or by a
+  Gauss rule on every vertical section.
 * bs_count: the resolvent route n_-(1; V^{1/2}(H0 - z)^{-1} V^{1/2})
   with the resolvent kernel summed over fiber eigenpairs.
 
-Cross-route agreement (exact for the first two on a shared grid, up to
-an additive O(1) for the third) is the package's main self-check.
+Cross-route agreement (count for count between the two y-rules of
+full_line_gram, up to an additive O(1) between the Gram and resolvent
+routes) is the package's main self-check.
 """
 
 from __future__ import annotations
@@ -136,32 +138,25 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
     return op
 
 
-def antiwick_matrix(j: int, lam: float, scenario,
-                    quad: QuadratureSpec = None) -> DiscretizedOperator:
-    """Weighted coherent-family operator diag(F) V_op diag(F) on (-K, K).
+def _full_line_reach(j: int, b: float, v) -> float:
+    """Symmetric momentum cutoff K of the whole-line assemblies over supp V."""
+    return k_truncation_symmetric(j, b, *v.support.x_extent)
 
-    V_op(k,k') is assembled from the overlap integrals of the coherent
-    family over the phase plane, (2 pi)^{-1} int V(q,p) Psi_{q,p}(k)
-    conj(Psi_{q,p}(k')) dq dp, by tensor Gauss quadrature in both phase
-    variables: an independent numerical route to the whole-line Gram.
+
+def full_line_gram(j: int, lam: float, scenario, quad: QuadratureSpec = None,
+                   y_order: int = 0) -> DiscretizedOperator:
+    """sjstar_sj on the symmetric momentum window (-K, K) of bs_count.
+
+    y_order = 0 integrates the plane waves over each vertical section of
+    the support in closed form; y_order > 0 applies a Gauss rule of that
+    order on every section instead.  On one momentum grid the two
+    y-routes are independent quadratures of the same whole-line Gram.
     """
     quad = quad or scenario.quad
     v, w, b = scenario.v, scenario.w, scenario.b
-    k_sym = k_truncation_symmetric(j, b, v.support.x_extent[0],
-                                   v.support.x_extent[1])
-    return sjstar_sj(j, lam, -k_sym, quad, v, w, b,
-                     k_lo=-k_sym, k_hi=k_sym, y_order=max(quad.y_order, 12))
-
-
-def full_line_gram(j: int, lam: float, scenario,
-                   quad: QuadratureSpec = None) -> DiscretizedOperator:
-    """sjstar_sj on the same symmetric window as antiwick_matrix, with the
-    closed-form section route (the matched-grid partner for route checks)."""
-    quad = quad or scenario.quad
-    v, w, b = scenario.v, scenario.w, scenario.b
-    k_sym = k_truncation_symmetric(j, b, v.support.x_extent[0],
-                                   v.support.x_extent[1])
-    return sjstar_sj(j, lam, -k_sym, quad, v, w, b, k_lo=-k_sym, k_hi=k_sym)
+    k_sym = _full_line_reach(j, b, v)
+    return sjstar_sj(j, lam, -k_sym, quad, v, w, b, k_lo=-k_sym, k_hi=k_sym,
+                     y_order=y_order)
 
 
 def effective_count(j: int, lam: float, eps: float, scenario,
@@ -182,7 +177,7 @@ def effective_count(j: int, lam: float, eps: float, scenario,
 def _support_nodes(v, quad, b, k_reach):
     """Tensor quadrature nodes (x, y, weight) over supp V."""
     x_pts, x_wts = _x_rule_for_support(v.support, b, k_reach, quad)
-    order = max(quad.y_order, 12)
+    order = quad.gauss_y_order
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     xs, ys, ws = [], [], []
     for x, wx in zip(x_pts, x_wts):
@@ -206,8 +201,7 @@ def _resolvent_columns(j: int, j_sum: int, v, w, b: float,
     gap = g_j(k), each per column.
     """
     edge = gap_edges(b, w, j)[0]
-    k_sym = k_truncation_symmetric(j, b, v.support.x_extent[0],
-                                   v.support.x_extent[1])
+    k_sym = _full_line_reach(j, b, v)
     xs, ys, ws = _support_nodes(v, quad, b, k_sym)
     gap_model = get_gap_model(b, w, j, -k_sym, k_sym)
     disc = FiberDiscretization(b=b, w=w)

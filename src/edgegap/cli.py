@@ -19,23 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsham import antiwick_matrix, bs_count, full_line_gram, sjstar_sj
+from .bsham import bs_count, full_line_gram, sjstar_sj
 from .counting import count_above, n_star
 from .errors import (ConvergenceFailure, EdgegapError, PrecisionExhausted,
                      ScenarioError)
 from .fiber import (FiberDiscretization, band_table, edge_comparison,
-                    gap_edges, phi_squared, verify_lau25, verify_tep2,
-                    verify_teth1)
+                    gap_edges, phi_squared, step_tail_asymptote,
+                    verify_lau25, verify_tep2, verify_teth1)
 from .geometry import (asymptotic_constants, c_minus, c_plus,
                        clip_positive_halfplane, optimal_disk)
 from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
                        g_sinc, gamma_diag_count, gamma_gram,
                        inscribed_rectangle_count, kms_count_ratio,
                        kms_trace_ratio, sandwich_check)
-from .oscillator import p_coeff
 from .potentials import finiteness_predicate
-from .scenario import (Scenario, load_scenario, normalized_scenario,
-                       scenario_to_dict, schema_json)
+from .scenario import (Scenario, band_index, load_scenario,
+                       normalized_scenario, scenario_to_dict, schema_json)
 
 _NAN = float("nan")
 
@@ -95,10 +94,7 @@ def _disc(sc: Scenario) -> FiberDiscretization:
 def _phi_asymptote(j: int, k: float, sc: Scenario) -> float:
     if sc.w.kind != "step" or k <= 0:
         return _NAN
-    return (4.0 ** (j - 1) * 0.5 * (sc.w.w_plus_limit - sc.w.w_minus_limit)
-            * p_coeff(j, sc.b) * k ** (2 * j - 3)
-            * math.exp(-(k / math.sqrt(sc.b)
-                         - math.sqrt(sc.b) * sc.w.x0) ** 2))
+    return step_tail_asymptote(j, k, sc.b, sc.w)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -158,15 +154,15 @@ def cmd_verify_tep2(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("tep2")
     k_list = [float(k) for k in p["k_list"]]
-    ratios = verify_tep2(sc.j, sc.b, sc.w, k_list, sc.fiber_n)
     disc = _disc(sc)
+    ratios = verify_tep2(sc.j, disc, k_list)
     rows = [(k, sc.j, float(edge_comparison(disc, sc.j, k).energy_w))
             for k in k_list]
     verdicts = [_verdict(f"gap_to_phi_k{k:g}", abs(ratio - 1.0) <= p["tol"],
                          ratio, 1.0, p["tol"])
                 for k, ratio in zip(k_list, ratios)]
     k2 = float(p["j2_k"])
-    ratio2 = verify_tep2(sc.j + 1, sc.b, sc.w, [k2], sc.fiber_n)[0]
+    ratio2 = verify_tep2(sc.j + 1, disc, [k2])[0]
     rows.append((k2, sc.j + 1,
                  float(edge_comparison(disc, sc.j + 1, k2).energy_w)))
     verdicts.append(_verdict(f"gap_to_phi_j{sc.j + 1}_k{k2:g}",
@@ -180,8 +176,8 @@ def cmd_verify_teth1(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("teth1")
     k_near, k_far = float(p["k_near"]), float(p["k_far"])
-    near, far = verify_teth1(sc.j, sc.b, sc.w, [k_near, k_far], sc.fiber_n)
     disc = _disc(sc)
+    near, far = verify_teth1(sc.j, disc, [k_near, k_far])
     rows = [(k, sc.j, float(edge_comparison(disc, sc.j, k).energy_w))
             for k in (k_near, k_far)]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
@@ -378,7 +374,7 @@ def cmd_bs_count(sc: Scenario, out: Path):
                              counts[lam0], 0.5 * (lo + hi),
                              0.5 * (hi - lo) + slack))
     full = full_line_gram(sc.j, lam0, sc)
-    anti = antiwick_matrix(sc.j, lam0, sc)
+    anti = full_line_gram(sc.j, lam0, sc, y_order=sc.quad.gauss_y_order)
     for r in p["route_r"]:
         r = float(r)
         with _WarningBox() as box:
@@ -588,9 +584,7 @@ def run(argv=None) -> int:
     try:
         sc = load_scenario(args.config)
         if args.j is not None:
-            if args.j < 1:
-                raise ScenarioError("band index j must be >= 1")
-            sc.j = args.j
+            sc.j = band_index(args.j, _disc(sc))
         if args.precision_bits is not None:
             if args.precision_bits < 64:
                 raise ScenarioError("precision_bits must be at least 64")

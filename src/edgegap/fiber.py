@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
-from .oscillator import psi_inf
+from .oscillator import p_coeff, psi_inf
 from .potentials import EdgePotential, gap_condition
 
 _GAUSS_NODES = 24
@@ -60,6 +60,11 @@ class FiberDiscretization:
             raise ValueError("need at least 200 grid points")
         if self.half_width < 8.0 / math.sqrt(self.b):
             raise ValueError("half_width below the Gaussian decay margin 8/sqrt(b)")
+
+    @property
+    def max_levels(self) -> int:
+        """Most eigenpairs solve_fiber resolves on this grid, n/10."""
+        return self.n // 10
 
     def grid(self, k: float, n: int = None) -> np.ndarray:
         n = self.n if n is None else n
@@ -109,7 +114,7 @@ def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
     with sign fixed by a nonnegative overlap with the limiting
     eigenfunction.
     """
-    if j_max < 1 or j_max > disc.n // 10:
+    if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
     x, diag, off, h = disc.tridiagonal(k)
     evals, evecs = eigh_tridiagonal(diag, off, select="i",
@@ -454,43 +459,45 @@ class GapModel:
         return 1.0 / np.sqrt(self.gap(k) + lam)
 
 
-def verify_tep2(j: int, b: float, w: EdgePotential, k_list,
-                n: int = 2001):
-    """Ratios (E_j^+ - E_j(k)) / Phi_j(k)^2, expected -> 1 from above."""
-    disc = FiberDiscretization(b=b, w=w, n=n)
+def verify_tep2(j: int, disc: FiberDiscretization, k_list):
+    """Ratios (E_j^+ - E_j(k)) / Phi_j(k)^2 on the window of disc,
+    expected -> 1 from above."""
     return [edge_comparison(disc, j, float(k)).gap_dist
-            / phi_squared(j, float(k), b, w) for k in k_list]
+            / phi_squared(j, float(k), disc.b, disc.w) for k in k_list]
 
 
-def verify_teth1(j: int, b: float, w: EdgePotential, k_list,
-                 n: int = 2001):
-    """Scaled projection distances (E_j^+ - E_j(k))^{-1/2} ||pi - pi_inf||_1.
+def verify_teth1(j: int, disc: FiberDiscretization, k_list):
+    """Scaled projection distances (E_j^+ - E_j(k))^{-1/2} ||pi - pi_inf||_1
+    on the window of disc.
 
     Expected to decay to 0 along increasing k; identically 0 for W = None
     by the documented convention.
     """
-    if w is None:
+    if disc.w is None:
         return [0.0 for _ in k_list]
-    disc = FiberDiscretization(b=b, w=w, n=n)
     return [edge_comparison(disc, j, float(k)).scaled_distance for k in k_list]
 
 
-def verify_lau25(j: int, b: float, w: EdgePotential, k_list):
-    """Ratios of Phi_j(k)^2 to its closed-form step asymptote, expected -> 1.
+def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:
+    """Closed-form large-k asymptote of Phi_j(k)^2 for a sharp step,
 
-    The asymptote is 4^{j-1} ((w_+ - w_-)/2) p_j k^{2j-3}
-    exp(-(k/sqrt(b) - sqrt(b) x0)^2), the square of the leading
-    eigenfunction tail integrated against the step; the 4^{j-1} carries
-    the squared leading Hermite coefficient.
+        4^{j-1} ((w_+ - w_-)/2) p_j k^{2j-3} exp(-(k/sqrt(b) - sqrt(b) x0)^2),
+
+    the square of the leading eigenfunction tail integrated against the
+    step; the 4^{j-1} carries the squared leading Hermite coefficient.
     """
     if w is None or w.kind != "step":
         raise WrongPotentialKind("closed-form tail asymptote requires a sharp step")
-    from .oscillator import p_coeff
+    return (4.0 ** (j - 1) * 0.5 * (w.w_plus_limit - w.w_minus_limit)
+            * p_coeff(j, b) * k ** (2 * j - 3)
+            * math.exp(-(k / math.sqrt(b) - math.sqrt(b) * w.x0) ** 2))
+
+
+def verify_lau25(j: int, b: float, w: EdgePotential, k_list):
+    """Ratios of Phi_j(k)^2 to step_tail_asymptote, expected -> 1."""
     out = []
     for k in k_list:
         k = float(k)
-        asym = (4.0 ** (j - 1) * 0.5 * (w.w_plus_limit - w.w_minus_limit)
-                * p_coeff(j, b) * k ** (2 * j - 3)
-                * math.exp(-(k / math.sqrt(b) - math.sqrt(b) * w.x0) ** 2))
+        asym = step_tail_asymptote(j, k, b, w)
         out.append(phi_squared(j, k, b, w) / asym)
     return out

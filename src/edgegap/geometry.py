@@ -17,33 +17,27 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import DomainError, EmptyIntersection
 
 _E = math.e
 
 
-def kappa(s: float) -> float:
-    """Measure of {t > 0 : t ln t < s}.
+def kappa(s):
+    """Measure of {t > 0 : t ln t < s}, elementwise for s >= 0.
 
     The sublevel set is the interval (0, t*) where t* >= 1 solves
-    t ln t = s, so kappa(s) is that root.  Bisection to 1e-12 relative.
+    t ln t = s, so t* = e^{W(s)} = s / W(s) with W the principal branch
+    of the Lambert W function (Corless et al., Adv. Comput. Math. 5,
+    1996), and kappa(0) = 1.  A scalar argument returns a float.
     """
-    if s < 0:
-        raise DomainError(f"kappa requires s >= 0, got {s}")
-    if s == 0:
-        return 1.0
-    lo, hi = 1.0, max(_E, s + 2.0)
-    # f(t) = t ln t - s; f(lo) <= 0 < f(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * math.log(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise DomainError(f"kappa requires s >= 0, got {s.min()}")
+    with np.errstate(invalid="ignore"):
+        t = np.where(s == 0.0, 1.0, s / lambertw(s).real)
+    return float(t) if t.ndim == 0 else t
 
 
 def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
@@ -172,23 +166,19 @@ class PolygonDomain:
 def c_minus(poly: PolygonDomain) -> float:
     """Supremum of lengths of single connected vertical segments in the polygon.
 
-    The supremum over x of the longest connected chord is attained in the
-    closure of a strip between consecutive vertex abscissas, where chord
-    length is piecewise linear in x; sampling each vertex abscissa from
-    both sides plus a refined grid reaches it to ~1e-6.
+    Within a strip between consecutive vertex abscissas the sections keep
+    their edges, so the longest connected chord is a maximum of linear
+    functions of x and its supremum sits at a strip end.  Each vertex
+    abscissa is sampled from both sides, which reaches it.
     """
     xmin, xmax = poly.x_extent
     eps = 1e-9 * max(1.0, xmax - xmin)
-    candidates = []
-    for vx, _ in poly.vertices:
-        candidates.extend((vx - eps, vx + eps))
-    candidates.extend(np.linspace(xmin + eps, xmax - eps, 2001))
     best = 0.0
-    for x in candidates:
-        if x <= xmin or x >= xmax:
-            continue
-        for ylo, yhi in poly.vertical_sections(x):
-            best = max(best, yhi - ylo)
+    for vx, _ in poly.vertices:
+        for x in (vx - eps, vx + eps):
+            if xmin < x < xmax:
+                for ylo, yhi in poly.vertical_sections(x):
+                    best = max(best, yhi - ylo)
     return best
 
 
@@ -227,25 +217,28 @@ def clip_positive_halfplane(poly: PolygonDomain) -> PolygonDomain:
     return clipped
 
 
-def _disk_objective(xi: float, eta: float, verts: np.ndarray) -> float:
-    r = float(np.sqrt(((verts - (xi, eta)) ** 2).sum(axis=1).max()))
-    return r * kappa(max(xi, 0.0) / (_E * r))
+def _disk_radius(xi, eta, verts: np.ndarray):
+    """Largest vertex distance from each centre (xi, eta)."""
+    xi, eta = np.asarray(xi)[..., None], np.asarray(eta)[..., None]
+    return np.sqrt(((verts[:, 0] - xi) ** 2
+                    + (verts[:, 1] - eta) ** 2).max(axis=-1))
+
+
+def _disk_objective(xi, eta, verts: np.ndarray):
+    r = _disk_radius(xi, eta, verts)
+    return r * kappa(np.maximum(xi, 0.0) / (_E * r))
 
 
 def _disk_search(poly: PolygonDomain, grid: int, rounds: int):
     verts = np.asarray(poly.vertices)
     cx, cy = poly.centroid
-    d = poly.diameter
-    half = 2.0 * d
+    half = 2.0 * poly.diameter
     best_xi, best_eta = cx, cy
-    best = _disk_objective(cx, cy, verts)
-    for rnd in range(rounds + 1):
+    best = float(_disk_objective(cx, cy, verts))
+    for _ in range(rounds + 1):
         xis = np.linspace(best_xi - half, best_xi + half, grid)
         etas = np.linspace(best_eta - half, best_eta + half, grid)
-        vals = np.empty((grid, grid))
-        for i, xi in enumerate(xis):
-            for j, eta in enumerate(etas):
-                vals[i, j] = _disk_objective(xi, eta, verts)
+        vals = _disk_objective(xis[:, None], etas[None, :], verts)
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         if vals[i, j] < best:
             best = float(vals[i, j])
@@ -269,9 +262,7 @@ def optimal_disk(poly: PolygonDomain, grid: int = 41, rounds: int = 3):
     """(xi, eta, R) of the enclosing disk realizing the c_plus search
     minimum; R is the largest vertex distance from the chosen center."""
     _, xi, eta = _disk_search(poly, grid, rounds)
-    verts = np.asarray(poly.vertices)
-    r = float(np.sqrt(((verts - (xi, eta)) ** 2).sum(axis=1).max()))
-    return xi, eta, r
+    return xi, eta, float(_disk_radius(xi, eta, np.asarray(poly.vertices)))
 
 
 def asymptotic_constants(omega_minus: PolygonDomain, omega_plus: PolygonDomain,

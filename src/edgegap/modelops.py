@@ -5,13 +5,12 @@ These are the reduced operators the gap counting function gets squeezed
 between once the fiber machinery has done its work: an exponential
 transform Gram over each sandwich polygon, its Gaussian-free rectangle
 reduction with closed-form entries, the sinc kernel whose trace and
-counting ratios have exact limits, a triangular table mapping monomials
-to the orthonormal Legendre basis of a momentum window, a diagonal
-factorial surrogate whose counting ratio tends to e R kappa(.), and the
-band-kernel comparison operators built from two-sided step envelopes of
-the edge potential.  Gram entries span hundreds of orders of magnitude
-at realistic m, so everything is assembled in log-magnitude + phase
-form and exponentiated only inside the counting routines.
+counting ratios have exact limits, a diagonal factorial surrogate whose
+counting ratio tends to e R kappa(.), and the band-kernel comparison
+operators built from two-sided step envelopes of the edge potential.
+Gram entries span hundreds of orders of magnitude at realistic m, so
+everything is assembled in log-magnitude + phase form and exponentiated
+only inside the counting routines.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from scipy.special import gammaln
 
 from .bsham import get_gap_model, k_truncation, sjstar_sj
 from .counting import count_above
-from .errors import DomainError, PrecisionExhausted, TieWarning
+from .errors import DomainError, TieWarning
 from .geometry import kappa
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
@@ -61,11 +60,6 @@ class IntervalSpec:
     def outer(cls, delta: float) -> "IntervalSpec":
         """(0, 1 + delta), the enlarged upper window."""
         return cls(0.0, 1.0 + delta, delta)
-
-    @classmethod
-    def reciprocal(cls, delta: float) -> "IntervalSpec":
-        """(0, 1/(1 + delta)), the window the monomial table lives on."""
-        return cls(0.0, 1.0 / (1.0 + delta), delta)
 
 
 def gamma_gram(side: str, m: float, delta: float, omega, quad: QuadratureSpec,
@@ -225,35 +219,6 @@ def inscribed_rectangle_count(r: float, m: float, delta: float,
     return op.count_above(s), s
 
 
-def theta_coeffs(delta: float, q_max: int) -> np.ndarray:
-    """Monomial coefficients in the orthonormal Legendre basis of the
-    window (0, 1/(1+delta)).
-
-    Row q holds the expansion of k^q; closed-form Legendre moments give
-
-        theta[q, l] = c^{q+1/2} sqrt(2l+1) (q!)^2 / ((q-l)! (q+l+1)!)
-
-    with c = 1/(1+delta), zero above the diagonal.  Row sums of squares
-    equal the monomial norms c^{2q+1}/(2q+1).
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-    if q_max < 0:
-        raise ValueError("q_max must be nonnegative")
-    if q_max > 60:
-        raise PrecisionExhausted(
-            "monomial table limited to q_max <= 60; factorial ratios below "
-            "lose all relative accuracy in double precision")
-    c = 1.0 / (1.0 + delta)
-    q = np.arange(q_max + 1, dtype=float)[:, None]
-    l = np.arange(q_max + 1, dtype=float)[None, :]
-    logv = ((q + 0.5) * math.log(c) + 0.5 * np.log(2.0 * l + 1.0)
-            + 2.0 * gammaln(q + 1.0) - gammaln(q - l + 1.0)
-            - gammaln(q + l + 2.0))
-    table = np.where(l <= q, np.exp(logv), 0.0)
-    return table
-
-
 def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
     """Count and ratio for the diagonal factorial surrogate.
 
@@ -286,41 +251,6 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
 def diag_count_limit(xi: float, delta: float, R: float) -> float:
     """The large-m limit of the diagonal surrogate's counting ratio."""
     return math.e * R * kappa(max(xi + delta, 0.0) / (math.e * R))
-
-
-def disk_moment_check(m: float, R: float, k: float, kp: float):
-    """Second moment of the exponential kernel over a centered disk.
-
-    Returns (series value, direct quadrature) for
-
-        int_{B_R(0)} e^{m(zk + conj(z)k')} dmu(z)
-            = pi R^2 sum_q (m^2 R^2 k k')^q / ((q!)^2 (q+1)),
-
-    the quadrature being polar Gauss x trapezoid; the pair should agree
-    to ~1e-8 inside the convergence window.
-    """
-    u = m * m * R * R * k * kp
-    if u > 700.0:
-        raise ValueError("m^2 R^2 k k' beyond the series window (<= 700)")
-    term, acc, q = 1.0, 1.0, 0
-    while abs(term) > 1e-18 * abs(acc) or q < math.sqrt(abs(u)) + 4:
-        term *= u / ((q + 1.0) * (q + 2.0))
-        # a_q = u^q/((q!)^2 (q+1)); ratio a_{q+1}/a_q = u/((q+1)(q+2))
-        acc += term
-        q += 1
-        if q > 5000:
-            break
-    series = math.pi * R * R * acc
-    r_base, r_wts = np.polynomial.legendre.leggauss(60)
-    r_pts = 0.5 * R * (r_base + 1.0)
-    r_wts = 0.5 * R * r_wts
-    theta = np.linspace(0.0, 2.0 * math.pi, 257)[:-1]
-    dtheta = 2.0 * math.pi / 256
-    xg = r_pts[:, None] * np.cos(theta)[None, :]
-    yg = r_pts[:, None] * np.sin(theta)[None, :]
-    vals = np.exp(m * (k + kp) * xg) * np.exp(1j * m * (k - kp) * yg)
-    quad = float(np.real(np.sum(vals * (r_pts * r_wts)[:, None]) * dtheta))
-    return series, quad
 
 
 def envelope_potentials(w, delta: float):

@@ -46,6 +46,12 @@ class QuadratureSpec:
         if min(self.k_panels, self.k_nodes, self.x_nodes) < 1 or self.x_rate <= 0:
             raise ValueError("quadrature spec fields must be positive")
 
+    @property
+    def gauss_y_order(self) -> int:
+        """Order of the per-section Gauss y-rule on the routes that always
+        take one: y_order, but at least 12."""
+        return max(self.y_order, 12)
+
 
 @dataclass
 class DiscretizedOperator:

@@ -54,40 +54,3 @@ def p_coeff(j: int, b: float) -> float:
     if b <= 0:
         raise ValueError("field strength b must be positive")
     return b ** (-j + 1.5) / (math.sqrt(math.pi) * math.factorial(j - 1) * 2.0 ** (j - 1))
-
-
-def psi_inf_asymptotic(j: int, k, x, b: float):
-    """Leading large-k form of psi_inf on compact x sets.
-
-    2^{j-1} p_j^{1/2} (-k)^{j-1} exp(-(k/sqrt(b) - sqrt(b) x)^2 / 2).
-
-    The 2^{j-1} factor is the leading Hermite coefficient carried by
-    phi_j; with it the ratio to psi_inf tends to 1 as k -> +infinity
-    (for j=1 the form is exact).  Verified against direct evaluation
-    in the tests.
-    """
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rb = math.sqrt(b)
-    arg = k / rb - rb * x
-    out = (2.0 ** (j - 1) * math.sqrt(p_coeff(j, b))
-           * (-k) ** (j - 1) * np.exp(-0.5 * arg * arg))
-    return float(out) if out.ndim == 0 else out
-
-
-def gauss_hermite_norm(j: int, nodes: int = 200) -> float:
-    """Gauss-Hermite quadrature of the phi_j normalization integral.
-
-    Exact (up to roundoff) once nodes > j, since the integrand without
-    the Gaussian weight is a polynomial of degree 2(j-1).
-    """
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    p = _hermite_poly_part(j, t)
-    return float(np.sum(w * p * p))
-
-
-def gauss_hermite_gram(j_max: int, nodes: int = 200) -> np.ndarray:
-    """Gram matrix of phi_1..phi_{j_max} under Gauss-Hermite quadrature."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    polys = np.vstack([_hermite_poly_part(j, t) for j in range(1, j_max + 1)])
-    return (polys * w) @ polys.T

@@ -177,6 +177,14 @@ def _build_perturbation(spec) -> Perturbation:
         raise ScenarioError(f"invalid perturbation: {exc}") from exc
 
 
+def band_index(j: int, disc: FiberDiscretization) -> int:
+    """j, once checked to be a band the fiber grid resolves: 1 <= j <= n/10."""
+    if not 1 <= j <= disc.max_levels:
+        raise ScenarioError(f"band index j must lie in [1, {disc.max_levels}] "
+                            f"for fiber.n = {disc.n}, got {j}")
+    return j
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("config root must be a JSON object")
@@ -211,13 +219,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         half_width = float(half_width)
     try:
         # the same check FiberDiscretization makes later, as a config error
-        FiberDiscretization(b=b, w=w, n=fiber_n, half_width=half_width)
+        disc = FiberDiscretization(b=b, w=w, n=fiber_n, half_width=half_width)
     except ValueError as exc:
         raise ScenarioError(f"invalid fiber block: {exc}") from exc
 
-    j = int(doc.get("j", 1))
-    if j < 1:
-        raise ScenarioError("band index j must be >= 1")
+    j = band_index(int(doc.get("j", 1)), disc)
     envelope_delta = float(doc.get("envelope_delta", 0.1))
     if not 0.0 < envelope_delta < 0.5:
         raise ScenarioError("envelope_delta must lie in (0, 1/2)")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from edgegap.bsham import bs_count, effective_count, full_line_gram, antiwick_matrix
+from edgegap.bsham import bs_count, effective_count, full_line_gram
 from edgegap.cli import run
 from edgegap.counting import LogHermitian, count_above, n_star
 from edgegap.errors import EmptyIntersection
@@ -78,9 +78,10 @@ def test_criterion_02_band_monotone_with_edge_limits(step01):
 
 def test_criterion_03_gap_to_coupling_ratio(step01):
     # measured: 1.0315, 1.0215, 1.0187; j=2 at k=6: 1.0188
-    for ratio in verify_tep2(1, 1.0, step01, [4.0, 5.0, 6.0]):
+    disc = FiberDiscretization(b=1.0, w=step01)
+    for ratio in verify_tep2(1, disc, [4.0, 5.0, 6.0]):
         assert abs(ratio - 1.0) <= 0.05
-    (r2,) = verify_tep2(2, 1.0, step01, [6.0])
+    (r2,) = verify_tep2(2, disc, [6.0])
     assert abs(r2 - 1.0) <= 0.10
 
 
@@ -95,7 +96,8 @@ def test_criterion_04_closed_form_tail(step01):
 
 def test_criterion_05_projection_distance_decay(step01):
     # measured: 0.0749 at k=4, 0.0336 at k=6
-    near, far = verify_teth1(1, 1.0, step01, [4.0, 6.0])
+    near, far = verify_teth1(1, FiberDiscretization(b=1.0, w=step01),
+                             [4.0, 6.0])
     assert far < 0.2
     assert far < near
 
@@ -246,7 +248,7 @@ def test_criterion_12_cross_route_consistency(coarse_scenario):
     n_res = bs_count(1, 1e-3, coarse_scenario, j_sum=6)
     assert lo - 2 <= n_res <= hi + 2
     full = full_line_gram(1, 1e-3, coarse_scenario)
-    anti = antiwick_matrix(1, 1e-3, coarse_scenario)
+    anti = full_line_gram(1, 1e-3, coarse_scenario, y_order=12)
     for r in (0.5, 1.0, 2.0):
         assert full.count_above(r * r).count == anti.count_above(r * r).count
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from edgegap.bsham import (
-    antiwick_matrix,
     bs_count,
     effective_count,
     full_line_gram,
@@ -75,7 +74,7 @@ def test_resolvent_default_depth_warns(coarse_scenario):
 
 def test_section_and_phase_plane_routes_agree(coarse_scenario):
     full = full_line_gram(1, 1e-3, coarse_scenario)
-    anti = antiwick_matrix(1, 1e-3, coarse_scenario)
+    anti = full_line_gram(1, 1e-3, coarse_scenario, y_order=12)
     assert full.meta["y_route"] == "sections"
     assert anti.meta["y_route"] == "gauss"
     np.testing.assert_allclose(full.nodes, anti.nodes)

@@ -129,19 +129,21 @@ def test_phi_squared_erfc_identity(step01):
 
 
 def test_gap_ratio_to_coupling_tends_to_one(step01):
-    ratios = verify_tep2(1, 1.0, step01, [4.0, 5.0, 6.0])
+    disc = FiberDiscretization(b=1.0, w=step01)
+    ratios = verify_tep2(1, disc, [4.0, 5.0, 6.0])
     assert all(r > 1.0 for r in ratios)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] == pytest.approx(1.0, abs=0.05)
-    (r_j2,) = verify_tep2(2, 1.0, step01, [6.0])
+    (r_j2,) = verify_tep2(2, disc, [6.0])
     assert r_j2 == pytest.approx(1.0, abs=0.05)
 
 
 def test_scaled_projection_distance_decays(step01):
-    near, far = verify_teth1(1, 1.0, step01, [4.0, 6.0])
+    near, far = verify_teth1(1, FiberDiscretization(b=1.0, w=step01),
+                             [4.0, 6.0])
     assert 0.0 < far < near
     assert far < 0.2
-    assert verify_teth1(1, 1.0, None, [4.0]) == [0.0]
+    assert verify_teth1(1, FiberDiscretization(b=1.0, w=None), [4.0]) == [0.0]
 
 
 def test_closed_form_tail_ratio(step01):

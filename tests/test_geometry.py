@@ -17,6 +17,7 @@ from edgegap.geometry import (
     kappa,
     optimal_disk,
 )
+from tests import geometry_oracle
 from tests.conftest import rect
 
 
@@ -153,3 +154,67 @@ def test_constants_ordered_whenever_defined(x0, wx, y0, wy, b):
         return
     lo, hi = asymptotic_constants(poly, poly, b)
     assert 0.0 < lo < hi
+
+
+# ---- closed forms against the brute-force searches they replaced
+
+def _oracle_polygons():
+    th = np.linspace(0, 2 * math.pi, 60, endpoint=False)
+    shapes = {
+        "reference": rect(-0.25, 0.4, -0.5, 0.5),
+        "growth": rect(-0.5, 0.7, -20.0, 20.0),
+        "finiteness": rect(-2.0, -1.0, 0.0, 1.0),
+        "probe": rect(0.05, 0.6, -0.5, 0.5),
+        "60-gon": PolygonDomain(list(zip(2.0 + np.cos(th), np.sin(th)))),
+        "c-shape": PolygonDomain([(0, 0), (4, 0), (4, 1), (1, 1), (1, 2),
+                                  (4, 2), (4, 3), (0, 3)]),
+    }
+    for name in list(shapes):
+        try:
+            shapes[name + "-clipped"] = clip_positive_halfplane(shapes[name])
+        except EmptyIntersection:
+            pass
+    return shapes
+
+
+ORACLE_POLYGONS = _oracle_polygons()
+
+
+def _assert_matches_oracle(poly):
+    value, xi, eta = geometry_oracle.disk_search(poly)
+    assert c_plus(poly) == pytest.approx(value, rel=1e-12, abs=0.0)
+    got_xi, got_eta, _ = optimal_disk(poly)
+    tol = 1e-12 * max(1.0, poly.diameter)
+    assert abs(got_xi - xi) <= tol and abs(got_eta - eta) <= tol
+    assert c_minus(poly) == geometry_oracle.c_minus(poly)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POLYGONS))
+def test_constants_match_brute_force_oracle(name):
+    _assert_matches_oracle(ORACLE_POLYGONS[name])
+
+
+@given(x0=st.floats(-1.0, 0.5), wx=st.floats(0.2, 3.0),
+       y0=st.floats(-2.0, 2.0), wy=st.floats(0.2, 4.0))
+@settings(max_examples=10, deadline=None)
+def test_rectangle_constants_match_brute_force_oracle(x0, wx, y0, wy):
+    _assert_matches_oracle(rect(x0, x0 + wx, y0, y0 + wy))
+
+
+@given(s=st.floats(0.0, 1e6))
+@settings(max_examples=60, deadline=None)
+def test_kappa_matches_bisection(s):
+    assert kappa(s) == pytest.approx(geometry_oracle.kappa(s), rel=1e-12,
+                                     abs=0.0)
+
+
+def test_kappa_elementwise_on_arrays():
+    s = np.concatenate([[0.0, 1e-300, 1.0, math.e],
+                        np.geomspace(1e-8, 1e8, 33)])
+    t = kappa(s)
+    assert isinstance(t, np.ndarray) and t.shape == s.shape
+    assert isinstance(kappa(1.0), float)
+    assert list(t) == [kappa(float(x)) for x in s]
+    assert kappa(s[:, None]).shape == (s.size, 1)
+    with pytest.raises(DomainError):
+        kappa(np.array([1.0, -1e-12, 2.0]))

@@ -20,7 +20,6 @@ from edgegap.geometry import kappa
 from edgegap.modelops import (
     IntervalSpec,
     diag_count_limit,
-    disk_moment_check,
     endpoint_bracket,
     epsilon_bounds,
     exp_sinc_kernel,
@@ -32,10 +31,14 @@ from edgegap.modelops import (
     kms_trace_ratio,
     q_operator,
     sandwich_check,
-    theta_coeffs,
 )
 from edgegap.operators import QuadratureSpec
 from tests.conftest import rect
+from tests.model_oracles import (
+    disk_moment_check,
+    reciprocal_interval,
+    theta_coeffs,
+)
 
 QUAD = QuadratureSpec()
 WINDOW = IntervalSpec(0.25, 0.75)
@@ -50,7 +53,7 @@ def _strip_weights(op):
 def test_interval_spec():
     assert IntervalSpec.inner(0.1) == IntervalSpec(0.1, 0.9, 0.1)
     assert IntervalSpec.outer(0.1).hi == pytest.approx(1.1)
-    assert IntervalSpec.reciprocal(0.25).hi == pytest.approx(0.8)
+    assert reciprocal_interval(0.25).hi == pytest.approx(0.8)
     assert WINDOW.length == pytest.approx(0.5)
     with pytest.raises(ValueError):
         IntervalSpec(1.0, 0.5)

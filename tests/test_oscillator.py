@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.oscillator import (
+from edgegap.oscillator import p_coeff, phi, psi_inf
+from tests.model_oracles import (
     gauss_hermite_gram,
     gauss_hermite_norm,
-    p_coeff,
-    phi,
-    psi_inf,
     psi_inf_asymptotic,
 )
 

@@ -8,6 +8,7 @@ import pytest
 
 from edgegap.cli import run
 from edgegap.errors import ScenarioError
+from edgegap.fiber import FiberDiscretization, verify_tep2, verify_teth1
 from edgegap.scenario import (
     GridSpec,
     LambdaGrid,
@@ -253,6 +254,38 @@ def test_cli_unusable_fiber_grid_exit(tmp_path, capsys, fiber):
     cfg = write_cfg(tmp_path, base_doc(fiber=fiber))
     assert run(["gaps", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "invalid fiber block" in capsys.readouterr().err
+
+
+def test_cli_band_index_beyond_fiber_grid_exit(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc(j=250))
+    assert run(["bands", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "band index" in capsys.readouterr().err
+
+
+def test_cli_j_override_beyond_fiber_grid_exit(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc(
+        k_grid={"lo": -1.0, "hi": 1.0, "points": 3}))
+    assert run(["bands", "--config", cfg, "--out", str(tmp_path / "x"),
+                "--j", "250"]) == 2
+    assert "band index" in capsys.readouterr().err
+
+
+def test_cli_fiber_window_reaches_edge_verdicts(tmp_path):
+    step = load_scenario(write_cfg(tmp_path, base_doc())).w
+    wide = FiberDiscretization(b=1.0, w=step, half_width=14.0)
+    cfg = write_cfg(tmp_path, base_doc(fiber={"half_width": 14.0}),
+                    name="wide.json")
+    values = {}
+    for check in ("tep2", "teth1"):
+        out = tmp_path / check
+        assert run(["verify", check, "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        values.update((v["name"], v["value"]) for v in summary["verdicts"])
+    expected = verify_tep2(1, wide, [5.0])[0]
+    assert values["gap_to_phi_k5"] == expected
+    assert expected != verify_tep2(1, FiberDiscretization(b=1.0, w=step),
+                                   [5.0])[0]
+    assert values["scaled_distance_small"] == verify_teth1(1, wide, [6.0])[0]
 
 
 def test_cli_window_missing_the_jump_exit(tmp_path, capsys):
