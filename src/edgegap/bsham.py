@@ -29,7 +29,7 @@ from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
-from .oscillator import p_coeff, psi_inf
+from .oscillator import log_p_coeff, psi_inf
 
 _TAIL_REL = 1e-16
 # bs_count forms C diag(s) C^* this many momentum nodes at a time, so
@@ -41,7 +41,7 @@ def _log_envelope(j: int, b: float, x_ref: float, k):
     """ln of the squared-kernel magnitude envelope p_j k^{2j-2} e^{-(k/sqrt(b)-sqrt(b)x)^2}."""
     k = np.asarray(k, dtype=float)
     poly = (2 * j - 2) * np.log(np.maximum(np.abs(k), 1e-300))
-    return math.log(p_coeff(j, b)) + poly - (k / math.sqrt(b) - math.sqrt(b) * x_ref) ** 2
+    return log_p_coeff(j, b) + poly - (k / math.sqrt(b) - math.sqrt(b) * x_ref) ** 2
 
 
 def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0,
@@ -78,8 +78,10 @@ def k_truncation_symmetric(j: int, b: float, x_inf: float, x_sup: float,
 
 @lru_cache(maxsize=32)
 def get_gap_model(b: float, w, j: int, k_lo: float, k_hi: float,
-                  n: int = 2001) -> GapModel:
-    return GapModel(b, w, j, k_lo, k_hi, n=n)
+                  n: int = 2001, half_width: float = None) -> GapModel:
+    """GapModel on the fiber window (n, half_width), cached per argument
+    tuple; callers pass the scenario's fiber.n and fiber.half_width."""
+    return GapModel(b, w, j, k_lo, k_hi, n=n, half_width=half_width)
 
 
 def _zero_operator(k_pts, k_wts, meta) -> DiscretizedOperator:
@@ -107,12 +109,15 @@ def _x_rule_for_support(poly, b, k_hi, quad):
 
 def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float,
               gap_model: GapModel = None, k_lo: float = None,
-              k_hi: float = None, y_order: int = 0) -> DiscretizedOperator:
+              k_hi: float = None, y_order: int = 0, fiber_n: int = 2001,
+              fiber_half_width: float = None) -> DiscretizedOperator:
     """Gram matrix S*S of the gap-weighted band kernel on (a, K).
 
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
     psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2};
     the truncation K is set by the certified Gaussian envelope rule.
+    g_j comes from the GapModel on the fiber window (fiber_n,
+    fiber_half_width) unless gap_model is given.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
@@ -125,7 +130,8 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
         k_lo = a
     k_pts, k_wts = gauss_panel_rule(k_lo, k_hi, quad.k_panels, quad.k_nodes)
     if gap_model is None:
-        gap_model = get_gap_model(b, w, j, k_lo, k_hi)
+        gap_model = get_gap_model(b, w, j, k_lo, k_hi, fiber_n,
+                                  fiber_half_width)
     log_row = np.log(gap_model.weight(k_pts, lam))
     x_pts, x_wts = _x_rule_for_support(v.support, b, k_hi, quad)
     secs = sections_at(v.support, x_pts)
@@ -156,7 +162,8 @@ def full_line_gram(j: int, lam: float, scenario, quad: QuadratureSpec = None,
     v, w, b = scenario.v, scenario.w, scenario.b
     k_sym = _full_line_reach(j, b, v)
     return sjstar_sj(j, lam, -k_sym, quad, v, w, b, k_lo=-k_sym, k_hi=k_sym,
-                     y_order=y_order)
+                     y_order=y_order, fiber_n=scenario.fiber_n,
+                     fiber_half_width=scenario.fiber_half_width)
 
 
 def effective_count(j: int, lam: float, eps: float, scenario,
@@ -167,7 +174,8 @@ def effective_count(j: int, lam: float, eps: float, scenario,
         raise ValueError("eps must lie in (0, 1)")
     quad = quad or scenario.quad
     op = sjstar_sj(j, lam, scenario.a_momentum, quad, scenario.v, scenario.w,
-                   scenario.b)
+                   scenario.b, fiber_n=scenario.fiber_n,
+                   fiber_half_width=scenario.fiber_half_width)
     cap = getattr(scenario, "precision_bits", 512)
     lower = count_above(op.kernel, 1.0 + eps, precision_cap=cap).count
     upper = count_above(op.kernel, 1.0 - eps, precision_cap=cap).count
@@ -189,9 +197,9 @@ def _support_nodes(v, quad, b, k_reach):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
-def _resolvent_columns(j: int, j_sum: int, v, w, b: float,
-                       quad: QuadratureSpec):
-    """The lam-independent part of bs_count, one column per fiber pair.
+def _resolvent_columns(j: int, j_sum: int, scenario, quad: QuadratureSpec):
+    """The lam-independent part of bs_count, one column per fiber pair,
+    on the scenario's fiber window.
 
     Returns (amp, phase, k_wts, band, energy, gap, edge).  Column
     c = i j_sum + j' - 1 of the kernel factor C is amp[:, c] * phase[:, i]:
@@ -200,11 +208,13 @@ def _resolvent_columns(j: int, j_sum: int, v, w, b: float,
     k_wts are the momentum weights, energy the band energies and
     gap = g_j(k), each per column.
     """
+    v, w, b = scenario.v, scenario.w, scenario.b
+    n, half_width = scenario.fiber_n, scenario.fiber_half_width
     edge = gap_edges(b, w, j)[0]
     k_sym = _full_line_reach(j, b, v)
     xs, ys, ws = _support_nodes(v, quad, b, k_sym)
-    gap_model = get_gap_model(b, w, j, -k_sym, k_sym)
-    disc = FiberDiscretization(b=b, w=w)
+    gap_model = get_gap_model(b, w, j, -k_sym, k_sym, n, half_width)
+    disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
     panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
     k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
     root_v = np.sqrt(v.amplitude * ws)
@@ -249,7 +259,7 @@ def bs_count(j: int, lam, scenario, quad: QuadratureSpec = None,
     else:
         j_sum = j_sum or (2 * j + 2)
         amp, phase, k_wts, band, energy, gap, edge = _resolvent_columns(
-            j, j_sum, v, w, b, quad)
+            j, j_sum, scenario, quad)
         nn, n_k = phase.shape
         last = band == j_sum
         counts, remainder = [], 0.0

@@ -324,7 +324,8 @@ def cmd_effective_count(sc: Scenario, out: Path):
     for lam in sc.lam_grid.values():
         with _WarningBox() as box:
             op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v, sc.w,
-                           sc.b)
+                           sc.b, fiber_n=sc.fiber_n,
+                           fiber_half_width=sc.fiber_half_width)
             rep_lo = count_above(op.kernel, 1.0 + eps,
                                  precision_cap=sc.precision_bits)
             rep_hi = count_above(op.kernel, 1.0 - eps,
@@ -364,7 +365,9 @@ def cmd_bs_count(sc: Scenario, out: Path):
     lam0 = sc.lam_grid.start
     eps, slack = float(p["cross_eps"]), int(p["cross_slack"])
     with _WarningBox() as box:
-        op = sjstar_sj(sc.j, lam0, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b)
+        op = sjstar_sj(sc.j, lam0, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b,
+                       fiber_n=sc.fiber_n,
+                       fiber_half_width=sc.fiber_half_width)
         lo = count_above(op.kernel, 1.0 + eps,
                          precision_cap=sc.precision_bits).count
         hi = count_above(op.kernel, 1.0 - eps,
@@ -409,7 +412,8 @@ def cmd_scaling(sc: Scenario, out: Path):
             m = math.sqrt(sc.b * abs(math.log(lam)))
             with _WarningBox() as box:
                 op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v,
-                               sc.w, sc.b)
+                               sc.w, sc.b, fiber_n=sc.fiber_n,
+                               fiber_half_width=sc.fiber_half_width)
                 lo = count_above(op.kernel, 1.0 + eps,
                                  precision_cap=sc.precision_bits)
                 hi = count_above(op.kernel, 1.0 - eps,

@@ -7,6 +7,15 @@ M - sI through a pivoted LDL^* factorization in arbitrary precision
 log-magnitude + phase form whose entries span hundreds of orders of
 magnitude; exponentiation happens only inside the factorization at the
 working precision, so nothing overflows on the way in.
+
+Before factoring, hp_inertia equilibrates by a diagonal congruence: it
+factors S(M - sI)S with S = diag(2^-e_i) chosen by log-domain symmetric
+Ruiz sweeps, which has the inertia of M - sI for any positive diagonal
+S (Sylvester's law).  Grading then no longer shows up as small pivots,
+so the pivot test flags only matrices that stay ill-conditioned after
+scaling, and graded matrices certify on the first 128-bit rung.  The
+reported margin is the smallest relative pivot of the equilibrated
+matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +35,11 @@ _PIVOT_ESCALATE = 2.0 ** -20
 # within ~30 nats of it (backward error ~ ||M|| * 1e-16)
 _DOUBLE_HEADROOM_NATS = 30.0
 _LADDER = (128, 256, 512, 1024, 2048)
+# each symmetric Ruiz sweep about halves a row's log excess, so a grading
+# of 700 nats settles in ~12 sweeps; 0.5 nats is finer than the ln 2
+# rounding of the scales that follows
+_RUIZ_SWEEPS = 60
+_RUIZ_TOL = 0.5
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,8 @@ class CountingReport:
 
     margin is the smallest |eigenvalue - threshold| on the double_eig
     route; on hp_inertia it is the smallest relative pivot magnitude of
-    the factorization, a conservative proxy for distance to a tie.
+    the factorization of the equilibrated matrix S(M - sI)S, a
+    conservative proxy for distance to a tie.
     """
 
     threshold: float
@@ -135,25 +150,50 @@ def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
                           tuple(_tie_warnings(eigs, s, count)))
 
 
-def _mp_entry_real(log_mag: float, phase: float):
+def _mp_entry_real(log_mag: float, phase: float, exp2: int):
     if log_mag == -math.inf:
         return mpmath.mpf(0)
     sign = 1 if math.cos(phase) >= 0 else -1
-    return sign * mpmath.exp(mpmath.mpf(log_mag))
+    return sign * mpmath.ldexp(mpmath.exp(mpmath.mpf(log_mag)), exp2)
 
 
-def _mp_entry_complex(log_mag: float, phase: float):
+def _mp_entry_complex(log_mag: float, phase: float, exp2: int):
     if log_mag == -math.inf:
         return mpmath.mpc(0)
-    r = mpmath.exp(mpmath.mpf(log_mag))
+    r = mpmath.ldexp(mpmath.exp(mpmath.mpf(log_mag)), exp2)
     p = mpmath.mpf(phase)
     return mpmath.mpc(r * mpmath.cos(p), r * mpmath.sin(p))
 
 
-def _ldl_inertia(logm: LogHermitian, s: float):
-    """Inertia of (matrix - s*I) by Bunch-Kaufman LDL^* at the current
-    mpmath working precision.
+def _equilibrating_exponents(logm: LogHermitian, s: float) -> list:
+    """Integers e_i such that S = diag(2^-e_i) equilibrates M - sI.
 
+    Symmetric Ruiz sweeps in the log domain, d_i += max_j(L_ij - d_i - d_j)/2,
+    on the entry bounds L_ij = ln|M_ij| and L_ii = ln(|M_ii| + s) >= ln|M_ii - s|,
+    bring every row maximum of S(M - sI)S to within _RUIZ_TOL nats of 1
+    (the diagonal bound is finite because s > 0).  Rounding d_i to a
+    whole multiple of ln 2 makes each scaling a shift of the binary
+    exponent, so forming S(M - sI)S adds no rounding at any precision to
+    that of the entries of M - sI: a diagonal entry that cancels the
+    shift exactly still cancels it.
+    """
+    bound = logm.log_mag.copy()
+    diag = np.diag_indices(logm.n)
+    bound[diag] = np.logaddexp(bound[diag], math.log(s))
+    d = np.zeros(logm.n)
+    for _ in range(_RUIZ_SWEEPS):
+        excess = (bound - d[:, None] - d[None, :]).max(axis=1)
+        d += 0.5 * excess
+        if np.abs(excess).max() <= _RUIZ_TOL:
+            break
+    return [int(e) for e in np.rint(d / math.log(2.0))]
+
+
+def _ldl_inertia(logm: LogHermitian, s: float, exps: list):
+    """Inertia of S(matrix - s*I)S, S = diag(2^-exps), by Bunch-Kaufman
+    LDL^* at the current mpmath working precision.
+
+    By Sylvester's law of inertia this is the inertia of matrix - s*I.
     Lower triangle kept as a list of row lists; returns
     (n_pos, n_neg, n_zero, min_relative_pivot).
     """
@@ -163,9 +203,10 @@ def _ldl_inertia(logm: LogHermitian, s: float):
     conj = (lambda v: v) if real else mpmath.conj
     lm, ph = logm.log_mag, logm.phase
     s_mp = mpmath.mpf(s)
-    a = [[entry(lm[i, j], ph[i, j]) for j in range(i + 1)] for i in range(n)]
+    a = [[entry(lm[i, j], ph[i, j], -exps[i] - exps[j]) for j in range(i + 1)]
+         for i in range(n)]
     for i in range(n):
-        a[i][i] = (a[i][i] if real else a[i][i].real) - s_mp
+        a[i][i] = (a[i][i] if real else a[i][i].real) - mpmath.ldexp(s_mp, -2 * exps[i])
 
     def swap(i, j):
         # symmetric row/column swap in lower-triangular Hermitian storage
@@ -293,24 +334,19 @@ def _ldl_inertia(logm: LogHermitian, s: float):
     return npos, nneg, nzero, min_rel
 
 
-def _suggest_bits(logm: LogHermitian, s: float) -> float:
-    span = logm.max_log - min(0.0, math.log(s))
-    return 60.0 + max(0.0, span) / math.log(2.0)
-
-
 def _count_hp_inertia(logm: LogHermitian, s: float, precision_cap: int) -> CountingReport:
     if logm.n == 0:
         return CountingReport(s, 0, "hp_inertia", _LADDER[0], math.inf)
     ladder = [b for b in _LADDER if b <= precision_cap]
     if not ladder:
         raise PrecisionExhausted(f"precision cap {precision_cap} below minimum rung {_LADDER[0]}")
-    need = _suggest_bits(logm, s)
-    start = next((i for i, b in enumerate(ladder) if b >= need), len(ladder) - 1)
+    # the equilibrated rows all peak within about a nat of 1, so 60 guard
+    # bits plus the span of the scaled entries fit in the first rung
+    exps = _equilibrating_exponents(logm, s)
     history = []
-    for idx in range(start, len(ladder)):
-        bits = ladder[idx]
+    for idx, bits in enumerate(ladder):
         with mpmath.workprec(bits):
-            npos, nneg, nzero, min_rel = _ldl_inertia(logm, s)
+            npos, nneg, nzero, min_rel = _ldl_inertia(logm, s, exps)
         warns = []
         if nzero:
             warns.append(f"{nzero} exactly zero pivot(s); counted as not above threshold")
@@ -342,9 +378,9 @@ def count_above(m, s: float, route: str = "auto",
     m is a dense Hermitian ndarray or a LogHermitian.  Route "auto"
     uses the double eigensolver whenever the entries are representable
     and the matrix norm leaves the threshold ~30 nats of headroom;
-    otherwise the arbitrary-precision inertia path runs, escalating
-    through the precision ladder whenever a pivot falls below 2^-20 of
-    its row scale.
+    otherwise the arbitrary-precision inertia path runs on the
+    equilibrated S(M - sI)S, escalating through the precision ladder
+    whenever a pivot falls below 2^-20 of its row scale.
     """
     if s <= 0:
         raise ValueError("threshold s must be positive")

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
-from .oscillator import p_coeff, psi_inf
+from .oscillator import log_p_coeff, psi_inf
 from .potentials import EdgePotential, gap_condition
 
 _GAUSS_NODES = 24
@@ -421,10 +421,10 @@ class GapModel:
 
     def __init__(self, b: float, w: EdgePotential, j: int,
                  k_lo: float, k_hi: float, n: int = 2001,
-                 spacing: float = None):
+                 half_width: float = None, spacing: float = None):
         self.b, self.w, self.j = b, w, j
         self.k_lo, self.k_hi = float(k_lo), float(k_hi)
-        self.disc = FiberDiscretization(b=b, w=w, n=n)
+        self.disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
         if w is None:
             self._spline = None
             return
@@ -485,12 +485,17 @@ def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:
 
     the square of the leading eigenfunction tail integrated against the
     step; the 4^{j-1} carries the squared leading Hermite coefficient.
+    Every factor but the jump is summed as a logarithm, because p_j,
+    4^{j-1} and k^{2j-3} leave the double range for high levels.
     """
     if w is None or w.kind != "step":
         raise WrongPotentialKind("closed-form tail asymptote requires a sharp step")
-    return (4.0 ** (j - 1) * 0.5 * (w.w_plus_limit - w.w_minus_limit)
-            * p_coeff(j, b) * k ** (2 * j - 3)
-            * math.exp(-(k / math.sqrt(b) - math.sqrt(b) * w.x0) ** 2))
+    log_tail = ((j - 1) * math.log(4.0) + log_p_coeff(j, b)
+                + (2 * j - 3) * math.log(abs(k))
+                - (k / math.sqrt(b) - math.sqrt(b) * w.x0) ** 2)
+    # k^{2j-3} is an odd power and keeps the sign of k
+    return (math.copysign(0.5, k) * (w.w_plus_limit - w.w_minus_limit)
+            * math.exp(log_tail))
 
 
 def verify_lau25(j: int, b: float, w: EdgePotential, k_list):

@@ -28,7 +28,7 @@ from .errors import DomainError, TieWarning
 from .geometry import kappa
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
-from .oscillator import p_coeff
+from .oscillator import log_p_coeff
 from .potentials import step_potential, upper_envelope
 
 
@@ -287,7 +287,8 @@ def q_operator(side: str, j: int, lam: float, a: float,
         raise ValueError("side must be 'minus' or 'plus'")
     k_hi = k_truncation(j, b, omega.x_extent[1], a)
     k_pts, k_wts = gauss_panel_rule(a, k_hi, quad.k_panels, quad.k_nodes)
-    gap_model = get_gap_model(b, w0, j, a, k_hi)
+    gap_model = get_gap_model(b, w0, j, a, k_hi, scenario.fiber_n,
+                              scenario.fiber_half_width)
     log_row = (np.log(gap_model.weight(k_pts, lam))
                + (j - 1) * np.log(k_pts))
     xa, xb = omega.x_extent
@@ -298,7 +299,7 @@ def q_operator(side: str, j: int, lam: float, a: float,
     x_logmag = -0.5 * (rb * x_pts[:, None] - k_pts[None, :] / rb) ** 2
     x_sign = np.full_like(x_logmag, (-1.0) ** (j - 1))
     return product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
-                        secs, 1.0, math.log(p_coeff(j, b) / (2.0 * math.pi)),
+                        secs, 1.0, log_p_coeff(j, b) - math.log(2.0 * math.pi),
                         y_order=quad.y_order,
                         meta={"side": side, "j": j, "lam": lam, "a": a,
                               "k_hi": k_hi, "delta": delta})
@@ -318,7 +319,9 @@ def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
     quad = quad or scenario.quad
     cap = getattr(scenario, "precision_bits", 512)
     a = scenario.a_momentum
-    mid_op = sjstar_sj(j, lam, a, quad, scenario.v, scenario.w, scenario.b)
+    mid_op = sjstar_sj(j, lam, a, quad, scenario.v, scenario.w, scenario.b,
+                       fiber_n=scenario.fiber_n,
+                       fiber_half_width=scenario.fiber_half_width)
     mid = count_above(mid_op.kernel, r * r, precision_cap=cap).count
     lo_op = q_operator("minus", j, lam, a, quad, scenario)
     lo_s = (r * (1.0 + eps)) ** 2 / scenario.v.c0_minus
@@ -353,7 +356,9 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
     w, v, b = scenario.w, scenario.v, scenario.b
     delta = scenario.envelope_delta
     m = math.sqrt(b * abs(math.log(lam)))
-    mid_op = sjstar_sj(j, lam, scenario.a_momentum, quad, v, w, b)
+    mid_op = sjstar_sj(j, lam, scenario.a_momentum, quad, v, w, b,
+                       fiber_n=scenario.fiber_n,
+                       fiber_half_width=scenario.fiber_half_width)
     mid = count_above(mid_op.kernel, r * r, precision_cap=cap).count
     s_lo = r * (1.0 + eps) * math.sqrt(
         (w.w_plus_limit - w.w_minus_limit) / v.c0_minus)

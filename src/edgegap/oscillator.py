@@ -47,10 +47,17 @@ def psi_inf(j: int, k, x, b: float):
     return b ** 0.25 * phi(j, rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb)
 
 
-def p_coeff(j: int, b: float) -> float:
-    """Tail normalization constant b^{-j+3/2} / (sqrt(pi) (j-1)! 2^{j-1})."""
+def log_p_coeff(j: int, b: float) -> float:
+    """ln of the tail normalization constant
+    p_j = b^{-j+3/2} / (sqrt(pi) (j-1)! 2^{j-1}).
+
+    Formed from lgamma, so it stays finite for every level: p_j itself
+    underflows a double from j = 169 on, and (j-1)! stops converting to
+    a float at j = 172.
+    """
     if j < 1:
         raise ValueError("level j must be >= 1")
     if b <= 0:
         raise ValueError("field strength b must be positive")
-    return b ** (-j + 1.5) / (math.sqrt(math.pi) * math.factorial(j - 1) * 2.0 ** (j - 1))
+    return ((1.5 - j) * math.log(b) - 0.5 * math.log(math.pi)
+            - math.lgamma(j) - (j - 1) * math.log(2.0))

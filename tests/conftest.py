@@ -18,6 +18,8 @@ class Bundle:
         self.a_momentum = 0.0
         self.envelope_delta = 0.1
         self.precision_bits = 512
+        self.fiber_n = 2001
+        self.fiber_half_width = None
         self.quad = QuadratureSpec()
         self.__dict__.update(kw)
 

@@ -12,7 +12,14 @@ from scipy.special import gammaln
 
 from edgegap.errors import PrecisionExhausted
 from edgegap.modelops import IntervalSpec
-from edgegap.oscillator import _hermite_poly_part, p_coeff
+from edgegap.oscillator import _hermite_poly_part
+
+
+def p_coeff(j: int, b: float) -> float:
+    """Tail normalization constant b^{-j+3/2} / (sqrt(pi) (j-1)! 2^{j-1})
+    as a product of doubles, the oracle for oscillator.log_p_coeff while
+    it stays in double range (j <= 168)."""
+    return b ** (-j + 1.5) / (math.sqrt(math.pi) * math.factorial(j - 1) * 2.0 ** (j - 1))
 
 
 def reciprocal_interval(delta: float) -> IntervalSpec:

@@ -28,6 +28,27 @@ def _graded_symmetric(rng, n, half_span):
     return LogHermitian(log_mag, phase)
 
 
+def _graded_congruence(rng, n, grading, complex_):
+    """LogHermitian M = D C D + I, C = U diag(beta) U^* with |beta| in
+    [0.5, 2] and D = diag(e^g), g uniform in [0, grading].
+
+    M - I = D C D, so by Sylvester's law n_+(1; M) = #{beta > 0}; the
+    core C + D^-2 is stored, so rounding perturbs C by ~1e-16 relative.
+    """
+    z = rng.standard_normal((n, n))
+    if complex_:
+        z = z + 1j * rng.standard_normal((n, n))
+    u, r = np.linalg.qr(z)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    beta = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+    c = (u * beta) @ u.conj().T
+    g = rng.uniform(0.0, grading, n)
+    core = 0.5 * (c + c.conj().T) + np.diag(np.exp(-2.0 * g))
+    with np.errstate(divide="ignore"):
+        log_mag = g[:, None] + g[None, :] + np.log(np.abs(core))
+    return LogHermitian(log_mag, np.angle(core)), int((beta > 0).sum())
+
+
 def _mp_count_above(logm, s, dps=160):
     """Independent oracle: full eigendecomposition in fixed high precision."""
     with mpmath.workdps(dps):
@@ -83,6 +104,42 @@ def test_graded_counts_match_high_precision_oracle():
         assert rep.route == "hp_inertia"
         assert rep.count == _mp_count_above(logm, 1.0)
         assert rep.precision_bits >= 128
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_equilibrated_graded_counts_certify_on_first_rung(complex_):
+    # the diagonal congruence removes the grading before the pivot test,
+    # so entries spanning e^300 need only the first rung
+    rng = np.random.default_rng(604)
+    for n in (8, 16, 24, 32, 40):
+        logm, exact = _graded_congruence(rng, n, 150.0, complex_)
+        assert logm.is_real() != complex_
+        rep = count_above(logm, 1.0, precision_cap=2048)
+        assert rep.route == "hp_inertia"
+        assert rep.count == exact
+        assert rep.precision_bits == 128
+        assert rep.warnings == ()
+
+
+def test_ill_conditioned_after_equilibration_escalates():
+    # rows already equilibrated; eliminating row 0 leaves the Schur block
+    # [[d, c], [c, 0]] with d = 1e-14, c = 1e-7, a pivot of relative size
+    # d / c that no diagonal scaling removes.  The further Schur steps
+    # give inertia (3, 1): exactly three eigenvalues of A are positive.
+    d, c = 1e-14, 1e-7
+    a = np.array([[1.0, 1.0, 1.0, 0.0],
+                  [1.0, 1.0 + d, 1.0 + c, 0.0],
+                  [1.0, 1.0 + c, 1.0, 1.0],
+                  [0.0, 0.0, 1.0, 1.0]])
+    logm = LogHermitian.from_dense(a + np.eye(4))
+    rep = count_above(logm, 1.0, route="hp_inertia", precision_cap=512)
+    assert rep.count == 3
+    assert rep.precision_bits == 512
+    assert rep.margin < 2.0 ** -20
+    assert any("stable across 256 and 512 bits" in w for w in rep.warnings)
+    assert any(w.startswith("tie:") for w in rep.warnings)
+    with pytest.raises(PrecisionExhausted):
+        count_above(logm, 1.0, route="hp_inertia", precision_cap=128)
 
 
 def test_routes_agree_on_representable_graded():

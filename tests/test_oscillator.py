@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.oscillator import p_coeff, phi, psi_inf
+from edgegap.oscillator import log_p_coeff, phi, psi_inf
 from tests.model_oracles import (
     gauss_hermite_gram,
     gauss_hermite_norm,
+    p_coeff,
     psi_inf_asymptotic,
 )
 
@@ -55,6 +56,23 @@ def test_p_coeff_values():
     assert p_coeff(2, 1.0) == pytest.approx(1.0 / (2 * math.sqrt(math.pi)), rel=1e-15)
     # b^{-j+3/2} scaling
     assert p_coeff(3, 4.0) == pytest.approx(4.0 ** -1.5 * p_coeff(3, 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 4.0])
+def test_log_p_coeff_matches_product_form(b):
+    # the product form is an oracle while it stays a normal double
+    for j in range(1, 101):
+        assert log_p_coeff(j, b) == pytest.approx(math.log(p_coeff(j, b)),
+                                                  rel=1e-13, abs=1e-13)
+    # beyond (j = 169 at b = 1) it underflows; the log form stays finite
+    # and keeps the level-to-level ratio p_{j+1}/p_j = 1/(2 j b)
+    for j in (169, 170, 172, 200, 300):
+        step = log_p_coeff(j + 1, b) - log_p_coeff(j, b)
+        assert step == pytest.approx(-math.log(2.0 * j * b), rel=1e-12)
+    with pytest.raises(ValueError):
+        log_p_coeff(0, 1.0)
+    with pytest.raises(ValueError):
+        log_p_coeff(1, 0.0)
 
 
 @given(k=st.floats(0.1, 6.0), b=st.floats(0.3, 4.0))

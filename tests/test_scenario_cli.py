@@ -270,6 +270,26 @@ def test_cli_j_override_beyond_fiber_grid_exit(tmp_path, capsys):
     assert "band index" in capsys.readouterr().err
 
 
+# p_j underflows a double from j = 169 and (j-1)! overflows one from
+# j = 172; a failed verdict (exit 4) is an allowed outcome of a check
+@pytest.mark.parametrize("argv,codes", [
+    pytest.param(["effective-count"], (0, 3), id="effective-count"),
+    pytest.param(["bs-count"], (0, 3), id="bs-count"),
+    pytest.param(["phi"], (0, 3), id="phi"),
+    pytest.param(["verify", "sandwich"], (0, 3, 4), id="verify-sandwich"),
+    pytest.param(["verify", "lau25"], (0, 3, 4), id="verify-lau25"),
+])
+@pytest.mark.parametrize("j", [170, 200])
+def test_cli_high_band_index_exit(tmp_path, capsys, argv, codes, j):
+    cfg = write_cfg(tmp_path, base_doc(
+        k_grid={"lo": -1.0, "hi": 1.0, "points": 3},
+        lambda_grid={"start": 1e-3, "stop": 1e-3}))
+    code = run(argv + ["--config", cfg, "--out", str(tmp_path / "x"),
+                       "--j", str(j)])
+    assert code in codes
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_fiber_window_reaches_edge_verdicts(tmp_path):
     step = load_scenario(write_cfg(tmp_path, base_doc())).w
     wide = FiberDiscretization(b=1.0, w=step, half_width=14.0)
@@ -286,6 +306,36 @@ def test_cli_fiber_window_reaches_edge_verdicts(tmp_path):
     assert expected != verify_tep2(1, FiberDiscretization(b=1.0, w=step),
                                    [5.0])[0]
     assert values["scaled_distance_small"] == verify_teth1(1, wide, [6.0])[0]
+
+
+def test_cli_fiber_window_reaches_resolvent_path(tmp_path, monkeypatch):
+    # every gap model and fiber solve behind the resolvent-path commands
+    # runs on the scenario's window, not on the default one
+    from edgegap import bsham
+    windows = []
+    solve_fiber = bsham.solve_fiber
+
+    class RecordingGapModel(bsham.GapModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            windows.append(("gap_model", self.disc.n, self.disc.half_width))
+
+    def recording_solve(disc, k, j_max):
+        windows.append(("solve_fiber", disc.n, disc.half_width))
+        return solve_fiber(disc, k, j_max)
+
+    monkeypatch.setattr(bsham, "GapModel", RecordingGapModel)
+    monkeypatch.setattr(bsham, "solve_fiber", recording_solve)
+    bsham.get_gap_model.cache_clear()
+    cfg = write_cfg(tmp_path, base_doc(
+        fiber={"n": 2001, "half_width": 14.0},
+        lambda_grid={"start": 1e-3, "stop": 1e-3}))
+    for argv in (["effective-count"], ["bs-count"], ["verify", "sandwich"]):
+        out = tmp_path / "-".join(argv)
+        assert run(argv + ["--config", cfg, "--out", str(out)]) == 0
+    bsham.get_gap_model.cache_clear()
+    assert {kind for kind, _, _ in windows} == {"gap_model", "solve_fiber"}
+    assert {(n, hw) for _, n, hw in windows} == {(2001, 14.0)}
 
 
 def test_cli_window_missing_the_jump_exit(tmp_path, capsys):
