@@ -355,10 +355,14 @@ def cmd_effective_count(sc: Scenario, out: Path):
 def cmd_bs_count(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
     p = sc.verify_params("bs")
+    j_sum = int(p["j_sum"])
+    if j_sum < sc.j:
+        raise ScenarioError(
+            f"verify.bs.j_sum = {j_sum} is below the band index j = {sc.j}; "
+            "the resolvent expansion must include band j")
     lams = sc.lam_grid.values()
     with _WarningBox() as box:
-        counts = dict(zip(lams, bs_count(sc.j, lams, sc,
-                                         j_sum=int(p["j_sum"]))))
+        counts = dict(zip(lams, bs_count(sc.j, lams, sc, j_sum=j_sum)))
     rows = [(lam, sc.j, "bs_fiber", 1.0, n, box.text, 53)
             for lam, n in counts.items()]
     verdicts = []

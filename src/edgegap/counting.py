@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .errors import PrecisionExhausted
@@ -151,6 +150,7 @@ def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
 
 
 def _mp_entry_real(log_mag: float, phase: float, exp2: int):
+    import mpmath
     if log_mag == -math.inf:
         return mpmath.mpf(0)
     sign = 1 if math.cos(phase) >= 0 else -1
@@ -158,6 +158,7 @@ def _mp_entry_real(log_mag: float, phase: float, exp2: int):
 
 
 def _mp_entry_complex(log_mag: float, phase: float, exp2: int):
+    import mpmath
     if log_mag == -math.inf:
         return mpmath.mpc(0)
     r = mpmath.ldexp(mpmath.exp(mpmath.mpf(log_mag)), exp2)
@@ -197,6 +198,7 @@ def _ldl_inertia(logm: LogHermitian, s: float, exps: list):
     Lower triangle kept as a list of row lists; returns
     (n_pos, n_neg, n_zero, min_relative_pivot).
     """
+    import mpmath
     n = logm.n
     real = logm.is_real()
     entry = _mp_entry_real if real else _mp_entry_complex
@@ -335,6 +337,7 @@ def _ldl_inertia(logm: LogHermitian, s: float, exps: list):
 
 
 def _count_hp_inertia(logm: LogHermitian, s: float, precision_cap: int) -> CountingReport:
+    import mpmath
     if logm.n == 0:
         return CountingReport(s, 0, "hp_inertia", _LADDER[0], math.inf)
     ladder = [b for b in _LADDER if b <= precision_cap]

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from .oscillator import log_p_coeff, psi_inf
@@ -114,6 +113,7 @@ def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
     with sign fixed by a nonnegative overlap with the limiting
     eigenfunction.
     """
+    from scipy.linalg import eigh_tridiagonal
     if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
     x, diag, off, h = disc.tridiagonal(k)
@@ -303,6 +303,7 @@ def _deflated_solve(diag, off, shift, v, rhs):
     large.  Then u = B^-1 rhs - u_m B^-1 a_m off index m, with a_m the
     rest of column m, and v.T u = 0 fixes u_m.
     """
+    from scipy.linalg import solve_banded
     n = len(diag)
     m = int(np.argmax(np.abs(v)))
     rest = np.arange(n) != m
@@ -319,6 +320,7 @@ def _deflated_solve(diag, off, shift, v, rhs):
 
 @lru_cache(maxsize=256)
 def _edge_comparison_cached(j, k, b, w, n, half_width):
+    from scipy.linalg import eigh_tridiagonal
     disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
     _, diag_w, off, _ = disc.tridiagonal(k)
     w_plus = 0.0 if w is None else w.w_plus_limit
@@ -421,16 +423,15 @@ class GapModel:
 
     def __init__(self, b: float, w: EdgePotential, j: int,
                  k_lo: float, k_hi: float, n: int = 2001,
-                 half_width: float = None, spacing: float = None):
+                 half_width: float = None):
         self.b, self.w, self.j = b, w, j
         self.k_lo, self.k_hi = float(k_lo), float(k_hi)
         self.disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
         if w is None:
             self._spline = None
             return
-        if spacing is None:
-            spacing = 0.5 * math.sqrt(b)
-        count = max(4, int(math.ceil((self.k_hi - self.k_lo) / spacing)) + 1)
+        count = max(4, int(math.ceil((self.k_hi - self.k_lo)
+                                     / (0.5 * math.sqrt(b)))) + 1)
         nodes = np.linspace(self.k_lo, self.k_hi, count)
         edge = gap_edges(b, w, j)[0]
         vals = []

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import DomainError, EmptyIntersection
 
@@ -32,6 +31,7 @@ def kappa(s):
     of the Lambert W function (Corless et al., Adv. Comput. Math. 5,
     1996), and kappa(0) = 1.  A scalar argument returns a float.
     """
+    from scipy.special import lambertw
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise DomainError(f"kappa requires s >= 0, got {s.min()}")

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bsham import get_gap_model, k_truncation, sjstar_sj
 from .counting import count_above
@@ -162,8 +161,13 @@ def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,
     _, _, dense = _sinc_dense(interval, m, nodes)
     if l == 1:
         return float(np.trace(dense)) / m
-    ev = np.linalg.eigvalsh(dense)
-    return float(np.sum(ev ** l)) / m
+    # Tr(g^l) = sum_ij (g^(l-1))_ij g_ji.  einsum multiplies without
+    # BLAS and fsum adds exactly, so the bytes do not depend on the BLAS
+    # thread count.
+    power = dense
+    for _ in range(l - 2):
+        power = np.einsum("ij,jk->ik", power, dense)
+    return math.fsum((power * dense.T).ravel()) / m
 
 
 def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
@@ -229,6 +233,7 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
     evaluated in the log domain so nothing overflows; the ratio count/m
     tends to e R kappa((xi+delta)_+ / (e R)) as m grows.
     """
+    from scipy.special import gammaln
     if R <= 0 or m <= 0:
         raise ValueError("m and R must be positive")
     if s <= 0:

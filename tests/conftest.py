@@ -1,9 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from edgegap.geometry import PolygonDomain
 from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+REFERENCE_CONFIG = str(ROOT / "configs" / "reference.json")
+
+
+def run_python(args, **env):
+    """stdout of a fresh interpreter running args with this checkout's
+    edgegap on its path; env entries are set on the child only."""
+    child = dict(os.environ, **env)
+    child["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env=child,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def rect(x0, x1, y0, y1) -> PolygonDomain:

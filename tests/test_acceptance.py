@@ -8,7 +8,6 @@ drift diagnosis.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +49,7 @@ from edgegap.modelops import (
 )
 from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
-from tests.conftest import Bundle, rect
-
-REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent
-                       / "configs" / "reference.json")
+from tests.conftest import REFERENCE_CONFIG, Bundle, rect, run_python
 
 
 def test_criterion_01_landau_levels():
@@ -284,4 +280,18 @@ def test_criterion_14_byte_determinism(argv, tmp_path):
     assert names_a == names_b
     assert (outs[0] / "summary.json").exists()
     for name in names_a + ["summary.json"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_criterion_14_byte_determinism_across_blas_threads(tmp_path):
+    # each run is a fresh process, so nothing is served from a cache;
+    # verify kms forms Tr(g^l) from a 410 x 410 matrix
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run_python(["-m", "edgegap", "verify", "kms", "--config",
+                    REFERENCE_CONFIG, "--out", str(out)],
+                   OPENBLAS_NUM_THREADS=threads)
+        outs.append(out)
+    for name in ("modelops.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -18,6 +18,7 @@ from edgegap.scenario import (
     scenario_to_dict,
     schema_json,
 )
+from tests.conftest import REFERENCE_CONFIG, run_python
 
 BOX = [[-0.25, -0.5], [0.4, -0.5], [0.4, 0.5], [-0.25, 0.5]]
 
@@ -270,6 +271,15 @@ def test_cli_j_override_beyond_fiber_grid_exit(tmp_path, capsys):
     assert "band index" in capsys.readouterr().err
 
 
+def test_cli_bs_count_j_sum_below_band_index_exit(tmp_path, capsys):
+    # reference j_sum is 6; a band-7 count needs band 7, whose
+    # denominator is the singular one, in the resolvent expansion
+    assert run(["bs-count", "--config", REFERENCE_CONFIG,
+                "--out", str(tmp_path / "x"), "--j", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "j_sum = 6" in err and "j = 7" in err
+
+
 # p_j underflows a double from j = 169 and (j-1)! overflows one from
 # j = 172; a failed verdict (exit 4) is an allowed outcome of a check
 @pytest.mark.parametrize("argv,codes", [
@@ -281,9 +291,11 @@ def test_cli_j_override_beyond_fiber_grid_exit(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("j", [170, 200])
 def test_cli_high_band_index_exit(tmp_path, capsys, argv, codes, j):
+    # bs-count needs the resolvent expansion to reach band j
     cfg = write_cfg(tmp_path, base_doc(
         k_grid={"lo": -1.0, "hi": 1.0, "points": 3},
-        lambda_grid={"start": 1e-3, "stop": 1e-3}))
+        lambda_grid={"start": 1e-3, "stop": 1e-3},
+        verify={"bs": {"j_sum": j}}))
     code = run(argv + ["--config", cfg, "--out", str(tmp_path / "x"),
                        "--j", str(j)])
     assert code in codes
@@ -368,3 +380,26 @@ def test_cli_persists_normalized_mirror(tmp_path):
     mirror = json.loads((out / "scenario_normalized.json").read_text())
     assert mirror["_normalized_shift"] == 0.25
     assert mirror["edge_potential"]["x0"] == 0.0
+
+
+_LOADED_HEAVY = """
+import json, sys
+{}
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "mpmath"))))
+"""
+
+
+def _loaded_heavy(body):
+    out = run_python(["-c", _LOADED_HEAVY.format(body)])
+    return json.loads(out.splitlines()[-1])
+
+
+def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
+    # scipy and mpmath load at their call sites, so a fresh process pays
+    # only for what its subcommand uses; gaps is a closed form
+    assert _loaded_heavy("import edgegap.cli") == []
+    assert _loaded_heavy(
+        f"from edgegap.cli import run\n"
+        f"assert run(['gaps', '--config', {REFERENCE_CONFIG!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0") == []
