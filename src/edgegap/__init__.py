@@ -6,7 +6,7 @@ the exponential/sinc model-operator family, and the geometric constants
 of the square-root-of-log accumulation law.
 """
 
-from .counting import CountingReport, LogHermitian, count_above, count_below, n_star
+from .counting import CountingReport, LogHermitian, count_above, n_star
 from .errors import (ConstantPotential, ConvergenceFailure, DomainError,
                      EdgegapError, EmptyIntersection, NoGap,
                      NoiseFloorWarning, PrecisionExhausted, ScenarioError,
@@ -34,8 +34,7 @@ __all__ = [
     "PrecisionExhausted", "QuadratureSpec", "Scenario", "ScenarioError",
     "TieWarning", "TruncationWarning", "WrongPotentialKind",
     "asymptotic_constants", "band_table", "c_minus", "c_plus",
-    "clip_positive_halfplane", "count_above", "count_below",
-    "edge_comparison", "finiteness_predicate", "gap_condition",
+    "clip_positive_halfplane", "count_above", "edge_comparison", "finiteness_predicate", "gap_condition",
     "gap_distance", "gap_edges", "kappa", "load_scenario", "n_star",
     "normalized_scenario", "optimal_disk", "phi_squared",
     "projection_distance", "scenario_from_dict", "schema_json",

@@ -176,9 +176,8 @@ def effective_count(j: int, lam: float, eps: float, scenario,
     op = sjstar_sj(j, lam, scenario.a_momentum, quad, scenario.v, scenario.w,
                    scenario.b, fiber_n=scenario.fiber_n,
                    fiber_half_width=scenario.fiber_half_width)
-    cap = getattr(scenario, "precision_bits", 512)
-    lower = count_above(op.kernel, 1.0 + eps, precision_cap=cap).count
-    upper = count_above(op.kernel, 1.0 - eps, precision_cap=cap).count
+    lower = count_above(op.kernel, 1.0 + eps).count
+    upper = count_above(op.kernel, 1.0 - eps).count
     return lower, upper
 
 

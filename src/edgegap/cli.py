@@ -2,7 +2,7 @@
 
 Loads a JSON scenario, runs one subcommand, writes CSV artifacts plus a
 summary.json with pass/fail verdicts, and exits 0 (success), 2 (invalid
-config), 3 (convergence or precision failure) or 4 (a verdict failed).
+config), 3 (convergence failure) or 4 (a verdict failed).
 Outputs are byte-deterministic for a fixed config: fixed-order loops, no
 wall clock, and the only randomness is the seeded property check.
 """
@@ -21,8 +21,7 @@ import numpy as np
 
 from .bsham import bs_count, full_line_gram, sjstar_sj
 from .counting import count_above, n_star
-from .errors import (ConvergenceFailure, EdgegapError, PrecisionExhausted,
-                     ScenarioError)
+from .errors import ConvergenceFailure, EdgegapError, ScenarioError
 from .fiber import (FiberDiscretization, band_table, edge_comparison,
                     gap_edges, phi_squared, step_tail_asymptote,
                     verify_lau25, verify_tep2, verify_teth1)
@@ -30,8 +29,8 @@ from .geometry import (asymptotic_constants, c_minus, c_plus,
                        clip_positive_halfplane, optimal_disk)
 from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
                        g_sinc, gamma_diag_count, gamma_gram,
-                       inscribed_rectangle_count, kms_count_ratio,
-                       kms_trace_ratio, sandwich_check)
+                       inscribed_rectangle_count, kms_trace_ratio,
+                       sandwich_check)
 from .potentials import finiteness_predicate
 from .scenario import (Scenario, band_index, load_scenario,
                        normalized_scenario, scenario_to_dict, schema_json)
@@ -235,7 +234,7 @@ def cmd_verify_kms(sc: Scenario, out: Path):
     m_c, s = float(p["m_count"]), float(p["s"])
     with _WarningBox() as box:
         op = g_sinc(iv, m_c)
-        report = count_above(op.kernel, s, precision_cap=sc.precision_bits)
+        report = count_above(op.kernel, s)
     rows.append((m_c, "g_sinc", s, report.count, report.count / m_c, target,
                  report.precision_bits, box.text))
     _write_csv(out, "modelops.csv",
@@ -265,12 +264,12 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
     warn = box.text
     m = ends["m"]
     rows = [
-        ("", "q_minus", sand["lower_threshold"], sand["lower"], "", "", sc.precision_bits, warn),
-        ("", "s_gram", sand["mid_threshold"], sand["mid"], "", "", sc.precision_bits, ""),
-        ("", "q_plus", sand["upper_threshold"], sand["upper"], "", "", sc.precision_bits, ""),
-        (m, "gamma_minus", ends["lower_threshold"], ends["lower"], "", "", sc.precision_bits, ""),
-        (m, "s_gram", r * r, ends["mid"], "", "", sc.precision_bits, ""),
-        (m, "gamma_plus", ends["upper_threshold"], ends["upper"], "", "", sc.precision_bits, ""),
+        ("", "q_minus", sand["lower_threshold"], sand["lower"], "", "", 53, warn),
+        ("", "s_gram", sand["mid_threshold"], sand["mid"], "", "", 53, ""),
+        ("", "q_plus", sand["upper_threshold"], sand["upper"], "", "", 53, ""),
+        (m, "gamma_minus", ends["lower_threshold"], ends["lower"], "", "", 53, ""),
+        (m, "s_gram", r * r, ends["mid"], "", "", 53, ""),
+        (m, "gamma_plus", ends["upper_threshold"], ends["upper"], "", "", 53, ""),
     ]
     _write_csv(out, "modelops.csv",
                ("m", "operator", "threshold", "count", "ratio", "target",
@@ -326,10 +325,8 @@ def cmd_effective_count(sc: Scenario, out: Path):
             op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v, sc.w,
                            sc.b, fiber_n=sc.fiber_n,
                            fiber_half_width=sc.fiber_half_width)
-            rep_lo = count_above(op.kernel, 1.0 + eps,
-                                 precision_cap=sc.precision_bits)
-            rep_hi = count_above(op.kernel, 1.0 - eps,
-                                 precision_cap=sc.precision_bits)
+            rep_lo = count_above(op.kernel, 1.0 + eps)
+            rep_hi = count_above(op.kernel, 1.0 - eps)
         warn = box.text
         for rep in (rep_lo, rep_hi):
             rows.append((lam, sc.j, rep.route, rep.threshold, rep.count,
@@ -372,10 +369,8 @@ def cmd_bs_count(sc: Scenario, out: Path):
         op = sjstar_sj(sc.j, lam0, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b,
                        fiber_n=sc.fiber_n,
                        fiber_half_width=sc.fiber_half_width)
-        lo = count_above(op.kernel, 1.0 + eps,
-                         precision_cap=sc.precision_bits).count
-        hi = count_above(op.kernel, 1.0 - eps,
-                         precision_cap=sc.precision_bits).count
+        lo = count_above(op.kernel, 1.0 + eps).count
+        hi = count_above(op.kernel, 1.0 - eps).count
     verdicts.append(_verdict("cross_route_bracket",
                              lo - slack <= counts[lam0] <= hi + slack,
                              counts[lam0], 0.5 * (lo + hi),
@@ -385,10 +380,8 @@ def cmd_bs_count(sc: Scenario, out: Path):
     for r in p["route_r"]:
         r = float(r)
         with _WarningBox() as box:
-            n1 = count_above(full.kernel, r,
-                             precision_cap=sc.precision_bits)
-            n2 = count_above(anti.kernel, r,
-                             precision_cap=sc.precision_bits)
+            n1 = count_above(full.kernel, r)
+            n2 = count_above(anti.kernel, r)
         rows.append((lam0, sc.j, "gram_sections", r, n1.count,
                      "; ".join(n1.warnings), n1.precision_bits))
         rows.append((lam0, sc.j, "antiwick_gauss", r, n2.count,
@@ -418,10 +411,8 @@ def cmd_scaling(sc: Scenario, out: Path):
                 op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v,
                                sc.w, sc.b, fiber_n=sc.fiber_n,
                                fiber_half_width=sc.fiber_half_width)
-                lo = count_above(op.kernel, 1.0 + eps,
-                                 precision_cap=sc.precision_bits)
-                hi = count_above(op.kernel, 1.0 - eps,
-                                 precision_cap=sc.precision_bits)
+                lo = count_above(op.kernel, 1.0 + eps)
+                hi = count_above(op.kernel, 1.0 - eps)
             rows.append((lam, m, lo.count, hi.count, _NAN, _NAN,
                          hi.precision_bits, box.text))
             counts.append(hi.count)
@@ -437,8 +428,7 @@ def cmd_scaling(sc: Scenario, out: Path):
             with _WarningBox() as box:
                 gram = gamma_gram("minus", m, delta, sc.v.omega_minus,
                                   sc.quad, sc.b)
-                rep = count_above(gram.kernel, r2,
-                                  precision_cap=sc.precision_bits)
+                rep = count_above(gram.kernel, r2)
             upper = gamma_diag_count(m, xi, delta, big_r, r2 / eps_plus)[0]
             root = math.sqrt(abs(math.log(lam)))
             rows.append((lam, m, rep.count, upper, cmi * root, cpl * root,
@@ -573,7 +563,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--j", type=int, default=None,
                         help="band index override")
         sp.add_argument("--precision-bits", type=int, default=None,
-                        help="precision cap override for counting")
+                        help="accepted for compatibility; no effect, since "
+                             "every count runs in double precision")
 
     for name in _COMMANDS:
         common(sub.add_parser(name))
@@ -618,7 +609,7 @@ def run(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceFailure, PrecisionExhausted) as exc:
+    except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EdgegapError as exc:

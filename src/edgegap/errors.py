@@ -22,7 +22,13 @@ class ConvergenceFailure(EdgegapError):
 
 
 class PrecisionExhausted(EdgegapError):
-    """Precision ladder reached its cap without a stable factorization."""
+    """An extended-precision evaluation reached its cap without a stable
+    result.
+
+    No package route raises it, since every count runs in double
+    precision; the exact-inertia ladder and the monomial table that the
+    test suite uses as oracles do.
+    """
 
 
 class DomainError(EdgegapError):

@@ -322,18 +322,17 @@ def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     quad = quad or scenario.quad
-    cap = getattr(scenario, "precision_bits", 512)
     a = scenario.a_momentum
     mid_op = sjstar_sj(j, lam, a, quad, scenario.v, scenario.w, scenario.b,
                        fiber_n=scenario.fiber_n,
                        fiber_half_width=scenario.fiber_half_width)
-    mid = count_above(mid_op.kernel, r * r, precision_cap=cap).count
+    mid = count_above(mid_op.kernel, r * r).count
     lo_op = q_operator("minus", j, lam, a, quad, scenario)
     lo_s = (r * (1.0 + eps)) ** 2 / scenario.v.c0_minus
-    lower = count_above(lo_op.kernel, lo_s, precision_cap=cap).count
+    lower = count_above(lo_op.kernel, lo_s).count
     hi_op = q_operator("plus", j, lam, a, quad, scenario)
     hi_s = (r * (1.0 - eps)) ** 2 / scenario.v.c0_plus
-    upper = count_above(hi_op.kernel, hi_s, precision_cap=cap).count
+    upper = count_above(hi_op.kernel, hi_s).count
     return {"lower": lower, "mid": mid, "upper": upper,
             "lower_threshold": lo_s, "mid_threshold": r * r,
             "upper_threshold": hi_s}
@@ -357,22 +356,21 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1) for the log scale")
     quad = quad or scenario.quad
-    cap = getattr(scenario, "precision_bits", 512)
     w, v, b = scenario.w, scenario.v, scenario.b
     delta = scenario.envelope_delta
     m = math.sqrt(b * abs(math.log(lam)))
     mid_op = sjstar_sj(j, lam, scenario.a_momentum, quad, v, w, b,
                        fiber_n=scenario.fiber_n,
                        fiber_half_width=scenario.fiber_half_width)
-    mid = count_above(mid_op.kernel, r * r, precision_cap=cap).count
+    mid = count_above(mid_op.kernel, r * r).count
     s_lo = r * (1.0 + eps) * math.sqrt(
         (w.w_plus_limit - w.w_minus_limit) / v.c0_minus)
     lo_op = gamma_gram("minus", m, delta, v.omega_minus, quad, b)
-    lower = count_above(lo_op.kernel, s_lo * s_lo, precision_cap=cap).count
+    lower = count_above(lo_op.kernel, s_lo * s_lo).count
     s_hi = (r * (1.0 - eps)
             * math.sqrt((w.w_plus_limit - float(w(-delta))) / v.c0_plus)
             * math.exp(-0.5 * b * delta * delta))
     hi_op = gamma_gram("plus", m, delta, v.omega_plus, quad, b)
-    upper = count_above(hi_op.kernel, s_hi * s_hi, precision_cap=cap).count
+    upper = count_above(hi_op.kernel, s_hi * s_hi).count
     return {"m": m, "lower": lower, "mid": mid, "upper": upper,
             "lower_threshold": s_lo * s_lo, "upper_threshold": s_hi * s_hi}

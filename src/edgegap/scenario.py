@@ -106,6 +106,7 @@ class Scenario:
     j: int = 1
     a_momentum: float = 0.0
     envelope_delta: float = 0.1
+    # loadable for old configs; every count runs in double precision
     precision_bits: int = 512
     k_grid: GridSpec = field(default_factory=GridSpec)
     lam_grid: LambdaGrid = field(default_factory=LambdaGrid)
@@ -122,7 +123,9 @@ class Scenario:
 
     @property
     def source_hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the scenario as it runs, CLI overrides included."""
+        canonical = json.dumps(scenario_to_dict(self), sort_keys=True,
+                               separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -424,7 +427,10 @@ SCHEMA = {
                        "description": "momentum cutoff A of the truncated kernels"},
         "envelope_delta": {"type": "number", "exclusiveMinimum": 0,
                            "exclusiveMaximum": 0.5, "default": 0.1},
-        "precision_bits": {"type": "integer", "minimum": 64, "default": 512},
+        "precision_bits": {"type": "integer", "minimum": 64, "default": 512,
+                           "description": "accepted for compatibility; no "
+                                          "effect, since every count runs "
+                                          "in double precision"},
         "k_grid": {
             "type": "object",
             "properties": {"lo": {"type": "number", "default": -10.0},

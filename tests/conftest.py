@@ -39,7 +39,6 @@ class Bundle:
         self.b = 1.0
         self.a_momentum = 0.0
         self.envelope_delta = 0.1
-        self.precision_bits = 512
         self.fiber_n = 2001
         self.fiber_half_width = None
         self.quad = QuadratureSpec()

@@ -179,8 +179,11 @@ def test_criterion_09_counting_kernel():
         with np.errstate(divide="ignore"):
             log_mag = np.log(np.abs(a)) + g[:, None] + g[None, :]
         logm = LogHermitian(log_mag, np.where(a >= 0, 0.0, math.pi))
-        rep = count_above(logm, 1.0, precision_cap=2048)
-        assert rep.route == "hp_inertia"
+        rep = count_above(logm, 1.0)
+        assert rep == count_above(logm, 1.0, route="scaled_eig")
+        assert rep.route == "double_eig"
+        assert rep.precision_bits == 53
+        assert rep.warnings == ()
         with mpmath.workdps(160):
             m = mpmath.matrix(8)
             for i in range(8):

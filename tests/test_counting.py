@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.counting import LogHermitian, count_above, count_below, n_star
+from edgegap.counting import (LogHermitian, _equilibrating_exponents,
+                              _scaled_spectrum, count_above, n_star)
 from edgegap.errors import PrecisionExhausted
+from tests.inertia_oracle import count_hp_inertia, scaled_eigenvalues
 
 
 def _rand_hermitian(rng, n):
@@ -93,31 +95,34 @@ def test_threshold_monotone_and_band_bound(seed, s):
     m = _rand_hermitian(rng, 7)
     hi = count_above(m, s).count
     assert count_above(m, 0.5 * s).count >= hi
-    assert hi + count_below(m, s).count <= 7
+    assert hi + count_above(-m, s).count <= 7
 
 
 def test_graded_counts_match_high_precision_oracle():
     rng = np.random.default_rng(20260822)
     for _ in range(25):
         logm = _graded_symmetric(rng, 8, 60.0)
-        rep = count_above(logm, 1.0, precision_cap=2048)
-        assert rep.route == "hp_inertia"
+        rep = count_above(logm, 1.0)
+        assert rep == count_above(logm, 1.0, route="scaled_eig")
+        assert rep.route == "double_eig"
         assert rep.count == _mp_count_above(logm, 1.0)
-        assert rep.precision_bits >= 128
+        assert rep.precision_bits == 53
+        assert rep.warnings == ()
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_equilibrated_graded_counts_certify_on_first_rung(complex_):
-    # the diagonal congruence removes the grading before the pivot test,
-    # so entries spanning e^300 need only the first rung
+    # the diagonal congruence removes the grading, so entries spanning
+    # e^300 count in double with a certified margin
     rng = np.random.default_rng(604)
     for n in (8, 16, 24, 32, 40):
         logm, exact = _graded_congruence(rng, n, 150.0, complex_)
         assert logm.is_real() != complex_
-        rep = count_above(logm, 1.0, precision_cap=2048)
-        assert rep.route == "hp_inertia"
+        rep = count_above(logm, 1.0)
+        assert rep == count_above(logm, 1.0, route="scaled_eig")
+        assert rep.route == "double_eig"
         assert rep.count == exact
-        assert rep.precision_bits == 128
+        assert rep.precision_bits == 53
         assert rep.warnings == ()
 
 
@@ -132,14 +137,33 @@ def test_ill_conditioned_after_equilibration_escalates():
                   [1.0, 1.0 + c, 1.0, 1.0],
                   [0.0, 0.0, 1.0, 1.0]])
     logm = LogHermitian.from_dense(a + np.eye(4))
-    rep = count_above(logm, 1.0, route="hp_inertia", precision_cap=512)
+    # in double the near-zero eigenvalue sits inside the budget: flagged
+    rep = count_above(logm, 1.0, route="scaled_eig")
+    assert rep.count == 3
+    assert any(w.startswith("tie:") for w in rep.warnings)
+    # the exact-inertia ladder resolves it only by escalating
+    rep = count_hp_inertia(logm, 1.0, precision_cap=512)
     assert rep.count == 3
     assert rep.precision_bits == 512
     assert rep.margin < 2.0 ** -20
     assert any("stable across 256 and 512 bits" in w for w in rep.warnings)
     assert any(w.startswith("tie:") for w in rep.warnings)
     with pytest.raises(PrecisionExhausted):
-        count_above(logm, 1.0, route="hp_inertia", precision_cap=128)
+        count_hp_inertia(logm, 1.0, precision_cap=128)
+
+
+def test_scaled_budget_bounds_eigenvalue_error():
+    # the Weyl budget tau bounds the distance of every double eigenvalue
+    # of S(M - sI)S to the exact eigenvalues of the stored matrix's
+    # congruence, on real and complex graded families
+    rng = np.random.default_rng(20261018)
+    cases = [_graded_symmetric(rng, n, 75.0) for n in (6, 9, 12, 16)]
+    cases += [_graded_congruence(rng, n, 150.0, True)[0] for n in (6, 11, 16)]
+    for logm in cases:
+        lam, tau = _scaled_spectrum(logm, 1.0)
+        exact = scaled_eigenvalues(logm, 1.0,
+                                   _equilibrating_exponents(logm, 1.0))
+        assert np.abs(lam - np.array(exact)).max() <= tau
 
 
 def test_routes_agree_on_representable_graded():
@@ -147,15 +171,21 @@ def test_routes_agree_on_representable_graded():
     for _ in range(10):
         logm = _graded_symmetric(rng, 6, 10.0)
         a = count_above(logm, 1.0, route="double_eig").count
-        b = count_above(logm, 1.0, route="hp_inertia").count
-        assert a == b
+        b = count_above(logm, 1.0, route="scaled_eig").count
+        assert a == b == count_hp_inertia(logm, 1.0).count
 
 
 def test_auto_route_selection():
+    # both routes report route "double_eig"; the margin, taken in each
+    # route's own coordinates, shows which one ran
     small = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, 1.0]]))
+    assert count_above(small, 1.0) == count_above(small, 1.0, route="double_eig")
     assert count_above(small, 1.0).route == "double_eig"
     big = LogHermitian(np.array([[100.0, -math.inf], [-math.inf, 1.0]]))
-    assert count_above(big, 1.0).route == "hp_inertia"
+    rep = count_above(big, 1.0)
+    assert rep == count_above(big, 1.0, route="scaled_eig")
+    assert rep.margin != count_above(big, 1.0, route="double_eig").margin
+    assert rep.route == "double_eig"
 
 
 def test_tie_reported_on_both_routes():
@@ -163,7 +193,10 @@ def test_tie_reported_on_both_routes():
     assert rep.count == 1
     assert any(w.startswith("tie:") for w in rep.warnings)
     diag = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, math.log(2)]]))
-    rep_hp = count_above(diag, 1.0, route="hp_inertia")
+    rep_scaled = count_above(diag, 1.0, route="scaled_eig")
+    assert rep_scaled.count == 1
+    assert any(w.startswith("tie:") for w in rep_scaled.warnings)
+    rep_hp = count_hp_inertia(diag, 1.0)
     assert rep_hp.count == 1
     assert any("zero pivot" in w for w in rep_hp.warnings)
 
@@ -174,7 +207,7 @@ def test_count_below_and_n_star_identities():
     eigs = np.linalg.eigvalsh(m)
     s = 0.7
     assert count_above(m, s).count == int((eigs > s).sum())
-    assert count_below(m, s).count == int((eigs < -s).sum())
+    assert count_above(-m, s).count == int((eigs < -s).sum())
     t = rng.standard_normal((12, 9))
     sv = np.linalg.svd(t, compute_uv=False)
     assert n_star(t, s).count == int((sv > s).sum())
@@ -189,12 +222,14 @@ def test_validation_and_errors():
         LogHermitian(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         count_above(np.eye(2), 1.0, route="cayley")
+    with pytest.raises(ValueError):
+        count_above(np.eye(2), 1.0, route="hp_inertia")
     lop = LogHermitian(np.array([[0.0, 0.0], [-math.inf, 0.0]]))
     with pytest.raises(ValueError):
         count_above(lop, 1.0)
     with pytest.raises(PrecisionExhausted):
-        count_above(LogHermitian(np.zeros((2, 2))), 1.0,
-                    route="hp_inertia", precision_cap=64)
+        count_hp_inertia(LogHermitian(np.zeros((2, 2))), 1.0,
+                         precision_cap=64)
 
 
 def test_round_trip_and_empty():

@@ -34,6 +34,7 @@ from edgegap.modelops import (
 )
 from edgegap.operators import QuadratureSpec
 from tests.conftest import rect
+from tests.inertia_oracle import count_hp_inertia
 from tests.model_oracles import (
     disk_moment_check,
     reciprocal_interval,
@@ -103,11 +104,12 @@ def test_count_stable_across_routes_and_nodes():
     omega = rect(0.0, 0.15, -0.8, 0.8)
     op = gamma_gram("minus", 50.0, 0.1, omega, QUAD)
     n_dbl = op.count_above(1.0, route="double_eig").count
-    n_256 = op.count_above(1.0, route="hp_inertia", precision_cap=256).count
-    n_512 = op.count_above(1.0, route="hp_inertia", precision_cap=512).count
+    n_scaled = op.count_above(1.0, route="scaled_eig").count
+    n_256 = count_hp_inertia(op.kernel, 1.0, precision_cap=256).count
+    n_512 = count_hp_inertia(op.kernel, 1.0, precision_cap=512).count
     fine = QuadratureSpec(k_panels=16, k_nodes=16, x_nodes=40)
     n_fine = gamma_gram("minus", 50.0, 0.1, omega, fine).count_above(1.0).count
-    assert n_dbl == n_256 == n_512 == n_fine
+    assert n_dbl == n_scaled == n_256 == n_512 == n_fine
 
 
 def test_noise_floor_warning_below_assembly_resolution():

@@ -1,6 +1,8 @@
 """Scenario loading, validation, and the command-line front end."""
 
 import csv
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -183,7 +185,8 @@ def test_cli_gaps_and_summary(tmp_path):
     assert [float(x) for x in rows[2]] == [2.0, 4.0, 5.0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["subcommand"] == "gaps"
-    assert summary["scenario"] == load_scenario(cfg).source_hash
+    ran = dataclasses.replace(load_scenario(cfg), j=2)
+    assert summary["scenario"] == ran.source_hash
     assert [v["name"] for v in summary["verdicts"]] == [
         "gap_open_j1", "gap_open_j2"]
     assert all(v["pass"] for v in summary["verdicts"])
@@ -196,6 +199,35 @@ def test_cli_byte_determinism(tmp_path):
     assert run(["gaps", "--config", cfg, "--out", str(a)]) == 0
     assert run(["gaps", "--config", cfg, "--out", str(b)]) == 0
     for name in ("gaps.csv", "summary.json", "scenario.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_scenario_hash_covers_overrides(tmp_path):
+    # the hash identifies the scenario as it ran: the persisted
+    # scenario.json, with the --j override applied
+    cfg = write_cfg(tmp_path, base_doc())
+    hashes = []
+    for j in (1, 2):
+        out = tmp_path / f"j{j}"
+        assert run(["gaps", "--config", cfg, "--out", str(out),
+                    "--j", str(j)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        ran = json.loads((out / "scenario.json").read_text())
+        canonical = json.dumps(ran, sort_keys=True, separators=(",", ":"))
+        assert summary["scenario"] == \
+            hashlib.sha256(canonical.encode()).hexdigest()
+        hashes.append(summary["scenario"])
+    assert hashes[0] == load_scenario(cfg).source_hash
+    assert hashes[1] != hashes[0]
+
+
+def test_cli_byte_determinism_across_processes(tmp_path):
+    # each run is a fresh interpreter, so no lru_cache carries over
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        run_python(["-m", "edgegap", "verify", "sandwich",
+                    "--config", REFERENCE_CONFIG, "--out", str(out)])
+    for name in ("modelops.csv", "summary.json", "scenario.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -403,3 +435,23 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
         f"from edgegap.cli import run\n"
         f"assert run(['gaps', '--config', {REFERENCE_CONFIG!r}, "
         f"'--out', {str(tmp_path)!r}]) == 0") == []
+    # a 150-nat graded D C D + I counts exactly, certified, in double
+    assert _loaded_heavy(_GRADED_COUNT) == []
+
+
+_GRADED_COUNT = """
+import math
+import numpy as np
+from edgegap.counting import LogHermitian, count_above
+rng = np.random.default_rng(604)
+n = 40
+q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+beta = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+c = (q * beta) @ q.T
+g = rng.uniform(0.0, 150.0, n)
+core = 0.5 * (c + c.T) + np.diag(np.exp(-2.0 * g))
+log_mag = g[:, None] + g[None, :] + np.log(np.abs(core))
+rep = count_above(LogHermitian(log_mag, np.where(core < 0, math.pi, 0.0)), 1.0)
+assert rep.count == int((beta > 0).sum()), rep
+assert rep.warnings == (), rep.warnings
+"""
