@@ -45,7 +45,9 @@ class CountingReport:
     route is "double_eig" and precision_bits 53 on both routes.  margin
     is the smallest |eigenvalue - threshold| of M on route double_eig;
     on scaled_eig it is the smallest |eigenvalue| of the equilibrated
-    matrix S(M - sI)S, whose rows all peak near 1.
+    matrix S(M - sI)S, whose rows all peak near 1.  warnings holds at
+    most one "tie:" message: how many eigenvalues lie within the tie
+    tolerance, the nearest one and the range the count could take.
     """
 
     threshold: float
@@ -123,13 +125,17 @@ def _check_dense_hermitian(m: np.ndarray, rtol: float = 1e-12) -> None:
 
 
 def _tie_warnings(eigs: np.ndarray, s: float, count: int, tol: float):
-    tied = eigs[np.abs(eigs - s) <= tol]
-    warns = []
-    for ev in tied:
-        alt = count - 1 if ev > s else count + 1
-        warns.append(f"tie: eigenvalue {ev!r} within {tol:g} of threshold; "
-                     f"count could be {count} or {alt}")
-    return warns
+    """One tie: message naming how many eigenvalues lie within tol of s,
+    the nearest one and the range the count could take; none if no tie."""
+    dist = np.abs(eigs - s)
+    tied = eigs[dist <= tol]
+    if not tied.size:
+        return ()
+    above = int((tied > s).sum())
+    nearest = float(eigs[np.argmin(dist)])
+    return (f"tie: {tied.size} eigenvalue(s) within {tol:g} of threshold, "
+            f"nearest {nearest!r}; count could be {count - above} to "
+            f"{count + tied.size - above}",)
 
 
 def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
@@ -140,7 +146,7 @@ def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
     margin = float(np.abs(eigs - s).min())
     tol = _TIE_RTOL * max(1.0, abs(s))
     return CountingReport(s, count, "double_eig", 53, margin,
-                          tuple(_tie_warnings(eigs, s, count, tol)))
+                          _tie_warnings(eigs, s, count, tol))
 
 
 def _equilibrating_exponents(logm: LogHermitian, s: float) -> list:
@@ -196,7 +202,7 @@ def _count_scaled_eig(logm: LogHermitian, s: float) -> CountingReport:
     count = int((lam > 0).sum())
     margin = float(np.abs(lam).min())
     return CountingReport(s, count, "double_eig", 53, margin,
-                          tuple(_tie_warnings(lam, 0.0, count, 2.0 * tau)))
+                          _tie_warnings(lam, 0.0, count, 2.0 * tau))
 
 
 def count_above(m, s: float, route: str = "auto",

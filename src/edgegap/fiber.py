@@ -19,13 +19,16 @@ wall, in the direction where they grow (the componentwise accuracy
 behind twisted factorizations, Dhillon & Parlett, LAA 387, 2004), so the
 tiny difference keeps full relative accuracy in double precision.  The
 eigenvector overlap defect 1 - <v_+, v_W>^2 comes from one deflated
-solve with the same right side.
+solve with the same right side.  The twin gap is Richardson-extrapolated
+over the same grid pair as the energies, so every gap distance the
+package reads, from the Phi_j(k)^2 ratio checks to the resolvent
+weights of GapModel, is the one h^4-accurate number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -65,6 +68,12 @@ class FiberDiscretization:
         """Most eigenpairs solve_fiber resolves on this grid, n/10."""
         return self.n // 10
 
+    @property
+    def n_half(self) -> int:
+        """Size of the coarse grid of the Richardson pair: every other
+        point of the n grid, so its spacing is twice as wide."""
+        return (self.n + 1) // 2
+
     def grid(self, k: float, n: int = None) -> np.ndarray:
         n = self.n if n is None else n
         c = k / self.b
@@ -97,6 +106,12 @@ class FiberEigenpair:
     overlap_with_limit: float
 
 
+def _richardson(fine, coarse):
+    """(h^4 extrapolate, h^2 correction) of a quantity with an h^2-leading
+    error, from its values on the n and n_half grids of one window."""
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
@@ -119,13 +134,11 @@ def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
     x, diag, off, h = disc.tridiagonal(k)
     evals, evecs = eigh_tridiagonal(diag, off, select="i",
                                     select_range=(0, j_max - 1))
-    n_half = (disc.n + 1) // 2
-    _, diag2, off2, _ = disc.tridiagonal(k, n=n_half)
+    _, diag2, off2, _ = disc.tridiagonal(k, n=disc.n_half)
     evals_half = eigh_tridiagonal(diag2, off2, select="i",
                                   select_range=(0, j_max - 1),
                                   eigvals_only=True)
-    rich = (4.0 * evals - evals_half) / 3.0
-    resid = np.abs(evals - evals_half) / 3.0
+    rich, resid = _richardson(evals, evals_half)
     if np.any(resid > conv_tol):
         raise ConvergenceFailure(
             f"h^2 correction {resid.max():.3e} above {conv_tol:g} at k={k}; refine the grid")
@@ -212,13 +225,15 @@ class EdgeComparison:
     """Gap-edge data at one momentum from the same-grid twin operators.
 
     H_+ (constant W_+) and H_W share one grid, so H_+ = H_W + D exactly,
-    with D = diag(W_+ - W).  gap_dist is E_j(k; W_+) - E_j(k; W) on that
-    grid (the continuum gap distance up to an O(h^2) relative bias);
-    overlap is c = <v_+, v_W>, defect is 1 - c^2 and scaled_distance is
-    2 sqrt(defect) / sqrt(gap_dist).  All three keep full relative
-    accuracy in double precision far below one ulp of the edge energy.
-    energy_w is the Rayleigh quotient of v_W and energy_limit is
-    energy_w + gap_dist.
+    with D = diag(W_+ - W).  gap_dist is E_j(k; W_+) - E_j(k; W),
+    Richardson-extrapolated from the twin gaps on the n and n_half grids
+    (the continuum gap distance up to an O(h^4) relative bias).  overlap
+    c = <v_+, v_W>, defect 1 - c^2 and energy_w, the Rayleigh quotient
+    of v_W, are the fine-grid values; scaled_distance is
+    2 sqrt(defect / gap_dist).  All of them keep full relative accuracy
+    in double precision far below one ulp of the edge energy.  Where the
+    grid pair disagrees by more than _TWIN_CONV_TOL, edge_comparison
+    raises ConvergenceFailure instead of returning a gap.
     """
 
     j: int
@@ -228,8 +243,14 @@ class EdgeComparison:
     defect: float
     scaled_distance: float
     energy_w: float
-    energy_limit: float
 
+
+# largest relative h^2 correction |g_n - g_half| / (3 g_n) of the twin gap
+# that edge_comparison extrapolates.  Every twin comparison of the
+# shipped-config commands needs at most 6.6e-3, while a jump on the wall,
+# or one where the eigensolver's tails have stalled, gives O(1) and can
+# flip the sign of the extrapolate
+_TWIN_CONV_TOL = 0.1
 
 # tails are rebuilt below this fraction of the eigenvector's maximum: the
 # eigensolver bounds the error of its components absolutely, and on wide
@@ -318,13 +339,15 @@ def _deflated_solve(diag, off, shift, v, rhs):
     return np.insert(y - u_m * z, m, u_m)
 
 
-@lru_cache(maxsize=256)
-def _edge_comparison_cached(j, k, b, w, n, half_width):
+def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
+                     n: int = None) -> EdgeComparison:
+    """EdgeComparison of the twin operators on the n-point grid of the
+    window of disc (default disc.n), with the single-grid gap."""
     from scipy.linalg import eigh_tridiagonal
-    disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
-    _, diag_w, off, _ = disc.tridiagonal(k)
+    w = disc.w
+    _, diag_w, off, _ = disc.tridiagonal(k, n)
     w_plus = 0.0 if w is None else w.w_plus_limit
-    _, diag_p, _, _ = disc.tridiagonal(k, w_override=w_plus)
+    _, diag_p, _, _ = disc.tridiagonal(k, n, w_override=w_plus)
     p = -float(off[0])
     i0 = j - 1
     _, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(i0, i0))
@@ -333,14 +356,13 @@ def _edge_comparison_cached(j, k, b, w, n, half_width):
     energy_w = _rayleigh_quotient(diag_w, p, vec_w)
     if w is None:
         return EdgeComparison(j=j, k=k, gap_dist=0.0, overlap=1.0, defect=0.0,
-                              scaled_distance=0.0, energy_w=energy_w,
-                              energy_limit=energy_w)
+                              scaled_distance=0.0, energy_w=energy_w)
     jump = diag_p - diag_w  # D, exact: both diagonals share every other term
     on = jump > 0.0
     if not on.any():
         raise ConvergenceFailure(
             f"W_+ - W vanishes on the whole fiber window at k={k}: "
-            f"half_width {half_width:g} misses the jump; widen it")
+            f"half_width {disc.half_width:g} misses the jump; widen it")
     if vec_w @ vec_p < 0.0:
         vec_w = -vec_w
     log_w, sign_w = _log_eigenvector(diag_w, p, energy_w, vec_w)
@@ -365,17 +387,34 @@ def _edge_comparison_cached(j, k, b, w, n, half_width):
     scaled = 2.0 * math.exp(0.5 * (log_defect - log_gap))
     return EdgeComparison(j=j, k=k, gap_dist=gap, overlap=math.exp(log_c),
                           defect=defect, scaled_distance=scaled,
-                          energy_w=energy_w, energy_limit=energy_w + gap)
+                          energy_w=energy_w)
 
 
+@lru_cache(maxsize=256)
 def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
     """Gap distance and projection overlap against the same-grid limit operator.
 
-    Raises ConvergenceFailure when W = W_+ on the whole window (the jump
-    lies beyond half_width), where the twin operators coincide although
-    the continuum gap distance is positive.
+    gap_dist is (4 g_n - g_half)/3 from the twin gaps on the n and n_half
+    grids; every other field is the fine-grid value.  Raises
+    ConvergenceFailure when W = W_+ on the whole window (the jump lies
+    beyond half_width), where the twin operators coincide although the
+    continuum gap distance is positive, and when the h^2 correction
+    |g_n - g_half|/3 exceeds _TWIN_CONV_TOL of g_n, where the grid does
+    not resolve the eigenvector tails at the jump.
     """
-    return _edge_comparison_cached(j, k, disc.b, disc.w, disc.n, disc.half_width)
+    fine = _twin_comparison(disc, j, k)
+    if disc.w is None:
+        return fine
+    coarse = _twin_comparison(disc, j, k, disc.n_half)
+    gap, corr = _richardson(fine.gap_dist, coarse.gap_dist)
+    if corr > _TWIN_CONV_TOL * fine.gap_dist:
+        raise ConvergenceFailure(
+            f"twin gap h^2 correction {corr / fine.gap_dist:.3e} of the gap, "
+            f"above {_TWIN_CONV_TOL:g}, at j={j}, k={k}; refine the grid")
+    # 2 sqrt(defect / gap) from the fine-grid value, which was formed in
+    # log form and so survives a subnormal defect
+    scaled = fine.scaled_distance * math.sqrt(fine.gap_dist / gap)
+    return replace(fine, gap_dist=gap, scaled_distance=scaled)
 
 
 def gap_distance(disc: FiberDiscretization, j: int, k: float) -> float:
@@ -407,19 +446,41 @@ def projection_distance(j: int, k: float, disc: FiberDiscretization) -> float:
     return 2.0 * math.sqrt(edge_comparison(disc, j, k).defect)
 
 
+def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through y on nodes
+    spaced h apart (at least four; de Boor, A Practical Guide to Splines,
+    ch. IV).
+
+    With secants d_i, C^2 continuity gives the interior rows
+    s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i); a continuous third
+    derivative at the second and the second-to-last node gives the end
+    rows s_0 + 2 s_1 = (5 d_0 + d_1)/2 and its mirror.
+    """
+    from scipy.linalg import solve_banded
+    d = np.diff(y) / h
+    ab = np.zeros((3, len(y)))
+    ab[0, 1], ab[0, 2:] = 2.0, 1.0
+    ab[1], ab[1, [0, -1]] = 4.0, 1.0
+    ab[2, :-2], ab[2, -2] = 1.0, 2.0
+    rhs = np.empty(len(y))
+    rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
+    rhs[0] = 0.5 * (5.0 * d[0] + d[1])
+    rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
+    return solve_banded((1, 1), ab, rhs)
+
+
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
-    Node values use the cheap double-precision Richardson energies while
-    g > 1e-6 and switch to the twin identity of edge_comparison below,
-    where the edge distance is unrepresentable as a difference of
-    doubles but the tail sum <v_+, D v_W> still resolves it.  The
-    spline interpolates ln g (slowly varying: asymptotically a parabola
-    in k), and weight(k, lam) = (g + lam)^{-1/2} is the resolvent-type
-    factor used in kernel assembly.
+    Every node takes its value from edge_comparison, the twin gap
+    extrapolated over the (n, n_half) grid pair, so g is h^4-accurate at
+    every depth, including far below one ulp of the edge energy where no
+    difference of energies resolves it; a node whose h^2 correction
+    exceeds the twin guard raises ConvergenceFailure.  A not-a-knot cubic
+    on the uniform nodes interpolates ln g (slowly varying:
+    asymptotically a parabola in k), and weight(k, lam) = (g + lam)^{-1/2}
+    is the resolvent-type factor used in kernel assembly.
     """
-
-    _DOUBLE_FLOOR = 1e-6
 
     def __init__(self, b: float, w: EdgePotential, j: int,
                  k_lo: float, k_hi: float, n: int = 2001,
@@ -428,30 +489,33 @@ class GapModel:
         self.k_lo, self.k_hi = float(k_lo), float(k_hi)
         self.disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
         if w is None:
-            self._spline = None
+            self._slopes = None
             return
         count = max(4, int(math.ceil((self.k_hi - self.k_lo)
                                      / (0.5 * math.sqrt(b)))) + 1)
         nodes = np.linspace(self.k_lo, self.k_hi, count)
-        edge = gap_edges(b, w, j)[0]
-        vals = []
-        for k in nodes:
-            g = edge - solve_fiber(self.disc, float(k), j)[j - 1].energy
-            if g <= self._DOUBLE_FLOOR:
-                g = edge_comparison(self.disc, j, float(k)).gap_dist
-            vals.append(g)
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(nodes, np.log(vals), extrapolate=False)
+        self._step = (self.k_hi - self.k_lo) / (count - 1)
+        self._log_gap = np.log([edge_comparison(self.disc, j, float(k)).gap_dist
+                                for k in nodes])
+        self._slopes = _not_a_knot_slopes(self._step, self._log_gap)
 
     def gap(self, k):
         """Edge distance at momentum k (vectorized)."""
-        if self._spline is None:
-            return np.zeros_like(np.asarray(k, dtype=float))
-        out = np.exp(self._spline(k))
-        if np.any(np.isnan(out)):
+        k = np.asarray(k, dtype=float)
+        if self._slopes is None:
+            return np.zeros_like(k)
+        if not np.all((k >= self.k_lo) & (k <= self.k_hi)):
             raise ValueError(
                 f"momentum outside the modeled range [{self.k_lo}, {self.k_hi}]")
-        return out
+        # cubic Hermite form on the cell [k_i, k_i + step] holding k
+        u = (k - self.k_lo) / self._step
+        i = np.clip(np.floor(u).astype(int), 0, len(self._log_gap) - 2)
+        t = u - i
+        y0, y1 = self._log_gap[i], self._log_gap[i + 1]
+        s0, s1 = self._step * self._slopes[i], self._step * self._slopes[i + 1]
+        log_g = (y0 + t * (s0 + t * (3.0 * (y1 - y0) - 2.0 * s0 - s1
+                                     + t * (2.0 * (y0 - y1) + s0 + s1))))
+        return np.exp(log_g)
 
     def weight(self, k, lam: float):
         """(g_j(k) + lam)^{-1/2}, the kernel weight at gap depth lam."""

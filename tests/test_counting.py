@@ -191,7 +191,13 @@ def test_auto_route_selection():
 def test_tie_reported_on_both_routes():
     rep = count_above(np.diag([1.0, 2.0]), 1.0)
     assert rep.count == 1
-    assert any(w.startswith("tie:") for w in rep.warnings)
+    assert rep.warnings == ("tie: 1 eigenvalue(s) within 1e-08 of threshold, "
+                            "nearest 1.0; count could be 1 to 2",)
+    # one message per count, however many eigenvalues tie
+    rep = count_above(np.diag([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0]), 1.0)
+    assert rep.count == 2
+    assert rep.warnings == ("tie: 3 eigenvalue(s) within 1e-08 of threshold, "
+                            "nearest 1.0; count could be 1 to 4",)
     diag = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, math.log(2)]]))
     rep_scaled = count_above(diag, 1.0, route="scaled_eig")
     assert rep_scaled.count == 1

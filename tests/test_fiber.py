@@ -3,19 +3,24 @@
 The frozen GAP_ORACLE values below are continuum references computed once
 with a 60-digit matched parabolic-cylinder solve of the piecewise
 oscillator (log-derivative continuity at the jump, bisection on the
-energy).  The finite-difference twin route reproduces them to a few parts
-per thousand; tolerances are pinned at roughly three times the measured
-relative error at each momentum.
+energy).  The twin route, extrapolated over the (n, n_half) grid pair,
+reproduces them to about 1e-4 relative (5.1e-5, 1.1e-4 and 3.2e-5 at
+k = 4, 5, 6 on the default window); tolerances are pinned at roughly
+three times the measured relative error at each momentum.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+from edgegap.cli import run
 from edgegap.errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from edgegap.fiber import (
+    _twin_comparison,
     FiberDiscretization,
     GapModel,
     band_table,
@@ -31,12 +36,13 @@ from edgegap.fiber import (
     verify_teth1,
 )
 from edgegap.potentials import EdgePotential, step_potential
+from tests.conftest import REFERENCE_CONFIG
 from tests.mp_edge_oracle import mp_edge_comparison
 
 GAP_ORACLE = {
-    4.0: (7.945920365052581877e-9, 2e-3),
-    5.0: (7.839289952421256793e-13, 5e-3),
-    6.0: (1.090801836739223557e-17, 1.5e-2),
+    4.0: (7.945920365052581877e-9, 1.5e-4),
+    5.0: (7.839289952421256793e-13, 3.5e-4),
+    6.0: (1.090801836739223557e-17, 1e-4),
 }
 
 
@@ -98,7 +104,6 @@ def test_gap_distance_against_continuum_oracle(disc01, k):
 def test_edge_comparison_internal_consistency(disc01):
     cmp = edge_comparison(disc01, 1, 4.0)
     assert 0.99 < cmp.overlap <= 1.0
-    assert cmp.energy_limit - cmp.energy_w == pytest.approx(cmp.gap_dist, rel=1e-9)
     # scaled_distance recomputes from its double-precision factors at k=4,
     # where the overlap defect is still representable
     recomputed = trace_norm_distance(cmp.overlap) / math.sqrt(cmp.gap_dist)
@@ -154,20 +159,27 @@ def test_closed_form_tail_ratio(step01):
 
 
 def test_gap_model_spline(step01):
+    from scipy.interpolate import CubicSpline
     model = GapModel(1.0, step01, 1, -2.0, 4.0)
-    # spline passes through its nodes; k=4 uses the twin-comparison route
-    assert model.gap(4.0) == pytest.approx(
-        gap_distance(model.disc, 1, 4.0), rel=1e-9)
-    ks = np.linspace(0.0, 4.0, 17)
+    # spline passes through its nodes, each read from edge_comparison
+    nodes = np.linspace(-2.0, 4.0, len(model._log_gap))
+    np.testing.assert_allclose(
+        model.gap(nodes), [gap_distance(model.disc, 1, k) for k in nodes],
+        rtol=1e-13)
+    # the classic not-a-knot cubic through the same ln g values
+    ks = np.linspace(-2.0, 4.0, 241)
     gaps = model.gap(ks)
-    assert np.all(np.diff(gaps) < 0)
+    reference = np.exp(CubicSpline(nodes, model._log_gap)(ks))
+    np.testing.assert_allclose(gaps, reference, rtol=1e-13)
+    assert np.all(np.diff(gaps[ks >= 0.0]) < 0)
     lam = 1e-4
     np.testing.assert_allclose(model.weight(ks, lam),
                                1.0 / np.sqrt(gaps + lam), rtol=1e-14)
     with pytest.raises(ValueError):
         model.weight(0.0, 0.0)
-    with pytest.raises(ValueError):
-        model.gap(5.0)
+    for outside in (5.0, -2.5, math.nan):
+        with pytest.raises(ValueError, match="outside the modeled range"):
+            model.gap(outside)
 
 
 def test_gap_model_free_case():
@@ -203,7 +215,7 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
         _, diag_w, _, _ = disc.tridiagonal(k)
         _, diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
         assert np.all(diag_p - diag_w > 0)
-    cmp = edge_comparison(disc, j, k)
+    cmp = _twin_comparison(disc, j, k)
     oracle = mp_edge_comparison(disc, j, k)
     assert cmp.gap_dist == pytest.approx(oracle["gap_dist"], rel=1e-11, abs=0)
     assert cmp.defect == pytest.approx(oracle["defect"], rel=1e-11, abs=0)
@@ -211,6 +223,30 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
                                                 rel=1e-11, abs=0)
     assert abs(cmp.energy_w - oracle["energy_w"]) <= 4 * math.ulp(
         oracle["energy_w"])
+
+
+def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
+    fine = _twin_comparison(disc01, 1, 5.0)
+    coarse = _twin_comparison(disc01, 1, 5.0, disc01.n_half)
+    cmp = edge_comparison(disc01, 1, 5.0)
+    assert cmp.gap_dist == (4.0 * fine.gap_dist - coarse.gap_dist) / 3.0
+    assert (cmp.overlap, cmp.defect, cmp.energy_w) == (
+        fine.overlap, fine.defect, fine.energy_w)
+    assert cmp.scaled_distance == pytest.approx(
+        2.0 * math.sqrt(cmp.defect / cmp.gap_dist), rel=1e-14)
+    # the twin gap's h^2 correction is O(1) where the eigensolver's tails
+    # have stalled (coarse/fine 5.07: the extrapolate would be negative)
+    # and where the jump sits on the wall of the default window
+    stalled = FiberDiscretization(b=1.0, w=step01, half_width=20.0)
+    for disc, k in ((stalled, 16.0), (disc01, 12.0)):
+        with pytest.raises(ConvergenceFailure, match="refine the grid"):
+            edge_comparison(disc, 1, k)
+    doc = json.loads(Path(REFERENCE_CONFIG).read_text(encoding="utf-8"))
+    doc["verify"]["tep2"] = {"k_list": [12]}
+    cfg = tmp_path / "wall.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["verify", "tep2", "--config", str(cfg),
+                "--out", str(tmp_path / "tep2")]) == 3
 
 
 def test_window_missing_the_jump_is_an_error(disc01):

@@ -437,6 +437,15 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
         f"'--out', {str(tmp_path)!r}]) == 0") == []
     # a 150-nat graded D C D + I counts exactly, certified, in double
     assert _loaded_heavy(_GRADED_COUNT) == []
+    # the resolvent route solves fibers and splines g_j(k) with
+    # scipy.linalg alone
+    loaded = _loaded_heavy(
+        f"from edgegap.cli import run\n"
+        f"assert run(['effective-count', '--config', {REFERENCE_CONFIG!r}, "
+        f"'--out', {str(tmp_path / 'effective-count')!r}]) == 0")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("scipy.interpolate", "mpmath"))]
 
 
 _GRADED_COUNT = """
