@@ -2,7 +2,8 @@
 
 Loads a JSON scenario, runs one subcommand, writes CSV artifacts plus a
 summary.json with pass/fail verdicts, and exits 0 (success), 2 (invalid
-config), 3 (convergence failure) or 4 (a verdict failed).
+config or unwritable output directory), 3 (convergence failure) or 4 (a
+verdict failed).
 Outputs are byte-deterministic for a fixed config: fixed-order loops, no
 wall clock, and the only randomness is the seeded property check.
 """
@@ -189,7 +190,6 @@ def cmd_verify_teth1(sc: Scenario, out: Path):
 
 def cmd_verify_lau25(sc: Scenario, out: Path):
     _need(sc, w=True)
-    from scipy.special import erfc
     p = sc.verify_params("lau25")
     k_ratio = float(p["k_ratio"])
     ratio = verify_lau25(sc.j, sc.b, sc.w, [k_ratio])[0]
@@ -200,8 +200,7 @@ def cmd_verify_lau25(sc: Scenario, out: Path):
     for k in p["erfc_k"]:
         k = float(k)
         exact = (0.5 * (sc.w.w_plus_limit - sc.w.w_minus_limit)
-                 * float(erfc(k / math.sqrt(sc.b)
-                              - math.sqrt(sc.b) * sc.w.x0)))
+                 * math.erfc(k / math.sqrt(sc.b) - math.sqrt(sc.b) * sc.w.x0))
         got = phi_squared(1, k, sc.b, sc.w)
         dev = max(dev, abs(got - exact))
         rows.append((k, float(got), _phi_asymptote(1, k, sc)))
@@ -616,6 +615,11 @@ def run(argv=None) -> int:
         # remaining domain errors mean the config asked for something the
         # scenario cannot supply
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # load_scenario turns a failed read into ScenarioError, so what
+        # is left is a failed write under the output directory
+        print(f"error: cannot write output directory: {exc}", file=sys.stderr)
         return 2
     for verdict in verdicts:
         status = "pass" if verdict["pass"] else "FAIL"

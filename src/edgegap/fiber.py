@@ -118,8 +118,41 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+# largest h^2 correction |E_n - E_half|/3 of an energy that solve_fiber
+# and band_table extrapolate
+_ENERGY_CONV_TOL = 1e-3
+
+
+def _fiber_levels(disc: FiberDiscretization, k: float, j_max: int,
+                  conv_tol: float, vectors: bool):
+    """(x, h, energies, eigenvectors) of the lowest j_max levels at k.
+
+    The energies are the n-grid eigenvalues Richardson-extrapolated with
+    the n_half-grid ones; an h^2 correction above conv_tol raises
+    ConvergenceFailure.  The n-grid eigenvectors are computed only when
+    vectors is true, and are None otherwise.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    if not 1 <= j_max <= disc.max_levels:
+        raise ValueError("need 1 <= j_max <= n/10")
+    levels = dict(select="i", select_range=(0, j_max - 1))
+    x, diag, off, h = disc.tridiagonal(k)
+    if vectors:
+        evals, evecs = eigh_tridiagonal(diag, off, **levels)
+    else:
+        evals = eigh_tridiagonal(diag, off, eigvals_only=True, **levels)
+        evecs = None
+    _, diag2, off2, _ = disc.tridiagonal(k, n=disc.n_half)
+    evals_half = eigh_tridiagonal(diag2, off2, eigvals_only=True, **levels)
+    rich, resid = _richardson(evals, evals_half)
+    if np.any(resid > conv_tol):
+        raise ConvergenceFailure(
+            f"h^2 correction {resid.max():.3e} above {conv_tol:g} at k={k}; refine the grid")
+    return x, h, rich, evecs
+
+
 def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
-                conv_tol: float = 1e-3):
+                conv_tol: float = _ENERGY_CONV_TOL):
     """Lowest j_max eigenpairs of the fiber operator at momentum k.
 
     Energies are Richardson-extrapolated over the (n, (n+1)//2) grid
@@ -128,20 +161,7 @@ def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
     with sign fixed by a nonnegative overlap with the limiting
     eigenfunction.
     """
-    from scipy.linalg import eigh_tridiagonal
-    if not 1 <= j_max <= disc.max_levels:
-        raise ValueError("need 1 <= j_max <= n/10")
-    x, diag, off, h = disc.tridiagonal(k)
-    evals, evecs = eigh_tridiagonal(diag, off, select="i",
-                                    select_range=(0, j_max - 1))
-    _, diag2, off2, _ = disc.tridiagonal(k, n=disc.n_half)
-    evals_half = eigh_tridiagonal(diag2, off2, select="i",
-                                  select_range=(0, j_max - 1),
-                                  eigvals_only=True)
-    rich, resid = _richardson(evals, evals_half)
-    if np.any(resid > conv_tol):
-        raise ConvergenceFailure(
-            f"h^2 correction {resid.max():.3e} above {conv_tol:g} at k={k}; refine the grid")
+    x, h, rich, evecs = _fiber_levels(disc, k, j_max, conv_tol, vectors=True)
     weights = _trapezoid_weights(disc.n, h)
     pairs = []
     for idx in range(j_max):
@@ -174,11 +194,13 @@ class BandTable:
 
 
 def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
+    """Energies of bands 1..j_max on k_grid, the same extrapolated and
+    guarded values as solve_fiber's, from eigenvalues alone."""
     k_grid = np.asarray(k_grid, dtype=float)
     energies = np.empty((j_max, len(k_grid)))
-    for i, k in enumerate(k_grid):
-        for pair in solve_fiber(disc, float(k), j_max):
-            energies[pair.j - 1, i] = pair.energy
+    for i, k in enumerate(k_grid.tolist()):
+        energies[:, i] = _fiber_levels(disc, k, j_max, _ENERGY_CONV_TOL,
+                                       vectors=False)[2]
     if np.any(np.diff(energies, axis=0) <= 0):
         raise ConvergenceFailure("band interlacing violated; spectrum should be simple")
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))

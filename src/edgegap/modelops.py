@@ -230,10 +230,10 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
 
         e^{m(xi+delta)_+} (mR)^{q+1} / (q! sqrt(q+1)) > sqrt(s),
 
-    evaluated in the log domain so nothing overflows; the ratio count/m
-    tends to e R kappa((xi+delta)_+ / (e R)) as m grows.
+    evaluated in the log domain, ln q! by math.lgamma, so nothing
+    overflows; the ratio count/m tends to e R kappa((xi+delta)_+ / (e R))
+    as m grows.
     """
-    from scipy.special import gammaln
     if R <= 0 or m <= 0:
         raise ValueError("m and R must be positive")
     if s <= 0:
@@ -244,8 +244,8 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
     qmax = int(math.ceil(math.e * m * R + m * shift + 50.0))
     while True:
         q = np.arange(qmax + 1, dtype=float)
-        t = (m * shift + (q + 1.0) * ln_mr - gammaln(q + 1.0)
-             - 0.5 * np.log(q + 1.0))
+        ln_fact = np.array([math.lgamma(x) for x in (q + 1.0).tolist()])
+        t = (m * shift + (q + 1.0) * ln_mr - ln_fact - 0.5 * np.log(q + 1.0))
         if t[-1] < half_ln_s - 1.0:
             break
         qmax *= 2

@@ -3,12 +3,14 @@
 These are the search routes the closed forms in edgegap.geometry
 replaced: kappa by bisection on t ln t = s, the enclosing-disk search
 evaluated one centre at a time, and c_minus sampled on a 2001-point
-chord grid on top of the vertex abscissas.  The tests check that the
-package reproduces them.
+chord grid on top of the vertex abscissas.  kappa_mp is a 40-digit
+Lambert W reference for kappa's Halley iteration.  The tests check that
+the package reproduces them.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from edgegap.errors import DomainError
@@ -33,6 +35,16 @@ def kappa(s: float) -> float:
         if hi - lo <= 1e-12 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def kappa_mp(s: float, dps: int = 40) -> float:
+    """s / W(s) with the principal Lambert W branch at dps digits,
+    rounded to double; kappa_mp(0) = 1."""
+    if s == 0:
+        return 1.0
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(s)
+        return float(x / mpmath.lambertw(x))
 
 
 def c_minus(poly) -> float:

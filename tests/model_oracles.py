@@ -90,6 +90,24 @@ def disk_moment_check(m: float, R: float, k: float, kp: float):
     return series, quad
 
 
+def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
+    """modelops.gamma_diag_count with ln q! from scipy.special.gammaln,
+    an independent evaluation of the same log-domain test."""
+    shift = max(xi + delta, 0.0)
+    ln_mr = math.log(m * R)
+    half_ln_s = 0.5 * math.log(s)
+    qmax = int(math.ceil(math.e * m * R + m * shift + 50.0))
+    while True:
+        q = np.arange(qmax + 1, dtype=float)
+        t = (m * shift + (q + 1.0) * ln_mr - gammaln(q + 1.0)
+             - 0.5 * np.log(q + 1.0))
+        if t[-1] < half_ln_s - 1.0:
+            break
+        qmax *= 2
+    count = int(np.count_nonzero(t > half_ln_s))
+    return count, count / m
+
+
 def psi_inf_asymptotic(j: int, k, x, b: float):
     """Leading large-k form of psi_inf on compact x sets.
 

@@ -36,6 +36,7 @@ from edgegap.fiber import (
     verify_teth1,
 )
 from edgegap.potentials import EdgePotential, step_potential
+from edgegap.scenario import load_scenario
 from tests.conftest import REFERENCE_CONFIG
 from tests.mp_edge_oracle import mp_edge_comparison
 
@@ -93,6 +94,22 @@ def test_band_monotone_between_limits(step01):
     # simple spectrum: bands interlace strictly
     assert np.all(table.energies[1] - table.energies[0] > 0)
     assert table.edges[0] == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("j_max, stride", [(1, 1), (3, 5)])
+def test_band_table_energies_equal_solve_fiber(j_max, stride):
+    # band_table solves for eigenvalues alone; on the reference window
+    # and k grid (every stride-th point) its energies are solve_fiber's,
+    # bit for bit
+    sc = load_scenario(REFERENCE_CONFIG)
+    disc = FiberDiscretization(b=sc.b, w=sc.w, n=sc.fiber_n,
+                               half_width=sc.fiber_half_width)
+    k_grid = sc.k_grid.values()[::stride]
+    table = band_table(disc, k_grid, j_max)
+    want = np.array([[p.energy for p in solve_fiber(disc, float(k), j_max)]
+                     for k in k_grid]).T
+    assert table.energies.shape == (j_max, len(k_grid))
+    assert np.array_equal(table.energies, want)
 
 
 @pytest.mark.parametrize("k", sorted(GAP_ORACLE))

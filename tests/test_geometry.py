@@ -218,3 +218,19 @@ def test_kappa_elementwise_on_arrays():
     assert kappa(s[:, None]).shape == (s.size, 1)
     with pytest.raises(DomainError):
         kappa(np.array([1.0, -1e-12, 2.0]))
+    for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan]),
+                np.array([[2.0], [math.inf]])):
+        with pytest.raises(DomainError):
+            kappa(bad)
+
+
+def test_kappa_within_two_ulp_of_lambert_w_references():
+    from scipy.special import lambertw  # reference only
+    s = np.concatenate([[0.0], np.logspace(-300, 300, 3000),
+                        np.linspace(0.0, 20.0, 1001)])
+    t = kappa(s)
+    mp = np.array([geometry_oracle.kappa_mp(x) for x in s.tolist()])
+    with np.errstate(invalid="ignore"):
+        sp = np.where(s == 0.0, 1.0, s / lambertw(s).real)
+    assert np.all(np.abs(t - mp) <= 2.0 * np.spacing(mp))
+    assert np.all(np.abs(t - sp) <= 2.0 * np.spacing(sp))

@@ -37,6 +37,7 @@ from tests.conftest import rect
 from tests.inertia_oracle import count_hp_inertia
 from tests.model_oracles import (
     disk_moment_check,
+    gamma_diag_count as gammaln_diag_count,
     reciprocal_interval,
     theta_coeffs,
 )
@@ -189,6 +190,20 @@ def test_diagonal_surrogate():
     assert gamma_diag_count(10.0, 0.0, 0.1, 0.5, 1e300)[0] == 0
     with pytest.raises(ValueError):
         gamma_diag_count(-1.0, 0.0, 0.1, 0.5, 1.0)
+
+
+def test_diagonal_surrogate_matches_gammaln_copy():
+    # ln q! from math.lgamma, elementwise, against scipy's gammaln on the
+    # same log-domain test: equal counts, including thresholds far out
+    # on both sides
+    for m in (1.0, 7.0, 50.0, 200.0, 1000.0):
+        for xi in (-0.6, -0.2, 0.0, 0.35):
+            for delta in (0.0, 0.1):
+                for r in (0.05, 0.5, 2.0):
+                    for s in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+                        args = (m, xi, delta, r, s)
+                        assert gamma_diag_count(*args) == \
+                            gammaln_diag_count(*args), args
 
 
 def test_disk_moment_series_vs_quadrature():

@@ -274,6 +274,19 @@ def test_cli_exit_codes(tmp_path):
     assert run(["gaps", "--config", bad, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_unwritable_out_exit(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    # --out below a regular file, and --out naming the file itself
+    for out in (blocker / "x", blocker):
+        assert run(["gaps", "--config", REFERENCE_CONFIG,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write output directory" in err
+        assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_cli_convergence_failure_exit(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(
         fiber={"n": 205}, k_grid={"lo": -1.0, "hi": 1.0, "points": 3}))
@@ -437,6 +450,12 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
         f"'--out', {str(tmp_path)!r}]) == 0") == []
     # a 150-nat graded D C D + I counts exactly, certified, in double
     assert _loaded_heavy(_GRADED_COUNT) == []
+    # kappa, ln q! and erfc come from numpy and math, not scipy.special
+    for argv in (["geometry"], ["scaling"], ["verify", "lau25"]):
+        assert _loaded_heavy(
+            f"from edgegap.cli import run\n"
+            f"assert run({argv!r} + ['--config', {REFERENCE_CONFIG!r}, "
+            f"'--out', {str(tmp_path / '-'.join(argv))!r}]) == 0") == []
     # the resolvent route solves fibers and splines g_j(k) with
     # scipy.linalg alone
     loaded = _loaded_heavy(
