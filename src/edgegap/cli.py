@@ -132,7 +132,10 @@ def cmd_phi(sc: Scenario, out: Path):
 def cmd_verify_p21(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("p21")
-    k_grid = np.linspace(p["k_lo"], p["k_hi"], int(p["points"]))
+    points = int(p["points"])
+    if points < 2:
+        raise ScenarioError(f"verify.p21 k grid needs at least 2 points, got {points}")
+    k_grid = np.linspace(p["k_lo"], p["k_hi"], points)
     table = band_table(_disc(sc), k_grid, sc.j)
     band = table.energies[sc.j - 1]
     rows = [(float(k), sc.j, float(e)) for k, e in zip(k_grid, band)]

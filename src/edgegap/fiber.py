@@ -3,7 +3,12 @@
 Second-order finite differences with Dirichlet walls on a moving window
 centered at x = k/b, where the eigenfunctions concentrate.  Energies are
 Richardson-extrapolated from a full- and half-resolution solve of the
-same window (h^4 accuracy); eigenvectors come from the full solve.
+same window (h^4 accuracy).  Bisection runs on the half-resolution grid
+only, where it fixes which level is which; its eigenvalues seed inverse
+iteration on the full grid, whose eigenvectors give the full-grid
+energies as Rayleigh quotients.  The window is built from offsets
+s = x - k/b that do not depend on k, so an operator whose potential is
+constant is the same matrix at every momentum.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
@@ -54,10 +59,13 @@ class FiberDiscretization:
     half_width: float = None
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("field strength b must be positive")
+        # a NaN passes every comparison below
+        if not (math.isfinite(self.b) and self.b > 0):
+            raise ValueError("field strength b must be positive and finite")
         if self.half_width is None:
             object.__setattr__(self, "half_width", 12.0 / math.sqrt(self.b))
+        if not math.isfinite(self.half_width):
+            raise ValueError("half_width must be finite")
         if self.n < 200:
             raise ValueError("need at least 200 grid points")
         if self.half_width < 8.0 / math.sqrt(self.b):
@@ -74,25 +82,32 @@ class FiberDiscretization:
         point of the n grid, so its spacing is twice as wide."""
         return (self.n + 1) // 2
 
-    def grid(self, k: float, n: int = None) -> np.ndarray:
+    def _offsets(self, n: int = None) -> np.ndarray:
+        """Grid offsets s = x - k/b, the same at every momentum."""
         n = self.n if n is None else n
-        c = k / self.b
-        return np.linspace(c - self.half_width, c + self.half_width, n)
+        return np.linspace(-self.half_width, self.half_width, n)
+
+    def grid(self, k: float, n: int = None) -> np.ndarray:
+        return k / self.b + self._offsets(n)
 
     def tridiagonal(self, k: float, n: int = None, w_override=None):
         """(x, diag, offdiag, h) of the discretized fiber operator.
 
-        w_override replaces the potential samples (used for the
-        constant-W_+ comparison operator on the identical grid).
+        Built on the offsets s: x = k/b + s, h = s[1] - s[0] and
+        diag = 2/h^2 + (b s)^2 + W, so only the potential samples depend
+        on k.  w_override replaces them (used for the constant-W_+
+        comparison operator on the identical grid, which is then the same
+        matrix, bit for bit, at every k).
         """
-        x = self.grid(k, n)
-        h = x[1] - x[0]
+        s = self._offsets(n)
+        x = k / self.b + s
+        h = s[1] - s[0]
         pot = np.zeros_like(x)
         if w_override is not None:
             pot += w_override
         elif self.w is not None:
             pot = np.asarray(self.w.cell_average(x, h), dtype=float)
-        diag = 2.0 / h ** 2 + (self.b * x - k) ** 2 + pot
+        diag = 2.0 / h ** 2 + (self.b * s) ** 2 + pot
         off = np.full(len(x) - 1, -1.0 / h ** 2)
         return x, diag, off, h
 
@@ -123,27 +138,48 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 _ENERGY_CONV_TOL = 1e-3
 
 
+def _rayleigh_quotients(diag, p, vecs) -> np.ndarray:
+    """Column-wise _rayleigh_quotient of vecs (n x m), the same gradient
+    form terms summed by einsum: every term is nonnegative where the
+    potential is, so the sums keep a relative accuracy of about n eps."""
+    grad = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
+    num = (p * np.einsum("ij,ij->j", grad, grad)
+           + np.einsum("i,ij,ij->j", diag - 2.0 * p, vecs, vecs))
+    return num / np.einsum("ij,ij->j", vecs, vecs)
+
+
 def _fiber_levels(disc: FiberDiscretization, k: float, j_max: int,
-                  conv_tol: float, vectors: bool):
+                  conv_tol: float):
     """(x, h, energies, eigenvectors) of the lowest j_max levels at k.
 
-    The energies are the n-grid eigenvalues Richardson-extrapolated with
-    the n_half-grid ones; an h^2 correction above conv_tol raises
-    ConvergenceFailure.  The n-grid eigenvectors are computed only when
-    vectors is true, and are None otherwise.
+    Bisection on the n_half grid finds its lowest j_max eigenvalues and so
+    fixes which level is which.  They seed one inverse iteration (LAPACK
+    stein) for the n-grid eigenvectors, whose Rayleigh quotients are the
+    n-grid energies.  The energies are those Richardson-extrapolated with
+    the n_half ones; an h^2 correction above conv_tol raises
+    ConvergenceFailure.  The same guard certifies the level index: a
+    vector that converged to another level misses its seed by at least
+    2b - (W_+ - W_-), far above any admissible 3 conv_tol.
     """
     from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstein
     if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
-    levels = dict(select="i", select_range=(0, j_max - 1))
-    x, diag, off, h = disc.tridiagonal(k)
-    if vectors:
-        evals, evecs = eigh_tridiagonal(diag, off, **levels)
-    else:
-        evals = eigh_tridiagonal(diag, off, eigvals_only=True, **levels)
-        evecs = None
     _, diag2, off2, _ = disc.tridiagonal(k, n=disc.n_half)
-    evals_half = eigh_tridiagonal(diag2, off2, eigvals_only=True, **levels)
+    evals_half = eigh_tridiagonal(diag2, off2, eigvals_only=True, select="i",
+                                  select_range=(0, j_max - 1))
+    x, diag, off, h = disc.tridiagonal(k)
+    n = disc.n
+    # one unreduced block: the first j_max seeds belong to block 1
+    iblock = np.zeros(n, dtype=np.int32)
+    iblock[:j_max] = 1
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    evecs, info = dstein(diag, off, evals_half, iblock, isplit)
+    if info != 0:
+        raise ConvergenceFailure(
+            f"inverse iteration failed (stein info {info}) at k={k}")
+    evals = _rayleigh_quotients(diag, -float(off[0]), evecs)
     rich, resid = _richardson(evals, evals_half)
     if np.any(resid > conv_tol):
         raise ConvergenceFailure(
@@ -156,12 +192,13 @@ def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
     """Lowest j_max eigenpairs of the fiber operator at momentum k.
 
     Energies are Richardson-extrapolated over the (n, (n+1)//2) grid
-    pair; the h^2 correction estimate must stay below conv_tol or
-    ConvergenceFailure is raised.  Eigenvectors are trapezoid-normalized
-    with sign fixed by a nonnegative overlap with the limiting
-    eigenfunction.
+    pair from bisection on the n_half grid and inverse iteration on the
+    n grid (see _fiber_levels); the h^2 correction estimate must stay
+    below conv_tol or ConvergenceFailure is raised.  Eigenvectors are the
+    n-grid ones, trapezoid-normalized with sign fixed by a nonnegative
+    overlap with the limiting eigenfunction.
     """
-    x, h, rich, evecs = _fiber_levels(disc, k, j_max, conv_tol, vectors=True)
+    x, h, rich, evecs = _fiber_levels(disc, k, j_max, conv_tol)
     weights = _trapezoid_weights(disc.n, h)
     pairs = []
     for idx in range(j_max):
@@ -195,12 +232,13 @@ class BandTable:
 
 def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     """Energies of bands 1..j_max on k_grid, the same extrapolated and
-    guarded values as solve_fiber's, from eigenvalues alone."""
+    guarded values as solve_fiber's, bit for bit.  They come from the
+    same path, eigenvectors included: one inverse iteration on the n grid
+    costs less than a second bisection would."""
     k_grid = np.asarray(k_grid, dtype=float)
     energies = np.empty((j_max, len(k_grid)))
     for i, k in enumerate(k_grid.tolist()):
-        energies[:, i] = _fiber_levels(disc, k, j_max, _ENERGY_CONV_TOL,
-                                       vectors=False)[2]
+        energies[:, i] = _fiber_levels(disc, k, j_max, _ENERGY_CONV_TOL)[2]
     if np.any(np.diff(energies, axis=0) <= 0):
         raise ConvergenceFailure("band interlacing violated; spectrum should be simple")
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
@@ -361,6 +399,25 @@ def _deflated_solve(diag, off, shift, v, rhs):
     return np.insert(y - u_m * z, m, u_m)
 
 
+@lru_cache(maxsize=64)
+def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
+    """(diag, v, ln|v|, sign v) of level j of the constant-W_+ operator on
+    the n-point grid of the free window (b, half_width): the same matrix
+    at every momentum, so it is solved once.  v is unit-normalized and
+    rebuilt from its log form, whose tails the twin identity sums.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    _, diag, off, _ = free.tridiagonal(0.0, n, w_override=w_plus)
+    p = -float(off[0])
+    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(j - 1, j - 1))
+    vec = vec[:, 0]
+    log_v, sign = _log_eigenvector(diag, p, _rayleigh_quotient(diag, p, vec), vec)
+    v = sign * np.exp(log_v)
+    for arr in (diag, v, log_v, sign):
+        arr.setflags(write=False)
+    return diag, v, log_v, sign
+
+
 def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
                      n: int = None) -> EdgeComparison:
     """EdgeComparison of the twin operators on the n-point grid of the
@@ -368,28 +425,24 @@ def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
     from scipy.linalg import eigh_tridiagonal
     w = disc.w
     _, diag_w, off, _ = disc.tridiagonal(k, n)
-    w_plus = 0.0 if w is None else w.w_plus_limit
-    _, diag_p, _, _ = disc.tridiagonal(k, n, w_override=w_plus)
     p = -float(off[0])
-    i0 = j - 1
-    _, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(i0, i0))
-    _, vec_p = eigh_tridiagonal(diag_p, off, select="i", select_range=(i0, i0))
-    vec_w, vec_p = vec_w[:, 0], vec_p[:, 0]
+    _, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(j - 1, j - 1))
+    vec_w = vec_w[:, 0]
     energy_w = _rayleigh_quotient(diag_w, p, vec_w)
     if w is None:
         return EdgeComparison(j=j, k=k, gap_dist=0.0, overlap=1.0, defect=0.0,
                               scaled_distance=0.0, energy_w=energy_w)
+    diag_p, v_plus, log_p, sign_p = _plus_twin(
+        replace(disc, w=None), len(diag_w), w.w_plus_limit, j)
     jump = diag_p - diag_w  # D, exact: both diagonals share every other term
     on = jump > 0.0
     if not on.any():
         raise ConvergenceFailure(
             f"W_+ - W vanishes on the whole fiber window at k={k}: "
             f"half_width {disc.half_width:g} misses the jump; widen it")
-    if vec_w @ vec_p < 0.0:
+    if vec_w @ v_plus < 0.0:
         vec_w = -vec_w
     log_w, sign_w = _log_eigenvector(diag_w, p, energy_w, vec_w)
-    log_p, sign_p = _log_eigenvector(
-        diag_p, p, _rayleigh_quotient(diag_p, p, vec_p), vec_p)
     # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>
     log_dw = np.log(jump[on]) + log_w[on]
     log_s = _log_signed_sum(log_dw + log_p[on], sign_w[on] * sign_p[on])
@@ -397,7 +450,6 @@ def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
     # (H_+ - E_W) u = D v_W - <v_+, D v_W> v_+, so 1 - c^2 = |u|^2; the
     # right side is scaled by its largest entry to stay in double range
     scale = float(log_dw.max())
-    v_plus = sign_p * np.exp(log_p)
     rhs = -math.exp(log_s - scale) * v_plus
     rhs[on] += sign_w[on] * np.exp(log_dw - scale)
     u = _deflated_solve(diag_p, off, energy_w, v_plus, rhs)

@@ -200,8 +200,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"unknown config keys {sorted(extra)}")
 
     b = float(doc.get("b", 1.0))
-    if b <= 0:
-        raise ScenarioError("field strength b must be positive")
+    if not (math.isfinite(b) and b > 0):
+        raise ScenarioError("field strength b must be positive and finite")
     w = _build_potential(doc.get("edge_potential"))
     if w is not None and not gap_condition(w, b):
         raise ScenarioError(

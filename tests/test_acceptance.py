@@ -67,7 +67,8 @@ def test_criterion_02_band_monotone_with_edge_limits(step01):
     disc = FiberDiscretization(b=1.0, w=step01)
     table = band_table(disc, np.linspace(-10.0, 10.0, 401), 1)
     e1 = table.energies[0]
-    assert np.all(np.diff(e1) >= -1e-9)
+    # the verify p21 grid; the largest downward step is rounding, 2.8e-13
+    assert np.all(np.diff(e1) >= -5e-13)
     assert abs(e1[0] - 1.0) <= 1e-3   # left limit b + W_-
     assert abs(e1[-1] - 2.0) <= 1e-3  # edge b + W_+
 

@@ -20,6 +20,7 @@ from scipy.special import erfc
 from edgegap.cli import run
 from edgegap.errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from edgegap.fiber import (
+    _plus_twin,
     _twin_comparison,
     FiberDiscretization,
     GapModel,
@@ -38,6 +39,7 @@ from edgegap.fiber import (
 from edgegap.potentials import EdgePotential, step_potential
 from edgegap.scenario import load_scenario
 from tests.conftest import REFERENCE_CONFIG
+from tests.fiber_oracle import bisection_levels
 from tests.mp_edge_oracle import mp_edge_comparison
 
 GAP_ORACLE = {
@@ -96,20 +98,72 @@ def test_band_monotone_between_limits(step01):
     assert table.edges[0] == (2.0, 3.0)
 
 
-@pytest.mark.parametrize("j_max, stride", [(1, 1), (3, 5)])
-def test_band_table_energies_equal_solve_fiber(j_max, stride):
-    # band_table solves for eigenvalues alone; on the reference window
-    # and k grid (every stride-th point) its energies are solve_fiber's,
-    # bit for bit
+@pytest.fixture(scope="module")
+def reference():
+    """(reference scenario, its fiber window)."""
     sc = load_scenario(REFERENCE_CONFIG)
-    disc = FiberDiscretization(b=sc.b, w=sc.w, n=sc.fiber_n,
-                               half_width=sc.fiber_half_width)
+    return sc, FiberDiscretization(b=sc.b, w=sc.w, n=sc.fiber_n,
+                                   half_width=sc.fiber_half_width)
+
+
+@pytest.mark.parametrize("j_max, stride", [(1, 1), (3, 5)])
+def test_band_table_energies_equal_solve_fiber(reference, j_max, stride):
+    # on the reference window and k grid (every stride-th point)
+    # band_table's energies are solve_fiber's, bit for bit
+    sc, disc = reference
     k_grid = sc.k_grid.values()[::stride]
     table = band_table(disc, k_grid, j_max)
     want = np.array([[p.energy for p in solve_fiber(disc, float(k), j_max)]
                      for k in k_grid]).T
     assert table.energies.shape == (j_max, len(k_grid))
     assert np.array_equal(table.energies, want)
+
+
+@pytest.mark.parametrize("j_max, stride", [(1, 1), (6, 5)])
+def test_solve_fiber_reproduces_bisection_route(reference, j_max, stride):
+    # inverse iteration seeded from the coarse grid against bisection on
+    # both grids with exact-sum Rayleigh quotients, on the reference
+    # window and k grid (every stride-th point)
+    sc, disc = reference
+    for k in sc.k_grid.values()[::stride].tolist():
+        pairs = solve_fiber(disc, k, j_max)
+        energies, vecs = bisection_levels(disc, k, j_max)
+        np.testing.assert_allclose([p.energy for p in pairs], energies,
+                                   rtol=1e-14, atol=0)
+        for pair, ref in zip(pairs, vecs.T):
+            unit = pair.values / np.linalg.norm(pair.values)
+            assert 1.0 - abs(unit @ ref) <= 1e-13
+
+
+@pytest.mark.parametrize("slot, source", [(0, 1), (1, 0), (2, 1)])
+def test_level_guard_rejects_a_wrong_seed(disc01, monkeypatch, slot, source):
+    # the coarse eigenvalue of one level replaced by another level's: the
+    # inverse iteration it seeds lands on a level far from the seed
+    import scipy.linalg
+    bisect = scipy.linalg.eigh_tridiagonal
+
+    def wrong_seeds(*args, **kwargs):
+        evals = bisect(*args, **kwargs).copy()
+        evals[slot] = evals[source]
+        return evals
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", wrong_seeds)
+    with pytest.raises(ConvergenceFailure, match=r"h\^2 correction"):
+        solve_fiber(disc01, 1.0, 3)
+
+
+def test_constant_twin_is_one_matrix_per_window(disc01, step01):
+    # the offsets grid makes the constant-W_+ operator k-independent, bit
+    # for bit, so one GapModel solves it once on each grid of its pair
+    first, *rest = [disc01.tridiagonal(k, w_override=1.0)[1:]
+                    for k in (-3.0, 0.7, 5.0)]
+    for diag, off, h in rest:
+        assert np.array_equal(diag, first[0]) and np.array_equal(off, first[1])
+        assert h == first[2]
+    edge_comparison.cache_clear()
+    _plus_twin.cache_clear()
+    GapModel(1.0, step01, 1, -2.0, 4.0)
+    assert _plus_twin.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("k", sorted(GAP_ORACLE))

@@ -302,6 +302,27 @@ def test_cli_unusable_fiber_grid_exit(tmp_path, capsys, fiber):
     assert "invalid fiber block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [
+    {"b": math.inf}, {"b": math.nan},
+    {"fiber": {"half_width": math.nan}}, {"fiber": {"half_width": math.inf}}],
+    ids=["b_inf", "b_nan", "half_width_nan", "half_width_inf"])
+@pytest.mark.parametrize("argv", [["bands"], ["verify", "tep2"],
+                                  ["effective-count"]])
+def test_cli_non_finite_field_or_window_exit(tmp_path, capsys, over, argv):
+    cfg = write_cfg(tmp_path, base_doc(**over))
+    assert run([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("points", [1, 0])
+def test_cli_p21_grid_below_two_points_exit(tmp_path, capsys, points):
+    cfg = write_cfg(tmp_path, base_doc(verify={"p21": {"points": points}}))
+    assert run(["verify", "p21", "--config", cfg,
+                "--out", str(tmp_path / "x")]) == 2
+    assert "at least 2 points" in capsys.readouterr().err
+
+
 def test_cli_band_index_beyond_fiber_grid_exit(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_doc(j=250))
     assert run(["bands", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
