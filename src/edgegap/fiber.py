@@ -157,9 +157,12 @@ def _fiber_levels(disc: FiberDiscretization, k: float, j_max: int,
     stein) for the n-grid eigenvectors, whose Rayleigh quotients are the
     n-grid energies.  The energies are those Richardson-extrapolated with
     the n_half ones; an h^2 correction above conv_tol raises
-    ConvergenceFailure.  The same guard certifies the level index: a
-    vector that converged to another level misses its seed by at least
-    2b - (W_+ - W_-), far above any admissible 3 conv_tol.
+    ConvergenceFailure.  The guard rejects a vector that converged to
+    another level whenever it misses its seed by more than 3 conv_tol;
+    levels may lie closer than that (gap_condition only asks
+    W_+ - W_- < 2b), and there stein can return two vectors swapped, each
+    near its seed.  The energies are then out of order, so they must
+    also increase strictly, which band_table's interlacing relies on.
     """
     from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dstein
@@ -184,6 +187,9 @@ def _fiber_levels(disc: FiberDiscretization, k: float, j_max: int,
     if np.any(resid > conv_tol):
         raise ConvergenceFailure(
             f"h^2 correction {resid.max():.3e} above {conv_tol:g} at k={k}; refine the grid")
+    if np.any(np.diff(rich) <= 0):
+        raise ConvergenceFailure(
+            f"fiber levels out of order at k={k}; spectrum should be simple")
     return x, h, rich, evecs
 
 
@@ -234,13 +240,12 @@ def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     """Energies of bands 1..j_max on k_grid, the same extrapolated and
     guarded values as solve_fiber's, bit for bit.  They come from the
     same path, eigenvectors included: one inverse iteration on the n grid
-    costs less than a second bisection would."""
+    costs less than a second bisection would.  At each k they increase
+    strictly in j, which _fiber_levels checks."""
     k_grid = np.asarray(k_grid, dtype=float)
     energies = np.empty((j_max, len(k_grid)))
     for i, k in enumerate(k_grid.tolist()):
         energies[:, i] = _fiber_levels(disc, k, j_max, _ENERGY_CONV_TOL)[2]
-    if np.any(np.diff(energies, axis=0) <= 0):
-        raise ConvergenceFailure("band interlacing violated; spectrum should be simple")
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
     return BandTable(k_grid=k_grid, energies=energies, edges=edges)
 

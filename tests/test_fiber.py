@@ -152,6 +152,22 @@ def test_level_guard_rejects_a_wrong_seed(disc01, monkeypatch, slot, source):
         solve_fiber(disc01, 1.0, 3)
 
 
+def test_level_order_rejects_a_swapped_pair(disc01, monkeypatch):
+    # stein returning two levels' vectors swapped, with a guard too loose
+    # to see that they missed their seeds, as where two levels lie within
+    # 6 conv_tol of each other: the energies come out of order
+    import scipy.linalg.lapack
+    stein = scipy.linalg.lapack.dstein
+
+    def swapped(*args, **kwargs):
+        evecs, info = stein(*args, **kwargs)
+        return evecs[:, [1, 0, 2]], info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", swapped)
+    with pytest.raises(ConvergenceFailure, match="out of order"):
+        solve_fiber(disc01, 1.0, 3, conv_tol=10.0)
+
+
 def test_constant_twin_is_one_matrix_per_window(disc01, step01):
     # the offsets grid makes the constant-W_+ operator k-independent, bit
     # for bit, so one GapModel solves it once on each grid of its pair
