@@ -168,17 +168,15 @@ def full_line_gram(j: int, lam: float, scenario, quad: QuadratureSpec = None,
 
 def effective_count(j: int, lam: float, eps: float, scenario,
                     quad: QuadratureSpec = None):
-    """(lower, upper) bracket of the gap counting function at depth lam:
-    n_+(1+eps; S*S) and n_+(1-eps; S*S)."""
+    """(lower, upper) CountingReports bracketing the gap counting function
+    at depth lam: n_+(1+eps; S*S) and n_+(1-eps; S*S)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     quad = quad or scenario.quad
     op = sjstar_sj(j, lam, scenario.a_momentum, quad, scenario.v, scenario.w,
                    scenario.b, fiber_n=scenario.fiber_n,
                    fiber_half_width=scenario.fiber_half_width)
-    lower = count_above(op.kernel, 1.0 + eps).count
-    upper = count_above(op.kernel, 1.0 - eps).count
-    return lower, upper
+    return count_above(op.kernel, 1.0 + eps), count_above(op.kernel, 1.0 - eps)
 
 
 def _support_nodes(v, quad, b, k_reach):

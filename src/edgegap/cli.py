@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsham import bs_count, full_line_gram, sjstar_sj
+from .bsham import bs_count, effective_count, full_line_gram
 from .counting import count_above, n_star
 from .errors import ConvergenceFailure, EdgegapError, ScenarioError
 from .fiber import (FiberDiscretization, band_table, edge_comparison,
@@ -33,15 +33,22 @@ from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
                        inscribed_rectangle_count, kms_trace_ratio,
                        sandwich_check)
 from .potentials import finiteness_predicate
-from .scenario import (Scenario, band_index, load_scenario,
-                       normalized_scenario, scenario_to_dict, schema_json)
+from .scenario import (Scenario, load_scenario, normalized_scenario,
+                       scenario_to_dict, schema_json)
 
 _NAN = float("nan")
+_MODELOPS_HEADER = ("m", "operator", "threshold", "count", "ratio", "target",
+                    "precision_bits", "warnings")
+_COUNTS_HEADER = ("lambda", "j", "route", "threshold", "count", "warnings",
+                  "precision_bits")
 
 
 def _verdict(name: str, ok: bool, value, target, tol) -> dict:
-    return {"name": name, "pass": bool(ok), "value": float(value),
-            "target": float(target), "tol": float(tol)}
+    # a verdict cannot pass on a value, target or tol that is not finite
+    value, target, tol = float(value), float(target), float(tol)
+    finite = all(math.isfinite(x) for x in (value, target, tol))
+    return {"name": name, "pass": bool(ok) and finite, "value": value,
+            "target": target, "tol": tol}
 
 
 def _write_csv(out: Path, name: str, header, rows):
@@ -132,15 +139,12 @@ def cmd_phi(sc: Scenario, out: Path):
 def cmd_verify_p21(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("p21")
-    points = int(p["points"])
-    if points < 2:
-        raise ScenarioError(f"verify.p21 k grid needs at least 2 points, got {points}")
-    k_grid = np.linspace(p["k_lo"], p["k_hi"], points)
+    k_grid = np.linspace(p["k_lo"], p["k_hi"], p["points"])
     table = band_table(_disc(sc), k_grid, sc.j)
     band = table.energies[sc.j - 1]
     rows = [(float(k), sc.j, float(e)) for k, e in zip(k_grid, band)]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
-    drop = float(max(0.0, -np.diff(band).min()))
+    drop = float(np.maximum(0.0, -np.diff(band).min()))
     edge_hi = sc.b * (2 * sc.j - 1) + sc.w.w_plus_limit
     edge_lo = sc.b * (2 * sc.j - 1) + sc.w.w_minus_limit
     return [
@@ -205,7 +209,7 @@ def cmd_verify_lau25(sc: Scenario, out: Path):
         exact = (0.5 * (sc.w.w_plus_limit - sc.w.w_minus_limit)
                  * math.erfc(k / math.sqrt(sc.b) - math.sqrt(sc.b) * sc.w.x0))
         got = phi_squared(1, k, sc.b, sc.w)
-        dev = max(dev, abs(got - exact))
+        dev = np.maximum(dev, abs(got - exact))
         rows.append((k, float(got), _phi_asymptote(1, k, sc)))
     _write_csv(out, "phi.csv", ("k", "phi_squared", "asymptote"), rows)
     return [
@@ -226,7 +230,7 @@ def cmd_verify_kms(sc: Scenario, out: Path):
     for m in sc.m_grid:
         op = g_sinc(iv, m)
         tr = float(np.trace(op.kernel.to_dense())) / m
-        trace_dev = max(trace_dev, abs(tr - target) / target)
+        trace_dev = np.maximum(trace_dev, abs(tr - target) / target)
         rows.append((float(m), "g_sinc_trace", "", op.n, tr, target, 53, ""))
     m_t = float(p["m_trace"])
     r2 = kms_trace_ratio(iv, m_t, 2)
@@ -239,9 +243,7 @@ def cmd_verify_kms(sc: Scenario, out: Path):
         report = count_above(op.kernel, s)
     rows.append((m_c, "g_sinc", s, report.count, report.count / m_c, target,
                  report.precision_bits, box.text))
-    _write_csv(out, "modelops.csv",
-               ("m", "operator", "threshold", "count", "ratio", "target",
-                "precision_bits", "warnings"), rows)
+    _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
     return [
         _verdict("trace_exact", trace_dev <= p["trace_tol"], trace_dev, 0.0,
                  p["trace_tol"]),
@@ -259,7 +261,7 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
     p = sc.verify_params("sandwich")
     lam, eps, r = float(p["lam"]), float(p["eps"]), float(p["r"])
-    slack = int(p["slack"])
+    slack = p["slack"]
     with _WarningBox() as box:
         sand = sandwich_check(sc.j, lam, r, eps, sc)
         ends = endpoint_bracket(sc.j, lam, r, eps, sc)
@@ -273,9 +275,7 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
         (m, "s_gram", r * r, ends["mid"], "", "", 53, ""),
         (m, "gamma_plus", ends["upper_threshold"], ends["upper"], "", "", 53, ""),
     ]
-    _write_csv(out, "modelops.csv",
-               ("m", "operator", "threshold", "count", "ratio", "target",
-                "precision_bits", "warnings"), rows)
+    _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
     return [
         _verdict("model_lower", sand["lower"] - sand["mid"] <= slack,
                  sand["lower"] - sand["mid"], 0.0, slack),
@@ -290,8 +290,8 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
 
 def cmd_verify_weylkyfan(sc: Scenario, out: Path):
     p = sc.verify_params("weylkyfan")
-    trials, dim = int(p["trials"]), int(p["dim"])
-    rng = np.random.default_rng(int(p["seed"]))
+    trials, dim = p["trials"], p["dim"]
+    rng = np.random.default_rng(p["seed"])
 
     def hermitian():
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -324,21 +324,14 @@ def cmd_effective_count(sc: Scenario, out: Path):
     rows, lowers, uppers = [], [], []
     for lam in sc.lam_grid.values():
         with _WarningBox() as box:
-            op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v, sc.w,
-                           sc.b, fiber_n=sc.fiber_n,
-                           fiber_half_width=sc.fiber_half_width)
-            rep_lo = count_above(op.kernel, 1.0 + eps)
-            rep_hi = count_above(op.kernel, 1.0 - eps)
-        warn = box.text
+            rep_lo, rep_hi = effective_count(sc.j, lam, eps, sc)
         for rep in (rep_lo, rep_hi):
             rows.append((lam, sc.j, rep.route, rep.threshold, rep.count,
-                         "; ".join(rep.warnings) or warn,
+                         "; ".join(rep.warnings) or box.text,
                          rep.precision_bits))
         lowers.append(rep_lo.count)
         uppers.append(rep_hi.count)
-    _write_csv(out, "counts.csv",
-               ("lambda", "j", "route", "threshold", "count", "warnings",
-                "precision_bits"), rows)
+    _write_csv(out, "counts.csv", _COUNTS_HEADER, rows)
     verdicts = [_verdict("bracket_ordered",
                          all(l <= u for l, u in zip(lowers, uppers)),
                          max(l - u for l, u in zip(lowers, uppers)), 0.0,
@@ -346,15 +339,15 @@ def cmd_effective_count(sc: Scenario, out: Path):
     if finiteness_predicate(sc.v, sc.w):
         spread = max(uppers) - min(uppers)
         verdicts.append(_verdict("finite_spread",
-                                 spread <= p.get("spread_tol", 1), spread,
-                                 0.0, p.get("spread_tol", 1)))
+                                 spread <= p["spread_tol"], spread, 0.0,
+                                 p["spread_tol"]))
     return verdicts
 
 
 def cmd_bs_count(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
     p = sc.verify_params("bs")
-    j_sum = int(p["j_sum"])
+    j_sum = p["j_sum"]
     if j_sum < sc.j:
         raise ScenarioError(
             f"verify.bs.j_sum = {j_sum} is below the band index j = {sc.j}; "
@@ -366,13 +359,10 @@ def cmd_bs_count(sc: Scenario, out: Path):
             for lam, n in counts.items()]
     verdicts = []
     lam0 = sc.lam_grid.start
-    eps, slack = float(p["cross_eps"]), int(p["cross_slack"])
-    with _WarningBox() as box:
-        op = sjstar_sj(sc.j, lam0, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b,
-                       fiber_n=sc.fiber_n,
-                       fiber_half_width=sc.fiber_half_width)
-        lo = count_above(op.kernel, 1.0 + eps).count
-        hi = count_above(op.kernel, 1.0 - eps).count
+    slack = p["cross_slack"]
+    with _WarningBox():
+        lo, hi = (rep.count for rep in
+                  effective_count(sc.j, lam0, float(p["cross_eps"]), sc))
     verdicts.append(_verdict("cross_route_bracket",
                              lo - slack <= counts[lam0] <= hi + slack,
                              counts[lam0], 0.5 * (lo + hi),
@@ -391,9 +381,7 @@ def cmd_bs_count(sc: Scenario, out: Path):
         verdicts.append(_verdict(f"route_agreement_r{r:g}",
                                  n1.count == n2.count, n1.count - n2.count,
                                  0.0, 0.0))
-    _write_csv(out, "counts.csv",
-               ("lambda", "j", "route", "threshold", "count", "warnings",
-                "precision_bits"), rows)
+    _write_csv(out, "counts.csv", _COUNTS_HEADER, rows)
     return verdicts
 
 
@@ -410,11 +398,7 @@ def cmd_scaling(sc: Scenario, out: Path):
         for lam in lams:
             m = math.sqrt(sc.b * abs(math.log(lam)))
             with _WarningBox() as box:
-                op = sjstar_sj(sc.j, lam, sc.a_momentum, sc.quad, sc.v,
-                               sc.w, sc.b, fiber_n=sc.fiber_n,
-                               fiber_half_width=sc.fiber_half_width)
-                lo = count_above(op.kernel, 1.0 + eps)
-                hi = count_above(op.kernel, 1.0 - eps)
+                lo, hi = effective_count(sc.j, lam, eps, sc)
             rows.append((lam, m, lo.count, hi.count, _NAN, _NAN,
                          hi.precision_bits, box.text))
             counts.append(hi.count)
@@ -448,34 +432,29 @@ def cmd_scaling(sc: Scenario, out: Path):
     if mask.sum() >= 2:
         slope = float(np.polyfit(lnln[mask], np.log(np.array(counts)[mask]),
                                  1)[0])
-    verdicts = []
     if finite:
-        verdicts.append(_verdict("slope_flat",
-                                 abs(slope) <= p.get("flat_tol", 0.2), slope,
-                                 0.0, p.get("flat_tol", 0.2)))
-    elif lnln.max() - lnln.min() < p.get("min_lnln_spread", 0.8):
-        # a slope regression over a narrow ln|ln lam| window would be
-        # noise; record the spread instead of a fake slope claim
-        verdicts.append(_verdict("slope_grid_narrow", True,
-                                 float(lnln.max() - lnln.min()),
-                                 p.get("min_lnln_spread", 0.8), 0.0))
-        verdicts.append(_verdict("rows_ordered",
-                                 all(r[2] <= r[3] for r in rows),
-                                 max(r[2] - r[3] for r in rows), 0.0, 0.0))
+        verdicts = [_verdict("slope_flat", abs(slope) <= p["flat_tol"], slope,
+                             0.0, p["flat_tol"])]
     else:
-        verdicts.append(_verdict("slope_half",
+        spread = float(lnln.max() - lnln.min())
+        if spread < p["min_lnln_spread"]:
+            # a slope regression over a narrow ln|ln lam| window would be
+            # noise; record the spread instead of a fake slope claim
+            verdicts = [_verdict("slope_grid_narrow", True, spread,
+                                 p["min_lnln_spread"], 0.0)]
+        else:
+            verdicts = [_verdict("slope_half",
                                  p["slope_lo"] <= slope <= p["slope_hi"],
                                  slope, 0.5,
-                                 0.5 * (p["slope_hi"] - p["slope_lo"])))
+                                 0.5 * (p["slope_hi"] - p["slope_lo"]))]
         verdicts.append(_verdict("rows_ordered",
                                  all(r[2] <= r[3] for r in rows),
                                  max(r[2] - r[3] for r in rows), 0.0, 0.0))
     if "endpoint" in p:
         e = p["endpoint"]
         m_e = float(e["m"])
-        alpha, beta = float(e["alpha"]), float(e["beta"])
-        half = float(e["half_height"])
-        d_e = float(e["delta"])
+        alpha, beta = e["alpha"], e["beta"]
+        half, d_e = e["half_height"], e["delta"]
         # the Gaussian floor is taken over the rectangle itself
         eps_minus = math.exp(-sc.b * max(alpha * alpha, beta * beta))
         with _WarningBox() as box:
@@ -483,15 +462,13 @@ def cmd_scaling(sc: Scenario, out: Path):
                 float(p["r"]), m_e, d_e, alpha, beta, half, eps_minus)
         target = (1.0 - 2.0 * d_e) * half * math.sqrt(sc.b) / math.pi
         ratio = rep.count / m_e / target
-        _write_csv(out, "modelops.csv",
-                   ("m", "operator", "threshold", "count", "ratio", "target",
-                    "precision_bits", "warnings"),
+        _write_csv(out, "modelops.csv", _MODELOPS_HEADER,
                    [(m_e, "g_sinc_inscribed", s_cert, rep.count,
                      rep.count / m_e, target, rep.precision_bits,
                      "; ".join(rep.warnings) or box.text)])
         verdicts.append(_verdict("endpoint_density",
-                                 abs(ratio - 1.0) <= float(e["tol"]), ratio,
-                                 1.0, float(e["tol"])))
+                                 abs(ratio - 1.0) <= e["tol"], ratio, 1.0,
+                                 e["tol"]))
     return verdicts
 
 
@@ -583,13 +560,9 @@ def run(argv=None) -> int:
         print(schema_json())
         return 0
     try:
-        sc = load_scenario(args.config)
-        if args.j is not None:
-            sc.j = band_index(args.j, _disc(sc))
-        if args.precision_bits is not None:
-            if args.precision_bits < 64:
-                raise ScenarioError("precision_bits must be at least 64")
-            sc.precision_bits = args.precision_bits
+        sc = load_scenario(args.config, **{
+            key: getattr(args, key) for key in ("j", "precision_bits")
+            if getattr(args, key) is not None})
         out = Path(args.out if args.out is not None else sc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "scenario.json", "w", encoding="utf-8") as fh:
@@ -608,14 +581,11 @@ def run(argv=None) -> int:
             name = args.subcommand
             verdicts = _COMMANDS[args.subcommand](sc, out)
         _write_summary(out, name, sc, verdicts)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EdgegapError as exc:
-        # remaining domain errors mean the config asked for something the
+        # an invalid scenario, or a config that asked for something the
         # scenario cannot supply
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,13 @@
 A scenario bundles the field strength, the edge profile, the perturbation,
 the discretization budgets and the sweep grids behind one validated object;
 the command-line front end consumes nothing else.  Configs are single JSON
-documents whose schema is emitted by `schema_json`; every load re-validates
-the gap condition, polygon simplicity and grid sanity, so downstream code
+documents.  `SCHEMA` (printed by `schema_json`) is the one home of every
+field's type, finiteness, range and default: `validate` walks the whole
+document against it, verify blocks included, before any object is built,
+so a field of the wrong type, a NaN or infinity, or a value out of range
+is a ScenarioError naming the field.  What relates two fields (the gap
+condition, lo < hi, stop <= start, j <= fiber.n/10, polygon simplicity
+and containment) is checked as the objects are built, so downstream code
 never sees a half-formed scenario.
 """
 
@@ -13,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
 
 from .errors import EdgegapError, ScenarioError
 from .fiber import FiberDiscretization
@@ -28,27 +34,210 @@ _POTENTIAL_KEYS = {
     "smooth_monotone": ("w_minus", "w_plus", "center", "width"),
 }
 
-# Verdict tolerances are config-owned; these are the documented defaults
-# merged under whatever the config's "verify" block provides.
-VERIFY_DEFAULTS = {
-    "p21": {"k_lo": -10.0, "k_hi": 10.0, "points": 401,
-            "monotone_tol": 1e-9, "edge_tol": 1e-3},
-    "tep2": {"k_list": [4.0, 5.0, 6.0], "tol": 0.05,
-             "j2_k": 6.0, "j2_tol": 0.10},
-    "teth1": {"k_near": 4.0, "k_far": 6.0, "far_max": 0.2},
-    "lau25": {"k_ratio": 5.0, "ratio_tol": 0.05,
-              "erfc_k": [0.5, 1.0, 2.0, 3.0], "erfc_tol": 1e-8},
-    "kms": {"window": [0.25, 2.25], "m_trace": 160, "m_count": 300,
-            "trace_tol": 1e-10, "l2_tol": 0.02, "l3_tol": 0.03,
-            "s": 0.5, "count_tol": 0.05},
-    "sandwich": {"lam": 1e-4, "eps": 0.3, "r": 1.0, "slack": 3},
-    "weylkyfan": {"trials": 1000, "dim": 8, "seed": 20260822},
-    "effective": {"eps": 0.3, "spread_tol": 1},
-    "bs": {"j_sum": 6, "route_r": [0.5, 1.0, 2.0], "cross_eps": 0.3,
-           "cross_slack": 2},
-    "scaling": {"r": 1.0, "delta": 0.1, "slope_lo": 0.35, "slope_hi": 0.65,
-                "flat_tol": 0.2, "min_lnln_spread": 0.8},
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_POSITIVE = {"exclusiveMinimum": 0}
+_POSITIVE_NUMBER = {**_NUMBER, **_POSITIVE}
+_TOL = {"minimum": 0}
+_OPEN_UNIT = {"exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_OPEN_HALF = {"exclusiveMinimum": 0, "exclusiveMaximum": 0.5}
+_POLYGON = {"type": "array", "minItems": 3,
+            "items": {**_NUMBERS, "minItems": 2, "maxItems": 2}}
+
+
+def _num(default, **more):
+    return {"type": "number", "default": default, **more}
+
+
+def _int(default, **more):
+    return {"type": "integer", "default": default, **more}
+
+
+def _object(properties, **more):
+    """Schema of an object that admits only the listed keys."""
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties, **more}
+
+
+# Verdict tolerances are config-owned; each check's defaults are merged
+# under whatever the config's "verify" block provides.
+_VERIFY = {
+    "p21": {"k_lo": _num(-10.0), "k_hi": _num(10.0),
+            "points": _int(401, minimum=2),
+            "monotone_tol": _num(1e-9, **_TOL), "edge_tol": _num(1e-3, **_TOL)},
+    "tep2": {"k_list": {**_NUMBERS, "default": [4.0, 5.0, 6.0]},
+             "tol": _num(0.05, **_TOL), "j2_k": _num(6.0),
+             "j2_tol": _num(0.10, **_TOL)},
+    "teth1": {"k_near": _num(4.0), "k_far": _num(6.0),
+              "far_max": _num(0.2, **_TOL)},
+    "lau25": {"k_ratio": _num(5.0, **_POSITIVE), "ratio_tol": _num(0.05, **_TOL),
+              "erfc_k": {**_NUMBERS, "default": [0.5, 1.0, 2.0, 3.0]},
+              "erfc_tol": _num(1e-8, **_TOL)},
+    "kms": {"window": {**_NUMBERS, "minItems": 2, "maxItems": 2,
+                       "default": [0.25, 2.25]},
+            "m_trace": _num(160, **_POSITIVE), "m_count": _num(300, **_POSITIVE),
+            "trace_tol": _num(1e-10, **_TOL), "l2_tol": _num(0.02, **_TOL),
+            "l3_tol": _num(0.03, **_TOL), "s": _num(0.5, **_POSITIVE),
+            "count_tol": _num(0.05, **_TOL)},
+    "sandwich": {"lam": _num(1e-4, **_POSITIVE), "eps": _num(0.3, **_OPEN_UNIT),
+                 "r": _num(1.0, **_POSITIVE), "slack": _int(3, minimum=0)},
+    "weylkyfan": {"trials": _int(1000, minimum=0), "dim": _int(8, minimum=1),
+                  "seed": _int(20260822, minimum=0)},
+    "effective": {"eps": _num(0.3, **_OPEN_UNIT), "spread_tol": _num(1, **_TOL)},
+    "bs": {"j_sum": _int(6, minimum=1),
+           "route_r": {"type": "array", "items": _POSITIVE_NUMBER,
+                       "default": [0.5, 1.0, 2.0]},
+           "cross_eps": _num(0.3, **_OPEN_UNIT),
+           "cross_slack": _int(2, minimum=0)},
+    "scaling": {"r": _num(1.0, **_POSITIVE), "delta": _num(0.1, **_OPEN_HALF),
+                "slope_lo": _num(0.35), "slope_hi": _num(0.65),
+                "flat_tol": _num(0.2, **_TOL),
+                "min_lnln_spread": _num(0.8, **_TOL),
+                "endpoint": _object({
+                    "m": _POSITIVE_NUMBER, "alpha": _POSITIVE_NUMBER,
+                    "beta": _POSITIVE_NUMBER, "half_height": _POSITIVE_NUMBER,
+                    "delta": {**_NUMBER, **_OPEN_HALF},
+                    "tol": {**_NUMBER, **_TOL}},
+                    required=["m", "alpha", "beta", "half_height", "delta",
+                              "tol"],
+                    description="inscribed-rectangle density check")},
 }
+
+SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "edgegap scenario",
+    **_object({
+        "b": _num(1.0, **_POSITIVE, description="magnetic field strength"),
+        "edge_potential": _object({
+            "type": {"enum": list(_POTENTIAL_KEYS)},
+            "w_minus": _NUMBER, "w_plus": _NUMBER, "x0": _NUMBER,
+            "delta": _NUMBER, "center": _NUMBER,
+            "width": _POSITIVE_NUMBER,
+            "breakpoints": _NUMBERS, "values": _NUMBERS,
+        }, type=["object", "null"], required=["type"],
+            description="monotone edge profile W; null for the free case"),
+        "perturbation": _object({
+            "type": {"enum": ["polygon_indicator"]},
+            "vertices": _POLYGON,
+            "amplitude": _num(1.0, **_POSITIVE),
+            "omega_minus": {**_POLYGON, "type": ["array", "null"],
+                            "description": "inner sandwich polygon"},
+            "omega_plus": {**_POLYGON, "type": ["array", "null"],
+                           "description": "outer sandwich polygon"},
+            "c0_minus": {"type": ["number", "null"], **_POSITIVE},
+            "c0_plus": {"type": ["number", "null"], **_POSITIVE},
+        }, type=["object", "null"], required=["type", "vertices"],
+            description="compact electric perturbation V"),
+        "quadrature": _object({
+            "k_panels": _int(8, minimum=1), "k_nodes": _int(16, minimum=1),
+            "x_nodes": _int(20, minimum=1), "x_rate": _num(40.0, **_POSITIVE),
+            "y_order": _int(0, minimum=0),
+        }, default={}),
+        "fiber": _object({
+            "n": _int(2001, description="grid points; at least 200"),
+            "half_width": {"type": ["number", "null"], **_POSITIVE,
+                           "default": None,
+                           "description": "at least 8/sqrt(b); null for "
+                                          "12/sqrt(b)"},
+        }, default={}),
+        "j": _int(1, minimum=1, description="band index, at most fiber.n/10"),
+        "a_momentum": _num(0.0, description="momentum cutoff A of the "
+                                            "truncated kernels"),
+        "envelope_delta": _num(0.1, **_OPEN_HALF),
+        "precision_bits": _int(512, minimum=64,
+                               description="accepted for compatibility; no "
+                                           "effect, since every count runs "
+                                           "in double precision"),
+        "k_grid": _object({"lo": _num(-10.0), "hi": _num(10.0),
+                           "points": _int(401, minimum=2)}, default={}),
+        "lambda_grid": _object({
+            "start": _num(1e-3, **_POSITIVE), "stop": _num(1e-8, **_POSITIVE),
+            "ratio": _num(10.0, exclusiveMinimum=1),
+        }, default={}, description="geometric grid of gap depths"),
+        "m_grid": {"type": "array", "items": _POSITIVE_NUMBER,
+                   "default": [50, 100, 200, 300]},
+        "out_dir": {"type": "string", "default": "out"},
+        "normalize_x_plus": {"type": "boolean", "default": False,
+                             "description": "persist a copy shifted so the "
+                                            "saturation onset sits at x = 0"},
+        "_normalized_shift": {**_NUMBER, "description": "shift a normalized "
+                                                        "mirror was moved by"},
+        "verify": _object({name: _object(props, default={})
+                           for name, props in _VERIFY.items()},
+                          default={}, description="per-check parameter and "
+                                                  "tolerance overrides"),
+    }),
+}
+
+_NOUNS = {"object": "an object", "array": "an array", "string": "a string",
+          "boolean": "a boolean", "null": "null", "integer": "an integer",
+          "number": "a finite number"}
+_PYTYPES = {"object": dict, "array": (list, tuple), "string": str,
+            "boolean": bool, "null": type(None), "integer": int}
+_BOUNDS = (("minimum", operator.lt, "at least"),
+           ("exclusiveMinimum", operator.le, "greater than"),
+           ("maximum", operator.gt, "at most"),
+           ("exclusiveMaximum", operator.ge, "less than"))
+
+
+def _is(value, kind: str) -> bool:
+    if isinstance(value, bool):
+        return kind == "boolean"
+    if kind == "number":
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and math.isfinite(value))
+    return isinstance(value, _PYTYPES[kind])
+
+
+def validate(value, schema: dict = SCHEMA, path: str = "config"):
+    """value checked against schema, with every absent property that has a
+    default filled in (nested blocks included).
+
+    Walks the subset of JSON Schema that SCHEMA uses: type, enum, the four
+    bounds, items/minItems/maxItems and properties/required/
+    additionalProperties.  Stricter than JSON Schema in two ways: a number
+    must be finite, and an integer must be written as one (2, not 2.0).
+    Raises ScenarioError naming the dotted path of the offending field.
+    """
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_is(value, kind) for kind in kinds):
+        raise ScenarioError(f"{path} must be "
+                            f"{' or '.join(_NOUNS[k] for k in kinds)}, "
+                            f"got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ScenarioError(f"{path} must be one of {schema['enum']}, "
+                            f"got {value!r}")
+    if _is(value, "number"):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                raise ScenarioError(f"{path} must be {words} {schema[key]}, "
+                                    f"got {value!r}")
+    if isinstance(value, (list, tuple)):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            raise ScenarioError(f"{path} must have {lo} to {hi} entries, "
+                                f"got {len(value)}")
+        return [validate(item, schema.get("items", {}), f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ScenarioError(f"{path}.{key} is required")
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in props:
+                    raise ScenarioError(f"{path}.{key} is not a known field")
+        filled = {key: sub["default"] for key, sub in props.items()
+                  if "default" in sub}
+        filled.update(value)
+        return {key: validate(item, props.get(key, {}), f"{path}.{key}")
+                for key, item in filled.items()}
+    return value
+
+
+VERIFY_DEFAULTS = validate({}, SCHEMA["properties"]["verify"], "config.verify")
 
 
 @dataclass(frozen=True)
@@ -62,8 +251,6 @@ class GridSpec:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ScenarioError("k grid needs lo < hi")
-        if self.points < 2:
-            raise ScenarioError("k grid needs at least 2 points")
 
     def values(self):
         import numpy as np
@@ -79,10 +266,8 @@ class LambdaGrid:
     ratio: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.stop <= self.start:
-            raise ScenarioError("lambda grid needs 0 < stop <= start")
-        if self.ratio <= 1.0:
-            raise ScenarioError("lambda grid ratio must exceed 1")
+        if not self.stop <= self.start:
+            raise ScenarioError("lambda grid needs stop <= start")
 
     def values(self):
         out, lam = [], self.start
@@ -95,31 +280,29 @@ class LambdaGrid:
 
 @dataclass
 class Scenario:
-    """One validated experiment description."""
+    """One validated experiment description; SCHEMA holds the defaults."""
 
-    b: float = 1.0
-    w: EdgePotential = None
-    v: Perturbation = None
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    fiber_n: int = 2001
-    fiber_half_width: float = None
-    j: int = 1
-    a_momentum: float = 0.0
-    envelope_delta: float = 0.1
+    b: float
+    w: EdgePotential
+    v: Perturbation
+    quad: QuadratureSpec
+    fiber_n: int
+    fiber_half_width: float
+    j: int
+    a_momentum: float
+    envelope_delta: float
     # loadable for old configs; every count runs in double precision
-    precision_bits: int = 512
-    k_grid: GridSpec = field(default_factory=GridSpec)
-    lam_grid: LambdaGrid = field(default_factory=LambdaGrid)
-    m_grid: tuple = (50, 100, 200, 300)
-    out_dir: str = "out"
-    normalize_x_plus: bool = False
-    verify: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    precision_bits: int
+    k_grid: GridSpec
+    lam_grid: LambdaGrid
+    m_grid: tuple
+    out_dir: str
+    normalize_x_plus: bool
+    verify: dict
+    raw: dict
 
     def verify_params(self, name: str) -> dict:
-        merged = dict(VERIFY_DEFAULTS.get(name, {}))
-        merged.update(self.verify.get(name, {}))
-        return merged
+        return {**VERIFY_DEFAULTS[name], **self.verify.get(name, {})}
 
     @property
     def source_hash(self) -> str:
@@ -132,140 +315,86 @@ class Scenario:
 def _build_potential(spec) -> EdgePotential:
     if spec is None:
         return None
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ScenarioError("edge_potential must be an object with a 'type'")
     kind = spec["type"]
-    if kind not in _POTENTIAL_KEYS:
-        raise ScenarioError(f"unknown edge_potential type {kind!r}")
-    kwargs = {key: spec[key] for key in _POTENTIAL_KEYS[kind] if key in spec}
     extra = set(spec) - set(_POTENTIAL_KEYS[kind]) - {"type"}
     if extra:
         raise ScenarioError(f"edge_potential has unknown keys {sorted(extra)}")
-    if kind == "piecewise_constant":
-        kwargs["breakpoints"] = tuple(kwargs.get("breakpoints", ()))
-        kwargs["values"] = tuple(kwargs.get("values", ()))
     try:
-        return EdgePotential(kind=kind, **kwargs)
-    except (EdgegapError, ValueError, TypeError) as exc:
+        return EdgePotential(kind=kind, **{key: spec[key] for key in
+                                           _POTENTIAL_KEYS[kind] if key in spec})
+    except (EdgegapError, ValueError) as exc:
         raise ScenarioError(f"invalid edge_potential: {exc}") from exc
 
 
 def _polygon(vertices, label: str) -> PolygonDomain:
+    if vertices is None:
+        return None
     try:
-        return PolygonDomain([(float(x), float(y)) for x, y in vertices])
-    except (EdgegapError, ValueError, TypeError) as exc:
+        return PolygonDomain(vertices)
+    except ValueError as exc:
         raise ScenarioError(f"invalid {label} polygon: {exc}") from exc
 
 
 def _build_perturbation(spec) -> Perturbation:
     if spec is None:
         return None
-    if not isinstance(spec, dict) or spec.get("type") != "polygon_indicator":
-        raise ScenarioError("perturbation must have type 'polygon_indicator'")
-    if "vertices" not in spec:
-        raise ScenarioError("perturbation needs a 'vertices' list")
-    kwargs = {
-        "support": _polygon(spec["vertices"], "support"),
-        "amplitude": float(spec.get("amplitude", 1.0)),
-    }
-    for key in ("omega_minus", "omega_plus"):
-        if spec.get(key) is not None:
-            kwargs[key] = _polygon(spec[key], key)
+    kwargs = {key: _polygon(spec.get(key), key)
+              for key in ("omega_minus", "omega_plus")}
     for key in ("c0_minus", "c0_plus"):
         if spec.get(key) is not None:
             kwargs[key] = float(spec[key])
     try:
-        return Perturbation(**kwargs)
-    except (EdgegapError, ValueError) as exc:
+        return Perturbation(support=_polygon(spec["vertices"], "support"),
+                            amplitude=float(spec["amplitude"]), **kwargs)
+    except ValueError as exc:
         raise ScenarioError(f"invalid perturbation: {exc}") from exc
 
 
-def band_index(j: int, disc: FiberDiscretization) -> int:
-    """j, once checked to be a band the fiber grid resolves: 1 <= j <= n/10."""
-    if not 1 <= j <= disc.max_levels:
-        raise ScenarioError(f"band index j must lie in [1, {disc.max_levels}] "
-                            f"for fiber.n = {disc.n}, got {j}")
-    return j
-
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("config root must be a JSON object")
-    known = {"b", "edge_potential", "perturbation", "quadrature", "fiber",
-             "j", "a_momentum", "envelope_delta", "precision_bits",
-             "k_grid", "lambda_grid", "m_grid", "out_dir",
-             "normalize_x_plus", "verify", "_normalized_shift"}
-    extra = set(doc) - known
-    if extra:
-        raise ScenarioError(f"unknown config keys {sorted(extra)}")
-
-    b = float(doc.get("b", 1.0))
-    if not (math.isfinite(b) and b > 0):
-        raise ScenarioError("field strength b must be positive and finite")
-    w = _build_potential(doc.get("edge_potential"))
+def scenario_from_dict(doc: dict, **overrides) -> Scenario:
+    """The scenario a config document describes.  overrides (the CLI's
+    --j and --precision-bits) are merged into the document and validated
+    again, so the hash covers them like any other field."""
+    fields = validate(doc)
+    if overrides:
+        doc = {**doc, **overrides}
+        fields = validate(doc)
+    b = float(fields["b"])
+    w = _build_potential(fields.get("edge_potential"))
     if w is not None and not gap_condition(w, b):
         raise ScenarioError(
             f"gap condition fails: W_+ - W_- = "
             f"{w.w_plus_limit - w.w_minus_limit} >= 2b = {2 * b}")
-    v = _build_perturbation(doc.get("perturbation"))
+    v = _build_perturbation(fields.get("perturbation"))
 
-    quad_doc = doc.get("quadrature", {})
-    try:
-        quad = QuadratureSpec(**quad_doc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid quadrature block: {exc}") from exc
-
-    fiber_doc = doc.get("fiber", {})
-    fiber_n = int(fiber_doc.get("n", 2001))
-    half_width = fiber_doc.get("half_width")
-    if half_width is not None:
-        half_width = float(half_width)
+    fiber = fields["fiber"]
     try:
         # the same check FiberDiscretization makes later, as a config error
-        disc = FiberDiscretization(b=b, w=w, n=fiber_n, half_width=half_width)
+        disc = FiberDiscretization(b=b, w=w, **fiber)
     except ValueError as exc:
         raise ScenarioError(f"invalid fiber block: {exc}") from exc
+    j = fields["j"]
+    if j > disc.max_levels:
+        raise ScenarioError(f"band index j must lie in [1, {disc.max_levels}] "
+                            f"for fiber.n = {disc.n}, got {j}")
 
-    j = band_index(int(doc.get("j", 1)), disc)
-    envelope_delta = float(doc.get("envelope_delta", 0.1))
-    if not 0.0 < envelope_delta < 0.5:
-        raise ScenarioError("envelope_delta must lie in (0, 1/2)")
-    precision_bits = int(doc.get("precision_bits", 512))
-    if precision_bits < 64:
-        raise ScenarioError("precision_bits must be at least 64")
-
-    k_doc = doc.get("k_grid", {})
-    k_grid = GridSpec(**{key: k_doc[key] for key in ("lo", "hi", "points")
-                         if key in k_doc})
-    lam_doc = doc.get("lambda_grid", {})
-    lam_grid = LambdaGrid(**{key: float(lam_doc[key])
-                             for key in ("start", "stop", "ratio")
-                             if key in lam_doc})
-    m_grid = tuple(float(m) for m in doc.get("m_grid", (50, 100, 200, 300)))
-    if any(m <= 0 for m in m_grid):
-        raise ScenarioError("m_grid entries must be positive")
+    m_grid = tuple(float(m) for m in fields["m_grid"])
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
         raise ScenarioError("m_grid must be strictly increasing")
 
-    verify = doc.get("verify", {})
-    if not isinstance(verify, dict):
-        raise ScenarioError("verify block must be an object")
-    unknown_checks = set(verify) - set(VERIFY_DEFAULTS)
-    if unknown_checks:
-        raise ScenarioError(f"unknown verify blocks {sorted(unknown_checks)}")
-
-    return Scenario(b=b, w=w, v=v, quad=quad, fiber_n=fiber_n,
-                    fiber_half_width=half_width, j=j,
-                    a_momentum=float(doc.get("a_momentum", 0.0)),
-                    envelope_delta=envelope_delta,
-                    precision_bits=precision_bits,
-                    k_grid=k_grid, lam_grid=lam_grid, m_grid=m_grid,
-                    out_dir=str(doc.get("out_dir", "out")),
-                    normalize_x_plus=bool(doc.get("normalize_x_plus", False)),
-                    verify=verify, raw=doc)
+    return Scenario(b=b, w=w, v=v, quad=QuadratureSpec(**fields["quadrature"]),
+                    fiber_n=fiber["n"], fiber_half_width=fiber["half_width"],
+                    j=j, a_momentum=float(fields["a_momentum"]),
+                    envelope_delta=float(fields["envelope_delta"]),
+                    precision_bits=fields["precision_bits"],
+                    k_grid=GridSpec(**fields["k_grid"]),
+                    lam_grid=LambdaGrid(**{key: float(x) for key, x in
+                                           fields["lambda_grid"].items()}),
+                    m_grid=m_grid, out_dir=fields["out_dir"],
+                    normalize_x_plus=fields["normalize_x_plus"],
+                    verify=doc.get("verify", {}), raw=doc)
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, **overrides) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -273,7 +402,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"config {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(doc, **overrides)
 
 
 def normalized_scenario(sc: Scenario) -> Scenario:
@@ -361,104 +490,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
     if "_normalized_shift" in sc.raw:
         doc["_normalized_shift"] = sc.raw["_normalized_shift"]
     return doc
-
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "edgegap scenario",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "b": {"type": "number", "exclusiveMinimum": 0, "default": 1.0,
-              "description": "magnetic field strength"},
-        "edge_potential": {
-            "type": ["object", "null"],
-            "description": "monotone edge profile W; null for the free case",
-            "properties": {
-                "type": {"enum": list(_POTENTIAL_KEYS)},
-                "w_minus": {"type": "number"},
-                "w_plus": {"type": "number"},
-                "x0": {"type": "number"},
-                "delta": {"type": "number"},
-                "center": {"type": "number"},
-                "width": {"type": "number"},
-                "breakpoints": {"type": "array", "items": {"type": "number"}},
-                "values": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["type"],
-        },
-        "perturbation": {
-            "type": ["object", "null"],
-            "description": "compact electric perturbation V",
-            "properties": {
-                "type": {"const": "polygon_indicator"},
-                "vertices": {"type": "array", "items": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number"}}},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "omega_minus": {"type": "array",
-                                "description": "inner sandwich polygon"},
-                "omega_plus": {"type": "array",
-                               "description": "outer sandwich polygon"},
-                "c0_minus": {"type": "number"},
-                "c0_plus": {"type": "number"},
-            },
-            "required": ["type", "vertices"],
-        },
-        "quadrature": {
-            "type": "object",
-            "properties": {
-                "k_panels": {"type": "integer", "default": 8},
-                "k_nodes": {"type": "integer", "default": 16},
-                "x_nodes": {"type": "integer", "default": 20},
-                "x_rate": {"type": "number", "default": 40.0},
-                "y_order": {"type": "integer", "default": 0},
-            },
-        },
-        "fiber": {
-            "type": "object",
-            "properties": {
-                "n": {"type": "integer", "default": 2001},
-                "half_width": {"type": ["number", "null"], "default": None},
-            },
-        },
-        "j": {"type": "integer", "minimum": 1, "default": 1},
-        "a_momentum": {"type": "number", "default": 0.0,
-                       "description": "momentum cutoff A of the truncated kernels"},
-        "envelope_delta": {"type": "number", "exclusiveMinimum": 0,
-                           "exclusiveMaximum": 0.5, "default": 0.1},
-        "precision_bits": {"type": "integer", "minimum": 64, "default": 512,
-                           "description": "accepted for compatibility; no "
-                                          "effect, since every count runs "
-                                          "in double precision"},
-        "k_grid": {
-            "type": "object",
-            "properties": {"lo": {"type": "number", "default": -10.0},
-                           "hi": {"type": "number", "default": 10.0},
-                           "points": {"type": "integer", "default": 401}},
-        },
-        "lambda_grid": {
-            "type": "object",
-            "description": "geometric grid of gap depths",
-            "properties": {"start": {"type": "number", "default": 1e-3},
-                           "stop": {"type": "number", "default": 1e-8},
-                           "ratio": {"type": "number", "default": 10.0}},
-        },
-        "m_grid": {"type": "array", "items": {"type": "number"},
-                   "default": [50, 100, 200, 300]},
-        "out_dir": {"type": "string", "default": "out"},
-        "normalize_x_plus": {"type": "boolean", "default": False,
-                             "description": "persist a copy shifted so the "
-                                            "saturation onset sits at x = 0"},
-        "verify": {
-            "type": "object",
-            "description": "per-check parameter and tolerance overrides; "
-                           "defaults as documented",
-            "properties": {name: {"type": "object", "default": defaults}
-                           for name, defaults in VERIFY_DEFAULTS.items()},
-        },
-    },
-}
 
 
 def schema_json() -> str:

@@ -201,7 +201,7 @@ def test_criterion_10_finiteness(step01):
                 v=Perturbation(support=rect(-2.0, -1.0, 0.0, 1.0),
                                amplitude=60.0))
     # measured uppers: [1, 1, 1, 1]
-    uppers = [effective_count(1, lam, 0.5, sc)[1]
+    uppers = [effective_count(1, lam, 0.5, sc)[1].count
               for lam in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert max(uppers) - min(uppers) <= 1
     assert max(uppers) >= 1  # non-vacuous: something is actually counted
@@ -244,7 +244,8 @@ def test_criterion_11_growth_exponent_and_endpoint():
 
 
 def test_criterion_12_cross_route_consistency(coarse_scenario):
-    lo, hi = effective_count(1, 1e-3, 0.3, coarse_scenario)
+    lo, hi = (rep.count for rep in
+              effective_count(1, 1e-3, 0.3, coarse_scenario))
     n_res = bs_count(1, 1e-3, coarse_scenario, j_sum=6)
     assert lo - 2 <= n_res <= hi + 2
     full = full_line_gram(1, 1e-3, coarse_scenario)

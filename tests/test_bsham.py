@@ -19,6 +19,11 @@ from tests.conftest import Bundle
 BRACKETS = [(1e-3, (1, 2)), (1e-4, (2, 2)), (1e-5, (2, 2))]
 
 
+def bracket(*args):
+    """The (lower, upper) counts of effective_count's two reports."""
+    return tuple(rep.count for rep in effective_count(*args))
+
+
 def test_kernel_hermitian_and_psd(coarse_scenario):
     sc = coarse_scenario
     op = sjstar_sj(1, 1e-3, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b)
@@ -30,7 +35,7 @@ def test_kernel_hermitian_and_psd(coarse_scenario):
 
 def test_zero_perturbation_counts_nothing(coarse_scenario):
     empty = Bundle(w=coarse_scenario.w, v=None)
-    assert effective_count(1, 1e-4, 0.3, empty) == (0, 0)
+    assert bracket(1, 1e-4, 0.3, empty) == (0, 0)
     assert bs_count(1, 1e-4, empty) == 0
     op = sjstar_sj(1, 1e-4, 0.0, empty.quad, None, empty.w, 1.0)
     assert np.all(np.isneginf(op.kernel.log_mag))
@@ -38,11 +43,11 @@ def test_zero_perturbation_counts_nothing(coarse_scenario):
 
 @pytest.mark.parametrize("lam,expected", BRACKETS)
 def test_effective_brackets(coarse_scenario, lam, expected):
-    assert effective_count(1, lam, 0.3, coarse_scenario) == expected
+    assert bracket(1, lam, 0.3, coarse_scenario) == expected
 
 
 def test_brackets_monotone_in_depth(coarse_scenario):
-    pairs = [effective_count(1, lam, 0.3, coarse_scenario)
+    pairs = [bracket(1, lam, 0.3, coarse_scenario)
              for lam, _ in BRACKETS]
     lows, highs = zip(*pairs)
     assert list(lows) == sorted(lows) and list(highs) == sorted(highs)

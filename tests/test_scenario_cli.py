@@ -93,6 +93,12 @@ BAD_DOCS = [
     base_doc(verify={"bogus": {}}),
     base_doc(verify="tight"),
     [1, 2, 3],
+    # a misspelt key is an error, not a silently applied default
+    base_doc(fiber={"size": 2001}),
+    base_doc(k_grid={"point": 11}),
+    base_doc(verify={"kms": {"m_countt": 300}}),
+    base_doc(verify={"scaling": {"endpoint": {"m": 300, "alpha": 0.05}}}),
+    base_doc(verify={"kms": {"window": [0.25, 1.0, 2.25]}}),
 ]
 
 
@@ -320,7 +326,7 @@ def test_cli_p21_grid_below_two_points_exit(tmp_path, capsys, points):
     cfg = write_cfg(tmp_path, base_doc(verify={"p21": {"points": points}}))
     assert run(["verify", "p21", "--config", cfg,
                 "--out", str(tmp_path / "x")]) == 2
-    assert "at least 2 points" in capsys.readouterr().err
+    assert "verify.p21.points must be at least 2" in capsys.readouterr().err
 
 
 def test_cli_band_index_beyond_fiber_grid_exit(tmp_path, capsys):
@@ -446,6 +452,10 @@ def test_cli_persists_normalized_mirror(tmp_path):
     mirror = json.loads((out / "scenario_normalized.json").read_text())
     assert mirror["_normalized_shift"] == 0.25
     assert mirror["edge_potential"]["x0"] == 0.0
+    # the mirror loads again as the scenario it describes
+    reloaded = load_scenario(str(out / "scenario_normalized.json"))
+    assert reloaded.source_hash == \
+        normalized_scenario(load_scenario(cfg)).source_hash
 
 
 _LOADED_HEAVY = """
