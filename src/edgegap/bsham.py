@@ -35,6 +35,8 @@ _TAIL_REL = 1e-16
 # bs_count forms C diag(s) C^* this many momentum nodes at a time, so
 # the complex columns never exist all at once
 _MOMENTUM_BLOCK = 16
+# momenta per batched fiber solve of _resolvent_columns
+_FIBER_BLOCK = 64
 
 
 def _log_envelope(j: int, b: float, x_ref: float, k):
@@ -217,13 +219,18 @@ def _resolvent_columns(j: int, j_sum: int, scenario, quad: QuadratureSpec):
     root_v = np.sqrt(v.amplitude * ws)
     amp = np.empty((len(xs), len(k_pts) * j_sum))
     energy = np.empty(amp.shape[1])
-    for i, k in enumerate(k_pts):
-        grid = disc.grid(float(k))
-        for pair in solve_fiber(disc, float(k), j_sum):
-            c = i * j_sum + pair.j - 1
-            vec = np.interp(xs, grid, pair.values, left=0.0, right=0.0)
-            amp[:, c] = root_v * vec
-            energy[c] = pair.energy
+    # momenta in blocks, so the solver's eigenvectors stay a few MB; a
+    # block's pairs are views of one array, dropped before the next solve
+    for lo in range(0, len(k_pts), _FIBER_BLOCK):
+        block = k_pts[lo:lo + _FIBER_BLOCK]
+        for i, pairs in enumerate(solve_fiber(disc, block, j_sum), start=lo):
+            grid = disc.grid(float(k_pts[i]))
+            for pair in pairs:
+                c = i * j_sum + pair.j - 1
+                vec = np.interp(xs, grid, pair.values, left=0.0, right=0.0)
+                amp[:, c] = root_v * vec
+                energy[c] = pair.energy
+        del pairs, pair
     phase = np.exp(1j * ys[:, None] * k_pts[None, :])
     band = np.tile(np.arange(1, j_sum + 1), len(k_pts))
     return (amp, phase, np.repeat(k_wts, j_sum), band, energy,

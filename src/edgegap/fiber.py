@@ -3,12 +3,16 @@
 Second-order finite differences with Dirichlet walls on a moving window
 centered at x = k/b, where the eigenfunctions concentrate.  Energies are
 Richardson-extrapolated from a full- and half-resolution solve of the
-same window (h^4 accuracy).  Bisection runs on the half-resolution grid
-only, where it fixes which level is which; its eigenvalues seed inverse
-iteration on the full grid, whose eigenvectors give the full-grid
-energies as Rayleigh quotients.  The window is built from offsets
-s = x - k/b that do not depend on k, so an operator whose potential is
-constant is the same matrix at every momentum.
+same window (h^4 accuracy).  The eigensolver is numpy code, batched over
+(momentum, level) lanes: Sturm-count bisection on the half-resolution
+grid brackets each level alone, which fixes which level is which, and
+Rayleigh-quotient iteration converges it, each step one twisted
+factorization (Dhillon & Parlett, LAA 387, 2004) built from both walls.
+The full grid's iteration starts from the half grid's energies.  Both
+grids' energies are gradient-form Rayleigh quotients of the computed
+eigenvectors.  The window is built from offsets s = x - k/b that do not
+depend on k, so an operator whose potential is constant is the same
+matrix at every momentum.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
@@ -18,16 +22,15 @@ exactly, so their eigenpairs obey the twin identity
 
     (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>,
 
-whose right side sums the eigenvector tails where W < W_+.  Those tails
-are rebuilt in log form from a ratio recurrence run from the Dirichlet
-wall, in the direction where they grow (the componentwise accuracy
-behind twisted factorizations, Dhillon & Parlett, LAA 387, 2004), so the
-tiny difference keeps full relative accuracy in double precision.  The
-eigenvector overlap defect 1 - <v_+, v_W>^2 comes from one deflated
-solve with the same right side.  The twin gap is Richardson-extrapolated
-over the same grid pair as the energies, so every gap distance the
-package reads, from the Phi_j(k)^2 ratio checks to the resolvent
-weights of GapModel, is the one h^4-accurate number.
+whose right side sums the eigenvector tails where W < W_+.  The twisted
+factorization gives those tails in log form, as sums of the logarithms
+of pivot ratios run from each Dirichlet wall, in the direction where the
+eigenvector grows, so the tiny difference keeps full relative accuracy
+in double precision.  The eigenvector overlap defect 1 - <v_+, v_W>^2
+comes from one deflated solve with the same right side.  The twin gap is
+Richardson-extrapolated over the same grid pair as the energies, so
+every gap distance the package reads, from the Phi_j(k)^2 ratio checks
+to the resolvent weights of GapModel, is the one h^4-accurate number.
 """
 
 from __future__ import annotations
@@ -138,85 +141,364 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 _ENERGY_CONV_TOL = 1e-3
 
 
-def _rayleigh_quotients(diag, p, vecs) -> np.ndarray:
-    """Column-wise _rayleigh_quotient of vecs (n x m), the same gradient
-    form terms summed by einsum: every term is nonnegative where the
-    potential is, so the sums keep a relative accuracy of about n eps."""
-    grad = np.diff(vecs, axis=0, prepend=0.0, append=0.0)
-    num = (p * np.einsum("ij,ij->j", grad, grad)
-           + np.einsum("i,ij,ij->j", diag - 2.0 * p, vecs, vecs))
-    return num / np.einsum("ij,ij->j", vecs, vecs)
+# sweeps over at most this many lanes run as Python float loops, one lane
+# at a time: a 2001-row numpy sweep costs ~3.5 ms at any width up to a few
+# hundred lanes, the float loop ~0.33 ms a lane (2 vCPU), and both perform
+# the same IEEE operations in the same order, so a lane's bits do not
+# depend on the path
+_SCALAR_LANES = 12
+# most (momentum, level) lanes refined at once, which bounds the (n, lanes)
+# work arrays of the twisted factorizations to three of 4 MB each
+_LANE_BLOCK = 256
+# grid rows (or lanes) per numpy chunk of the bookkeeping around a sweep
+_CHUNK = 64
+# bisection stops once the level is isolated and its bracket is below
+# this fraction of 1 + |E|; Rayleigh-quotient iteration finishes it
+_BRACKET_REL = 1e-4
+_MAX_HALVINGS = 64
+# a lane's Rayleigh-quotient iteration stops once its shift moved by less
+# than this fraction of 1 + |E|: the new quotient is then within ~1e-16
+# of the eigenvalue and the vector within ~1e-8 of the eigenvector
+_RQI_REL = 1e-8
+_MAX_RQI = 8
 
 
-def _fiber_levels(disc: FiberDiscretization, k: float, j_max: int,
-                  conv_tol: float):
-    """(x, h, energies, eigenvectors) of the lowest j_max levels at k.
+def _inverse_pivots(beta, inv=None):
+    """1/rho (rows, lanes) of the LDL^T pivots D_i = p rho_i of T - sigma
+    eliminated from the first row, T = tridiag(-p, 2p + base, -p).
 
-    Bisection on the n_half grid finds its lowest j_max eigenvalues and so
-    fixes which level is which.  They seed one inverse iteration (LAPACK
-    stein) for the n-grid eigenvectors, whose Rayleigh quotients are the
-    n-grid energies.  The energies are those Richardson-extrapolated with
-    the n_half ones; an h^2 correction above conv_tol raises
-    ConvergenceFailure.  The guard rejects a vector that converged to
-    another level whenever it misses its seed by more than 3 conv_tol;
-    levels may lie closer than that (gap_condition only asks
-    W_+ - W_- < 2b), and there stein can return two vectors swapped, each
-    near its seed.  The energies are then out of order, so they must
-    also increase strictly, which band_table's interlacing relies on.
+    beta = 2 + (base - sigma)/p, one column per lane, and
+    rho_i = beta_i - 1/rho_{i-1}, continued from the inverses inv of the
+    row above (default the wall, rho_{-1} = inf).  Where T lies above
+    sigma, rho_i = z_{i+1}/z_i > 1 is the ratio by which a solution grows
+    away from the wall.  A zero pivot gives inf and its successor -inf,
+    on the Python path as in numpy.
     """
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dstein
+    rows, lanes = beta.shape
+    inv = np.zeros(lanes) if inv is None else inv
+    if lanes <= _SCALAR_LANES:
+        cols = []
+        for col, x in zip(beta.T.tolist(), inv.tolist()):
+            out = []
+            for b in col:
+                rho = b - x
+                try:
+                    x = 1.0 / rho
+                except ZeroDivisionError:
+                    x = math.copysign(math.inf, rho)
+                out.append(x)
+            cols.append(out)
+        return np.array(cols).reshape(lanes, rows).T
+    out = np.empty((rows, lanes))
+    tmp = np.empty(lanes)
+    subtract, reciprocal = np.subtract, np.reciprocal
+    with np.errstate(divide="ignore"):
+        for b, row in zip(beta, out):
+            subtract(b, inv, tmp)
+            reciprocal(tmp, row)
+            inv = row
+    return out
+
+
+def _sturm_counts(base, p, lam, active=None):
+    """Eigenvalues of T = tridiag(-p, 2p + base, -p) below lam, per lane:
+    the negative pivots of _inverse_pivots, run over _CHUNK rows at a
+    time.  base is (n, K), lam (K, M): lane (k, m) is column k at shift
+    lam[k, m].  Lanes outside the boolean mask active may come back as 0
+    (the Python path skips them).
+    """
+    if active is None or lam.size > _SCALAR_LANES:
+        active = np.ones(lam.shape, dtype=bool)
+    ik, im = np.nonzero(active)
+    shift = lam[ik, im]
+    neg = np.zeros(len(ik), dtype=np.intp)
+    inv = None
+    for lo in range(0, len(base), _CHUNK):
+        rows = base[lo:lo + _CHUNK, ik]
+        rows -= shift
+        rows /= p
+        rows += 2.0
+        inv = _inverse_pivots(rows, inv)
+        neg += np.count_nonzero(inv < 0.0, axis=0)
+        inv = inv[-1]
+    counts = np.zeros(lam.shape, dtype=np.intp)
+    counts[ik, im] = neg
+    return counts
+
+
+def _isolate(base, p, level, lo, hi, width=math.inf):
+    """Brackets [lo, hi) holding eigenvalue number `level` of each lane alone.
+
+    Lane (k, m) of base (n, K) and lo, hi (K, M) is checked by two Sturm
+    counts: exactly level - 1 eigenvalues below lo and level below hi.
+    A lane whose start bracket fails restarts from its Gershgorin
+    interval.  Bisection then runs until every lane is isolated and its
+    bracket is narrower than width (1 + |hi|); each lane stops on its
+    own, so its bracket does not depend on the other lanes.
+    """
+    level = np.broadcast_to(level, lo.shape)
+    c_lo, c_hi = (_sturm_counts(base, p, x) for x in (lo, hi))
+    bad = (c_lo >= level) | (c_hi < level)
+    if bad.any():
+        # every eigenvalue lies within 2p of the diagonal 2p + base
+        g_lo = base.min(axis=0)[:, None]
+        g_hi = base.max(axis=0)[:, None] + 4.0 * p + 1.0
+        lo, hi = np.where(bad, g_lo, lo), np.where(bad, g_hi, hi)
+        c_lo, c_hi = np.where(bad, 0, c_lo), np.where(bad, base.shape[0], c_hi)
+    for _ in range(_MAX_HALVINGS):
+        done = ((c_lo == level - 1) & (c_hi == level)
+                & (hi - lo <= width * (1.0 + np.abs(hi))))
+        if done.all():
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        c = _sturm_counts(base, p, mid, ~done)
+        up, down = ~done & (c >= level), ~done & (c < level)
+        hi, c_hi = np.where(up, mid, hi), np.where(up, c, c_hi)
+        lo, c_lo = np.where(down, mid, lo), np.where(down, c, c_lo)
+    raise ConvergenceFailure("bisection did not isolate a fiber level")
+
+
+def _twisted(beta):
+    """(1/rho+, 1/rho-, r): inverse forward and backward pivots of
+    T - sigma (beta = 2 + (base - sigma)/p) and, per lane, the twist
+    r = argmin |gamma_r| with gamma_r / p = rho+_r + rho-_r - beta_r
+    (Dhillon & Parlett, LAA 387, 2004).  The solution of
+    (T - sigma) z = gamma_r e_r with z_r = 1 is z_i = z_{i+1} / rho+_i
+    left of r and z_i = z_{i-1} / rho-_i right of it: each factor comes
+    from the wall on its side, where z grows."""
+    inv_f = _inverse_pivots(beta)
+    inv_b = _inverse_pivots(beta[::-1])[::-1]
+    best = np.full(beta.shape[1], np.inf)
+    r = np.zeros(beta.shape[1], dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(beta), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            gamma = np.abs(1.0 / inv_f[rows] + 1.0 / inv_b[rows] - beta[rows])
+            at = np.argmin(gamma, axis=0)
+            low = np.take_along_axis(gamma, at[None], axis=0)[0]
+            # strict: the first minimum wins, as in one argmin
+            better = low < best
+            best = np.where(better, low, best)
+            r = np.where(better, lo + at, r)
+    return inv_f, inv_b, r
+
+
+def _twisted_vectors(beta):
+    """Eigenvector estimates z (n, lanes), z_r = 1, from one twisted
+    factorization at each lane's shift (see _twisted), built in place of
+    the pivot arrays."""
+    inv_f, inv_b, r = _twisted(beta)
+    idx = np.arange(len(inv_f))[:, None]
+    inv_f[idx >= r] = 1.0
+    inv_b[idx <= r] = 1.0
+    np.cumprod(inv_f[::-1], axis=0, out=inv_f[::-1])
+    np.cumprod(inv_b, axis=0, out=inv_b)
+    inv_f *= inv_b
+    return inv_f
+
+
+def _log_vectors(beta):
+    """(ln|v|, sign v), each (lanes, n), of the unit eigenvectors from one
+    twisted factorization at each lane's shift, with no product formed:
+    ln|z| sums ln|1/rho| from the twist outward, so the tails keep their
+    relative accuracy far below the double range."""
+    inv_f, inv_b, r = _twisted(beta)
+    idx = np.arange(len(inv_f))[:, None]
+    left, right = idx < r, idx > r
+    log_z = (np.cumsum(np.log(np.abs(np.where(left, inv_f, 1.0)))[::-1],
+                       axis=0)[::-1]
+             + np.cumsum(np.log(np.abs(np.where(right, inv_b, 1.0))), axis=0))
+    flips = (np.cumsum((left & (inv_f < 0.0))[::-1], axis=0)[::-1]
+             + np.cumsum(right & (inv_b < 0.0), axis=0))
+    log_z = np.ascontiguousarray(log_z.T)
+    sign = np.ascontiguousarray(np.where(flips % 2, -1.0, 1.0).T)
+    top = log_z.max(axis=1, keepdims=True)
+    log_z -= top + 0.5 * np.log(
+        np.exp(2.0 * (log_z - top)).sum(axis=1, keepdims=True))
+    return log_z, sign
+
+
+def _rayleigh_quotients(base, p, vecs, ik, out=None):
+    """Rayleigh quotients of the columns of vecs (n, lanes) for
+    T = tridiag(-p, 2p + base[:, ik], -p), and the unit vectors as rows
+    of out (lanes, n) if given.
+
+    The gradient form p sum (v_{i+1} - v_i)^2 + sum base_i v_i^2 (zero
+    walls) never forms the O(p) terms that cancel: every term is
+    nonnegative where the potential is, so the sums keep a relative
+    accuracy of about log2(n) eps.  They are pairwise sums along
+    contiguous rows, the same for a lane whatever its batch, taken
+    _CHUNK lanes at a time.
+    """
+    quot = np.empty(vecs.shape[1])
+    for lo in range(0, vecs.shape[1], _CHUNK):
+        lanes = slice(lo, lo + _CHUNK)
+        v = np.ascontiguousarray(vecs[:, lanes].T)
+        grad = np.diff(v, axis=1, prepend=0.0, append=0.0)
+        norm2 = (v * v).sum(axis=1)
+        quot[lanes] = (p * (grad * grad).sum(axis=1)
+                       + (base[:, ik[lanes]].T * v * v).sum(axis=1)) / norm2
+        if out is not None:
+            np.divide(v, np.sqrt(norm2)[:, None], out=out[lanes])
+    return quot
+
+
+def _refine(base, p, sigma, vectors=False):
+    """(energies, vectors) by Rayleigh-quotient iteration from the shifts
+    sigma (K, M) on the columns of base (n, K).
+
+    Each step is one twisted factorization at the lane's shift, and the
+    Rayleigh quotient of its vector is the next shift.  A lane stops once
+    its shift moved by less than _RQI_REL (1 + |E|); its energy is that
+    last quotient and its vector the one it came from, unit-normalized,
+    in vectors[k, m] (K, M, n) if asked for (else None).  Lanes run in
+    blocks of _LANE_BLOCK; a lane's result does not depend on its block.
+    """
+    sigma = sigma.astype(float)
+    vecs = np.empty(sigma.shape + (base.shape[0],)) if vectors else None
+    active = np.ones(sigma.shape, dtype=bool)
+    for _ in range(_MAX_RQI):
+        lanes = np.nonzero(active)
+        for lo in range(0, len(lanes[0]), _LANE_BLOCK):
+            ik, im = (x[lo:lo + _LANE_BLOCK] for x in lanes)
+            beta = base[:, ik]
+            beta -= sigma[ik, im]
+            beta /= p
+            beta += 2.0
+            z = _twisted_vectors(beta)
+            del beta
+            unit = np.empty(z.shape[::-1]) if vectors else None
+            new = _rayleigh_quotients(base, p, z, ik, unit)
+            del z
+            if vectors:
+                vecs[ik, im] = unit
+            done = np.abs(new - sigma[ik, im]) <= _RQI_REL * (1.0 + np.abs(new))
+            sigma[ik, im] = new
+            active[ik[done], im[done]] = False
+        if not active.any():
+            return sigma, vecs
+    raise ConvergenceFailure("Rayleigh-quotient iteration did not converge "
+                             "on a fiber level")
+
+
+def _bases(disc: FiberDiscretization, ks, n: int = None):
+    """(x offsets' spacing h, p, base (n, K)) of the fiber operators at
+    the momenta ks: T(k) = tridiag(-p, 2p + base[:, k], -p) is the matrix
+    of tridiagonal(k, n), and base = diag - 2p holds exactly
+    (b s)^2 + W (the subtraction is exact)."""
+    cols = [disc.tridiagonal(float(k), n)[1] for k in ks]
+    _, _, off, h = disc.tridiagonal(0.0, n)
+    p = -float(off[0])
+    return h, p, np.stack(cols, axis=1) - 2.0 * p
+
+
+def _band_brackets(b: float, levels, h: float, w_lo: float, w_hi: float):
+    """Start brackets of levels j of a fiber operator with w_lo <= W <= w_hi
+    from band monotonicity, b(2j - 1) + w_lo <= E_j(k) <= b(2j - 1) + w_hi,
+    widened by the h^2 slack of the difference Laplacian (_isolate checks
+    them and falls back to Gershgorin)."""
+    landau = b * (2.0 * np.asarray(levels, dtype=float) - 1.0)
+    slack = 0.25 * h * h * (landau + abs(w_hi)) ** 2 + 1e-9 * (1.0 + landau)
+    return landau + w_lo - slack, landau + w_hi + slack
+
+
+def _certified_levels(base, p, levels, lo, hi, vectors=False):
+    """(energies, vectors) of the given levels (K, M) of the columns of
+    base: bisection from the brackets lo, hi to an isolating bracket,
+    then Rayleigh-quotient iteration from its midpoint.  An energy outside
+    its bracket belongs to another level and raises ConvergenceFailure."""
+    shape = (base.shape[1],) + np.shape(levels)[1:]
+    lo, hi = _isolate(base, p, levels, np.broadcast_to(lo, shape),
+                      np.broadcast_to(hi, shape), _BRACKET_REL)
+    energies, vecs = _refine(base, p, 0.5 * (lo + hi), vectors)
+    if np.any((energies < lo) | (energies >= hi)):
+        raise ConvergenceFailure("a fiber level left its isolating bracket")
+    return energies, vecs
+
+
+def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
+                  vectors: bool = True):
+    """(h, energies (K, j_max), unit eigenvectors (K, j_max, n) or None) of
+    the lowest j_max levels at each momentum of ks.
+
+    On the n_half grid, Sturm-count bisection brackets every level alone,
+    which fixes which level is which, and Rayleigh-quotient iteration by
+    twisted factorizations converges inside the bracket (checked).  The
+    n-grid iteration starts from those energies, moved by the h^2 shift
+    of the difference Laplacian estimated on the coarse vectors.  Both
+    grids' energies are gradient-form Rayleigh quotients,
+    Richardson-extrapolated; an h^2 correction above conv_tol raises
+    ConvergenceFailure.  A fine-grid lane that converged to another level
+    misses its seed by more than 3 conv_tol, unless levels lie closer
+    than that (gap_condition only asks W_+ - W_- < 2b), where two lanes
+    can land on each other's levels; the energies must therefore also
+    increase strictly, which band_table's interlacing relies on.  A
+    lane's result does not depend on the other momenta of ks.
+    """
     if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
-    _, diag2, off2, _ = disc.tridiagonal(k, n=disc.n_half)
-    evals_half = eigh_tridiagonal(diag2, off2, eigvals_only=True, select="i",
-                                  select_range=(0, j_max - 1))
-    x, diag, off, h = disc.tridiagonal(k)
-    n = disc.n
-    # one unreduced block: the first j_max seeds belong to block 1
-    iblock = np.zeros(n, dtype=np.int32)
-    iblock[:j_max] = 1
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    evecs, info = dstein(diag, off, evals_half, iblock, isplit)
-    if info != 0:
-        raise ConvergenceFailure(
-            f"inverse iteration failed (stein info {info}) at k={k}")
-    evals = _rayleigh_quotients(diag, -float(off[0]), evecs)
-    rich, resid = _richardson(evals, evals_half)
+    ks = np.asarray(ks, dtype=float)
+    levels = np.arange(1, j_max + 1)[None, :]
+    bounds = ((0.0, 0.0) if disc.w is None
+              else (disc.w.w_minus_limit, disc.w.w_plus_limit))
+    h2, p2, base2 = _bases(disc, ks, disc.n_half)
+    coarse, vec2 = _certified_levels(
+        base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds), True)
+    # the difference Laplacian lowers E by about h^2 |psi''|^2 / 12, so the
+    # n grid lies 3/4 of the coarse shift higher
+    d2 = np.diff(vec2, n=2, axis=-1, prepend=0.0, append=0.0)
+    seed = coarse + (d2 * d2).sum(axis=-1) / (16.0 * h2 * h2)
+    del vec2, d2
+    h, p, base = _bases(disc, ks)
+    fine, vecs = _refine(base, p, seed, vectors)
+    rich, resid = _richardson(fine, coarse)
     if np.any(resid > conv_tol):
+        i = int(np.argmax(resid.max(axis=1)))
         raise ConvergenceFailure(
-            f"h^2 correction {resid.max():.3e} above {conv_tol:g} at k={k}; refine the grid")
-    if np.any(np.diff(rich) <= 0):
+            f"h^2 correction {resid.max():.3e} above {conv_tol:g} at "
+            f"k={ks[i]}; refine the grid")
+    if np.any(np.diff(rich, axis=1) <= 0):
+        i = int(np.argmax(np.any(np.diff(rich, axis=1) <= 0, axis=1)))
         raise ConvergenceFailure(
-            f"fiber levels out of order at k={k}; spectrum should be simple")
-    return x, h, rich, evecs
+            f"fiber levels out of order at k={ks[i]}; spectrum should be simple")
+    return h, rich, vecs
 
 
-def solve_fiber(disc: FiberDiscretization, k: float, j_max: int,
+def solve_fiber(disc: FiberDiscretization, k, j_max: int,
                 conv_tol: float = _ENERGY_CONV_TOL):
-    """Lowest j_max eigenpairs of the fiber operator at momentum k.
+    """Lowest j_max eigenpairs of the fiber operator at momentum k, or at
+    each momentum of a sequence k (a list of lists).
 
     Energies are Richardson-extrapolated over the (n, (n+1)//2) grid
-    pair from bisection on the n_half grid and inverse iteration on the
-    n grid (see _fiber_levels); the h^2 correction estimate must stay
-    below conv_tol or ConvergenceFailure is raised.  Eigenvectors are the
-    n-grid ones, trapezoid-normalized with sign fixed by a nonnegative
-    overlap with the limiting eigenfunction.
+    pair from Rayleigh quotients of twisted-factorization Rayleigh-quotient
+    iteration, bracketed by bisection on the n_half grid (see
+    _fiber_levels); the h^2 correction estimate must stay below conv_tol
+    or ConvergenceFailure is raised.  Eigenvectors are the n-grid ones,
+    trapezoid-normalized with sign fixed by a nonnegative overlap with the
+    limiting eigenfunction.  A momentum's pairs are the same bits alone
+    or in a batch.
     """
-    x, h, rich, evecs = _fiber_levels(disc, k, j_max, conv_tol)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    h, rich, evecs = _fiber_levels(disc, ks, j_max, conv_tol)
     weights = _trapezoid_weights(disc.n, h)
-    pairs = []
-    for idx in range(j_max):
-        vec = evecs[:, idx]
-        vec = vec / math.sqrt(float(np.sum(weights * vec * vec)))
-        limit = psi_inf(idx + 1, k, x, disc.b)
-        c = float(np.sum(weights * vec * limit))
-        if c < 0:
-            vec, c = -vec, -c
-        pairs.append(FiberEigenpair(j=idx + 1, k=k, energy=float(rich[idx]),
-                                    values=vec, overlap_with_limit=min(c, 1.0)))
-    return pairs
+    out = []
+    for i, kk in enumerate(ks.tolist()):
+        x = disc.grid(kk)
+        pairs = []
+        for idx in range(j_max):
+            vec = evecs[i, idx]  # a row view, normalized in place
+            vec /= math.sqrt(float(np.sum(weights * vec * vec)))
+            limit = psi_inf(idx + 1, kk, x, disc.b)
+            c = float(np.sum(weights * vec * limit))
+            if c < 0:
+                np.negative(vec, out=vec)
+                c = -c
+            pairs.append(FiberEigenpair(j=idx + 1, k=kk,
+                                        energy=float(rich[i, idx]),
+                                        values=vec,
+                                        overlap_with_limit=min(c, 1.0)))
+        out.append(pairs)
+    return out if np.ndim(k) else out[0]
 
 
 def gap_edges(b: float, w, j: int):
@@ -238,14 +520,13 @@ class BandTable:
 
 def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     """Energies of bands 1..j_max on k_grid, the same extrapolated and
-    guarded values as solve_fiber's, bit for bit.  They come from the
-    same path, eigenvectors included: one inverse iteration on the n grid
-    costs less than a second bisection would.  At each k they increase
-    strictly in j, which _fiber_levels checks."""
+    guarded values as solve_fiber's, bit for bit: the same batched
+    bisection and Rayleigh-quotient iteration, which only skips keeping
+    the eigenvectors.  At each k they increase strictly in j, which
+    _fiber_levels checks."""
     k_grid = np.asarray(k_grid, dtype=float)
-    energies = np.empty((j_max, len(k_grid)))
-    for i, k in enumerate(k_grid.tolist()):
-        energies[:, i] = _fiber_levels(disc, k, j_max, _ENERGY_CONV_TOL)[2]
+    energies = _fiber_levels(disc, k_grid, j_max, _ENERGY_CONV_TOL,
+                             vectors=False)[1].T
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
     return BandTable(k_grid=k_grid, energies=energies, edges=edges)
 
@@ -313,165 +594,262 @@ class EdgeComparison:
 # largest relative h^2 correction |g_n - g_half| / (3 g_n) of the twin gap
 # that edge_comparison extrapolates.  Every twin comparison of the
 # shipped-config commands needs at most 6.6e-3, while a jump on the wall,
-# or one where the eigensolver's tails have stalled, gives O(1) and can
-# flip the sign of the extrapolate
+# or one the grid does not resolve, gives O(1) and can flip the sign of
+# the extrapolate
 _TWIN_CONV_TOL = 0.1
 
-# tails are rebuilt below this fraction of the eigenvector's maximum: the
-# eigensolver bounds the error of its components absolutely, and on wide
-# windows its tails do stall at a floor (near 1e-46 of the maximum)
-_ANCHOR_REL = 1e-3
 
+def _rayleigh_quotient(base, p, v) -> float:
+    """v.T T v / v.T v for T = tridiag(-p, 2p + base, -p), Dirichlet walls.
 
-def _rayleigh_quotient(diag, p, v) -> float:
-    """v.T T v / v.T v for T = tridiag(-p, diag, -p) with Dirichlet walls.
-
-    Gradient form, p sum (v_{i+1} - v_i)^2 + sum (diag_i - 2p) v_i^2 with
-    zero walls, never forms the O(p) terms that cancel, so it keeps full
-    relative accuracy (exact sums keep it within an ulp); the
-    eigensolver's own value is ~1e-12 off.
+    The gradient form of _rayleigh_quotients summed exactly (fsum), so
+    it is within an ulp of the quotient.
     """
     grad = np.diff(np.concatenate(([0.0], v, [0.0])))
-    terms = np.concatenate((p * grad * grad, (diag - 2.0 * p) * v * v))
+    terms = np.concatenate((p * grad * grad, base * v * v))
     return math.fsum(terms.tolist()) / math.fsum((v * v).tolist())
 
 
-def _left_tail_logs(diag, p, energy, v):
-    """(a, ln|v[:a]|) for an eigenvector of tridiag(-p, diag, -p).
-
-    The ratios r_i = v_{i+1}/v_i obey r_0 = (diag_0 - energy)/p and
-    r_i = (diag_i - energy)/p - 1/r_{i-1} from the Dirichlet wall.  Run
-    as q = r - 1, q_i = delta_i + q_{i-1}/(1 + q_{i-1}) with
-    delta_i = (diag_i - 2p - energy)/p, it adds positive terms wherever
-    the operator lies above the energy: v grows away from the wall, the
-    stable direction, and ln r is accurate to a few ulps.  It runs up to
-    the first index a where |v| reaches _ANCHOR_REL of its maximum or
-    the region stops being classically forbidden, anchored to v[a].
-    """
-    delta = (diag - 2.0 * p - energy) / p
-    big = np.abs(v) >= _ANCHOR_REL * np.abs(v).max()
-    a = int(min(np.argmax(big), np.argmax(delta <= 0.0)))
-    q = np.empty(a)
-    carry = 1.0  # q_{-1}/(1 + q_{-1}) at the wall, where q_{-1} is infinite
-    for i, d in enumerate(delta[:a].tolist()):
-        q[i] = d + carry
-        carry = q[i] / (1.0 + q[i])
-    return a, math.log(abs(v[a])) - np.cumsum(np.log1p(q)[::-1])[::-1]
-
-
-def _log_eigenvector(diag, p, energy, v):
-    """(ln|v|, sign v), unit-normalized, with both tails in log form."""
-    n = len(v)
-    with np.errstate(divide="ignore"):
-        log_v = np.log(np.abs(v))
-    sign = np.sign(v)
-    a, left = _left_tail_logs(diag, p, energy, v)
-    log_v[:a], sign[:a] = left, sign[a]
-    a, right = _left_tail_logs(diag[::-1], p, energy, v[::-1])
-    log_v[n - a:], sign[n - a:] = right[::-1], sign[n - 1 - a]
-    top = log_v.max()
-    log_v -= top + 0.5 * math.log(float(np.sum(np.exp(2.0 * (log_v - top)))))
-    return log_v, sign
+def _tridiagonal_solve(diag, p, cols):
+    """Columns x of tridiag(-p, diag, -p) x = cols (lists of floats), by
+    Gaussian elimination with partial pivoting (LAPACK dgtsv): the
+    matrices it serves are indefinite above the first level."""
+    n = len(diag)
+    d, du, fill = list(diag), [-p] * (n - 1), [0.0] * n
+    bs = [list(c) for c in cols]
+    try:
+        for i in range(n - 1):
+            if abs(d[i]) >= p:
+                fact = -p / d[i]
+                d[i + 1] -= fact * du[i]
+                for b in bs:
+                    b[i + 1] -= fact * b[i]
+            else:
+                # interchange rows i and i + 1
+                fact = d[i] / -p
+                d[i], temp = -p, d[i + 1]
+                d[i + 1] = du[i] - fact * temp
+                if i < n - 2:
+                    fill[i] = du[i + 1]
+                    du[i + 1] = -fact * du[i + 1]
+                du[i] = temp
+                for b in bs:
+                    b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        for b in bs:
+            b[n - 1] /= d[n - 1]
+            if n > 1:
+                b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+            for i in range(n - 3, -1, -1):
+                b[i] = (b[i] - du[i] * b[i + 1] - fill[i] * b[i + 2]) / d[i]
+    except ZeroDivisionError:
+        raise ConvergenceFailure("singular deflated twin system") from None
+    return bs
 
 
-def _log_signed_sum(log_terms, signs) -> float:
-    top = log_terms.max()
-    return top + math.log(float(np.sum(signs * np.exp(log_terms - top))))
-
-
-def _deflated_solve(diag, off, shift, v, rhs):
-    """u with (T - shift) u = rhs and v.T u = 0, T = tridiag(off, diag, off).
+def _deflated_solve(base, p, shift, v, rhs):
+    """u with (T - shift) u = rhs and v.T u = 0, T = tridiag(-p, 2p + base, -p).
 
     T - shift may be singular to every digit along its eigenvector v,
     and rhs is orthogonal to v.  Row and column m of the largest |v_m|
     (the twist index of a twisted factorization) are set aside; the rest
-    of T - shift is a tridiagonal B, well conditioned because v_m is
-    large.  Then u = B^-1 rhs - u_m B^-1 a_m off index m, with a_m the
-    rest of column m, and v.T u = 0 fixes u_m.
+    of T - shift splits into two tridiagonal blocks, well conditioned
+    because v_m is large, solved by _tridiagonal_solve.  Then
+    u = B^-1 rhs - u_m B^-1 a_m off index m, with a_m = -p at m - 1 and
+    m + 1 the rest of column m, and v.T u = 0 fixes u_m.
     """
-    from scipy.linalg import solve_banded
-    n = len(diag)
+    n = len(base)
     m = int(np.argmax(np.abs(v)))
-    rest = np.arange(n) != m
-    link = np.concatenate((off[:m - 1], [0.0], off[m + 1:]))
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:], ab[1], ab[2, :-1] = link, (diag - shift)[rest], link
-    sides = np.zeros((n - 1, 2))
-    sides[:, 0] = rhs[rest]
-    sides[m - 1:m + 1, 1] = off[m - 1:m + 1]  # a_m
-    y, z = solve_banded((1, 1), ab, sides).T
-    u_m = -(v[rest] @ y) / (v[m] - v[rest] @ z)
+    diag = (base + 2.0 * p - shift).tolist()
+    rhs = rhs.tolist()
+    y, z = np.empty(n - 1), np.empty(n - 1)
+    if m > 0:
+        left = _tridiagonal_solve(diag[:m], p, (rhs[:m], [0.0] * (m - 1) + [-p]))
+        y[:m], z[:m] = left
+    if m < n - 1:
+        right = _tridiagonal_solve(diag[m + 1:], p,
+                                   (rhs[m + 1:], [-p] + [0.0] * (n - m - 2)))
+        y[m:], z[m:] = right
+    rest = np.delete(v, m)
+    u_m = -np.sum(rest * y) / (v[m] - np.sum(rest * z))
     return np.insert(y - u_m * z, m, u_m)
+
+
+def _log_level(base, p, level: int, lo, hi):
+    """(energy, ln|v|, sign v) of one level of T = tridiag(-p, 2p + base, -p),
+    base (n,): certified by _certified_levels, energy the exact-sum
+    Rayleigh quotient and the unit vector rebuilt in log form at it."""
+    col = base[:, None]
+    _, vec = _certified_levels(col, p, np.array([[level]]), lo, hi, True)
+    energy = _rayleigh_quotient(base, p, vec[0, 0])
+    log_v, sign = _log_vectors((col - energy) / p + 2.0)
+    return energy, log_v[0], sign[0]
 
 
 @lru_cache(maxsize=64)
 def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
-    """(diag, v, ln|v|, sign v) of level j of the constant-W_+ operator on
-    the n-point grid of the free window (b, half_width): the same matrix
-    at every momentum, so it is solved once.  v is unit-normalized and
-    rebuilt from its log form, whose tails the twin identity sums.
+    """(base, v, ln|v|, sign v, E) of level j of the constant-W_+ operator
+    on the n-point grid of the free window (b, half_width): the same
+    matrix at every momentum, so it is solved once.  v is unit-normalized
+    and rebuilt from its log form, whose tails the twin identity sums.
     """
-    from scipy.linalg import eigh_tridiagonal
-    _, diag, off, _ = free.tridiagonal(0.0, n, w_override=w_plus)
+    _, diag, off, h = free.tridiagonal(0.0, n, w_override=w_plus)
     p = -float(off[0])
-    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(j - 1, j - 1))
-    vec = vec[:, 0]
-    log_v, sign = _log_eigenvector(diag, p, _rayleigh_quotient(diag, p, vec), vec)
+    base = diag - 2.0 * p
+    energy, log_v, sign = _log_level(
+        base, p, j, *_band_brackets(free.b, j, h, w_plus, w_plus))
     v = sign * np.exp(log_v)
-    for arr in (diag, v, log_v, sign):
+    for arr in (base, v, log_v, sign):
         arr.setflags(write=False)
-    return diag, v, log_v, sign
+    return base, v, log_v, sign, energy
+
+
+@dataclass(frozen=True)
+class _TwinLevels:
+    """Level j of the W operators at momenta ks on one grid, against the
+    constant-W_+ twin `plus` (_plus_twin): per lane the energy, sign v_W,
+    ln|D v_W| (-inf where D = W_+ - W vanishes), ln <v_+, D v_W> and the
+    overlap c = <v_+, v_W> > 0, whose ratio is the twin gap."""
+
+    ks: np.ndarray
+    p: float
+    plus: tuple
+    energy: np.ndarray
+    sign_w: np.ndarray
+    log_dw: np.ndarray
+    log_s: np.ndarray
+    overlap: np.ndarray
+
+    @property
+    def log_gap(self):
+        return self.log_s - np.log(self.overlap)
+
+
+def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
+    """_TwinLevels of the twin operators on the n-point grid of disc's window.
+
+    H_W = H_+ - D with 0 <= min D <= D <= max D, so by Weyl level j of
+    H_W lies in [E_+ - max D, E_+ - min D]; two Sturm counts certify that
+    it lies there alone (else bisection isolates it), and
+    Rayleigh-quotient iteration starts from E_+ - <v_+, D v_+>, the
+    quotient of v_+.
+    """
+    ks = np.asarray(ks, dtype=float)
+    plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
+    base_p, v_plus, log_p, sign_p, e_plus = plus
+    _, p, base = _bases(disc, ks, n)
+    jump = np.ascontiguousarray((base_p[:, None] - base).T)  # D, exact
+    on = jump > 0.0
+    missing = ~on.any(axis=1)
+    if missing.any():
+        k = ks[int(np.argmax(missing))]
+        raise ConvergenceFailure(
+            f"W_+ - W vanishes on the whole fiber window at k={k}: "
+            f"half_width {disc.half_width:g} misses the jump; widen it")
+    pad = 1e-9 * (1.0 + abs(e_plus))
+    lo, hi = _isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
+                      (e_plus - jump.min(axis=1) + pad)[:, None])
+    seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
+    _, vecs = _refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
+    energy = np.array([_rayleigh_quotient(base[:, i], p, vecs[i, 0])
+                       for i in range(len(ks))])
+    if np.any((energy < lo[:, 0]) | (energy >= hi[:, 0])):
+        raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
+    log_w, sign_w = _log_vectors((base - energy) / p + 2.0)
+    overlap = (sign_p * sign_w * np.exp(log_p + log_w)).sum(axis=1)
+    sign_w *= np.where(overlap < 0.0, -1.0, 1.0)[:, None]
+    # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>, summed in log
+    # form over the tails where D > 0
+    with np.errstate(divide="ignore"):
+        log_dw = np.where(on, np.log(np.where(on, jump, 1.0)) + log_w, -np.inf)
+    terms = log_dw + log_p
+    top = terms.max(axis=1)
+    total = (np.where(on, sign_w * sign_p, 0.0)
+             * np.exp(terms - top[:, None])).sum(axis=1)
+    if np.any(total <= 0.0):
+        raise ConvergenceFailure("twin identity sum is not positive")
+    return _TwinLevels(ks=ks, p=p, plus=plus, energy=energy, sign_w=sign_w,
+                       log_dw=log_dw, log_s=top + np.log(total),
+                       overlap=np.abs(overlap))
+
+
+def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
+    """EdgeComparisons for W = None: the twins coincide, and level j of
+    the free fiber is the same matrix at every momentum."""
+    h, p, base = _bases(disc, (0.0,), n)
+    energy, _, _ = _log_level(base[:, 0], p, j,
+                              *_band_brackets(disc.b, j, h, 0.0, 0.0))
+    return [EdgeComparison(j=j, k=float(k), gap_dist=0.0, overlap=1.0,
+                           defect=0.0, scaled_distance=0.0, energy_w=energy)
+            for k in ks]
+
+
+def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
+                      n: int = None) -> list:
+    """EdgeComparisons of the twin operators on the n-point grid of the
+    window of disc (default disc.n), with the single-grid gap."""
+    n = disc.n if n is None else n
+    if disc.w is None:
+        return _free_comparisons(disc, j, ks, n)
+    tw = _twin_levels(disc, j, ks, n)
+    base_p, v_plus = tw.plus[0], tw.plus[1]
+    out = []
+    for i, k in enumerate(tw.ks.tolist()):
+        # v_W = c v_+ + u with u orthogonal to v_+ solves the deflated
+        # system (H_+ - E_W) u = D v_W - <v_+, D v_W> v_+, so 1 - c^2 = |u|^2;
+        # the right side is scaled by its largest entry to stay in double range
+        scale = float(tw.log_dw[i].max())
+        rhs = (tw.sign_w[i] * np.exp(tw.log_dw[i] - scale)
+               - math.exp(tw.log_s[i] - scale) * v_plus)
+        u = _deflated_solve(base_p, tw.p, tw.energy[i], v_plus, rhs)
+        log_defect = 2.0 * scale + math.log(float(np.sum(u * u)))
+        defect = math.exp(log_defect)
+        log_gap = float(tw.log_gap[i])
+        out.append(EdgeComparison(
+            j=j, k=k, gap_dist=math.exp(log_gap),
+            overlap=math.exp(0.5 * math.log1p(-defect)), defect=defect,
+            scaled_distance=2.0 * math.exp(0.5 * (log_defect - log_gap)),
+            energy_w=float(tw.energy[i])))
+    return out
 
 
 def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
                      n: int = None) -> EdgeComparison:
-    """EdgeComparison of the twin operators on the n-point grid of the
-    window of disc (default disc.n), with the single-grid gap."""
-    from scipy.linalg import eigh_tridiagonal
-    w = disc.w
-    _, diag_w, off, _ = disc.tridiagonal(k, n)
-    p = -float(off[0])
-    _, vec_w = eigh_tridiagonal(diag_w, off, select="i", select_range=(j - 1, j - 1))
-    vec_w = vec_w[:, 0]
-    energy_w = _rayleigh_quotient(diag_w, p, vec_w)
-    if w is None:
-        return EdgeComparison(j=j, k=k, gap_dist=0.0, overlap=1.0, defect=0.0,
-                              scaled_distance=0.0, energy_w=energy_w)
-    diag_p, v_plus, log_p, sign_p = _plus_twin(
-        replace(disc, w=None), len(diag_w), w.w_plus_limit, j)
-    jump = diag_p - diag_w  # D, exact: both diagonals share every other term
-    on = jump > 0.0
-    if not on.any():
+    """_twin_comparisons at the single momentum k."""
+    return _twin_comparisons(disc, j, (k,), n)[0]
+
+
+def _extrapolated_gaps(disc: FiberDiscretization, j: int, ks, fine_gap):
+    """(4 g_n - g_half)/3 at ks from the fine twin gaps and the n_half
+    ones; an h^2 correction above _TWIN_CONV_TOL of g_n raises
+    ConvergenceFailure."""
+    coarse = np.exp(_twin_levels(disc, j, ks, disc.n_half).log_gap)
+    gap, corr = _richardson(fine_gap, coarse)
+    bad = corr > _TWIN_CONV_TOL * fine_gap
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceFailure(
-            f"W_+ - W vanishes on the whole fiber window at k={k}: "
-            f"half_width {disc.half_width:g} misses the jump; widen it")
-    if vec_w @ v_plus < 0.0:
-        vec_w = -vec_w
-    log_w, sign_w = _log_eigenvector(diag_w, p, energy_w, vec_w)
-    # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>
-    log_dw = np.log(jump[on]) + log_w[on]
-    log_s = _log_signed_sum(log_dw + log_p[on], sign_w[on] * sign_p[on])
-    # v_W = c v_+ + u with u orthogonal to v_+ solves the deflated system
-    # (H_+ - E_W) u = D v_W - <v_+, D v_W> v_+, so 1 - c^2 = |u|^2; the
-    # right side is scaled by its largest entry to stay in double range
-    scale = float(log_dw.max())
-    rhs = -math.exp(log_s - scale) * v_plus
-    rhs[on] += sign_w[on] * np.exp(log_dw - scale)
-    u = _deflated_solve(diag_p, off, energy_w, v_plus, rhs)
-    log_defect = 2.0 * scale + math.log(float(u @ u))
-    defect = math.exp(log_defect)
-    log_c = 0.5 * math.log1p(-defect)
-    log_gap = log_s - log_c
-    gap = math.exp(log_gap)
-    scaled = 2.0 * math.exp(0.5 * (log_defect - log_gap))
-    return EdgeComparison(j=j, k=k, gap_dist=gap, overlap=math.exp(log_c),
-                          defect=defect, scaled_distance=scaled,
-                          energy_w=energy_w)
+            f"twin gap h^2 correction {corr[i] / fine_gap[i]:.3e} of the gap, "
+            f"above {_TWIN_CONV_TOL:g}, at j={j}, k={ks[i]}; refine the grid")
+    return gap
 
 
-@lru_cache(maxsize=256)
-def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
-    """Gap distance and projection overlap against the same-grid limit operator.
+def _edge_gaps(disc: FiberDiscretization, j: int, ks) -> np.ndarray:
+    """gap_dist of edge_comparison at each momentum of ks, without the
+    overlap defect (no deflated solve): GapModel's nodes."""
+    ks = np.asarray(ks, dtype=float)
+    if disc.w is None:
+        return np.zeros(len(ks))
+    fine = np.exp(_twin_levels(disc, j, ks, disc.n).log_gap)
+    return _extrapolated_gaps(disc, j, ks, fine)
+
+
+_COMPARISONS = {}  # (disc, j, k) -> EdgeComparison
+_COMPARISONS_MAX = 4096
+
+
+def edge_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
+    """edge_comparison at each momentum of ks, those not yet cached solved
+    as one batch; a momentum's comparison is the same alone or batched.
 
     gap_dist is (4 g_n - g_half)/3 from the twin gaps on the n and n_half
     grids; every other field is the fine-grid value.  Raises
@@ -481,19 +859,31 @@ def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparis
     |g_n - g_half|/3 exceeds _TWIN_CONV_TOL of g_n, where the grid does
     not resolve the eigenvector tails at the jump.
     """
-    fine = _twin_comparison(disc, j, k)
-    if disc.w is None:
-        return fine
-    coarse = _twin_comparison(disc, j, k, disc.n_half)
-    gap, corr = _richardson(fine.gap_dist, coarse.gap_dist)
-    if corr > _TWIN_CONV_TOL * fine.gap_dist:
-        raise ConvergenceFailure(
-            f"twin gap h^2 correction {corr / fine.gap_dist:.3e} of the gap, "
-            f"above {_TWIN_CONV_TOL:g}, at j={j}, k={k}; refine the grid")
-    # 2 sqrt(defect / gap) from the fine-grid value, which was formed in
-    # log form and so survives a subnormal defect
-    scaled = fine.scaled_distance * math.sqrt(fine.gap_dist / gap)
-    return replace(fine, gap_dist=gap, scaled_distance=scaled)
+    ks = [float(k) for k in ks]
+    todo = sorted({k for k in ks if (disc, j, k) not in _COMPARISONS})
+    if todo:
+        fine = _twin_comparisons(disc, j, todo)
+        if disc.w is not None:
+            gaps = _extrapolated_gaps(disc, j, np.array(todo),
+                                      np.array([c.gap_dist for c in fine]))
+            # 2 sqrt(defect / gap) from the fine-grid value, which was
+            # formed in log form and so survives a subnormal defect
+            fine = [replace(c, gap_dist=float(g), scaled_distance=c.scaled_distance
+                            * math.sqrt(c.gap_dist / g))
+                    for c, g in zip(fine, gaps)]
+        if len(_COMPARISONS) + len(todo) > _COMPARISONS_MAX:
+            _COMPARISONS.clear()
+        _COMPARISONS.update(((disc, j, c.k), c) for c in fine)
+    return [_COMPARISONS[(disc, j, k)] for k in ks]
+
+
+def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
+    """Gap distance and projection overlap against the same-grid limit
+    operator at one momentum: edge_comparisons((k,))."""
+    return edge_comparisons(disc, j, (k,))[0]
+
+
+edge_comparison.cache_clear = _COMPARISONS.clear
 
 
 def gap_distance(disc: FiberDiscretization, j: int, k: float) -> float:
@@ -533,26 +923,35 @@ def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
     With secants d_i, C^2 continuity gives the interior rows
     s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i); a continuous third
     derivative at the second and the second-to-last node gives the end
-    rows s_0 + 2 s_1 = (5 d_0 + d_1)/2 and its mirror.
+    rows s_0 + 2 s_1 = (5 d_0 + d_1)/2 and its mirror.  One Thomas sweep
+    solves it: the pivots 1, 2, 3.5, ... stay above 2 + sqrt(3) - 1/4 in
+    the interior and end near 0.46, so no pivoting is needed.
     """
-    from scipy.linalg import solve_banded
-    d = np.diff(y) / h
-    ab = np.zeros((3, len(y)))
-    ab[0, 1], ab[0, 2:] = 2.0, 1.0
-    ab[1], ab[1, [0, -1]] = 4.0, 1.0
-    ab[2, :-2], ab[2, -2] = 1.0, 2.0
-    rhs = np.empty(len(y))
-    rhs[1:-1] = 3.0 * (d[:-1] + d[1:])
-    rhs[0] = 0.5 * (5.0 * d[0] + d[1])
-    rhs[-1] = 0.5 * (d[-2] + 5.0 * d[-1])
-    return solve_banded((1, 1), ab, rhs)
+    d = (np.diff(y) / h).tolist()
+    n = len(y)
+    rhs = ([0.5 * (5.0 * d[0] + d[1])]
+           + [3.0 * (a + b) for a, b in zip(d[:-1], d[1:])]
+           + [0.5 * (d[-2] + 5.0 * d[-1])])
+    sub = [1.0] * (n - 2) + [2.0]    # row i + 1, column i
+    sup = [2.0] + [1.0] * (n - 2)    # row i, column i + 1
+    piv = [1.0] + [4.0] * (n - 2) + [1.0]
+    for i in range(1, n):
+        fact = sub[i - 1] / piv[i - 1]
+        piv[i] -= fact * sup[i - 1]
+        rhs[i] -= fact * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / piv[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - sup[i] * s[i + 1]) / piv[i]
+    return np.array(s)
 
 
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
-    Every node takes its value from edge_comparison, the twin gap
-    extrapolated over the (n, n_half) grid pair, so g is h^4-accurate at
+    Every node takes its value from _edge_gaps, one batch over the nodes
+    of edge_comparison's gap_dist, the twin gap extrapolated over the
+    (n, n_half) grid pair, so g is h^4-accurate at
     every depth, including far below one ulp of the edge energy where no
     difference of energies resolves it; a node whose h^2 correction
     exceeds the twin guard raises ConvergenceFailure.  A not-a-knot cubic
@@ -574,8 +973,7 @@ class GapModel:
                                      / (0.5 * math.sqrt(b)))) + 1)
         nodes = np.linspace(self.k_lo, self.k_hi, count)
         self._step = (self.k_hi - self.k_lo) / (count - 1)
-        self._log_gap = np.log([edge_comparison(self.disc, j, float(k)).gap_dist
-                                for k in nodes])
+        self._log_gap = np.log(_edge_gaps(self.disc, j, nodes))
         self._slopes = _not_a_knot_slopes(self._step, self._log_gap)
 
     def gap(self, k):
@@ -606,8 +1004,8 @@ class GapModel:
 def verify_tep2(j: int, disc: FiberDiscretization, k_list):
     """Ratios (E_j^+ - E_j(k)) / Phi_j(k)^2 on the window of disc,
     expected -> 1 from above."""
-    return [edge_comparison(disc, j, float(k)).gap_dist
-            / phi_squared(j, float(k), disc.b, disc.w) for k in k_list]
+    return [cmp.gap_dist / phi_squared(j, cmp.k, disc.b, disc.w)
+            for cmp in edge_comparisons(disc, j, k_list)]
 
 
 def verify_teth1(j: int, disc: FiberDiscretization, k_list):
@@ -619,7 +1017,7 @@ def verify_teth1(j: int, disc: FiberDiscretization, k_list):
     """
     if disc.w is None:
         return [0.0 for _ in k_list]
-    return [edge_comparison(disc, j, float(k)).scaled_distance for k in k_list]
+    return [cmp.scaled_distance for cmp in edge_comparisons(disc, j, k_list)]
 
 
 def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:

@@ -8,9 +8,10 @@ field's type, finiteness, range and default: `validate` walks the whole
 document against it, verify blocks included, before any object is built,
 so a field of the wrong type, a NaN or infinity, or a value out of range
 is a ScenarioError naming the field.  What relates two fields (the gap
-condition, lo < hi, stop <= start, j <= fiber.n/10, polygon simplicity
-and containment) is checked as the objects are built, so downstream code
-never sees a half-formed scenario.
+condition, lo < hi, stop <= start and at most MAX_DEPTHS depths,
+j <= fiber.n/10, the kms window and the endpoint alpha < beta, polygon
+simplicity and containment) is checked as the objects are built, so
+downstream code never sees a half-formed scenario.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def validate(value, schema: dict = SCHEMA, path: str = "config"):
     bounds, items/minItems/maxItems and properties/required/
     additionalProperties.  Stricter than JSON Schema in two ways: a number
     must be finite, and an integer must be written as one (2, not 2.0).
-    Raises ScenarioError naming the dotted path of the offending field.
+    A number leaf comes back as a float, however it was written.  Raises
+    ScenarioError naming the dotted path of the offending field.
     """
     kinds = schema.get("type", [])
     kinds = [kinds] if isinstance(kinds, str) else kinds
@@ -234,6 +236,9 @@ def validate(value, schema: dict = SCHEMA, path: str = "config"):
         filled.update(value)
         return {key: validate(item, props.get(key, {}), f"{path}.{key}")
                 for key, item in filled.items()}
+    if "number" in kinds and isinstance(value, int) and not isinstance(value, bool):
+        # one spelling per value: 10 and 10.0 run and hash alike
+        return float(value)
     return value
 
 
@@ -257,6 +262,11 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
+# most depths a lambda grid may hold: every depth is one full count of
+# effective-count and bs-count, and the shipped grids hold at most 10
+MAX_DEPTHS = 1000
+
+
 @dataclass(frozen=True)
 class LambdaGrid:
     """Geometric grid of gap depths, start down to stop by 1/ratio."""
@@ -268,6 +278,14 @@ class LambdaGrid:
     def __post_init__(self):
         if not self.stop <= self.start:
             raise ScenarioError("lambda grid needs stop <= start")
+        # the length of values(), in closed form so no loop runs first
+        depths = math.floor((math.log(self.start) - math.log(self.stop))
+                            / math.log(self.ratio) + 0.5) + 1
+        if depths > MAX_DEPTHS:
+            raise ScenarioError(
+                f"lambda grid holds {depths} depths, above {MAX_DEPTHS}: each "
+                "is a full count; raise lambda_grid.ratio or narrow "
+                "start/stop")
 
     def values(self):
         out, lam = [], self.start
@@ -380,6 +398,16 @@ def scenario_from_dict(doc: dict, **overrides) -> Scenario:
     m_grid = tuple(float(m) for m in fields["m_grid"])
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
         raise ScenarioError("m_grid must be strictly increasing")
+    verify = fields["verify"]
+    lo, hi = verify["kms"]["window"]
+    if not lo < hi:
+        raise ScenarioError(f"config.verify.kms.window must have lo < hi, "
+                            f"got {[lo, hi]}")
+    endpoint = verify["scaling"].get("endpoint")
+    if endpoint is not None and not endpoint["alpha"] < endpoint["beta"]:
+        raise ScenarioError(
+            "config.verify.scaling.endpoint must have alpha < beta, got "
+            f"alpha={endpoint['alpha']}, beta={endpoint['beta']}")
 
     return Scenario(b=b, w=w, v=v, quad=QuadratureSpec(**fields["quadrature"]),
                     fiber_n=fiber["n"], fiber_half_width=fiber["half_width"],

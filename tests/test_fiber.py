@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from edgegap import fiber
 from edgegap.cli import run
 from edgegap.errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from edgegap.fiber import (
@@ -121,9 +122,9 @@ def test_band_table_energies_equal_solve_fiber(reference, j_max, stride):
 
 @pytest.mark.parametrize("j_max, stride", [(1, 1), (6, 5)])
 def test_solve_fiber_reproduces_bisection_route(reference, j_max, stride):
-    # inverse iteration seeded from the coarse grid against bisection on
-    # both grids with exact-sum Rayleigh quotients, on the reference
-    # window and k grid (every stride-th point)
+    # the numpy eigensolver against LAPACK bisection on both grids with
+    # exact-sum Rayleigh quotients, on the reference window and k grid
+    # (every stride-th point)
     sc, disc = reference
     for k in sc.k_grid.values()[::stride].tolist():
         pairs = solve_fiber(disc, k, j_max)
@@ -135,35 +136,83 @@ def test_solve_fiber_reproduces_bisection_route(reference, j_max, stride):
             assert 1.0 - abs(unit @ ref) <= 1e-13
 
 
+def test_coarse_energies_within_bisection_error(reference):
+    # the n_half energies are Rayleigh quotients; LAPACK stebz eigenvalues
+    # are only as good as its stopping width 2 eps ||T||_1, and the two
+    # agree within it
+    from scipy.linalg import eigh_tridiagonal
+    sc, disc = reference
+    ks = sc.k_grid.values()[::20]
+    levels = np.arange(1, 7)[None, :]
+    h, p, base = fiber._bases(disc, ks, disc.n_half)
+    coarse, _ = fiber._certified_levels(
+        base, p, levels, *fiber._band_brackets(disc.b, levels, h, 0.0, 1.0))
+    for k, new in zip(ks, coarse):
+        _, diag, off, _ = disc.tridiagonal(float(k), disc.n_half)
+        old = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                               select_range=(0, 5))
+        bound = 2.0 * np.finfo(float).eps * float(np.max(np.abs(diag)) + 2.0 * p)
+        assert np.all(np.abs(new - old) <= bound)
+
+
+def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
+    # 20 momenta run the numpy row sweeps, one momentum the Python float
+    # loop: a lane's bits do not depend on its batch
+    ks = np.linspace(-3.0, 7.0, 20)
+    batch = solve_fiber(disc01, ks, 3)
+    for i in (0, 7, 19):
+        alone = solve_fiber(disc01, float(ks[i]), 3)
+        for a, b in zip(alone, batch[i]):
+            assert a.energy == b.energy and a.k == b.k
+            assert np.array_equal(a.values, b.values)
+    twins = fiber._twin_comparisons(disc01, 1, ks[6:])
+    for k, twin in zip(ks[6:], twins):
+        assert fiber._twin_comparison(disc01, 1, float(k)) == twin
+    edge_comparison.cache_clear()
+    gaps = fiber._edge_gaps(disc01, 1, ks[6:])
+    comparisons = fiber.edge_comparisons(disc01, 1, ks[6:])
+    edge_comparison.cache_clear()
+    for k, gap, cmp in zip(ks[6:], gaps, comparisons):
+        assert edge_comparison(disc01, 1, float(k)) == cmp
+        assert cmp.gap_dist == gap
+
+
+def _corrupt_seeds(monkeypatch, rows, corrupt):
+    """Route the Rayleigh-quotient iteration of the fiber grid with `rows`
+    points through corrupt(seeds) -> seeds."""
+    refine = fiber._refine
+
+    def refine_from(base, p, sigma, vectors=False):
+        if base.shape[0] == rows:
+            sigma = corrupt(sigma.copy())
+        return refine(base, p, sigma, vectors)
+
+    monkeypatch.setattr(fiber, "_refine", refine_from)
+
+
 @pytest.mark.parametrize("slot, source", [(0, 1), (1, 0), (2, 1)])
 def test_level_guard_rejects_a_wrong_seed(disc01, monkeypatch, slot, source):
-    # the coarse eigenvalue of one level replaced by another level's: the
-    # inverse iteration it seeds lands on a level far from the seed
-    import scipy.linalg
-    bisect = scipy.linalg.eigh_tridiagonal
+    # one lane seeded with another level's energy: the iteration lands on
+    # that level, outside the coarse lane's isolating bracket, or far from
+    # the fine lane's coarse value
+    def wrong_seeds(sigma):
+        sigma[:, slot] = sigma[:, source]
+        return sigma
 
-    def wrong_seeds(*args, **kwargs):
-        evals = bisect(*args, **kwargs).copy()
-        evals[slot] = evals[source]
-        return evals
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", wrong_seeds)
-    with pytest.raises(ConvergenceFailure, match=r"h\^2 correction"):
-        solve_fiber(disc01, 1.0, 3)
+    for grid, match in (("n_half", "isolating bracket"),
+                        ("n", r"h\^2 correction")):
+        with monkeypatch.context() as patch:
+            _corrupt_seeds(patch, getattr(disc01, grid), wrong_seeds)
+            with pytest.raises(ConvergenceFailure, match=match):
+                solve_fiber(disc01, 1.0, 3)
 
 
 def test_level_order_rejects_a_swapped_pair(disc01, monkeypatch):
-    # stein returning two levels' vectors swapped, with a guard too loose
-    # to see that they missed their seeds, as where two levels lie within
-    # 6 conv_tol of each other: the energies come out of order
-    import scipy.linalg.lapack
-    stein = scipy.linalg.lapack.dstein
-
-    def swapped(*args, **kwargs):
-        evecs, info = stein(*args, **kwargs)
-        return evecs[:, [1, 0, 2]], info
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dstein", swapped)
+    # two fine-grid lanes seeded with each other's levels, with a guard too
+    # loose to see that they missed their coarse values, as where two
+    # levels lie within 6 conv_tol of each other: the energies come out of
+    # order
+    _corrupt_seeds(monkeypatch, disc01.n, lambda sigma: sigma[:, [1, 0, 2]])
     with pytest.raises(ConvergenceFailure, match="out of order"):
         solve_fiber(disc01, 1.0, 3, conv_tol=10.0)
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from edgegap.cli import run
 from edgegap.errors import ScenarioError
 from edgegap.fiber import FiberDiscretization, verify_tep2, verify_teth1
 from edgegap.scenario import (
+    MAX_DEPTHS,
     GridSpec,
     LambdaGrid,
     load_scenario,
@@ -61,6 +63,37 @@ def test_lambda_grid_hits_stop():
     grid = LambdaGrid(start=1e-3, stop=1e-5, ratio=10.0)
     assert grid.values() == pytest.approx([1e-3, 1e-4, 1e-5])
     assert LambdaGrid(start=1e-4, stop=1e-4).values() == [1e-4]
+
+
+def test_lambda_grid_depths_are_bounded():
+    # the closed-form count rejects about 7e9 depths before values() runs
+    with pytest.raises(ScenarioError, match="6838678065 depths"):
+        scenario_from_dict(base_doc(lambda_grid={
+            "start": 1e-3, "stop": 1e-300, "ratio": 1.0000001}))
+    with pytest.raises(ScenarioError, match=f"above {MAX_DEPTHS}"):
+        scenario_from_dict(base_doc(lambda_grid={
+            "start": 1.0, "stop": 2.0 ** -MAX_DEPTHS, "ratio": 2.0}))
+    sc = scenario_from_dict(base_doc(lambda_grid={
+        "start": 1.0, "stop": 2.0 ** (1 - MAX_DEPTHS), "ratio": 2.0}))
+    assert len(sc.lam_grid.values()) == MAX_DEPTHS
+
+
+def test_source_hash_ignores_number_spelling():
+    # k_grid, quadrature, edge_potential and fiber numbers written as
+    # integers hash and persist as the same floats
+    def doc(num):
+        return base_doc(k_grid={"lo": num(-10), "hi": num(10)},
+                        quadrature={"x_rate": num(40)},
+                        edge_potential={"type": "step", "w_minus": num(0),
+                                        "w_plus": num(1), "x0": num(0)},
+                        fiber={"half_width": num(12)})
+
+    ints, floats = (scenario_from_dict(doc(num)) for num in (int, float))
+    assert ints.source_hash == floats.source_hash
+    assert json.dumps(scenario_to_dict(ints)) == \
+        json.dumps(scenario_to_dict(floats))
+    assert ints.k_grid.lo == -10.0 and type(ints.k_grid.lo) is float
+    assert type(ints.fiber_half_width) is float
 
 
 def test_verify_params_merge_defaults_under_config():
@@ -431,6 +464,28 @@ def test_cli_window_missing_the_jump_exit(tmp_path, capsys):
     assert "half_width" in err and "Traceback" not in err
 
 
+_ENDPOINT = {"m": 20, "half_height": 0.5, "delta": 0.1, "tol": 0.2}
+
+
+@pytest.mark.parametrize("verify, argv, field", [
+    ({"kms": {"window": [2.25, 0.25]}}, ["verify", "kms"],
+     "config.verify.kms.window"),
+    ({"kms": {"window": [1.0, 1.0]}}, ["verify", "kms"],
+     "config.verify.kms.window"),
+    ({"scaling": {"endpoint": {**_ENDPOINT, "alpha": 0.6, "beta": 0.3}}},
+     ["scaling"], "config.verify.scaling.endpoint"),
+    ({"scaling": {"endpoint": {**_ENDPOINT, "alpha": 0.3, "beta": 0.3}}},
+     ["scaling"], "config.verify.scaling.endpoint"),
+], ids=["kms_window_reversed", "kms_window_empty", "endpoint_reversed",
+        "endpoint_empty"])
+def test_cli_two_field_verify_rule_exit(tmp_path, capsys, verify, argv, field):
+    # rules relating two fields of a verify block are config errors
+    cfg = write_cfg(tmp_path, base_doc(verify=verify))
+    assert run([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_cli_failed_verdict_exit(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(
         m_grid=[20, 40],
@@ -472,8 +527,8 @@ def _loaded_heavy(body):
 
 
 def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
-    # scipy and mpmath load at their call sites, so a fresh process pays
-    # only for what its subcommand uses; gaps is a closed form
+    # no command loads scipy or mpmath: a fresh process pays for numpy
+    # alone; gaps is a closed form
     assert _loaded_heavy("import edgegap.cli") == []
     assert _loaded_heavy(
         f"from edgegap.cli import run\n"
@@ -487,15 +542,17 @@ def test_startup_loads_neither_scipy_nor_mpmath(tmp_path):
             f"from edgegap.cli import run\n"
             f"assert run({argv!r} + ['--config', {REFERENCE_CONFIG!r}, "
             f"'--out', {str(tmp_path / '-'.join(argv))!r}]) == 0") == []
-    # the resolvent route solves fibers and splines g_j(k) with
-    # scipy.linalg alone
-    loaded = _loaded_heavy(
-        f"from edgegap.cli import run\n"
-        f"assert run(['effective-count', '--config', {REFERENCE_CONFIG!r}, "
-        f"'--out', {str(tmp_path / 'effective-count')!r}]) == 0")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded
-                if m.startswith(("scipy.interpolate", "mpmath"))]
+    # every command of the scripts/run_all.py battery, the fiber solves of
+    # bands, the verify checks and the resolvent routes included, runs on
+    # numpy alone
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all.py"
+    assert _loaded_heavy(
+        f"import runpy\n"
+        f"sys.argv = [{str(script)!r}, {str(tmp_path / 'battery')!r}]\n"
+        f"try:\n"
+        f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
+        f"except SystemExit as exc:\n"
+        f"    assert exc.code == 0, exc.code") == []
 
 
 _GRADED_COUNT = """
