@@ -200,18 +200,15 @@ def _inverse_pivots(beta, inv=None):
     return out
 
 
-def _sturm_counts(base, p, lam, active=None):
+def _sturm_counts(base, p, lam):
     """Eigenvalues of T = tridiag(-p, 2p + base, -p) below lam, per lane:
     the negative pivots of _inverse_pivots, run over _CHUNK rows at a
     time.  base is (n, K), lam (K, M): lane (k, m) is column k at shift
-    lam[k, m].  Lanes outside the boolean mask active may come back as 0
-    (the Python path skips them).
+    lam[k, m].
     """
-    if active is None or lam.size > _SCALAR_LANES:
-        active = np.ones(lam.shape, dtype=bool)
-    ik, im = np.nonzero(active)
-    shift = lam[ik, im]
-    neg = np.zeros(len(ik), dtype=np.intp)
+    ik = np.repeat(np.arange(lam.shape[0]), lam.shape[1])
+    shift = lam.ravel()
+    neg = np.zeros(lam.size, dtype=np.intp)
     inv = None
     for lo in range(0, len(base), _CHUNK):
         rows = base[lo:lo + _CHUNK, ik]
@@ -221,9 +218,7 @@ def _sturm_counts(base, p, lam, active=None):
         inv = _inverse_pivots(rows, inv)
         neg += np.count_nonzero(inv < 0.0, axis=0)
         inv = inv[-1]
-    counts = np.zeros(lam.shape, dtype=np.intp)
-    counts[ik, im] = neg
-    return counts
+    return neg.reshape(lam.shape)
 
 
 def _isolate(base, p, level, lo, hi, width=math.inf):
@@ -251,7 +246,7 @@ def _isolate(base, p, level, lo, hi, width=math.inf):
         if done.all():
             return lo, hi
         mid = 0.5 * (lo + hi)
-        c = _sturm_counts(base, p, mid, ~done)
+        c = _sturm_counts(base, p, mid)
         up, down = ~done & (c >= level), ~done & (c < level)
         hi, c_hi = np.where(up, mid, hi), np.where(up, c, c_hi)
         lo, c_lo = np.where(down, mid, lo), np.where(down, c, c_lo)
@@ -924,8 +919,8 @@ def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
     s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i); a continuous third
     derivative at the second and the second-to-last node gives the end
     rows s_0 + 2 s_1 = (5 d_0 + d_1)/2 and its mirror.  One Thomas sweep
-    solves it: the pivots 1, 2, 3.5, ... stay above 2 + sqrt(3) - 1/4 in
-    the interior and end near 0.46, so no pivoting is needed.
+    solves it without pivoting: the pivots run 1, 2, 3.5, ... up to
+    2 + sqrt(3), and the last is about 1 - 2/(2 + sqrt(3)) = 0.46.
     """
     d = (np.diff(y) / h).tolist()
     n = len(y)
@@ -949,10 +944,9 @@ def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
-    Every node takes its value from _edge_gaps, one batch over the nodes
-    of edge_comparison's gap_dist, the twin gap extrapolated over the
-    (n, n_half) grid pair, so g is h^4-accurate at
-    every depth, including far below one ulp of the edge energy where no
+    One batched _edge_gaps call gives every node edge_comparison's
+    gap_dist, the twin gap extrapolated over the (n, n_half) grid pair,
+    so g is h^4-accurate at every depth, including far below one ulp of the edge energy where no
     difference of energies resolves it; a node whose h^2 correction
     exceeds the twin guard raises ConvergenceFailure.  A not-a-knot cubic
     on the uniform nodes interpolates ln g (slowly varying:

@@ -155,6 +155,23 @@ def test_coarse_energies_within_bisection_error(reference):
         assert np.all(np.abs(new - old) <= bound)
 
 
+def test_isolation_falls_back_to_gershgorin(disc01):
+    # start brackets that hold the wrong levels (or none) are rejected by
+    # their Sturm counts; bisection from the Gershgorin interval still
+    # isolates each level, and the result matches the band brackets'
+    h, p, base = fiber._bases(disc01, (1.0, 4.0), disc01.n_half)
+    levels = np.arange(1, 4)[None, :]
+    good = fiber._isolate(
+        base, p, levels, *(np.broadcast_to(x, (2, 3)) for x in
+                           fiber._band_brackets(1.0, levels, h, 0.0, 1.0)),
+        fiber._BRACKET_REL)
+    wrong = np.broadcast_to(np.array([[4.0, 0.5, 2.5]]), (2, 3))
+    lo, hi = fiber._isolate(base, p, levels, wrong, wrong + 0.1,
+                            fiber._BRACKET_REL)
+    assert np.all((lo < good[1]) & (good[0] < hi))
+    assert np.all(hi - lo <= fiber._BRACKET_REL * (1.0 + np.abs(hi)))
+
+
 def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
     # 20 momenta run the numpy row sweeps, one momentum the Python float
     # loop: a lane's bits do not depend on its batch
