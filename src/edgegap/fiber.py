@@ -3,16 +3,16 @@
 Second-order finite differences with Dirichlet walls on a moving window
 centered at x = k/b, where the eigenfunctions concentrate.  Energies are
 Richardson-extrapolated from a full- and half-resolution solve of the
-same window (h^4 accuracy).  The eigensolver is numpy code, batched over
-(momentum, level) lanes: Sturm-count bisection on the half-resolution
-grid brackets each level alone, which fixes which level is which, and
-Rayleigh-quotient iteration converges it, each step one twisted
-factorization (Dhillon & Parlett, LAA 387, 2004) built from both walls.
-The full grid's iteration starts from the half grid's energies.  Both
-grids' energies are gradient-form Rayleigh quotients of the computed
-eigenvectors.  The window is built from offsets s = x - k/b that do not
-depend on k, so an operator whose potential is constant is the same
-matrix at every momentum.
+same window (h^4 accuracy).  The eigensolver (tridiagonal.py) is numpy
+code, batched over (momentum, level) lanes: Sturm-count bisection on the
+half-resolution grid brackets each level alone, which fixes which level
+is which, and Rayleigh-quotient iteration by twisted factorizations
+converges it.  The full grid's iteration starts from the half grid's
+energies.  Both grids' energies are gradient-form Rayleigh quotients of
+the computed eigenvectors.  The window is built from offsets s = x - k/b
+that do not depend on k, so an operator whose potential is constant is
+the same matrix at every momentum.  The solver module is imported where
+it is first used, so a command that solves no fiber does not load it.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
@@ -141,241 +141,6 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 _ENERGY_CONV_TOL = 1e-3
 
 
-# sweeps over at most this many lanes run as Python float loops, one lane
-# at a time: a 2001-row numpy sweep costs ~3.5 ms at any width up to a few
-# hundred lanes, the float loop ~0.33 ms a lane (2 vCPU), and both perform
-# the same IEEE operations in the same order, so a lane's bits do not
-# depend on the path
-_SCALAR_LANES = 12
-# most (momentum, level) lanes refined at once, which bounds the (n, lanes)
-# work arrays of the twisted factorizations to three of 4 MB each
-_LANE_BLOCK = 256
-# grid rows (or lanes) per numpy chunk of the bookkeeping around a sweep
-_CHUNK = 64
-# bisection stops once the level is isolated and its bracket is below
-# this fraction of 1 + |E|; Rayleigh-quotient iteration finishes it
-_BRACKET_REL = 1e-4
-_MAX_HALVINGS = 64
-# a lane's Rayleigh-quotient iteration stops once its shift moved by less
-# than this fraction of 1 + |E|: the new quotient is then within ~1e-16
-# of the eigenvalue and the vector within ~1e-8 of the eigenvector
-_RQI_REL = 1e-8
-_MAX_RQI = 8
-
-
-def _inverse_pivots(beta, inv=None):
-    """1/rho (rows, lanes) of the LDL^T pivots D_i = p rho_i of T - sigma
-    eliminated from the first row, T = tridiag(-p, 2p + base, -p).
-
-    beta = 2 + (base - sigma)/p, one column per lane, and
-    rho_i = beta_i - 1/rho_{i-1}, continued from the inverses inv of the
-    row above (default the wall, rho_{-1} = inf).  Where T lies above
-    sigma, rho_i = z_{i+1}/z_i > 1 is the ratio by which a solution grows
-    away from the wall.  A zero pivot gives inf and its successor -inf,
-    on the Python path as in numpy.
-    """
-    rows, lanes = beta.shape
-    inv = np.zeros(lanes) if inv is None else inv
-    if lanes <= _SCALAR_LANES:
-        cols = []
-        for col, x in zip(beta.T.tolist(), inv.tolist()):
-            out = []
-            for b in col:
-                rho = b - x
-                try:
-                    x = 1.0 / rho
-                except ZeroDivisionError:
-                    x = math.copysign(math.inf, rho)
-                out.append(x)
-            cols.append(out)
-        return np.array(cols).reshape(lanes, rows).T
-    out = np.empty((rows, lanes))
-    tmp = np.empty(lanes)
-    subtract, reciprocal = np.subtract, np.reciprocal
-    with np.errstate(divide="ignore"):
-        for b, row in zip(beta, out):
-            subtract(b, inv, tmp)
-            reciprocal(tmp, row)
-            inv = row
-    return out
-
-
-def _sturm_counts(base, p, lam):
-    """Eigenvalues of T = tridiag(-p, 2p + base, -p) below lam, per lane:
-    the negative pivots of _inverse_pivots, run over _CHUNK rows at a
-    time.  base is (n, K), lam (K, M): lane (k, m) is column k at shift
-    lam[k, m].
-    """
-    ik = np.repeat(np.arange(lam.shape[0]), lam.shape[1])
-    shift = lam.ravel()
-    neg = np.zeros(lam.size, dtype=np.intp)
-    inv = None
-    for lo in range(0, len(base), _CHUNK):
-        rows = base[lo:lo + _CHUNK, ik]
-        rows -= shift
-        rows /= p
-        rows += 2.0
-        inv = _inverse_pivots(rows, inv)
-        neg += np.count_nonzero(inv < 0.0, axis=0)
-        inv = inv[-1]
-    return neg.reshape(lam.shape)
-
-
-def _isolate(base, p, level, lo, hi, width=math.inf):
-    """Brackets [lo, hi) holding eigenvalue number `level` of each lane alone.
-
-    Lane (k, m) of base (n, K) and lo, hi (K, M) is checked by two Sturm
-    counts: exactly level - 1 eigenvalues below lo and level below hi.
-    A lane whose start bracket fails restarts from its Gershgorin
-    interval.  Bisection then runs until every lane is isolated and its
-    bracket is narrower than width (1 + |hi|); each lane stops on its
-    own, so its bracket does not depend on the other lanes.
-    """
-    level = np.broadcast_to(level, lo.shape)
-    c_lo, c_hi = (_sturm_counts(base, p, x) for x in (lo, hi))
-    bad = (c_lo >= level) | (c_hi < level)
-    if bad.any():
-        # every eigenvalue lies within 2p of the diagonal 2p + base
-        g_lo = base.min(axis=0)[:, None]
-        g_hi = base.max(axis=0)[:, None] + 4.0 * p + 1.0
-        lo, hi = np.where(bad, g_lo, lo), np.where(bad, g_hi, hi)
-        c_lo, c_hi = np.where(bad, 0, c_lo), np.where(bad, base.shape[0], c_hi)
-    for _ in range(_MAX_HALVINGS):
-        done = ((c_lo == level - 1) & (c_hi == level)
-                & (hi - lo <= width * (1.0 + np.abs(hi))))
-        if done.all():
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        c = _sturm_counts(base, p, mid)
-        up, down = ~done & (c >= level), ~done & (c < level)
-        hi, c_hi = np.where(up, mid, hi), np.where(up, c, c_hi)
-        lo, c_lo = np.where(down, mid, lo), np.where(down, c, c_lo)
-    raise ConvergenceFailure("bisection did not isolate a fiber level")
-
-
-def _twisted(beta):
-    """(1/rho+, 1/rho-, r): inverse forward and backward pivots of
-    T - sigma (beta = 2 + (base - sigma)/p) and, per lane, the twist
-    r = argmin |gamma_r| with gamma_r / p = rho+_r + rho-_r - beta_r
-    (Dhillon & Parlett, LAA 387, 2004).  The solution of
-    (T - sigma) z = gamma_r e_r with z_r = 1 is z_i = z_{i+1} / rho+_i
-    left of r and z_i = z_{i-1} / rho-_i right of it: each factor comes
-    from the wall on its side, where z grows."""
-    inv_f = _inverse_pivots(beta)
-    inv_b = _inverse_pivots(beta[::-1])[::-1]
-    best = np.full(beta.shape[1], np.inf)
-    r = np.zeros(beta.shape[1], dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, len(beta), _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            gamma = np.abs(1.0 / inv_f[rows] + 1.0 / inv_b[rows] - beta[rows])
-            at = np.argmin(gamma, axis=0)
-            low = np.take_along_axis(gamma, at[None], axis=0)[0]
-            # strict: the first minimum wins, as in one argmin
-            better = low < best
-            best = np.where(better, low, best)
-            r = np.where(better, lo + at, r)
-    return inv_f, inv_b, r
-
-
-def _twisted_vectors(beta):
-    """Eigenvector estimates z (n, lanes), z_r = 1, from one twisted
-    factorization at each lane's shift (see _twisted), built in place of
-    the pivot arrays."""
-    inv_f, inv_b, r = _twisted(beta)
-    idx = np.arange(len(inv_f))[:, None]
-    inv_f[idx >= r] = 1.0
-    inv_b[idx <= r] = 1.0
-    np.cumprod(inv_f[::-1], axis=0, out=inv_f[::-1])
-    np.cumprod(inv_b, axis=0, out=inv_b)
-    inv_f *= inv_b
-    return inv_f
-
-
-def _log_vectors(beta):
-    """(ln|v|, sign v), each (lanes, n), of the unit eigenvectors from one
-    twisted factorization at each lane's shift, with no product formed:
-    ln|z| sums ln|1/rho| from the twist outward, so the tails keep their
-    relative accuracy far below the double range."""
-    inv_f, inv_b, r = _twisted(beta)
-    idx = np.arange(len(inv_f))[:, None]
-    left, right = idx < r, idx > r
-    log_z = (np.cumsum(np.log(np.abs(np.where(left, inv_f, 1.0)))[::-1],
-                       axis=0)[::-1]
-             + np.cumsum(np.log(np.abs(np.where(right, inv_b, 1.0))), axis=0))
-    flips = (np.cumsum((left & (inv_f < 0.0))[::-1], axis=0)[::-1]
-             + np.cumsum(right & (inv_b < 0.0), axis=0))
-    log_z = np.ascontiguousarray(log_z.T)
-    sign = np.ascontiguousarray(np.where(flips % 2, -1.0, 1.0).T)
-    top = log_z.max(axis=1, keepdims=True)
-    log_z -= top + 0.5 * np.log(
-        np.exp(2.0 * (log_z - top)).sum(axis=1, keepdims=True))
-    return log_z, sign
-
-
-def _rayleigh_quotients(base, p, vecs, ik, out=None):
-    """Rayleigh quotients of the columns of vecs (n, lanes) for
-    T = tridiag(-p, 2p + base[:, ik], -p), and the unit vectors as rows
-    of out (lanes, n) if given.
-
-    The gradient form p sum (v_{i+1} - v_i)^2 + sum base_i v_i^2 (zero
-    walls) never forms the O(p) terms that cancel: every term is
-    nonnegative where the potential is, so the sums keep a relative
-    accuracy of about log2(n) eps.  They are pairwise sums along
-    contiguous rows, the same for a lane whatever its batch, taken
-    _CHUNK lanes at a time.
-    """
-    quot = np.empty(vecs.shape[1])
-    for lo in range(0, vecs.shape[1], _CHUNK):
-        lanes = slice(lo, lo + _CHUNK)
-        v = np.ascontiguousarray(vecs[:, lanes].T)
-        grad = np.diff(v, axis=1, prepend=0.0, append=0.0)
-        norm2 = (v * v).sum(axis=1)
-        quot[lanes] = (p * (grad * grad).sum(axis=1)
-                       + (base[:, ik[lanes]].T * v * v).sum(axis=1)) / norm2
-        if out is not None:
-            np.divide(v, np.sqrt(norm2)[:, None], out=out[lanes])
-    return quot
-
-
-def _refine(base, p, sigma, vectors=False):
-    """(energies, vectors) by Rayleigh-quotient iteration from the shifts
-    sigma (K, M) on the columns of base (n, K).
-
-    Each step is one twisted factorization at the lane's shift, and the
-    Rayleigh quotient of its vector is the next shift.  A lane stops once
-    its shift moved by less than _RQI_REL (1 + |E|); its energy is that
-    last quotient and its vector the one it came from, unit-normalized,
-    in vectors[k, m] (K, M, n) if asked for (else None).  Lanes run in
-    blocks of _LANE_BLOCK; a lane's result does not depend on its block.
-    """
-    sigma = sigma.astype(float)
-    vecs = np.empty(sigma.shape + (base.shape[0],)) if vectors else None
-    active = np.ones(sigma.shape, dtype=bool)
-    for _ in range(_MAX_RQI):
-        lanes = np.nonzero(active)
-        for lo in range(0, len(lanes[0]), _LANE_BLOCK):
-            ik, im = (x[lo:lo + _LANE_BLOCK] for x in lanes)
-            beta = base[:, ik]
-            beta -= sigma[ik, im]
-            beta /= p
-            beta += 2.0
-            z = _twisted_vectors(beta)
-            del beta
-            unit = np.empty(z.shape[::-1]) if vectors else None
-            new = _rayleigh_quotients(base, p, z, ik, unit)
-            del z
-            if vectors:
-                vecs[ik, im] = unit
-            done = np.abs(new - sigma[ik, im]) <= _RQI_REL * (1.0 + np.abs(new))
-            sigma[ik, im] = new
-            active[ik[done], im[done]] = False
-        if not active.any():
-            return sigma, vecs
-    raise ConvergenceFailure("Rayleigh-quotient iteration did not converge "
-                             "on a fiber level")
-
-
 def _bases(disc: FiberDiscretization, ks, n: int = None):
     """(x offsets' spacing h, p, base (n, K)) of the fiber operators at
     the momenta ks: T(k) = tridiag(-p, 2p + base[:, k], -p) is the matrix
@@ -390,25 +155,11 @@ def _bases(disc: FiberDiscretization, ks, n: int = None):
 def _band_brackets(b: float, levels, h: float, w_lo: float, w_hi: float):
     """Start brackets of levels j of a fiber operator with w_lo <= W <= w_hi
     from band monotonicity, b(2j - 1) + w_lo <= E_j(k) <= b(2j - 1) + w_hi,
-    widened by the h^2 slack of the difference Laplacian (_isolate checks
+    widened by the h^2 slack of the difference Laplacian (isolate checks
     them and falls back to Gershgorin)."""
     landau = b * (2.0 * np.asarray(levels, dtype=float) - 1.0)
     slack = 0.25 * h * h * (landau + abs(w_hi)) ** 2 + 1e-9 * (1.0 + landau)
     return landau + w_lo - slack, landau + w_hi + slack
-
-
-def _certified_levels(base, p, levels, lo, hi, vectors=False):
-    """(energies, vectors) of the given levels (K, M) of the columns of
-    base: bisection from the brackets lo, hi to an isolating bracket,
-    then Rayleigh-quotient iteration from its midpoint.  An energy outside
-    its bracket belongs to another level and raises ConvergenceFailure."""
-    shape = (base.shape[1],) + np.shape(levels)[1:]
-    lo, hi = _isolate(base, p, levels, np.broadcast_to(lo, shape),
-                      np.broadcast_to(hi, shape), _BRACKET_REL)
-    energies, vecs = _refine(base, p, 0.5 * (lo + hi), vectors)
-    if np.any((energies < lo) | (energies >= hi)):
-        raise ConvergenceFailure("a fiber level left its isolating bracket")
-    return energies, vecs
 
 
 def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
@@ -430,6 +181,7 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     increase strictly, which band_table's interlacing relies on.  A
     lane's result does not depend on the other momenta of ks.
     """
+    from .tridiagonal import certified_levels, refine
     if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
     ks = np.asarray(ks, dtype=float)
@@ -437,7 +189,7 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     bounds = ((0.0, 0.0) if disc.w is None
               else (disc.w.w_minus_limit, disc.w.w_plus_limit))
     h2, p2, base2 = _bases(disc, ks, disc.n_half)
-    coarse, vec2 = _certified_levels(
+    coarse, vec2 = certified_levels(
         base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds), True)
     # the difference Laplacian lowers E by about h^2 |psi''|^2 / 12, so the
     # n grid lies 3/4 of the coarse shift higher
@@ -445,7 +197,7 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     seed = coarse + (d2 * d2).sum(axis=-1) / (16.0 * h2 * h2)
     del vec2, d2
     h, p, base = _bases(disc, ks)
-    fine, vecs = _refine(base, p, seed, vectors)
+    fine, vecs = refine(base, p, seed, vectors)
     rich, resid = _richardson(fine, coarse)
     if np.any(resid > conv_tol):
         i = int(np.argmax(resid.max(axis=1)))
@@ -594,92 +346,6 @@ class EdgeComparison:
 _TWIN_CONV_TOL = 0.1
 
 
-def _rayleigh_quotient(base, p, v) -> float:
-    """v.T T v / v.T v for T = tridiag(-p, 2p + base, -p), Dirichlet walls.
-
-    The gradient form of _rayleigh_quotients summed exactly (fsum), so
-    it is within an ulp of the quotient.
-    """
-    grad = np.diff(np.concatenate(([0.0], v, [0.0])))
-    terms = np.concatenate((p * grad * grad, base * v * v))
-    return math.fsum(terms.tolist()) / math.fsum((v * v).tolist())
-
-
-def _tridiagonal_solve(diag, p, cols):
-    """Columns x of tridiag(-p, diag, -p) x = cols (lists of floats), by
-    Gaussian elimination with partial pivoting (LAPACK dgtsv): the
-    matrices it serves are indefinite above the first level."""
-    n = len(diag)
-    d, du, fill = list(diag), [-p] * (n - 1), [0.0] * n
-    bs = [list(c) for c in cols]
-    try:
-        for i in range(n - 1):
-            if abs(d[i]) >= p:
-                fact = -p / d[i]
-                d[i + 1] -= fact * du[i]
-                for b in bs:
-                    b[i + 1] -= fact * b[i]
-            else:
-                # interchange rows i and i + 1
-                fact = d[i] / -p
-                d[i], temp = -p, d[i + 1]
-                d[i + 1] = du[i] - fact * temp
-                if i < n - 2:
-                    fill[i] = du[i + 1]
-                    du[i + 1] = -fact * du[i + 1]
-                du[i] = temp
-                for b in bs:
-                    b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-        for b in bs:
-            b[n - 1] /= d[n - 1]
-            if n > 1:
-                b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-            for i in range(n - 3, -1, -1):
-                b[i] = (b[i] - du[i] * b[i + 1] - fill[i] * b[i + 2]) / d[i]
-    except ZeroDivisionError:
-        raise ConvergenceFailure("singular deflated twin system") from None
-    return bs
-
-
-def _deflated_solve(base, p, shift, v, rhs):
-    """u with (T - shift) u = rhs and v.T u = 0, T = tridiag(-p, 2p + base, -p).
-
-    T - shift may be singular to every digit along its eigenvector v,
-    and rhs is orthogonal to v.  Row and column m of the largest |v_m|
-    (the twist index of a twisted factorization) are set aside; the rest
-    of T - shift splits into two tridiagonal blocks, well conditioned
-    because v_m is large, solved by _tridiagonal_solve.  Then
-    u = B^-1 rhs - u_m B^-1 a_m off index m, with a_m = -p at m - 1 and
-    m + 1 the rest of column m, and v.T u = 0 fixes u_m.
-    """
-    n = len(base)
-    m = int(np.argmax(np.abs(v)))
-    diag = (base + 2.0 * p - shift).tolist()
-    rhs = rhs.tolist()
-    y, z = np.empty(n - 1), np.empty(n - 1)
-    if m > 0:
-        left = _tridiagonal_solve(diag[:m], p, (rhs[:m], [0.0] * (m - 1) + [-p]))
-        y[:m], z[:m] = left
-    if m < n - 1:
-        right = _tridiagonal_solve(diag[m + 1:], p,
-                                   (rhs[m + 1:], [-p] + [0.0] * (n - m - 2)))
-        y[m:], z[m:] = right
-    rest = np.delete(v, m)
-    u_m = -np.sum(rest * y) / (v[m] - np.sum(rest * z))
-    return np.insert(y - u_m * z, m, u_m)
-
-
-def _log_level(base, p, level: int, lo, hi):
-    """(energy, ln|v|, sign v) of one level of T = tridiag(-p, 2p + base, -p),
-    base (n,): certified by _certified_levels, energy the exact-sum
-    Rayleigh quotient and the unit vector rebuilt in log form at it."""
-    col = base[:, None]
-    _, vec = _certified_levels(col, p, np.array([[level]]), lo, hi, True)
-    energy = _rayleigh_quotient(base, p, vec[0, 0])
-    log_v, sign = _log_vectors((col - energy) / p + 2.0)
-    return energy, log_v[0], sign[0]
-
-
 @lru_cache(maxsize=64)
 def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
     """(base, v, ln|v|, sign v, E) of level j of the constant-W_+ operator
@@ -687,10 +353,11 @@ def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
     matrix at every momentum, so it is solved once.  v is unit-normalized
     and rebuilt from its log form, whose tails the twin identity sums.
     """
+    from .tridiagonal import log_level
     _, diag, off, h = free.tridiagonal(0.0, n, w_override=w_plus)
     p = -float(off[0])
     base = diag - 2.0 * p
-    energy, log_v, sign = _log_level(
+    energy, log_v, sign = log_level(
         base, p, j, *_band_brackets(free.b, j, h, w_plus, w_plus))
     v = sign * np.exp(log_v)
     for arr in (base, v, log_v, sign):
@@ -728,6 +395,8 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     Rayleigh-quotient iteration starts from E_+ - <v_+, D v_+>, the
     quotient of v_+.
     """
+    from .tridiagonal import (isolate, log_vectors, rayleigh_quotient,
+                              refine)
     ks = np.asarray(ks, dtype=float)
     plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
     base_p, v_plus, log_p, sign_p, e_plus = plus
@@ -741,15 +410,15 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
             f"W_+ - W vanishes on the whole fiber window at k={k}: "
             f"half_width {disc.half_width:g} misses the jump; widen it")
     pad = 1e-9 * (1.0 + abs(e_plus))
-    lo, hi = _isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
-                      (e_plus - jump.min(axis=1) + pad)[:, None])
+    lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
+                     (e_plus - jump.min(axis=1) + pad)[:, None])
     seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
-    _, vecs = _refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
-    energy = np.array([_rayleigh_quotient(base[:, i], p, vecs[i, 0])
+    _, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
+    energy = np.array([rayleigh_quotient(base[:, i], p, vecs[i, 0])
                        for i in range(len(ks))])
     if np.any((energy < lo[:, 0]) | (energy >= hi[:, 0])):
         raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
-    log_w, sign_w = _log_vectors((base - energy) / p + 2.0)
+    log_w, sign_w = log_vectors((base - energy) / p + 2.0)
     overlap = (sign_p * sign_w * np.exp(log_p + log_w)).sum(axis=1)
     sign_w *= np.where(overlap < 0.0, -1.0, 1.0)[:, None]
     # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>, summed in log
@@ -770,9 +439,10 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
 def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
     """EdgeComparisons for W = None: the twins coincide, and level j of
     the free fiber is the same matrix at every momentum."""
+    from .tridiagonal import log_level
     h, p, base = _bases(disc, (0.0,), n)
-    energy, _, _ = _log_level(base[:, 0], p, j,
-                              *_band_brackets(disc.b, j, h, 0.0, 0.0))
+    energy, _, _ = log_level(base[:, 0], p, j,
+                             *_band_brackets(disc.b, j, h, 0.0, 0.0))
     return [EdgeComparison(j=j, k=float(k), gap_dist=0.0, overlap=1.0,
                            defect=0.0, scaled_distance=0.0, energy_w=energy)
             for k in ks]
@@ -782,6 +452,7 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
                       n: int = None) -> list:
     """EdgeComparisons of the twin operators on the n-point grid of the
     window of disc (default disc.n), with the single-grid gap."""
+    from .tridiagonal import deflated_solve
     n = disc.n if n is None else n
     if disc.w is None:
         return _free_comparisons(disc, j, ks, n)
@@ -795,7 +466,7 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
         scale = float(tw.log_dw[i].max())
         rhs = (tw.sign_w[i] * np.exp(tw.log_dw[i] - scale)
                - math.exp(tw.log_s[i] - scale) * v_plus)
-        u = _deflated_solve(base_p, tw.p, tw.energy[i], v_plus, rhs)
+        u = deflated_solve(base_p, tw.p, tw.energy[i], v_plus, rhs)
         log_defect = 2.0 * scale + math.log(float(np.sum(u * u)))
         defect = math.exp(log_defect)
         log_gap = float(tw.log_gap[i])

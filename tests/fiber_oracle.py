@@ -10,7 +10,8 @@ package's path must reproduce it to rounding.
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from edgegap.fiber import FiberDiscretization, _rayleigh_quotient, _richardson
+from edgegap.fiber import FiberDiscretization, _richardson
+from edgegap.tridiagonal import rayleigh_quotient
 
 
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
@@ -21,7 +22,7 @@ def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
                                select_range=(0, j_max - 1))
     p = -float(off[0])
     base = diag - 2.0 * p
-    return np.array([_rayleigh_quotient(base, p, v) for v in vecs.T]), vecs
+    return np.array([rayleigh_quotient(base, p, v) for v in vecs.T]), vecs
 
 
 def bisection_levels(disc: FiberDiscretization, k: float, j_max: int):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from edgegap import fiber
+from edgegap import fiber, tridiagonal
 from edgegap.cli import run
 from edgegap.errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from edgegap.fiber import (
@@ -145,7 +145,7 @@ def test_coarse_energies_within_bisection_error(reference):
     ks = sc.k_grid.values()[::20]
     levels = np.arange(1, 7)[None, :]
     h, p, base = fiber._bases(disc, ks, disc.n_half)
-    coarse, _ = fiber._certified_levels(
+    coarse, _ = tridiagonal.certified_levels(
         base, p, levels, *fiber._band_brackets(disc.b, levels, h, 0.0, 1.0))
     for k, new in zip(ks, coarse):
         _, diag, off, _ = disc.tridiagonal(float(k), disc.n_half)
@@ -161,15 +161,15 @@ def test_isolation_falls_back_to_gershgorin(disc01):
     # isolates each level, and the result matches the band brackets'
     h, p, base = fiber._bases(disc01, (1.0, 4.0), disc01.n_half)
     levels = np.arange(1, 4)[None, :]
-    good = fiber._isolate(
+    good = tridiagonal.isolate(
         base, p, levels, *(np.broadcast_to(x, (2, 3)) for x in
                            fiber._band_brackets(1.0, levels, h, 0.0, 1.0)),
-        fiber._BRACKET_REL)
+        tridiagonal._BRACKET_REL)
     wrong = np.broadcast_to(np.array([[4.0, 0.5, 2.5]]), (2, 3))
-    lo, hi = fiber._isolate(base, p, levels, wrong, wrong + 0.1,
-                            fiber._BRACKET_REL)
+    lo, hi = tridiagonal.isolate(base, p, levels, wrong, wrong + 0.1,
+                                 tridiagonal._BRACKET_REL)
     assert np.all((lo < good[1]) & (good[0] < hi))
-    assert np.all(hi - lo <= fiber._BRACKET_REL * (1.0 + np.abs(hi)))
+    assert np.all(hi - lo <= tridiagonal._BRACKET_REL * (1.0 + np.abs(hi)))
 
 
 def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
@@ -197,14 +197,14 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
 def _corrupt_seeds(monkeypatch, rows, corrupt):
     """Route the Rayleigh-quotient iteration of the fiber grid with `rows`
     points through corrupt(seeds) -> seeds."""
-    refine = fiber._refine
+    refine = tridiagonal.refine
 
     def refine_from(base, p, sigma, vectors=False):
         if base.shape[0] == rows:
             sigma = corrupt(sigma.copy())
         return refine(base, p, sigma, vectors)
 
-    monkeypatch.setattr(fiber, "_refine", refine_from)
+    monkeypatch.setattr(tridiagonal, "refine", refine_from)
 
 
 @pytest.mark.parametrize("slot, source", [(0, 1), (1, 0), (2, 1)])
