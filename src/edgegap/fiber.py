@@ -199,10 +199,11 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     h, p, base = _bases(disc, ks)
     fine, vecs = refine(base, p, seed, vectors)
     rich, resid = _richardson(fine, coarse)
-    if np.any(resid > conv_tol):
-        i = int(np.argmax(resid.max(axis=1)))
+    bad = (resid > conv_tol).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceFailure(
-            f"h^2 correction {resid.max():.3e} above {conv_tol:g} at "
+            f"h^2 correction {resid[i].max():.3e} above {conv_tol:g} at "
             f"k={ks[i]}; refine the grid")
     if np.any(np.diff(rich, axis=1) <= 0):
         i = int(np.argmax(np.any(np.diff(rich, axis=1) <= 0, axis=1)))
