@@ -31,7 +31,7 @@ from .geometry import (asymptotic_constants, c_minus, c_plus,
 from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
                        g_sinc, gamma_diag_count, gamma_gram,
                        inscribed_rectangle_count, kms_trace_ratio,
-                       sandwich_check)
+                       sandwich_check, sinc_rule)
 from .potentials import finiteness_predicate
 from .scenario import (Scenario, load_scenario, normalized_scenario,
                        scenario_to_dict, schema_json)
@@ -235,8 +235,9 @@ def cmd_verify_kms(sc: Scenario, out: Path):
     m_t = float(p["m_trace"])
     r2 = kms_trace_ratio(iv, m_t, 2)
     r3 = kms_trace_ratio(iv, m_t, 3)
-    rows.append((m_t, "g_sinc_pow2", "", g_sinc(iv, m_t).n, r2, target, 53, ""))
-    rows.append((m_t, "g_sinc_pow3", "", g_sinc(iv, m_t).n, r3, target, 53, ""))
+    n_t = len(sinc_rule(iv, m_t)[0])
+    rows.append((m_t, "g_sinc_pow2", "", n_t, r2, target, 53, ""))
+    rows.append((m_t, "g_sinc_pow3", "", n_t, r3, target, 53, ""))
     m_c, s = float(p["m_count"]), float(p["s"])
     with _WarningBox() as box:
         op = g_sinc(iv, m_c)

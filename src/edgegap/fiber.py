@@ -26,11 +26,15 @@ whose right side sums the eigenvector tails where W < W_+.  The twisted
 factorization gives those tails in log form, as sums of the logarithms
 of pivot ratios run from each Dirichlet wall, in the direction where the
 eigenvector grows, so the tiny difference keeps full relative accuracy
-in double precision.  The eigenvector overlap defect 1 - <v_+, v_W>^2
-comes from one deflated solve with the same right side.  The twin gap is
-Richardson-extrapolated over the same grid pair as the energies, so
-every gap distance the package reads, from the Phi_j(k)^2 ratio checks
-to the resolvent weights of GapModel, is the one h^4-accurate number.
+in double precision.  Each twin lane builds that log form at the
+pairwise-sum Rayleigh quotient its iteration ended on; only an energy
+that is reported (EdgeComparison.energy_w) is summed exactly, so the
+nodes of GapModel take no exact sums.  The eigenvector overlap defect
+1 - <v_+, v_W>^2 comes from one deflated solve with the same right
+side, at the exact-sum energy.  The twin gap is Richardson-extrapolated
+over the same grid pair as the energies, so every gap distance the
+package reads, from the Phi_j(k)^2 ratio checks to the resolvent
+weights of GapModel, is the one h^4-accurate number.
 """
 
 from __future__ import annotations
@@ -229,23 +233,22 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int,
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     h, rich, evecs = _fiber_levels(disc, ks, j_max, conv_tol)
     weights = _trapezoid_weights(disc.n, h)
-    out = []
-    for i, kk in enumerate(ks.tolist()):
-        x = disc.grid(kk)
-        pairs = []
-        for idx in range(j_max):
-            vec = evecs[i, idx]  # a row view, normalized in place
-            vec /= math.sqrt(float(np.sum(weights * vec * vec)))
-            limit = psi_inf(idx + 1, kk, x, disc.b)
-            c = float(np.sum(weights * vec * limit))
-            if c < 0:
-                np.negative(vec, out=vec)
-                c = -c
-            pairs.append(FiberEigenpair(j=idx + 1, k=kk,
-                                        energy=float(rich[i, idx]),
-                                        values=vec,
-                                        overlap_with_limit=min(c, 1.0)))
-        out.append(pairs)
+    x = ks[:, None] / disc.b + disc._offsets()  # row i is disc.grid(ks[i])
+    overlap = np.empty((len(ks), j_max))
+    for idx in range(j_max):
+        # one level at every momentum; each sum runs pairwise along one
+        # contiguous row, so a momentum's bits do not depend on the batch
+        vecs = evecs[:, idx]  # row views, normalized in place
+        vecs /= np.sqrt((weights * vecs * vecs).sum(axis=1))[:, None]
+        limit = psi_inf(idx + 1, ks[:, None], x, disc.b)
+        c = (weights * vecs * limit).sum(axis=1)
+        vecs *= np.where(c < 0.0, -1.0, 1.0)[:, None]
+        overlap[:, idx] = np.minimum(np.abs(c), 1.0)
+    out = [[FiberEigenpair(j=idx + 1, k=kk, energy=e, values=evecs[i, idx],
+                           overlap_with_limit=c)
+            for idx, (e, c) in enumerate(zip(rich[i].tolist(),
+                                             overlap[i].tolist()))]
+           for i, kk in enumerate(ks.tolist())]
     return out if np.ndim(k) else out[0]
 
 
@@ -369,14 +372,19 @@ def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
 @dataclass(frozen=True)
 class _TwinLevels:
     """Level j of the W operators at momenta ks on one grid, against the
-    constant-W_+ twin `plus` (_plus_twin): per lane the energy, sign v_W,
-    ln|D v_W| (-inf where D = W_+ - W vanishes), ln <v_+, D v_W> and the
-    overlap c = <v_+, v_W> > 0, whose ratio is the twin gap."""
+    constant-W_+ twin `plus` (_plus_twin): per lane the unit eigenvector
+    v_W of the matrix base[:, lane], its pairwise-sum Rayleigh quotient
+    `shift` (the shift its log form was built at), sign v_W, ln|D v_W|
+    (-inf where D = W_+ - W vanishes), ln <v_+, D v_W> and the overlap
+    c = <v_+, v_W> > 0, whose ratio is the twin gap.  The exact-sum
+    energy of v_W is left to the callers that report it."""
 
     ks: np.ndarray
     p: float
     plus: tuple
-    energy: np.ndarray
+    base: np.ndarray
+    vectors: np.ndarray
+    shift: np.ndarray
     sign_w: np.ndarray
     log_dw: np.ndarray
     log_s: np.ndarray
@@ -394,10 +402,12 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     H_W lies in [E_+ - max D, E_+ - min D]; two Sturm counts certify that
     it lies there alone (else bisection isolates it), and
     Rayleigh-quotient iteration starts from E_+ - <v_+, D v_+>, the
-    quotient of v_+.
+    quotient of v_+.  The quotient the iteration ends on, a pairwise sum
+    within a few ulps of the exact one, is the shift of the bracket check
+    and of the log-form vector, so no lane pays for an exact sum; the gap
+    and the overlap move only at rounding level with it.
     """
-    from .tridiagonal import (isolate, log_vectors, rayleigh_quotient,
-                              refine)
+    from .tridiagonal import isolate, log_vectors, refine
     ks = np.asarray(ks, dtype=float)
     plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
     base_p, v_plus, log_p, sign_p, e_plus = plus
@@ -414,12 +424,11 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
                      (e_plus - jump.min(axis=1) + pad)[:, None])
     seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
-    _, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
-    energy = np.array([rayleigh_quotient(base[:, i], p, vecs[i, 0])
-                       for i in range(len(ks))])
-    if np.any((energy < lo[:, 0]) | (energy >= hi[:, 0])):
+    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
+    shift = shift[:, 0]
+    if np.any((shift < lo[:, 0]) | (shift >= hi[:, 0])):
         raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
-    log_w, sign_w = log_vectors((base - energy) / p + 2.0)
+    log_w, sign_w = log_vectors((base - shift) / p + 2.0)
     overlap = (sign_p * sign_w * np.exp(log_p + log_w)).sum(axis=1)
     sign_w *= np.where(overlap < 0.0, -1.0, 1.0)[:, None]
     # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>, summed in log
@@ -432,9 +441,9 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
              * np.exp(terms - top[:, None])).sum(axis=1)
     if np.any(total <= 0.0):
         raise ConvergenceFailure("twin identity sum is not positive")
-    return _TwinLevels(ks=ks, p=p, plus=plus, energy=energy, sign_w=sign_w,
-                       log_dw=log_dw, log_s=top + np.log(total),
-                       overlap=np.abs(overlap))
+    return _TwinLevels(ks=ks, p=p, plus=plus, base=base, vectors=vecs[:, 0],
+                       shift=shift, sign_w=sign_w, log_dw=log_dw,
+                       log_s=top + np.log(total), overlap=np.abs(overlap))
 
 
 def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
@@ -452,8 +461,10 @@ def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
 def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
                       n: int = None) -> list:
     """EdgeComparisons of the twin operators on the n-point grid of the
-    window of disc (default disc.n), with the single-grid gap."""
-    from .tridiagonal import deflated_solve
+    window of disc (default disc.n), with the single-grid gap.  energy_w
+    is the exact-sum Rayleigh quotient of the twin eigenvector, the one
+    energy here that is reported, and the shift of the deflated solve."""
+    from .tridiagonal import deflated_solve, rayleigh_quotient
     n = disc.n if n is None else n
     if disc.w is None:
         return _free_comparisons(disc, j, ks, n)
@@ -461,13 +472,14 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
     base_p, v_plus = tw.plus[0], tw.plus[1]
     out = []
     for i, k in enumerate(tw.ks.tolist()):
+        energy = rayleigh_quotient(tw.base[:, i], tw.p, tw.vectors[i])
         # v_W = c v_+ + u with u orthogonal to v_+ solves the deflated
         # system (H_+ - E_W) u = D v_W - <v_+, D v_W> v_+, so 1 - c^2 = |u|^2;
         # the right side is scaled by its largest entry to stay in double range
         scale = float(tw.log_dw[i].max())
         rhs = (tw.sign_w[i] * np.exp(tw.log_dw[i] - scale)
                - math.exp(tw.log_s[i] - scale) * v_plus)
-        u = deflated_solve(base_p, tw.p, tw.energy[i], v_plus, rhs)
+        u = deflated_solve(base_p, tw.p, energy, v_plus, rhs)
         log_defect = 2.0 * scale + math.log(float(np.sum(u * u)))
         defect = math.exp(log_defect)
         log_gap = float(tw.log_gap[i])
@@ -475,7 +487,7 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
             j=j, k=k, gap_dist=math.exp(log_gap),
             overlap=math.exp(0.5 * math.log1p(-defect)), defect=defect,
             scaled_distance=2.0 * math.exp(0.5 * (log_defect - log_gap)),
-            energy_w=float(tw.energy[i])))
+            energy_w=energy))
     return out
 
 

@@ -119,7 +119,10 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
     return np.exp(eta * m * ssum) * osc * geo
 
 
-def _sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
+def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
+    """(points, weights) of the sinc-family Nystrom rule on the window:
+    10-point Gauss panels, at least `nodes` points (default 4 scale
+    |window|/pi, at least 400)."""
     if nodes is None:
         nodes = max(400, int(4.0 * scale * interval.length / math.pi))
     panels = max(1, int(math.ceil(nodes / 10)))
@@ -129,7 +132,7 @@ def _sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
 def _sinc_dense(interval: IntervalSpec, scale: float, nodes: int = None):
     if interval.lo < 0.0:
         raise DomainError("sinc-family window must lie in (0, infinity)")
-    pts, wts = _sinc_rule(interval, scale, nodes)
+    pts, wts = sinc_rule(interval, scale, nodes)
     kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)
     return pts, wts, root[:, None] * kern * root[None, :]

@@ -150,21 +150,27 @@ def product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
     sections: vertical sections per x node; y_scale s multiplies (k-k')
     in the oscillatory factor.  Per-momentum exponents are factored out
     before the x sum, so the linear-domain accumulation stays O(1) even
-    when entries span hundreds of decades.
+    when entries span hundreds of decades.  The Gram is Hermitian, so only
+    its upper triangle (diagonal included) is accumulated, entry by entry
+    the same operations as on the full matrix, and the lower triangle is
+    its mirror.
     """
     k_pts = np.asarray(k_pts, dtype=float)
     k_wts = np.asarray(k_wts, dtype=float)
     nk = len(k_pts)
     peak = x_logmag.max(axis=0)
     scaled = x_sign * np.exp(x_logmag - peak[None, :])
-    tau = y_scale * (k_pts[:, None] - k_pts[None, :])
-    acc = np.zeros((nk, nk), dtype=complex)
+    row, col = np.triu_indices(nk)
+    tau = y_scale * (k_pts[row] - k_pts[col])
+    upper = np.zeros(len(row), dtype=complex)
     for ix in range(len(x_pts)):
         if y_order > 0:
             ysum = _section_gauss_integral(tau, sections[ix], y_order)
         else:
             ysum = _section_osc_integral(tau, sections[ix])
-        acc += x_wts[ix] * np.outer(scaled[ix], scaled[ix]) * ysum
+        upper += x_wts[ix] * (scaled[ix, row] * scaled[ix, col]) * ysum
+    acc = np.zeros((nk, nk), dtype=complex)  # lower triangle: mirrored below
+    acc[row, col] = upper
     with np.errstate(divide="ignore"):
         log_mag = np.log(np.abs(acc))
     log_mag += (peak[:, None] + peak[None, :] + log_row[:, None] + log_row[None, :]

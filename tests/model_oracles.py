@@ -2,7 +2,9 @@
 
 None of these is on a package code path: each is an independent
 evaluation of a quantity (a normalization, an asymptote, a moment
-series, a coefficient table) whose exact value is known.
+series, a coefficient table) whose exact value is known, or a plain
+evaluation (full_product_gram) that a faster package route must
+reproduce bit for bit.
 """
 
 import math
@@ -12,6 +14,7 @@ from scipy.special import gammaln
 
 from edgegap.errors import PrecisionExhausted
 from edgegap.modelops import IntervalSpec
+from edgegap.operators import _section_gauss_integral, _section_osc_integral
 from edgegap.oscillator import _hermite_poly_part
 
 
@@ -142,3 +145,35 @@ def gauss_hermite_gram(j_max: int, nodes: int = 200) -> np.ndarray:
     t, w = np.polynomial.hermite.hermgauss(nodes)
     polys = np.vstack([_hermite_poly_part(j, t) for j in range(1, j_max + 1)])
     return (polys * w) @ polys.T
+
+
+def full_product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
+                      sections, y_scale, log_prefactor, y_order=0, meta=None):
+    """(log_mag, phase) of operators.product_gram's kernel, accumulated
+    over the whole nk x nk matrix at every x node and then made Hermitian
+    by mirroring the upper triangle onto the lower one."""
+    k_pts = np.asarray(k_pts, dtype=float)
+    k_wts = np.asarray(k_wts, dtype=float)
+    nk = len(k_pts)
+    peak = x_logmag.max(axis=0)
+    scaled = x_sign * np.exp(x_logmag - peak[None, :])
+    tau = y_scale * (k_pts[:, None] - k_pts[None, :])
+    acc = np.zeros((nk, nk), dtype=complex)
+    for ix in range(len(x_pts)):
+        if y_order > 0:
+            ysum = _section_gauss_integral(tau, sections[ix], y_order)
+        else:
+            ysum = _section_osc_integral(tau, sections[ix])
+        acc += x_wts[ix] * np.outer(scaled[ix], scaled[ix]) * ysum
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(acc))
+    log_mag += (peak[:, None] + peak[None, :]
+                + log_row[:, None] + log_row[None, :]
+                + 0.5 * (np.log(k_wts)[:, None] + np.log(k_wts)[None, :])
+                + log_prefactor)
+    phase = np.angle(acc)
+    iu = np.triu_indices(nk, 1)
+    log_mag[(iu[1], iu[0])] = log_mag[iu]
+    phase[(iu[1], iu[0])] = -phase[iu]
+    np.fill_diagonal(phase, 0.0)
+    return log_mag, phase

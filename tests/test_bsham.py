@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgegap import bsham
 from edgegap.bsham import (
     bs_count,
     effective_count,
@@ -12,8 +13,10 @@ from edgegap.bsham import (
     sjstar_sj,
 )
 from edgegap.errors import TruncationWarning
-from edgegap.operators import QuadratureSpec
-from tests.conftest import Bundle
+from edgegap.operators import QuadratureSpec, product_gram
+from edgegap.scenario import load_scenario
+from tests.conftest import REFERENCE_CONFIG, Bundle
+from tests.model_oracles import full_product_gram
 
 # (depth, (lower, upper)) brackets on the coarse scenario at eps = 0.3
 BRACKETS = [(1e-3, (1, 2)), (1e-4, (2, 2)), (1e-5, (2, 2))]
@@ -115,3 +118,31 @@ def test_parameter_validation(coarse_scenario):
         effective_count(1, 1e-4, 0.0, sc)
     with pytest.raises(ValueError):
         bs_count(1, -1e-4, sc)
+
+
+@pytest.mark.parametrize("route", ["sections", "gauss"])
+def test_upper_triangle_gram_equals_full_accumulation(monkeypatch, route):
+    # the reference effective-count kernel (closed-form sections) and the
+    # bs-count route-agreement kernel (Gauss y-rule): product_gram's upper
+    # triangle accumulation gives the full-matrix one's bits
+    sc = load_scenario(REFERENCE_CONFIG)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return product_gram(*args, **kwargs)
+
+    monkeypatch.setattr(bsham, "product_gram", spy)
+    lam = sc.lam_grid.start
+    if route == "sections":
+        bsham.effective_count(sc.j, lam, 0.3, sc)
+    else:
+        full_line_gram(sc.j, lam, sc, y_order=sc.quad.gauss_y_order)
+    (args, kwargs), = calls
+    assert kwargs["y_order"] == (0 if route == "sections" else 12)
+    kernel = product_gram(*args, **kwargs).kernel
+    log_mag, phase = full_product_gram(*args, **kwargs)
+    assert np.array_equal(kernel.log_mag, log_mag)
+    assert np.array_equal(kernel.phase, phase)
+    assert np.array_equal(kernel.log_mag, kernel.log_mag.T)
+    assert np.array_equal(kernel.phase, -kernel.phase.T)

@@ -114,8 +114,8 @@ def test_band_table_energies_equal_solve_fiber(reference, j_max, stride):
     sc, disc = reference
     k_grid = sc.k_grid.values()[::stride]
     table = band_table(disc, k_grid, j_max)
-    want = np.array([[p.energy for p in solve_fiber(disc, float(k), j_max)]
-                     for k in k_grid]).T
+    want = np.array([[p.energy for p in pairs]
+                     for pairs in solve_fiber(disc, k_grid, j_max)]).T
     assert table.energies.shape == (j_max, len(k_grid))
     assert np.array_equal(table.energies, want)
 
@@ -126,8 +126,8 @@ def test_solve_fiber_reproduces_bisection_route(reference, j_max, stride):
     # exact-sum Rayleigh quotients, on the reference window and k grid
     # (every stride-th point)
     sc, disc = reference
-    for k in sc.k_grid.values()[::stride].tolist():
-        pairs = solve_fiber(disc, k, j_max)
+    ks = sc.k_grid.values()[::stride].tolist()
+    for k, pairs in zip(ks, solve_fiber(disc, ks, j_max)):
         energies, vecs = bisection_levels(disc, k, j_max)
         np.testing.assert_allclose([p.energy for p in pairs], energies,
                                    rtol=1e-14, atol=0)
@@ -181,6 +181,7 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
         alone = solve_fiber(disc01, float(ks[i]), 3)
         for a, b in zip(alone, batch[i]):
             assert a.energy == b.energy and a.k == b.k
+            assert a.overlap_with_limit == b.overlap_with_limit
             assert np.array_equal(a.values, b.values)
     twins = fiber._twin_comparisons(disc01, 1, ks[6:])
     for k, twin in zip(ks[6:], twins):
@@ -192,6 +193,31 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
     for k, gap, cmp in zip(ks[6:], gaps, comparisons):
         assert edge_comparison(disc01, 1, float(k)) == cmp
         assert cmp.gap_dist == gap
+
+
+def test_gap_model_nodes_take_no_exact_sum(disc01, monkeypatch):
+    # GapModel's nodes shift each twin lane by its pairwise Rayleigh
+    # quotient; the exact sum is left to reported energies.  The first
+    # build solves the constant-W_+ twin, once per grid of the window.
+    ks = np.linspace(-2.0, 4.0, 13)
+    first = fiber._edge_gaps(disc01, 1, ks)
+
+    def exact_sum(*args):
+        raise AssertionError("exact-sum Rayleigh quotient on a GapModel node")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tridiagonal, "rayleigh_quotient", exact_sum)
+        gaps = fiber._edge_gaps(disc01, 1, ks)
+    assert np.array_equal(gaps, first)
+    # energy_w is the exact-sum quotient of the twin eigenvector, bit for bit
+    tw = fiber._twin_levels(disc01, 1, ks, disc01.n)
+    edge_comparison.cache_clear()
+    for i, (k, gap) in enumerate(zip(ks.tolist(), gaps)):
+        cmp = edge_comparison(disc01, 1, k)
+        assert cmp.gap_dist == gap
+        assert cmp.energy_w == tridiagonal.rayleigh_quotient(
+            tw.base[:, i], tw.p, tw.vectors[i])
+    edge_comparison.cache_clear()
 
 
 def _corrupt_seeds(monkeypatch, rows, corrupt):
