@@ -9,11 +9,10 @@ gap closes like a Gaussian in k, pinned by the coupling constant.
 Run:  python3 scripts/gap_portrait.py [b] [w_plus]
 """
 
+import math
 import sys
 
-from scipy.special import erfc
-
-from edgegap.fiber import FiberDiscretization, edge_comparison, phi_squared
+from edgegap.fiber import FiberDiscretization, edge_comparisons, phi_squared
 from edgegap.potentials import step_potential
 
 
@@ -25,10 +24,10 @@ def main():
     print(f"b={b}, step (0, {w_plus}) at x0=0, j=1")
     print(f"{'k':>5} {'edge gap':>13} {'phi_1^2':>13} {'erfc form':>13} "
           f"{'gap/phi^2':>10} {'scaled dist':>12}")
-    for k in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-        cmp = edge_comparison(disc, 1, k)
+    for cmp in edge_comparisons(disc, 1, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)):
+        k = cmp.k
         phi2 = phi_squared(1, k, b, w)
-        closed = 0.5 * w_plus * erfc(k / b ** 0.5)
+        closed = 0.5 * w_plus * math.erfc(k / b ** 0.5)
         print(f"{k:>5.1f} {cmp.gap_dist:>13.4e} {phi2:>13.4e} "
               f"{closed:>13.4e} {cmp.gap_dist / phi2:>10.5f} "
               f"{cmp.scaled_distance:>12.4e}")

@@ -9,12 +9,11 @@ of the square-root-of-log accumulation law.
 from .counting import CountingReport, LogHermitian, count_above, n_star
 from .errors import (ConstantPotential, ConvergenceFailure, DomainError,
                      EdgegapError, EmptyIntersection, NoGap,
-                     NoiseFloorWarning, PrecisionExhausted, ScenarioError,
-                     TieWarning, TruncationWarning, WrongPotentialKind)
+                     NoiseFloorWarning, ScenarioError, TieWarning,
+                     TruncationWarning, WrongPotentialKind)
 from .fiber import (BandTable, EdgeComparison, FiberDiscretization,
                     FiberEigenpair, GapModel, band_table, edge_comparison,
-                    gap_distance, gap_edges, phi_squared,
-                    projection_distance, solve_fiber, trace_norm_distance)
+                    edge_comparisons, gap_edges, phi_squared, solve_fiber)
 from .geometry import (PolygonDomain, asymptotic_constants, c_minus, c_plus,
                        clip_positive_halfplane, kappa, optimal_disk)
 from .operators import DiscretizedOperator, QuadratureSpec
@@ -31,13 +30,12 @@ __all__ = [
     "EdgeComparison", "EdgePotential", "EdgegapError", "EmptyIntersection",
     "FiberDiscretization", "FiberEigenpair", "GapModel", "LogHermitian",
     "NoGap", "NoiseFloorWarning", "Perturbation", "PolygonDomain",
-    "PrecisionExhausted", "QuadratureSpec", "Scenario", "ScenarioError",
-    "TieWarning", "TruncationWarning", "WrongPotentialKind",
-    "asymptotic_constants", "band_table", "c_minus", "c_plus",
-    "clip_positive_halfplane", "count_above", "edge_comparison", "finiteness_predicate", "gap_condition",
-    "gap_distance", "gap_edges", "kappa", "load_scenario", "n_star",
-    "normalized_scenario", "optimal_disk", "phi_squared",
-    "projection_distance", "scenario_from_dict", "schema_json",
-    "solve_fiber", "step_potential", "trace_norm_distance",
-    "upper_envelope",
+    "QuadratureSpec", "Scenario", "ScenarioError", "TieWarning",
+    "TruncationWarning", "WrongPotentialKind", "asymptotic_constants",
+    "band_table", "c_minus", "c_plus", "clip_positive_halfplane",
+    "count_above", "edge_comparison", "edge_comparisons",
+    "finiteness_predicate", "gap_condition", "gap_edges", "kappa",
+    "load_scenario", "n_star", "normalized_scenario", "optimal_disk",
+    "phi_squared", "scenario_from_dict", "schema_json", "solve_fiber",
+    "step_potential", "upper_envelope",
 ]

@@ -110,8 +110,8 @@ def _x_rule_for_support(poly, b, k_hi, quad):
 
 
 def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float,
-              gap_model: GapModel = None, k_lo: float = None,
-              k_hi: float = None, y_order: int = 0, fiber_n: int = 2001,
+              k_lo: float = None, k_hi: float = None, y_order: int = 0,
+              fiber_n: int = 2001,
               fiber_half_width: float = None) -> DiscretizedOperator:
     """Gram matrix S*S of the gap-weighted band kernel on (a, K).
 
@@ -119,11 +119,11 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
     psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2};
     the truncation K is set by the certified Gaussian envelope rule.
     g_j comes from the GapModel on the fiber window (fiber_n,
-    fiber_half_width) unless gap_model is given.
+    fiber_half_width).
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
-    if v is None or v.amplitude == 0.0:
+    if v is None:
         k_pts, k_wts = gauss_panel_rule(a, a + 1.0, quad.k_panels, quad.k_nodes)
         return _zero_operator(k_pts, k_wts, {"j": j, "lam": lam, "a": a})
     if k_hi is None:
@@ -131,9 +131,7 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
     if k_lo is None:
         k_lo = a
     k_pts, k_wts = gauss_panel_rule(k_lo, k_hi, quad.k_panels, quad.k_nodes)
-    if gap_model is None:
-        gap_model = get_gap_model(b, w, j, k_lo, k_hi, fiber_n,
-                                  fiber_half_width)
+    gap_model = get_gap_model(b, w, j, k_lo, k_hi, fiber_n, fiber_half_width)
     log_row = np.log(gap_model.weight(k_pts, lam))
     x_pts, x_wts = _x_rule_for_support(v.support, b, k_hi, quad)
     secs = sections_at(v.support, x_pts)
@@ -258,7 +256,7 @@ def bs_count(j: int, lam, scenario, quad: QuadratureSpec = None,
         raise ValueError("lam must be positive")
     quad = quad or scenario.quad
     v, w, b = scenario.v, scenario.w, scenario.b
-    if v is None or v.amplitude == 0.0:
+    if v is None:
         counts = [0] * len(lams)
     else:
         j_sum = j_sum or (2 * j + 2)

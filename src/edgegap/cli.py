@@ -23,9 +23,8 @@ import numpy as np
 from .bsham import bs_count, effective_count, full_line_gram
 from .counting import count_above, n_star
 from .errors import ConvergenceFailure, EdgegapError, ScenarioError
-from .fiber import (FiberDiscretization, band_table, edge_comparison,
-                    gap_edges, phi_squared, step_tail_asymptote,
-                    verify_lau25, verify_tep2, verify_teth1)
+from .fiber import (FiberDiscretization, band_table, edge_comparisons,
+                    gap_edges, phi_squared, step_tail_asymptote)
 from .geometry import (asymptotic_constants, c_minus, c_plus,
                        clip_positive_halfplane, optimal_disk)
 from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
@@ -157,21 +156,26 @@ def cmd_verify_p21(sc: Scenario, out: Path):
     ]
 
 
+def _gap_to_phi(disc: FiberDiscretization, j: int, ks):
+    """(bands.csv rows, ratios (E_j^+ - E_j(k)) / Phi_j(k)^2) from one
+    batch of twin comparisons."""
+    cmps = edge_comparisons(disc, j, ks)
+    return ([(c.k, j, float(c.energy_w)) for c in cmps],
+            [c.gap_dist / phi_squared(j, c.k, disc.b, disc.w) for c in cmps])
+
+
 def cmd_verify_tep2(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("tep2")
     k_list = [float(k) for k in p["k_list"]]
     disc = _disc(sc)
-    ratios = verify_tep2(sc.j, disc, k_list)
-    rows = [(k, sc.j, float(edge_comparison(disc, sc.j, k).energy_w))
-            for k in k_list]
+    rows, ratios = _gap_to_phi(disc, sc.j, k_list)
     verdicts = [_verdict(f"gap_to_phi_k{k:g}", abs(ratio - 1.0) <= p["tol"],
                          ratio, 1.0, p["tol"])
                 for k, ratio in zip(k_list, ratios)]
     k2 = float(p["j2_k"])
-    ratio2 = verify_tep2(sc.j + 1, disc, [k2])[0]
-    rows.append((k2, sc.j + 1,
-                 float(edge_comparison(disc, sc.j + 1, k2).energy_w)))
+    row2, (ratio2,) = _gap_to_phi(disc, sc.j + 1, [k2])
+    rows += row2
     verdicts.append(_verdict(f"gap_to_phi_j{sc.j + 1}_k{k2:g}",
                              abs(ratio2 - 1.0) <= p["j2_tol"], ratio2, 1.0,
                              p["j2_tol"]))
@@ -183,11 +187,10 @@ def cmd_verify_teth1(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("teth1")
     k_near, k_far = float(p["k_near"]), float(p["k_far"])
-    disc = _disc(sc)
-    near, far = verify_teth1(sc.j, disc, [k_near, k_far])
-    rows = [(k, sc.j, float(edge_comparison(disc, sc.j, k).energy_w))
-            for k in (k_near, k_far)]
+    cmps = edge_comparisons(_disc(sc), sc.j, [k_near, k_far])
+    rows = [(c.k, sc.j, float(c.energy_w)) for c in cmps]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
+    near, far = (c.scaled_distance for c in cmps)
     return [
         _verdict("scaled_distance_small", far <= p["far_max"], far, 0.0,
                  p["far_max"]),
@@ -198,10 +201,11 @@ def cmd_verify_teth1(sc: Scenario, out: Path):
 def cmd_verify_lau25(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("lau25")
-    k_ratio = float(p["k_ratio"])
-    ratio = verify_lau25(sc.j, sc.b, sc.w, [k_ratio])[0]
-    rows = [(k_ratio, float(phi_squared(sc.j, k_ratio, sc.b, sc.w)),
-             _phi_asymptote(sc.j, k_ratio, sc))]
+    k_ratio = float(p["k_ratio"])  # positive, by the schema
+    asym = step_tail_asymptote(sc.j, k_ratio, sc.b, sc.w)
+    phi2 = phi_squared(sc.j, k_ratio, sc.b, sc.w)
+    ratio = phi2 / asym
+    rows = [(k_ratio, phi2, asym)]
     # closed step form: Phi_1^2 = (W_+ - W_-) erfc(k/sqrt(b) - sqrt(b) x0)/2
     dev = 0.0
     for k in p["erfc_k"]:
@@ -273,7 +277,7 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
         ("", "s_gram", sand["mid_threshold"], sand["mid"], "", "", 53, ""),
         ("", "q_plus", sand["upper_threshold"], sand["upper"], "", "", 53, ""),
         (m, "gamma_minus", ends["lower_threshold"], ends["lower"], "", "", 53, ""),
-        (m, "s_gram", r * r, ends["mid"], "", "", 53, ""),
+        (m, "s_gram", r * r, sand["mid"], "", "", 53, ""),
         (m, "gamma_plus", ends["upper_threshold"], ends["upper"], "", "", 53, ""),
     ]
     _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
@@ -282,10 +286,10 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
                  sand["lower"] - sand["mid"], 0.0, slack),
         _verdict("model_upper", sand["mid"] - sand["upper"] <= slack,
                  sand["mid"] - sand["upper"], 0.0, slack),
-        _verdict("endpoint_lower", ends["lower"] - ends["mid"] <= slack,
-                 ends["lower"] - ends["mid"], 0.0, slack),
-        _verdict("endpoint_upper", ends["mid"] - ends["upper"] <= slack,
-                 ends["mid"] - ends["upper"], 0.0, slack),
+        _verdict("endpoint_lower", ends["lower"] - sand["mid"] <= slack,
+                 ends["lower"] - sand["mid"], 0.0, slack),
+        _verdict("endpoint_upper", sand["mid"] - ends["upper"] <= slack,
+                 sand["mid"] - ends["upper"], 0.0, slack),
     ]
 
 

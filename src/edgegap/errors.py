@@ -21,16 +21,6 @@ class ConvergenceFailure(EdgegapError):
     """Discretization refinement did not reach the requested tolerance."""
 
 
-class PrecisionExhausted(EdgegapError):
-    """An extended-precision evaluation reached its cap without a stable
-    result.
-
-    No package route raises it, since every count runs in double
-    precision; the exact-inertia ladder and the monomial table that the
-    test suite uses as oracles do.
-    """
-
-
 class DomainError(EdgegapError):
     """Argument outside the mathematical domain of the function."""
 

@@ -34,7 +34,9 @@ nodes of GapModel take no exact sums.  The eigenvector overlap defect
 side, at the exact-sum energy.  The twin gap is Richardson-extrapolated
 over the same grid pair as the energies, so every gap distance the
 package reads, from the Phi_j(k)^2 ratio checks to the resolvent
-weights of GapModel, is the one h^4-accurate number.
+weights of GapModel, is the one h^4-accurate number.  edge_comparisons
+is the one entry point of the edge checks: it solves the momenta it is
+given as one batch and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
-from .oscillator import log_p_coeff, psi_inf
+from .oscillator import log_p_coeff, psi_inf, psi_inf_levels
 from .potentials import EdgePotential, gap_condition
 
 _GAUSS_NODES = 24
@@ -235,12 +237,12 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int,
     weights = _trapezoid_weights(disc.n, h)
     x = ks[:, None] / disc.b + disc._offsets()  # row i is disc.grid(ks[i])
     overlap = np.empty((len(ks), j_max))
-    for idx in range(j_max):
+    limits = psi_inf_levels(j_max, ks[:, None], x, disc.b)
+    for idx, limit in enumerate(limits):
         # one level at every momentum; each sum runs pairwise along one
         # contiguous row, so a momentum's bits do not depend on the batch
         vecs = evecs[:, idx]  # row views, normalized in place
         vecs /= np.sqrt((weights * vecs * vecs).sum(axis=1))[:, None]
-        limit = psi_inf(idx + 1, ks[:, None], x, disc.b)
         c = (weights * vecs * limit).sum(axis=1)
         vecs *= np.where(c < 0.0, -1.0, 1.0)[:, None]
         overlap[:, idx] = np.minimum(np.abs(c), 1.0)
@@ -326,11 +328,17 @@ class EdgeComparison:
     Richardson-extrapolated from the twin gaps on the n and n_half grids
     (the continuum gap distance up to an O(h^4) relative bias).  overlap
     c = <v_+, v_W>, defect 1 - c^2 and energy_w, the Rayleigh quotient
-    of v_W, are the fine-grid values; scaled_distance is
-    2 sqrt(defect / gap_dist).  All of them keep full relative accuracy
-    in double precision far below one ulp of the edge energy.  Where the
-    grid pair disagrees by more than _TWIN_CONV_TOL, edge_comparison
-    raises ConvergenceFailure instead of returning a gap.
+    of v_W, are the fine-grid values.  The trace-norm distance of the
+    rank-one band projection from its limit is ||pi - pi_inf||_1 =
+    2 sqrt(defect), taken from the defect itself (rebuilt from c it would
+    vanish once the defect drops below machine epsilon, near k = 5.5 for
+    the unit step), and scaled_distance is that distance over
+    sqrt(gap_dist), 2 sqrt(defect / gap_dist).  All of them keep full
+    relative accuracy in double precision far below one ulp of the edge
+    energy.  Where the grid pair disagrees by more than _TWIN_CONV_TOL,
+    edge_comparisons raises ConvergenceFailure instead of returning a
+    gap.  For W = None the twins coincide: gap_dist, defect and
+    scaled_distance are 0.
     """
 
     j: int
@@ -343,7 +351,7 @@ class EdgeComparison:
 
 
 # largest relative h^2 correction |g_n - g_half| / (3 g_n) of the twin gap
-# that edge_comparison extrapolates.  Every twin comparison of the
+# that edge_comparisons extrapolates.  Every twin comparison of the
 # shipped-config commands needs at most 6.6e-3, while a jump on the wall,
 # or one the grid does not resolve, gives O(1) and can flip the sign of
 # the extrapolate
@@ -491,12 +499,6 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
     return out
 
 
-def _twin_comparison(disc: FiberDiscretization, j: int, k: float,
-                     n: int = None) -> EdgeComparison:
-    """_twin_comparisons at the single momentum k."""
-    return _twin_comparisons(disc, j, (k,), n)[0]
-
-
 def _extrapolated_gaps(disc: FiberDiscretization, j: int, ks, fine_gap):
     """(4 g_n - g_half)/3 at ks from the fine twin gaps and the n_half
     ones; an h^2 correction above _TWIN_CONV_TOL of g_n raises
@@ -513,7 +515,7 @@ def _extrapolated_gaps(disc: FiberDiscretization, j: int, ks, fine_gap):
 
 
 def _edge_gaps(disc: FiberDiscretization, j: int, ks) -> np.ndarray:
-    """gap_dist of edge_comparison at each momentum of ks, without the
+    """gap_dist of edge_comparisons at each momentum of ks, without the
     overlap defect (no deflated solve): GapModel's nodes."""
     ks = np.asarray(ks, dtype=float)
     if disc.w is None:
@@ -522,76 +524,35 @@ def _edge_gaps(disc: FiberDiscretization, j: int, ks) -> np.ndarray:
     return _extrapolated_gaps(disc, j, ks, fine)
 
 
-_COMPARISONS = {}  # (disc, j, k) -> EdgeComparison
-_COMPARISONS_MAX = 4096
-
-
 def edge_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
-    """edge_comparison at each momentum of ks, those not yet cached solved
-    as one batch; a momentum's comparison is the same alone or batched.
+    """EdgeComparison at each momentum of ks, solved as one batch.
 
     gap_dist is (4 g_n - g_half)/3 from the twin gaps on the n and n_half
-    grids; every other field is the fine-grid value.  Raises
-    ConvergenceFailure when W = W_+ on the whole window (the jump lies
-    beyond half_width), where the twin operators coincide although the
-    continuum gap distance is positive, and when the h^2 correction
-    |g_n - g_half|/3 exceeds _TWIN_CONV_TOL of g_n, where the grid does
-    not resolve the eigenvector tails at the jump.
+    grids; every other field is the fine-grid value.  A momentum's
+    comparison is the same bits alone, batched, repeated or in any order,
+    and nothing is kept between calls.  Raises ConvergenceFailure when
+    W = W_+ on the whole window (the jump lies beyond half_width), where
+    the twin operators coincide although the continuum gap distance is
+    positive, and when the h^2 correction |g_n - g_half|/3 exceeds
+    _TWIN_CONV_TOL of g_n, where the grid does not resolve the
+    eigenvector tails at the jump.
     """
     ks = [float(k) for k in ks]
-    todo = sorted({k for k in ks if (disc, j, k) not in _COMPARISONS})
-    if todo:
-        fine = _twin_comparisons(disc, j, todo)
-        if disc.w is not None:
-            gaps = _extrapolated_gaps(disc, j, np.array(todo),
-                                      np.array([c.gap_dist for c in fine]))
-            # 2 sqrt(defect / gap) from the fine-grid value, which was
-            # formed in log form and so survives a subnormal defect
-            fine = [replace(c, gap_dist=float(g), scaled_distance=c.scaled_distance
-                            * math.sqrt(c.gap_dist / g))
-                    for c, g in zip(fine, gaps)]
-        if len(_COMPARISONS) + len(todo) > _COMPARISONS_MAX:
-            _COMPARISONS.clear()
-        _COMPARISONS.update(((disc, j, c.k), c) for c in fine)
-    return [_COMPARISONS[(disc, j, k)] for k in ks]
+    fine = _twin_comparisons(disc, j, ks)
+    if disc.w is None:
+        return fine
+    gaps = _extrapolated_gaps(disc, j, np.array(ks),
+                              np.array([c.gap_dist for c in fine]))
+    # 2 sqrt(defect / gap) from the fine-grid value, which was formed in
+    # log form and so survives a subnormal defect
+    return [replace(c, gap_dist=float(g),
+                    scaled_distance=c.scaled_distance * math.sqrt(c.gap_dist / g))
+            for c, g in zip(fine, gaps)]
 
 
 def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
-    """Gap distance and projection overlap against the same-grid limit
-    operator at one momentum: edge_comparisons((k,))."""
+    """edge_comparisons at the single momentum k."""
     return edge_comparisons(disc, j, (k,))[0]
-
-
-edge_comparison.cache_clear = _COMPARISONS.clear
-
-
-def gap_distance(disc: FiberDiscretization, j: int, k: float) -> float:
-    """E_j^+ edge distance of band j at momentum k, exact far below 1 ulp
-    of the edge value."""
-    return edge_comparison(disc, j, k).gap_dist
-
-
-def trace_norm_distance(c: float) -> float:
-    """||P - Q||_1 = 2 sqrt(1 - c^2) for rank-one projections with
-    |<p, q>| = c; exact, no operator discretization involved."""
-    c = abs(c)
-    if c > 1.0:
-        raise ValueError("overlap magnitude cannot exceed 1")
-    return 2.0 * math.sqrt((1.0 - c) * (1.0 + c))
-
-
-def projection_distance(j: int, k: float, disc: FiberDiscretization) -> float:
-    """Trace-norm distance of the rank-one band projection from its limit.
-
-    The limit projection is discretized as the same-grid constant-W_+
-    operator, so the distance is exactly 0 when W vanishes.  It is
-    2 sqrt(1 - c^2), taken from the overlap defect 1 - c^2 itself:
-    rebuilt from the overlap c, it would vanish as soon as the defect
-    drops below machine epsilon (near k = 5.5 for the unit step).
-    """
-    if disc.w is None:
-        return 0.0
-    return 2.0 * math.sqrt(edge_comparison(disc, j, k).defect)
 
 
 def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
@@ -628,7 +589,7 @@ def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
-    One batched _edge_gaps call gives every node edge_comparison's
+    One batched _edge_gaps call gives every node edge_comparisons'
     gap_dist, the twin gap extrapolated over the (n, n_half) grid pair,
     so g is h^4-accurate at every depth, including far below one ulp of the edge energy where no
     difference of energies resolves it; a node whose h^2 correction
@@ -679,25 +640,6 @@ class GapModel:
         return 1.0 / np.sqrt(self.gap(k) + lam)
 
 
-def verify_tep2(j: int, disc: FiberDiscretization, k_list):
-    """Ratios (E_j^+ - E_j(k)) / Phi_j(k)^2 on the window of disc,
-    expected -> 1 from above."""
-    return [cmp.gap_dist / phi_squared(j, cmp.k, disc.b, disc.w)
-            for cmp in edge_comparisons(disc, j, k_list)]
-
-
-def verify_teth1(j: int, disc: FiberDiscretization, k_list):
-    """Scaled projection distances (E_j^+ - E_j(k))^{-1/2} ||pi - pi_inf||_1
-    on the window of disc.
-
-    Expected to decay to 0 along increasing k; identically 0 for W = None
-    by the documented convention.
-    """
-    if disc.w is None:
-        return [0.0 for _ in k_list]
-    return [cmp.scaled_distance for cmp in edge_comparisons(disc, j, k_list)]
-
-
 def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:
     """Closed-form large-k asymptote of Phi_j(k)^2 for a sharp step,
 
@@ -716,13 +658,3 @@ def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:
     # k^{2j-3} is an odd power and keeps the sign of k
     return (math.copysign(0.5, k) * (w.w_plus_limit - w.w_minus_limit)
             * math.exp(log_tail))
-
-
-def verify_lau25(j: int, b: float, w: EdgePotential, k_list):
-    """Ratios of Phi_j(k)^2 to step_tail_asymptote, expected -> 1."""
-    out = []
-    for k in k_list:
-        k = float(k)
-        asym = step_tail_asymptote(j, k, b, w)
-        out.append(phi_squared(j, k, b, w) / asym)
-    return out

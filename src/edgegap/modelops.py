@@ -352,7 +352,9 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
         upper: r(1-eps) sqrt((W+ - W(-delta))/c0+) e^{-b delta^2/2}
                                                        on side "plus",
 
-    up to additive slack from the finite reductions.
+    up to additive slack from the finite reductions.  Only the two
+    polygon counts are returned: the middle count n_*(r; S_j) is the
+    "mid" of sandwich_check at the same (j, lam, r), counted once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -362,10 +364,6 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
     w, v, b = scenario.w, scenario.v, scenario.b
     delta = scenario.envelope_delta
     m = math.sqrt(b * abs(math.log(lam)))
-    mid_op = sjstar_sj(j, lam, scenario.a_momentum, quad, v, w, b,
-                       fiber_n=scenario.fiber_n,
-                       fiber_half_width=scenario.fiber_half_width)
-    mid = count_above(mid_op.kernel, r * r).count
     s_lo = r * (1.0 + eps) * math.sqrt(
         (w.w_plus_limit - w.w_minus_limit) / v.c0_minus)
     lo_op = gamma_gram("minus", m, delta, v.omega_minus, quad, b)
@@ -375,5 +373,5 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
             * math.exp(-0.5 * b * delta * delta))
     hi_op = gamma_gram("plus", m, delta, v.omega_plus, quad, b)
     upper = count_above(hi_op.kernel, s_hi * s_hi).count
-    return {"m": m, "lower": lower, "mid": mid, "upper": upper,
+    return {"m": m, "lower": lower, "upper": upper,
             "lower_threshold": s_lo * s_lo, "upper_threshold": s_hi * s_hi}

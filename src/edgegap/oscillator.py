@@ -2,7 +2,9 @@
 
 phi(j) is the j-th normalized Hermite function (levels start at j=1),
 psi_inf translates and rescales it into the limiting fiber eigenfunction
-at field strength b, concentrated near x = k/b.
+at field strength b, concentrated near x = k/b.  psi_inf_levels yields
+levels 1..j_max from one run of the Hermite recurrence, which has its
+one home in _hermite_levels.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import math
 import numpy as np
 
 
-def _hermite_poly_part(j: int, x):
-    """phi_j(x) * e^{x^2/2}: the normalized polynomial factor.
+def _hermite_levels(j_max: int, x):
+    """phi_q(x) * e^{x^2/2} for q = 1..j_max, in order: the normalized
+    polynomial factors.
 
     Three-term recurrence in the normalized scale,
         P_0 = pi^{-1/4},  P_{q+1} = x sqrt(2/(q+1)) P_q - sqrt(q/(q+1)) P_{q-1},
@@ -22,29 +25,41 @@ def _hermite_poly_part(j: int, x):
     """
     p_prev = np.zeros_like(x)
     p = np.full_like(x, math.pi ** -0.25)
-    for q in range(j - 1):
+    yield p
+    for q in range(j_max - 1):
         p, p_prev = x * math.sqrt(2.0 / (q + 1)) * p - math.sqrt(q / (q + 1.0)) * p_prev, p
-    return p
+        yield p
 
 
-def phi(j: int, x):
-    """Normalized oscillator eigenfunction, level j >= 1."""
-    if j < 1:
-        raise ValueError("level j must be >= 1")
-    x = np.asarray(x, dtype=float)
-    out = _hermite_poly_part(j, x) * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_inf(j: int, k, x, b: float):
-    """Limiting fiber eigenfunction b^{1/4} phi_j(sqrt(b) x - k/sqrt(b)).
-
-    L2-normalized in x for every momentum k.
-    """
+def psi_inf_levels(j_max: int, k, x, b: float):
+    """psi_inf(j, k, x, b) for j = 1..j_max, in order, from one run of
+    the Hermite recurrence and one Gaussian factor."""
     if b <= 0:
         raise ValueError("field strength b must be positive")
     rb = math.sqrt(b)
-    return b ** 0.25 * phi(j, rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb)
+    t = rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb
+    gauss = np.exp(-0.5 * t * t)
+    for p in _hermite_levels(j_max, t):
+        yield b ** 0.25 * (p * gauss)
+
+
+def psi_inf(j: int, k, x, b: float):
+    """Limiting fiber eigenfunction b^{1/4} phi_j(sqrt(b) x - k/sqrt(b)),
+    the last level of psi_inf_levels(j, k, x, b).
+
+    L2-normalized in x for every momentum k.
+    """
+    if j < 1:
+        raise ValueError("level j must be >= 1")
+    for out in psi_inf_levels(j, k, x, b):
+        pass
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def phi(j: int, x):
+    """Normalized oscillator eigenfunction, level j >= 1: psi_inf at
+    b = 1 and k = 0."""
+    return psi_inf(j, 0.0, x, 1.0)
 
 
 def log_p_coeff(j: int, b: float) -> float:

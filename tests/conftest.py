@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgegap.fiber import edge_comparisons, phi_squared
 from edgegap.geometry import PolygonDomain
 from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
@@ -26,6 +27,13 @@ def run_python(args, **env):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def gap_to_phi_ratios(disc, j, ks):
+    """(E_j^+ - E_j(k)) / Phi_j(k)^2 at each momentum of ks, the ratio
+    verify tep2 reports, from one batch of twin comparisons."""
+    return [c.gap_dist / phi_squared(j, c.k, disc.b, disc.w)
+            for c in edge_comparisons(disc, j, ks)]
 
 
 def rect(x0, x1, y0, y1) -> PolygonDomain:

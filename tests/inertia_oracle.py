@@ -17,12 +17,20 @@ import mpmath
 
 from edgegap.counting import (CountingReport, LogHermitian,
                               _equilibrating_exponents)
-from edgegap.errors import PrecisionExhausted
+from edgegap.errors import EdgegapError
 
 _ALPHA = (1.0 + math.sqrt(17.0)) / 8.0  # Bunch-Kaufman pivot constant
 _TIE_RTOL = 1e-8
 _PIVOT_ESCALATE = 2.0 ** -20
 _LADDER = (128, 256, 512, 1024, 2048)
+
+
+class PrecisionExhausted(EdgegapError):
+    """An extended-precision evaluation reached its cap without a stable
+    result: the exact-inertia ladder here and the monomial table of
+    model_oracles raise it.  No package route does, since every count
+    runs in double precision.
+    """
 
 
 def _mp_entry_real(log_mag: float, phase: float, exp2: int):

@@ -12,10 +12,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from edgegap.errors import PrecisionExhausted
 from edgegap.modelops import IntervalSpec
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
-from edgegap.oscillator import _hermite_poly_part
+from edgegap.oscillator import _hermite_levels
+from tests.inertia_oracle import PrecisionExhausted
 
 
 def p_coeff(j: int, b: float) -> float:
@@ -136,14 +136,14 @@ def gauss_hermite_norm(j: int, nodes: int = 200) -> float:
     the Gaussian weight is a polynomial of degree 2(j-1).
     """
     t, w = np.polynomial.hermite.hermgauss(nodes)
-    p = _hermite_poly_part(j, t)
+    *_, p = _hermite_levels(j, t)
     return float(np.sum(w * p * p))
 
 
 def gauss_hermite_gram(j_max: int, nodes: int = 200) -> np.ndarray:
     """Gram matrix of phi_1..phi_{j_max} under Gauss-Hermite quadrature."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
-    polys = np.vstack([_hermite_poly_part(j, t) for j in range(1, j_max + 1)])
+    polys = np.vstack(list(_hermite_levels(j_max, t)))
     return (polys * w) @ polys.T
 
 

@@ -20,11 +20,10 @@ from edgegap.errors import EmptyIntersection
 from edgegap.fiber import (
     FiberDiscretization,
     band_table,
+    edge_comparisons,
     phi_squared,
     solve_fiber,
-    verify_lau25,
-    verify_tep2,
-    verify_teth1,
+    step_tail_asymptote,
 )
 from edgegap.geometry import (
     PolygonDomain,
@@ -49,7 +48,8 @@ from edgegap.modelops import (
 )
 from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
-from tests.conftest import REFERENCE_CONFIG, Bundle, rect, run_python
+from tests.conftest import (REFERENCE_CONFIG, Bundle, gap_to_phi_ratios, rect,
+                            run_python)
 
 
 def test_criterion_01_landau_levels():
@@ -76,15 +76,16 @@ def test_criterion_02_band_monotone_with_edge_limits(step01):
 def test_criterion_03_gap_to_coupling_ratio(step01):
     # measured: 1.0315, 1.0215, 1.0187; j=2 at k=6: 1.0188
     disc = FiberDiscretization(b=1.0, w=step01)
-    for ratio in verify_tep2(1, disc, [4.0, 5.0, 6.0]):
+    for ratio in gap_to_phi_ratios(disc, 1, [4.0, 5.0, 6.0]):
         assert abs(ratio - 1.0) <= 0.05
-    (r2,) = verify_tep2(2, disc, [6.0])
+    (r2,) = gap_to_phi_ratios(disc, 2, [6.0])
     assert abs(r2 - 1.0) <= 0.10
 
 
 def test_criterion_04_closed_form_tail(step01):
     # measured ratio at k=5: 0.9811
-    (ratio,) = verify_lau25(1, 1.0, step01, [5.0])
+    ratio = (phi_squared(1, 5.0, 1.0, step01)
+             / step_tail_asymptote(1, 5.0, 1.0, step01))
     assert abs(ratio - 1.0) <= 0.05
     for k in (0.5, 1.0, 2.0, 3.0):
         assert phi_squared(1, k, 1.0, step01) == pytest.approx(
@@ -93,8 +94,8 @@ def test_criterion_04_closed_form_tail(step01):
 
 def test_criterion_05_projection_distance_decay(step01):
     # measured: 0.0749 at k=4, 0.0336 at k=6
-    near, far = verify_teth1(1, FiberDiscretization(b=1.0, w=step01),
-                             [4.0, 6.0])
+    near, far = (c.scaled_distance for c in edge_comparisons(
+        FiberDiscretization(b=1.0, w=step01), 1, [4.0, 6.0]))
     assert far < 0.2
     assert far < near
 
@@ -258,8 +259,9 @@ def test_criterion_13_sandwich_and_endpoint_brackets(coarse_scenario):
     slack = 3
     out = sandwich_check(1, 1e-4, 1.0, 0.3, coarse_scenario)
     assert out["lower"] - slack <= out["mid"] <= out["upper"] + slack
+    # the endpoint Grams bracket the same middle count
     end = endpoint_bracket(1, 1e-4, 1.0, 0.3, coarse_scenario)
-    assert end["lower"] - slack <= end["mid"] <= end["upper"] + slack
+    assert end["lower"] - slack <= out["mid"] <= end["upper"] + slack
 
 
 _SUBCOMMANDS = [

@@ -22,24 +22,19 @@ from edgegap.cli import run
 from edgegap.errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from edgegap.fiber import (
     _plus_twin,
-    _twin_comparison,
     FiberDiscretization,
     GapModel,
     band_table,
     edge_comparison,
-    gap_distance,
+    edge_comparisons,
     gap_edges,
     phi_squared,
-    projection_distance,
     solve_fiber,
-    trace_norm_distance,
-    verify_lau25,
-    verify_tep2,
-    verify_teth1,
+    step_tail_asymptote,
 )
 from edgegap.potentials import EdgePotential, step_potential
 from edgegap.scenario import load_scenario
-from tests.conftest import REFERENCE_CONFIG
+from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios
 from tests.fiber_oracle import bisection_levels
 from tests.mp_edge_oracle import mp_edge_comparison
 
@@ -185,14 +180,36 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
             assert np.array_equal(a.values, b.values)
     twins = fiber._twin_comparisons(disc01, 1, ks[6:])
     for k, twin in zip(ks[6:], twins):
-        assert fiber._twin_comparison(disc01, 1, float(k)) == twin
-    edge_comparison.cache_clear()
+        assert fiber._twin_comparisons(disc01, 1, (float(k),))[0] == twin
     gaps = fiber._edge_gaps(disc01, 1, ks[6:])
-    comparisons = fiber.edge_comparisons(disc01, 1, ks[6:])
-    edge_comparison.cache_clear()
+    comparisons = edge_comparisons(disc01, 1, ks[6:])
     for k, gap, cmp in zip(ks[6:], gaps, comparisons):
         assert edge_comparison(disc01, 1, float(k)) == cmp
         assert cmp.gap_dist == gap
+
+
+def test_edge_comparisons_ignore_order_and_keep_no_state(disc01, monkeypatch):
+    # a shuffled batch with a repeated momentum gives each momentum the
+    # bits of a sorted batch, and asking again solves again: nothing is
+    # kept between calls
+    ks = [5.0, 3.0, 6.0, 3.0, 4.0]
+    sorted_batch = dict(zip([3.0, 4.0, 5.0, 6.0],
+                            edge_comparisons(disc01, 1, [3.0, 4.0, 5.0, 6.0])))
+    solves = []
+    twin_levels = fiber._twin_levels
+
+    def counting(disc, j, lanes, n):
+        solves.append(len(lanes))
+        return twin_levels(disc, j, lanes, n)
+
+    monkeypatch.setattr(fiber, "_twin_levels", counting)
+    for _ in range(2):
+        shuffled = edge_comparisons(disc01, 1, ks)
+        assert [c.k for c in shuffled] == ks
+        for cmp in shuffled:
+            assert cmp == sorted_batch[cmp.k]
+    # one fine and one coarse batch per call
+    assert solves == [5, 5, 5, 5]
 
 
 def test_gap_model_nodes_take_no_exact_sum(disc01, monkeypatch):
@@ -211,13 +228,11 @@ def test_gap_model_nodes_take_no_exact_sum(disc01, monkeypatch):
     assert np.array_equal(gaps, first)
     # energy_w is the exact-sum quotient of the twin eigenvector, bit for bit
     tw = fiber._twin_levels(disc01, 1, ks, disc01.n)
-    edge_comparison.cache_clear()
     for i, (k, gap) in enumerate(zip(ks.tolist(), gaps)):
         cmp = edge_comparison(disc01, 1, k)
         assert cmp.gap_dist == gap
         assert cmp.energy_w == tridiagonal.rayleigh_quotient(
             tw.base[:, i], tw.p, tw.vectors[i])
-    edge_comparison.cache_clear()
 
 
 def _corrupt_seeds(monkeypatch, rows, corrupt):
@@ -268,7 +283,6 @@ def test_constant_twin_is_one_matrix_per_window(disc01, step01):
     for diag, off, h in rest:
         assert np.array_equal(diag, first[0]) and np.array_equal(off, first[1])
         assert h == first[2]
-    edge_comparison.cache_clear()
     _plus_twin.cache_clear()
     GapModel(1.0, step01, 1, -2.0, 4.0)
     assert _plus_twin.cache_info().misses == 2
@@ -277,7 +291,14 @@ def test_constant_twin_is_one_matrix_per_window(disc01, step01):
 @pytest.mark.parametrize("k", sorted(GAP_ORACLE))
 def test_gap_distance_against_continuum_oracle(disc01, k):
     oracle, tol = GAP_ORACLE[k]
-    assert gap_distance(disc01, 1, k) == pytest.approx(oracle, rel=tol)
+    assert edge_comparison(disc01, 1, k).gap_dist == pytest.approx(
+        oracle, rel=tol)
+
+
+def _rank_one_trace_norm(c):
+    """||P - Q||_1 = 2 sqrt(1 - c^2) of rank-one projections with
+    |<p, q>| = c."""
+    return 2.0 * math.sqrt((1.0 - c) * (1.0 + c))
 
 
 def test_edge_comparison_internal_consistency(disc01):
@@ -285,21 +306,25 @@ def test_edge_comparison_internal_consistency(disc01):
     assert 0.99 < cmp.overlap <= 1.0
     # scaled_distance recomputes from its double-precision factors at k=4,
     # where the overlap defect is still representable
-    recomputed = trace_norm_distance(cmp.overlap) / math.sqrt(cmp.gap_dist)
+    recomputed = _rank_one_trace_norm(cmp.overlap) / math.sqrt(cmp.gap_dist)
     assert cmp.scaled_distance == pytest.approx(recomputed, rel=1e-2)
 
 
 def test_trace_norm_distance_exact():
-    assert trace_norm_distance(1.0) == 0.0
-    assert trace_norm_distance(0.0) == 2.0
-    assert trace_norm_distance(-0.6) == pytest.approx(1.6, rel=1e-15)
-    with pytest.raises(ValueError):
-        trace_norm_distance(1.2)
+    # the identity behind ||pi - pi_inf||_1 = 2 sqrt(defect), against the
+    # singular values of P - Q for unit vectors p, q with <p, q> = c
+    for c, want in ((1.0, 0.0), (0.0, 2.0), (-0.6, 1.6)):
+        p, q = np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])
+        diff = np.outer(p, p) - np.outer(q, q)
+        assert np.linalg.norm(diff, "nuc") == pytest.approx(want, rel=1e-15)
+        assert _rank_one_trace_norm(c) == pytest.approx(want, rel=1e-15)
 
 
 def test_projection_distance_free_case():
-    disc = FiberDiscretization(b=1.0, w=None)
-    assert projection_distance(1, 2.0, disc) == 0.0
+    # W = None: the twins coincide, so the gap, the defect and the scaled
+    # distance are exactly 0
+    cmp = edge_comparison(FiberDiscretization(b=1.0, w=None), 1, 2.0)
+    assert (cmp.gap_dist, cmp.defect, cmp.scaled_distance) == (0.0, 0.0, 0.0)
 
 
 def test_phi_squared_erfc_identity(step01):
@@ -314,27 +339,29 @@ def test_phi_squared_erfc_identity(step01):
 
 def test_gap_ratio_to_coupling_tends_to_one(step01):
     disc = FiberDiscretization(b=1.0, w=step01)
-    ratios = verify_tep2(1, disc, [4.0, 5.0, 6.0])
+    ratios = gap_to_phi_ratios(disc, 1, [4.0, 5.0, 6.0])
     assert all(r > 1.0 for r in ratios)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] == pytest.approx(1.0, abs=0.05)
-    (r_j2,) = verify_tep2(2, disc, [6.0])
+    (r_j2,) = gap_to_phi_ratios(disc, 2, [6.0])
     assert r_j2 == pytest.approx(1.0, abs=0.05)
 
 
 def test_scaled_projection_distance_decays(step01):
-    near, far = verify_teth1(1, FiberDiscretization(b=1.0, w=step01),
-                             [4.0, 6.0])
+    near, far = (c.scaled_distance for c in edge_comparisons(
+        FiberDiscretization(b=1.0, w=step01), 1, [4.0, 6.0]))
     assert 0.0 < far < near
     assert far < 0.2
-    assert verify_teth1(1, FiberDiscretization(b=1.0, w=None), [4.0]) == [0.0]
+    (free,) = edge_comparisons(FiberDiscretization(b=1.0, w=None), 1, [4.0])
+    assert free.scaled_distance == 0.0
 
 
 def test_closed_form_tail_ratio(step01):
-    (ratio,) = verify_lau25(1, 1.0, step01, [5.0])
+    ratio = (phi_squared(1, 5.0, 1.0, step01)
+             / step_tail_asymptote(1, 5.0, 1.0, step01))
     assert ratio == pytest.approx(1.0, abs=0.05)
     with pytest.raises(WrongPotentialKind):
-        verify_lau25(1, 1.0, None, [5.0])
+        step_tail_asymptote(1, 5.0, 1.0, None)
 
 
 def test_gap_model_spline(step01):
@@ -343,7 +370,8 @@ def test_gap_model_spline(step01):
     # spline passes through its nodes, each read from edge_comparison
     nodes = np.linspace(-2.0, 4.0, len(model._log_gap))
     np.testing.assert_allclose(
-        model.gap(nodes), [gap_distance(model.disc, 1, k) for k in nodes],
+        model.gap(nodes),
+        [c.gap_dist for c in edge_comparisons(model.disc, 1, nodes)],
         rtol=1e-13)
     # the classic not-a-knot cubic through the same ln g values
     ks = np.linspace(-2.0, 4.0, 241)
@@ -394,7 +422,7 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
         _, diag_w, _, _ = disc.tridiagonal(k)
         _, diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
         assert np.all(diag_p - diag_w > 0)
-    cmp = _twin_comparison(disc, j, k)
+    (cmp,) = fiber._twin_comparisons(disc, j, (k,))
     oracle = mp_edge_comparison(disc, j, k)
     assert cmp.gap_dist == pytest.approx(oracle["gap_dist"], rel=1e-11, abs=0)
     assert cmp.defect == pytest.approx(oracle["defect"], rel=1e-11, abs=0)
@@ -405,8 +433,8 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
 
 
 def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
-    fine = _twin_comparison(disc01, 1, 5.0)
-    coarse = _twin_comparison(disc01, 1, 5.0, disc01.n_half)
+    (fine,) = fiber._twin_comparisons(disc01, 1, (5.0,))
+    (coarse,) = fiber._twin_comparisons(disc01, 1, (5.0,), disc01.n_half)
     cmp = edge_comparison(disc01, 1, 5.0)
     assert cmp.gap_dist == (4.0 * fine.gap_dist - coarse.gap_dist) / 3.0
     assert (cmp.overlap, cmp.defect, cmp.energy_w) == (
@@ -437,7 +465,9 @@ def test_window_missing_the_jump_is_an_error(disc01):
 
 def test_projection_distance_beyond_machine_epsilon(disc01):
     # at k = 6 the overlap rounds to 1.0, yet the defect is ~3e-21
+    # ||pi - pi_inf||_1 = 2 sqrt(defect) is read from the defect itself
     cmp = edge_comparison(disc01, 1, 6.0)
     assert cmp.overlap == 1.0
-    assert projection_distance(1, 6.0, disc01) == pytest.approx(
+    assert _rank_one_trace_norm(cmp.overlap) == 0.0 < cmp.defect
+    assert 2.0 * math.sqrt(cmp.defect) == pytest.approx(
         cmp.scaled_distance * math.sqrt(cmp.gap_dist), rel=1e-12)

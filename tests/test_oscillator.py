@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.oscillator import log_p_coeff, phi, psi_inf
+from edgegap.oscillator import log_p_coeff, phi, psi_inf, psi_inf_levels
 from tests.model_oracles import (
     gauss_hermite_gram,
     gauss_hermite_norm,
@@ -102,3 +102,29 @@ def test_asymptotic_exact_for_ground_level():
     np.testing.assert_allclose(
         psi_inf(1, 3.0, x, 2.0), psi_inf_asymptotic(1, 3.0, x, 2.0), rtol=1e-13
     )
+
+
+def _psi_inf_one_level(j, k, x, b):
+    """psi_inf at level j alone: its own run of the normalized Hermite
+    recurrence from P_0 and its own Gaussian factor, with the operations
+    in the package's order."""
+    rb = math.sqrt(b)
+    t = rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb
+    p_prev, p = np.zeros_like(t), np.full_like(t, math.pi ** -0.25)
+    for q in range(j - 1):
+        p, p_prev = (t * math.sqrt(2.0 / (q + 1)) * p
+                     - math.sqrt(q / (q + 1.0)) * p_prev), p
+    return b ** 0.25 * (p * np.exp(-0.5 * t * t))
+
+
+@pytest.mark.parametrize("b", [1.0, 1.3])
+def test_psi_inf_levels_match_each_level_alone(b):
+    # one run of the recurrence for levels 1..8 gives each level's bits,
+    # on the (momentum, offset) grid solve_fiber evaluates
+    ks = np.linspace(-6.0, 6.0, 7)[:, None]
+    x = ks / b + np.linspace(-12.0, 12.0, 401) / math.sqrt(b)
+    levels = list(psi_inf_levels(8, ks, x, b))
+    assert len(levels) == 8
+    for j, level in enumerate(levels, start=1):
+        assert np.array_equal(level, _psi_inf_one_level(j, ks, x, b))
+        assert np.array_equal(level, psi_inf(j, ks, x, b))

@@ -11,7 +11,8 @@ import pytest
 
 from edgegap.cli import run
 from edgegap.errors import ScenarioError
-from edgegap.fiber import FiberDiscretization, verify_tep2, verify_teth1
+from edgegap import fiber
+from edgegap.fiber import FiberDiscretization, edge_comparison
 from edgegap.scenario import (
     MAX_DEPTHS,
     GridSpec,
@@ -22,7 +23,7 @@ from edgegap.scenario import (
     scenario_to_dict,
     schema_json,
 )
-from tests.conftest import REFERENCE_CONFIG, run_python
+from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios, run_python
 
 BOX = [[-0.25, -0.5], [0.4, -0.5], [0.4, 0.5], [-0.25, 0.5]]
 
@@ -418,11 +419,46 @@ def test_cli_fiber_window_reaches_edge_verdicts(tmp_path):
         assert run(["verify", check, "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         values.update((v["name"], v["value"]) for v in summary["verdicts"])
-    expected = verify_tep2(1, wide, [5.0])[0]
+    expected = gap_to_phi_ratios(wide, 1, [5.0])[0]
     assert values["gap_to_phi_k5"] == expected
-    assert expected != verify_tep2(1, FiberDiscretization(b=1.0, w=step),
-                                   [5.0])[0]
-    assert values["scaled_distance_small"] == verify_teth1(1, wide, [6.0])[0]
+    assert expected != gap_to_phi_ratios(FiberDiscretization(b=1.0, w=step),
+                                         1, [5.0])[0]
+    assert values["scaled_distance_small"] == edge_comparison(
+        wide, 1, 6.0).scaled_distance
+
+
+@pytest.mark.parametrize("check, lanes", [
+    ("tep2", {(1, 4.0): 1, (1, 5.0): 1, (1, 6.0): 1, (2, 6.0): 1}),
+    ("teth1", {(1, 4.0): 1, (1, 6.0): 1}),
+])
+def test_cli_edge_checks_solve_each_lane_once(tmp_path, monkeypatch, check,
+                                              lanes):
+    # the rows and the verdicts of a check come from one batch of twin
+    # comparisons per band: every (j, k) lane is solved once on each grid
+    sc = load_scenario(REFERENCE_CONFIG)
+    solved = {sc.fiber_n: [], (sc.fiber_n + 1) // 2: []}
+    twin_levels = fiber._twin_levels
+
+    def recording(disc, j, ks, n):
+        solved[n].extend((j, float(k)) for k in ks)
+        return twin_levels(disc, j, ks, n)
+
+    monkeypatch.setattr(fiber, "_twin_levels", recording)
+    assert run(["verify", check, "--config", REFERENCE_CONFIG,
+                "--out", str(tmp_path)]) == 0
+    for grid in solved.values():
+        assert {lane: grid.count(lane) for lane in grid} == lanes
+
+
+def test_cli_lau25_needs_a_sharp_step(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc(edge_potential={
+        "type": "smooth_monotone", "w_minus": 0.0, "w_plus": 1.0,
+        "center": 0.0, "width": 1.0}))
+    assert run(["verify", "lau25", "--config", cfg,
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "closed-form tail asymptote requires a sharp step" in err
+    assert "Traceback" not in err
 
 
 def test_cli_fiber_window_reaches_resolvent_path(tmp_path, monkeypatch):
