@@ -2,9 +2,11 @@
 
 One-shot reproduction driver: the reference config runs every
 subcommand; the finiteness and growth configs run the subcommands they
-were built to exercise (their deep lambda grids make the resolvent
-routes prohibitively slow, and nothing new would be learned).  Each
-(config, subcommand) pair writes under out/<config>/<subcommand>/ and
+were built to exercise.  growth's bs-count is left out because it fails
+its route verdicts: its Gauss y-rule does not resolve the plane waves
+over the tall slab.  It joins the battery with that fix, together with
+growth's effective-count and finiteness's bs-count (ROADMAP item 2).
+Each (config, subcommand) pair writes under out/<config>/<subcommand>/ and
 the table reports exit codes plus the verdict tally read back from
 summary.json.  Exits with the worst code seen.
 

@@ -8,8 +8,7 @@ of the square-root-of-log accumulation law.
 
 from .counting import CountingReport, LogHermitian, count_above, n_star
 from .errors import (ConstantPotential, ConvergenceFailure, DomainError,
-                     EdgegapError, EmptyIntersection, NoGap,
-                     NoiseFloorWarning, ScenarioError, TieWarning,
+                     EdgegapError, EmptyIntersection, NoGap, ScenarioError,
                      TruncationWarning, WrongPotentialKind)
 from .fiber import (BandTable, EdgeComparison, FiberDiscretization,
                     FiberEigenpair, GapModel, band_table, edge_comparison,
@@ -29,8 +28,8 @@ __all__ = [
     "CountingReport", "DiscretizedOperator", "DomainError",
     "EdgeComparison", "EdgePotential", "EdgegapError", "EmptyIntersection",
     "FiberDiscretization", "FiberEigenpair", "GapModel", "LogHermitian",
-    "NoGap", "NoiseFloorWarning", "Perturbation", "PolygonDomain",
-    "QuadratureSpec", "Scenario", "ScenarioError", "TieWarning",
+    "NoGap", "Perturbation", "PolygonDomain",
+    "QuadratureSpec", "Scenario", "ScenarioError",
     "TruncationWarning", "WrongPotentialKind", "asymptotic_constants",
     "band_table", "c_minus", "c_plus", "clip_positive_halfplane",
     "count_above", "edge_comparison", "edge_comparisons",

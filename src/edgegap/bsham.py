@@ -101,14 +101,6 @@ def _psi_log_factors(j: int, b: float, x_pts, k_pts):
     return logmag, sign
 
 
-def _x_rule_for_support(poly, b, k_hi, quad):
-    # exponent rate of psi_inf^2 in x is ~ 2 sqrt(b) |t|, |t| <= kernel reach
-    xa, xb = poly.x_extent
-    rate = 2.0 * (abs(k_hi) + b * max(abs(xa), abs(xb))) + 2.0
-    width = quad.x_rate / rate
-    return polygon_x_rule(poly, width, quad.x_nodes)
-
-
 def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float,
               k_lo: float = None, k_hi: float = None, y_order: int = 0,
               fiber_n: int = 2001,
@@ -133,7 +125,7 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
     k_pts, k_wts = gauss_panel_rule(k_lo, k_hi, quad.k_panels, quad.k_nodes)
     gap_model = get_gap_model(b, w, j, k_lo, k_hi, fiber_n, fiber_half_width)
     log_row = np.log(gap_model.weight(k_pts, lam))
-    x_pts, x_wts = _x_rule_for_support(v.support, b, k_hi, quad)
+    x_pts, x_wts = polygon_x_rule(v.support, k_hi, b, quad)
     secs = sections_at(v.support, x_pts)
     x_logmag, x_sign = _psi_log_factors(j, b, x_pts, k_pts)
     op = product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
@@ -181,7 +173,7 @@ def effective_count(j: int, lam: float, eps: float, scenario,
 
 def _support_nodes(v, quad, b, k_reach):
     """Tensor quadrature nodes (x, y, weight) over supp V."""
-    x_pts, x_wts = _x_rule_for_support(v.support, b, k_reach, quad)
+    x_pts, x_wts = polygon_x_rule(v.support, k_reach, b, quad)
     order = quad.gauss_y_order
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     xs, ys, ws = [], [], []

@@ -80,9 +80,11 @@ class _WarningBox:
             print(f"warning: {item.message}", file=sys.stderr)
         return False
 
-    @property
-    def text(self) -> str:
-        return "; ".join(str(item.message) for item in self._box)
+    def cell(self, *reports) -> str:
+        """The warnings cell of a count row: the warnings of the row's own
+        reports, then every warning raised while they were computed."""
+        return "; ".join([msg for rep in reports for msg in rep.warnings]
+                         + [str(item.message) for item in self._box])
 
 
 def _need(sc: Scenario, w: bool = False, v: bool = False):
@@ -247,7 +249,7 @@ def cmd_verify_kms(sc: Scenario, out: Path):
         op = g_sinc(iv, m_c)
         report = count_above(op.kernel, s)
     rows.append((m_c, "g_sinc", s, report.count, report.count / m_c, target,
-                 report.precision_bits, box.text))
+                 report.precision_bits, box.cell(report)))
     _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
     return [
         _verdict("trace_exact", trace_dev <= p["trace_tol"], trace_dev, 0.0,
@@ -268,29 +270,20 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
     lam, eps, r = float(p["lam"]), float(p["eps"]), float(p["r"])
     slack = p["slack"]
     with _WarningBox() as box:
-        sand = sandwich_check(sc.j, lam, r, eps, sc)
-        ends = endpoint_bracket(sc.j, lam, r, eps, sc)
-    warn = box.text
-    m = ends["m"]
-    rows = [
-        ("", "q_minus", sand["lower_threshold"], sand["lower"], "", "", 53, warn),
-        ("", "s_gram", sand["mid_threshold"], sand["mid"], "", "", 53, ""),
-        ("", "q_plus", sand["upper_threshold"], sand["upper"], "", "", 53, ""),
-        (m, "gamma_minus", ends["lower_threshold"], ends["lower"], "", "", 53, ""),
-        (m, "s_gram", r * r, sand["mid"], "", "", 53, ""),
-        (m, "gamma_plus", ends["upper_threshold"], ends["upper"], "", "", 53, ""),
-    ]
+        q_lo, mid, q_hi = sandwich_check(sc.j, lam, r, eps, sc)
+        m, g_lo, g_hi = endpoint_bracket(sc.j, lam, r, eps, sc)
+    named = [("", "q_minus", q_lo), ("", "s_gram", mid), ("", "q_plus", q_hi),
+             (m, "gamma_minus", g_lo), (m, "s_gram", mid),
+             (m, "gamma_plus", g_hi)]
+    rows = [(mm, name, rep.threshold, rep.count, "", "", rep.precision_bits,
+             box.cell(rep)) for mm, name, rep in named]
     _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
-    return [
-        _verdict("model_lower", sand["lower"] - sand["mid"] <= slack,
-                 sand["lower"] - sand["mid"], 0.0, slack),
-        _verdict("model_upper", sand["mid"] - sand["upper"] <= slack,
-                 sand["mid"] - sand["upper"], 0.0, slack),
-        _verdict("endpoint_lower", ends["lower"] - sand["mid"] <= slack,
-                 ends["lower"] - sand["mid"], 0.0, slack),
-        _verdict("endpoint_upper", sand["mid"] - ends["upper"] <= slack,
-                 sand["mid"] - ends["upper"], 0.0, slack),
-    ]
+    n = mid.count
+    return [_verdict(name, excess <= slack, excess, 0.0, slack)
+            for name, excess in (("model_lower", q_lo.count - n),
+                                 ("model_upper", n - q_hi.count),
+                                 ("endpoint_lower", g_lo.count - n),
+                                 ("endpoint_upper", n - g_hi.count))]
 
 
 def cmd_verify_weylkyfan(sc: Scenario, out: Path):
@@ -332,8 +325,7 @@ def cmd_effective_count(sc: Scenario, out: Path):
             rep_lo, rep_hi = effective_count(sc.j, lam, eps, sc)
         for rep in (rep_lo, rep_hi):
             rows.append((lam, sc.j, rep.route, rep.threshold, rep.count,
-                         "; ".join(rep.warnings) or box.text,
-                         rep.precision_bits))
+                         box.cell(rep), rep.precision_bits))
         lowers.append(rep_lo.count)
         uppers.append(rep_hi.count)
     _write_csv(out, "counts.csv", _COUNTS_HEADER, rows)
@@ -360,7 +352,7 @@ def cmd_bs_count(sc: Scenario, out: Path):
     lams = sc.lam_grid.values()
     with _WarningBox() as box:
         counts = dict(zip(lams, bs_count(sc.j, lams, sc, j_sum=j_sum)))
-    rows = [(lam, sc.j, "bs_fiber", 1.0, n, box.text, 53)
+    rows = [(lam, sc.j, "bs_fiber", 1.0, n, box.cell(), 53)
             for lam, n in counts.items()]
     verdicts = []
     lam0 = sc.lam_grid.start
@@ -380,9 +372,9 @@ def cmd_bs_count(sc: Scenario, out: Path):
             n1 = count_above(full.kernel, r)
             n2 = count_above(anti.kernel, r)
         rows.append((lam0, sc.j, "gram_sections", r, n1.count,
-                     "; ".join(n1.warnings), n1.precision_bits))
+                     box.cell(n1), n1.precision_bits))
         rows.append((lam0, sc.j, "antiwick_gauss", r, n2.count,
-                     "; ".join(n2.warnings), n2.precision_bits))
+                     box.cell(n2), n2.precision_bits))
         verdicts.append(_verdict(f"route_agreement_r{r:g}",
                                  n1.count == n2.count, n1.count - n2.count,
                                  0.0, 0.0))
@@ -405,7 +397,7 @@ def cmd_scaling(sc: Scenario, out: Path):
             with _WarningBox() as box:
                 lo, hi = effective_count(sc.j, lam, eps, sc)
             rows.append((lam, m, lo.count, hi.count, _NAN, _NAN,
-                         hi.precision_bits, box.text))
+                         hi.precision_bits, box.cell(lo, hi)))
             counts.append(hi.count)
     else:
         r2 = float(p["r"]) ** 2
@@ -423,8 +415,7 @@ def cmd_scaling(sc: Scenario, out: Path):
             upper = gamma_diag_count(m, xi, delta, big_r, r2 / eps_plus)[0]
             root = math.sqrt(abs(math.log(lam)))
             rows.append((lam, m, rep.count, upper, cmi * root, cpl * root,
-                         rep.precision_bits,
-                         "; ".join(rep.warnings) or box.text))
+                         rep.precision_bits, box.cell(rep)))
             counts.append(rep.count)
     _write_csv(out, "scaling.csv",
                ("lambda", "m", "lower_count", "upper_count",
@@ -470,7 +461,7 @@ def cmd_scaling(sc: Scenario, out: Path):
         _write_csv(out, "modelops.csv", _MODELOPS_HEADER,
                    [(m_e, "g_sinc_inscribed", s_cert, rep.count,
                      rep.count / m_e, target, rep.precision_bits,
-                     "; ".join(rep.warnings) or box.text)])
+                     box.cell(rep))])
         verdicts.append(_verdict("endpoint_density",
                                  abs(ratio - 1.0) <= e["tol"], ratio, 1.0,
                                  e["tol"]))

@@ -10,7 +10,9 @@ row of A peaks near 1 and nothing overflows, and counts #{lambda(A) > 0}:
 Sylvester's law of inertia gives A the inertia of M - sI for any
 positive diagonal S.  The count is certified when the smallest |lambda(A)|
 exceeds twice a Weyl budget for the eigensolver's backward error and the
-rounding of the entries of A; otherwise it carries a tie warning.
+rounding of the entries of A; otherwise it carries a tie warning.  A
+matrix assembled by operators.product_gram carries its noise floor, and
+a threshold below that floor carries a floor warning.
 
 Both routes report route "double_eig", the method they share: perfbench's
 traced pass names a per-layer metric after each reported route and
@@ -22,7 +24,7 @@ coordinates (see CountingReport).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +48,10 @@ class CountingReport:
     is the smallest |eigenvalue - threshold| of M on route double_eig;
     on scaled_eig it is the smallest |eigenvalue| of the equilibrated
     matrix S(M - sI)S, whose rows all peak near 1.  warnings holds at
-    most one "tie:" message: how many eigenvalues lie within the tie
-    tolerance, the nearest one and the range the count could take.
+    most one "tie:" message, then at most one "floor:" message.  The tie
+    message names how many eigenvalues lie within the tie tolerance, the
+    nearest one and the range the count could take; the floor message
+    how far ln threshold lies below the matrix's assembly noise floor.
     """
 
     threshold: float
@@ -64,7 +68,14 @@ class LogHermitian:
     log_mag is symmetric (with -inf for exact zeros) and phase
     antisymmetric, so the represented matrix exp(log_mag) * e^{i phase}
     is Hermitian.  Real symmetric matrices carry phases in {0, pi}.
+
+    noise_floor_log is None, except on a matrix operators.product_gram
+    assembled: there it is the log of the absolute entry noise its
+    double-precision accumulation leaves, and count_above flags every
+    threshold below it.
     """
+
+    noise_floor_log = None
 
     def __init__(self, log_mag, phase=None):
         log_mag = np.asarray(log_mag, dtype=float)
@@ -136,6 +147,17 @@ def _tie_warnings(eigs: np.ndarray, s: float, count: int, tol: float):
     return (f"tie: {tied.size} eigenvalue(s) within {tol:g} of threshold, "
             f"nearest {nearest!r}; count could be {count - above} to "
             f"{count + tied.size - above}",)
+
+
+def _floor_warnings(logm, s: float):
+    """One floor: message if ln s lies below the assembly noise floor of
+    logm; none if it does not or logm carries no floor."""
+    floor = None if logm is None else logm.noise_floor_log
+    if floor is None or math.log(s) >= floor:
+        return ()
+    return (f"floor: threshold ln s = {math.log(s):.1f} lies "
+            f"{floor - math.log(s):.1f} nats below the assembly noise floor "
+            f"{floor:.1f}; the count includes quadrature noise modes",)
 
 
 def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
@@ -213,9 +235,11 @@ def count_above(m, s: float, route: str = "auto",
     uses the double eigensolver on M whenever the entries are
     representable and the matrix norm leaves the threshold ~30 nats of
     headroom; otherwise route "scaled_eig" counts the positive
-    eigenvalues of the equilibrated S(M - sI)S.  precision_cap is
-    accepted for compatibility and has no effect: both routes run in
-    double precision.
+    eigenvalues of the equilibrated S(M - sI)S.  Every count is flagged
+    here: a tie warning from the route, then a floor warning when m
+    carries an assembly noise floor above ln s (see CountingReport).
+    precision_cap is accepted for compatibility and has no effect: both
+    routes run in double precision.
     """
     if s <= 0:
         raise ValueError("threshold s must be positive")
@@ -233,12 +257,14 @@ def count_above(m, s: float, route: str = "auto",
             route = "double_eig"
     if route == "double_eig":
         dense = m.to_dense() if logm is not None else np.asarray(m)
-        return _count_double_eig(dense, s)
-    if route == "scaled_eig":
-        if logm is None:
-            logm = LogHermitian.from_dense(m)
-        return _count_scaled_eig(logm, s)
-    raise ValueError(f"unknown route {route!r}")
+        report = _count_double_eig(dense, s)
+    elif route == "scaled_eig":
+        report = _count_scaled_eig(
+            LogHermitian.from_dense(m) if logm is None else logm, s)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    floor = _floor_warnings(logm, s)
+    return replace(report, warnings=report.warnings + floor) if floor else report
 
 
 def n_star(t, s: float, route: str = "auto") -> CountingReport:

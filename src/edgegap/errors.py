@@ -33,20 +33,6 @@ class ScenarioError(EdgegapError):
     """Scenario config failed validation."""
 
 
-class TieWarning(UserWarning):
-    """An eigenvalue lies within tolerance of the counting threshold."""
-
-
 class TruncationWarning(UserWarning):
     """An integral or series truncation criterion could not be certified."""
 
-
-class NoiseFloorWarning(UserWarning):
-    """A count was requested at a threshold below the assembly noise floor.
-
-    Gram cores are accumulated in double precision; after the per-column
-    exponent scales are restored, entrywise relative roundoff becomes
-    absolute noise of size ~ e^{2 max(peak)} * n * 1e-15.  Eigenvalue
-    counts at thresholds under that floor include noise modes and grow
-    with the node count instead of converging.
-    """

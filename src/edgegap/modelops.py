@@ -16,14 +16,13 @@ only inside the counting routines.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bsham import get_gap_model, k_truncation, sjstar_sj
 from .counting import count_above
-from .errors import DomainError, TieWarning
+from .errors import DomainError
 from .geometry import kappa
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
@@ -88,9 +87,7 @@ def gamma_gram(side: str, m: float, delta: float, omega, quad: QuadratureSpec,
         raise ValueError("side must be 'minus' or 'plus'")
     k_pts, k_wts = gauss_panel_rule(window.lo, window.hi,
                                     quad.k_panels, quad.k_nodes)
-    xa, xb = omega.x_extent
-    rate = 2.0 * (m * window.hi + b * max(abs(xa), abs(xb))) + 2.0
-    x_pts, x_wts = polygon_x_rule(omega, quad.x_rate / rate, quad.x_nodes)
+    x_pts, x_wts = polygon_x_rule(omega, m * window.hi, b, quad)
     secs = sections_at(omega, x_pts)
     x_logmag = (-0.5 * b * x_pts[:, None] ** 2
                 + m * (x_pts[:, None] + shift) * k_pts[None, :])
@@ -173,24 +170,6 @@ def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,
     return math.fsum((power * dense.T).ravel()) / m
 
 
-def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
-                    nodes: int = None) -> float:
-    """n_+(s; g)/m for the sinc family at scale m.
-
-    Tends to |window|/pi for s in (0, 1) and to 0 for s > 1: the
-    spectrum piles up at 0 and 1 like a Fermi profile.  Threshold ties
-    are re-raised as TieWarning.
-    """
-    if s <= 0 or s == 1.0:
-        raise ValueError("threshold must be positive and away from 1")
-    _, _, dense = _sinc_dense(interval, m, nodes)
-    report = count_above(dense, s)
-    for msg in report.warnings:
-        if msg.startswith("tie"):
-            warnings.warn(msg, TieWarning)
-    return report.count / m
-
-
 def epsilon_bounds(omega, b: float = 1.0):
     """(inf, sup) of e^{-bx^2} over the x-projection of the polygon.
 
@@ -223,7 +202,7 @@ def inscribed_rectangle_count(r: float, m: float, delta: float,
     s = (r * math.exp(-2.0 * beta * delta * m)
          / (eps_minus * (1.0 - math.exp(2.0 * (alpha - beta) * delta * m))))
     op = g_sinc(IntervalSpec.inner(delta), m * half_height, nodes)
-    return op.count_above(s), s
+    return count_above(op.kernel, s), s
 
 
 def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
@@ -299,9 +278,7 @@ def q_operator(side: str, j: int, lam: float, a: float,
                               scenario.fiber_half_width)
     log_row = (np.log(gap_model.weight(k_pts, lam))
                + (j - 1) * np.log(k_pts))
-    xa, xb = omega.x_extent
-    rate = 2.0 * (k_hi + b * max(abs(xa), abs(xb))) + 2.0
-    x_pts, x_wts = polygon_x_rule(omega, quad.x_rate / rate, quad.x_nodes)
+    x_pts, x_wts = polygon_x_rule(omega, k_hi, b, quad)
     secs = sections_at(omega, x_pts)
     rb = math.sqrt(b)
     x_logmag = -0.5 * (rb * x_pts[:, None] - k_pts[None, :] / rb) ** 2
@@ -314,13 +291,14 @@ def q_operator(side: str, j: int, lam: float, a: float,
 
 
 def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
-                   quad: QuadratureSpec = None) -> dict:
+                   quad: QuadratureSpec = None):
     """Three-route count comparison at fixed gap depth.
 
     Counts n_*(r(1+eps); sqrt(c0-) Q-) <= n_*(r; S_j) <=
     n_*(r(1-eps); sqrt(c0+) Q+) realized as threshold counts on the
     three Gram matrices; the bracket holds up to a small additive slack
-    from the finite-rank reductions.
+    from the finite-rank reductions.  Returns the (lower, mid, upper)
+    CountingReports, each with its threshold and warnings.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -329,20 +307,18 @@ def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
     mid_op = sjstar_sj(j, lam, a, quad, scenario.v, scenario.w, scenario.b,
                        fiber_n=scenario.fiber_n,
                        fiber_half_width=scenario.fiber_half_width)
-    mid = count_above(mid_op.kernel, r * r).count
+    mid = count_above(mid_op.kernel, r * r)
     lo_op = q_operator("minus", j, lam, a, quad, scenario)
-    lo_s = (r * (1.0 + eps)) ** 2 / scenario.v.c0_minus
-    lower = count_above(lo_op.kernel, lo_s).count
+    lower = count_above(lo_op.kernel,
+                        (r * (1.0 + eps)) ** 2 / scenario.v.c0_minus)
     hi_op = q_operator("plus", j, lam, a, quad, scenario)
-    hi_s = (r * (1.0 - eps)) ** 2 / scenario.v.c0_plus
-    upper = count_above(hi_op.kernel, hi_s).count
-    return {"lower": lower, "mid": mid, "upper": upper,
-            "lower_threshold": lo_s, "mid_threshold": r * r,
-            "upper_threshold": hi_s}
+    upper = count_above(hi_op.kernel,
+                        (r * (1.0 - eps)) ** 2 / scenario.v.c0_plus)
+    return lower, mid, upper
 
 
 def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
-                     quad: QuadratureSpec = None) -> dict:
+                     quad: QuadratureSpec = None):
     """Exponential-Gram bracket of the gap count at depth lam.
 
     With m = sqrt(b |ln lam|), the count n_*(r; S_j) is caught between
@@ -352,9 +328,10 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
         upper: r(1-eps) sqrt((W+ - W(-delta))/c0+) e^{-b delta^2/2}
                                                        on side "plus",
 
-    up to additive slack from the finite reductions.  Only the two
-    polygon counts are returned: the middle count n_*(r; S_j) is the
-    "mid" of sandwich_check at the same (j, lam, r), counted once.
+    up to additive slack from the finite reductions.  Returns (m, lower,
+    upper), the two polygon counts as CountingReports: the middle count
+    n_*(r; S_j) is the mid of sandwich_check at the same (j, lam, r),
+    counted once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -367,11 +344,10 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
     s_lo = r * (1.0 + eps) * math.sqrt(
         (w.w_plus_limit - w.w_minus_limit) / v.c0_minus)
     lo_op = gamma_gram("minus", m, delta, v.omega_minus, quad, b)
-    lower = count_above(lo_op.kernel, s_lo * s_lo).count
+    lower = count_above(lo_op.kernel, s_lo * s_lo)
     s_hi = (r * (1.0 - eps)
             * math.sqrt((w.w_plus_limit - float(w(-delta))) / v.c0_plus)
             * math.exp(-0.5 * b * delta * delta))
     hi_op = gamma_gram("plus", m, delta, v.omega_plus, quad, b)
-    upper = count_above(hi_op.kernel, s_hi * s_hi).count
-    return {"m": m, "lower": lower, "upper": upper,
-            "lower_threshold": s_lo * s_lo, "upper_threshold": s_hi * s_hi}
+    upper = count_above(hi_op.kernel, s_hi * s_hi)
+    return m, lower, upper

@@ -16,13 +16,11 @@ returns log-magnitude + phase matrices ready for the counting module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .counting import LogHermitian
-from .errors import NoiseFloorWarning
 from .geometry import PolygonDomain
 
 
@@ -71,17 +69,6 @@ class DiscretizedOperator:
     def n(self) -> int:
         return len(self.nodes)
 
-    def count_above(self, r: float, **kwargs):
-        from .counting import count_above
-        floor = self.meta.get("noise_floor_log")
-        if floor is not None and math.log(r) < floor:
-            warnings.warn(
-                f"threshold ln r = {math.log(r):.1f} is below the double-"
-                f"assembly noise floor {floor:.1f} nats; the count includes "
-                "quadrature noise modes and will not stabilize under node "
-                "doubling", NoiseFloorWarning)
-        return count_above(self.kernel, r, **kwargs)
-
 
 def gauss_panel_rule(a: float, b: float, panels: int, nodes: int):
     """Composite Gauss-Legendre rule on (a, b)."""
@@ -96,16 +83,23 @@ def gauss_panel_rule(a: float, b: float, panels: int, nodes: int):
     return pts, wts
 
 
-def polygon_x_rule(poly: PolygonDomain, max_panel_width: float, nodes: int):
-    """Gauss points over the x-extent of poly, panels split at vertex
-    abscissas (keeps every node off the section-degeneracy set) and no
-    wider than max_panel_width."""
+def polygon_x_rule(poly: PolygonDomain, reach: float, b: float,
+                   quad: QuadratureSpec):
+    """Gauss points over the x-extent of poly, quad.x_nodes per panel.
+
+    Panels are split at vertex abscissas (keeps every node off the
+    section-degeneracy set) and are no wider than quad.x_rate / rate,
+    where rate = 2 (|reach| + b max|x|) + 2 bounds how fast a kernel
+    exponent of momentum reach moves in x over poly.
+    """
     xa, xb = poly.x_extent
+    rate = 2.0 * (abs(reach) + b * max(abs(xa), abs(xb))) + 2.0
+    max_panel_width = quad.x_rate / rate
     cuts = sorted({xa, xb} | {v[0] for v in poly.vertices if xa < v[0] < xb})
     pts, wts = [], []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         panels = max(1, int(math.ceil((hi - lo) / max_panel_width)))
-        p, w = gauss_panel_rule(lo, hi, panels, nodes)
+        p, w = gauss_panel_rule(lo, hi, panels, quad.x_nodes)
         pts.append(p)
         wts.append(w)
     return np.concatenate(pts), np.concatenate(wts)
@@ -153,7 +147,8 @@ def product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
     when entries span hundreds of decades.  The Gram is Hermitian, so only
     its upper triangle (diagonal included) is accumulated, entry by entry
     the same operations as on the full matrix, and the lower triangle is
-    its mirror.
+    its mirror.  The assembly noise floor is computed once and stored on
+    the kernel, where count_above reads it, and in meta["noise_floor_log"].
     """
     k_pts = np.asarray(k_pts, dtype=float)
     k_wts = np.asarray(k_wts, dtype=float)
@@ -181,12 +176,12 @@ def product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
     log_mag[(iu[1], iu[0])] = log_mag[iu]
     phase[(iu[1], iu[0])] = -phase[iu]
     np.fill_diagonal(phase, 0.0)
-    kernel = LogHermitian(log_mag, phase)
-    full_meta = dict(meta or {})
     # the double-precision core carries ~1e-15 relative noise per entry;
     # restored exponent scales turn it into absolute noise at this level
     col_scale = peak + log_row + 0.5 * np.log(k_wts)
-    full_meta["noise_floor_log"] = float(
+    kernel = LogHermitian(log_mag, phase)
+    kernel.noise_floor_log = float(
         2.0 * col_scale.max() + log_prefactor + math.log(nk) + math.log(1e-15))
+    full_meta = dict(meta or {}, noise_floor_log=kernel.noise_floor_log)
     return DiscretizedOperator(nodes=k_pts, weights=k_wts, kernel=kernel,
                                meta=full_meta)

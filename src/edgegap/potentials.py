@@ -11,8 +11,7 @@ nonnegative bump sandwiched between scaled indicators of two polygons,
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

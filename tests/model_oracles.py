@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from edgegap.modelops import IntervalSpec
+from edgegap.counting import count_above
+from edgegap.modelops import IntervalSpec, _sinc_dense
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
 from edgegap.oscillator import _hermite_levels
 from tests.inertia_oracle import PrecisionExhausted
@@ -56,6 +57,20 @@ def theta_coeffs(delta: float, q_max: int) -> np.ndarray:
             + 2.0 * gammaln(q + 1.0) - gammaln(q - l + 1.0)
             - gammaln(q + l + 2.0))
     return np.where(l <= q, np.exp(logv), 0.0)
+
+
+def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
+                    nodes: int = None) -> float:
+    """n_+(s; g)/m for the sinc family at scale m, counted on the
+    Nystrom matrix g_sinc exponentiates.
+
+    Tends to |window|/pi for s in (0, 1) and to 0 for s > 1: the
+    spectrum piles up at 0 and 1 like a Fermi profile.
+    """
+    if s <= 0 or s == 1.0:
+        raise ValueError("threshold must be positive and away from 1")
+    _, _, dense = _sinc_dense(interval, m, nodes)
+    return count_above(dense, s).count / m
 
 
 def disk_moment_check(m: float, R: float, k: float, kp: float):

@@ -41,7 +41,6 @@ from edgegap.modelops import (
     gamma_diag_count,
     gamma_gram,
     inscribed_rectangle_count,
-    kms_count_ratio,
     kms_trace_ratio,
     sandwich_check,
     endpoint_bracket,
@@ -50,6 +49,7 @@ from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
 from tests.conftest import (REFERENCE_CONFIG, Bundle, gap_to_phi_ratios, rect,
                             run_python)
+from tests.model_oracles import kms_count_ratio
 
 
 def test_criterion_01_landau_levels():
@@ -225,7 +225,7 @@ def test_criterion_11_growth_exponent_and_endpoint():
     for lam in lams:
         m = math.sqrt(sc.b * abs(math.log(lam)))
         gram = gamma_gram("minus", m, delta, sc.v.omega_minus, quad, sc.b)
-        lower.append(gram.count_above(r * r).count)
+        lower.append(count_above(gram.kernel, r * r).count)
         upper.append(gamma_diag_count(m, xi, delta, big_r,
                                       r * r / eps_plus)[0])
     # measured: lower [13..29], upper [142..285], slope 0.5566
@@ -252,16 +252,18 @@ def test_criterion_12_cross_route_consistency(coarse_scenario):
     full = full_line_gram(1, 1e-3, coarse_scenario)
     anti = full_line_gram(1, 1e-3, coarse_scenario, y_order=12)
     for r in (0.5, 1.0, 2.0):
-        assert full.count_above(r * r).count == anti.count_above(r * r).count
+        assert (count_above(full.kernel, r * r).count
+                == count_above(anti.kernel, r * r).count)
 
 
 def test_criterion_13_sandwich_and_endpoint_brackets(coarse_scenario):
     slack = 3
-    out = sandwich_check(1, 1e-4, 1.0, 0.3, coarse_scenario)
-    assert out["lower"] - slack <= out["mid"] <= out["upper"] + slack
+    lower, mid, upper = (rep.count for rep in
+                         sandwich_check(1, 1e-4, 1.0, 0.3, coarse_scenario))
+    assert lower - slack <= mid <= upper + slack
     # the endpoint Grams bracket the same middle count
-    end = endpoint_bracket(1, 1e-4, 1.0, 0.3, coarse_scenario)
-    assert end["lower"] - slack <= out["mid"] <= end["upper"] + slack
+    _, end_lo, end_hi = endpoint_bracket(1, 1e-4, 1.0, 0.3, coarse_scenario)
+    assert end_lo.count - slack <= mid <= end_hi.count + slack
 
 
 _SUBCOMMANDS = [

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from edgegap.bsham import sjstar_sj
-from edgegap.errors import DomainError, NoiseFloorWarning
+from edgegap.counting import count_above
+from edgegap.errors import DomainError
 from edgegap.geometry import kappa
 from edgegap.modelops import (
     IntervalSpec,
@@ -23,7 +24,6 @@ from edgegap.modelops import (
     gamma_diag_count,
     gamma_gram,
     inscribed_rectangle_count,
-    kms_count_ratio,
     kms_trace_ratio,
     q_operator,
     sandwich_check,
@@ -34,6 +34,7 @@ from tests.inertia_oracle import PrecisionExhausted, count_hp_inertia
 from tests.model_oracles import (
     disk_moment_check,
     gamma_diag_count as gammaln_diag_count,
+    kms_count_ratio,
     reciprocal_interval,
     theta_coeffs,
 )
@@ -88,7 +89,7 @@ def test_inscribed_rectangle_certifies_lower_count(m, gram_n, sinc_n):
     omega = rect(0.0, 0.15, -0.8, 0.8)
     alpha, beta, half, delta = 0.03, 0.12, 0.5, 0.1
     op = gamma_gram("minus", m, delta, omega, QUAD)
-    assert op.count_above(1.0).count == gram_n
+    assert count_above(op.kernel, 1.0).count == gram_n
     eps_minus = math.exp(-max(alpha * alpha, beta * beta))
     report, s = inscribed_rectangle_count(1.0, m, delta, alpha, beta, half,
                                           eps_minus)
@@ -100,19 +101,47 @@ def test_inscribed_rectangle_certifies_lower_count(m, gram_n, sinc_n):
 def test_count_stable_across_routes_and_nodes():
     omega = rect(0.0, 0.15, -0.8, 0.8)
     op = gamma_gram("minus", 50.0, 0.1, omega, QUAD)
-    n_dbl = op.count_above(1.0, route="double_eig").count
-    n_scaled = op.count_above(1.0, route="scaled_eig").count
+    n_dbl = count_above(op.kernel, 1.0, route="double_eig").count
+    n_scaled = count_above(op.kernel, 1.0, route="scaled_eig").count
     n_256 = count_hp_inertia(op.kernel, 1.0, precision_cap=256).count
     n_512 = count_hp_inertia(op.kernel, 1.0, precision_cap=512).count
     fine = QuadratureSpec(k_panels=16, k_nodes=16, x_nodes=40)
-    n_fine = gamma_gram("minus", 50.0, 0.1, omega, fine).count_above(1.0).count
+    n_fine = count_above(gamma_gram("minus", 50.0, 0.1, omega, fine).kernel,
+                         1.0).count
     assert n_dbl == n_scaled == n_256 == n_512 == n_fine
+
+
+def _floor_messages(report):
+    return [msg for msg in report.warnings if msg.startswith("floor:")]
 
 
 def test_noise_floor_warning_below_assembly_resolution():
     op = gamma_gram("minus", 100.0, 0.1, rect(0.0, 0.3, -0.8, 0.8), QUAD)
-    with pytest.warns(NoiseFloorWarning):
-        op.count_above(1.0)
+    assert op.kernel.noise_floor_log == op.meta["noise_floor_log"] > 0.0
+    for route in ("auto", "double_eig", "scaled_eig"):
+        (msg,) = _floor_messages(count_above(op.kernel, 1.0, route=route))
+        assert f"floor {op.meta['noise_floor_log']:.1f}" in msg
+
+
+def test_noise_floor_flags_the_gamma_m60_probe():
+    # perfbench's probe rectangle: at m = 60 the floor sits at +35.8 nats,
+    # far above ln 1, and the count carries a tie and then a floor message
+    probe = rect(0.05, 0.6, -0.5, 0.5)
+    op = gamma_gram("minus", 60, 0.1, probe, QUAD)
+    assert op.meta["noise_floor_log"] == pytest.approx(35.8, abs=0.05)
+    report = count_above(op.kernel, 1.0)
+    assert [msg.split(":")[0] for msg in report.warnings] == ["tie", "floor"]
+    # the floor is a fact of the assembly, so a threshold above it is clean
+    assert not _floor_messages(count_above(op.kernel, math.exp(36.0)))
+
+
+def test_counts_without_a_floor_carry_no_floor_message():
+    op = g_sinc(WINDOW, 80.0)
+    assert op.kernel.noise_floor_log is None
+    dense = op.kernel.to_dense()
+    for m in (op.kernel, dense):
+        for route in ("double_eig", "scaled_eig"):
+            assert not _floor_messages(count_above(m, 1e-300, route=route))
 
 
 def test_sinc_trace_is_exact():
@@ -232,10 +261,11 @@ def test_step_envelope_operator_reduces_to_band_kernel(coarse_scenario):
 
 
 def test_sandwich_bracket(coarse_scenario):
-    out = sandwich_check(1, 1e-4, 1.0, 0.3, coarse_scenario)
-    assert (out["lower"], out["mid"], out["upper"]) == (1, 2, 2)
+    lower, mid, upper = sandwich_check(1, 1e-4, 1.0, 0.3, coarse_scenario)
+    assert (lower.count, mid.count, upper.count) == (1, 2, 2)
+    assert mid.threshold == 1.0
     # the eps margins keep the transferred thresholds strictly ordered
-    assert out["lower_threshold"] > out["upper_threshold"]
+    assert lower.threshold > upper.threshold
     with pytest.raises(ValueError):
         sandwich_check(1, 1e-4, 1.0, 1.5, coarse_scenario)
 
@@ -243,8 +273,10 @@ def test_sandwich_bracket(coarse_scenario):
 def test_endpoint_bracket(coarse_scenario):
     # the middle count, 2, is sandwich_check's (test_sandwich_bracket)
     out = endpoint_bracket(1, 1e-4, 1.0, 0.3, coarse_scenario)
-    assert (out["lower"], out["upper"]) == (1, 2)
-    assert "mid" not in out
-    assert out["m"] == pytest.approx(math.sqrt(abs(math.log(1e-4))))
+    assert len(out) == 3  # m and the two polygon counts, no middle count
+    m, lower, upper = out
+    assert (lower.count, upper.count) == (1, 2)
+    assert lower.threshold > upper.threshold
+    assert m == pytest.approx(math.sqrt(abs(math.log(1e-4))))
     with pytest.raises(ValueError):
         endpoint_bracket(1, 2.0, 1.0, 0.3, coarse_scenario)

@@ -5,17 +5,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from edgegap.cli import run
 from edgegap.errors import ScenarioError
-from edgegap import fiber
+from edgegap import counting, fiber
 from edgegap.fiber import FiberDiscretization, edge_comparison
 from edgegap.scenario import (
     MAX_DEPTHS,
-    GridSpec,
     LambdaGrid,
     load_scenario,
     normalized_scenario,
@@ -448,6 +448,45 @@ def test_cli_edge_checks_solve_each_lane_once(tmp_path, monkeypatch, check,
                 "--out", str(tmp_path)]) == 0
     for grid in solved.values():
         assert {lane: grid.count(lane) for lane in grid} == lanes
+
+
+def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path):
+    # a support reaching x = 3 at lam = 1e-100: the Gram of the count is
+    # assembled with a noise floor 41.4 nats above ln r^2 = 0, and its row
+    # says so after the count's own tie message
+    doc = base_doc(lambda_grid={"start": 1e-100, "stop": 1e-100})
+    doc["perturbation"]["vertices"] = [[-0.5, -1], [3, -1], [3, 1], [-0.5, 1]]
+    assert run(["scaling", "--config", write_cfg(tmp_path, doc),
+                "--out", str(tmp_path / "out")]) == 0
+    header, row = read_csv(tmp_path / "out" / "scaling.csv")
+    cell = dict(zip(header, row))
+    assert cell["lower_count"] == "42"
+    tie, floor = cell["warnings"].split("; floor: ")
+    assert tie.startswith("tie: ")
+    assert floor.startswith("threshold ln s = 0.0 lies 41.4 nats below")
+
+
+def test_cli_sandwich_rows_carry_their_reports_warnings(tmp_path,
+                                                         monkeypatch):
+    # every modelops.csv row of verify sandwich shows the warnings of the
+    # report it was built from, the s_gram count in both of its rows
+    count_above = counting.count_above
+
+    def marked(*args, **kwargs):
+        report = count_above(*args, **kwargs)
+        return dataclasses.replace(report,
+                                   warnings=report.warnings + ("marker",))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "edgegap" and \
+                getattr(module, "count_above", None) is count_above:
+            monkeypatch.setattr(module, "count_above", marked)
+    assert run(["verify", "sandwich", "--config", REFERENCE_CONFIG,
+                "--out", str(tmp_path)]) == 0
+    header, *rows = read_csv(tmp_path / "modelops.csv")
+    assert [row[1] for row in rows] == ["q_minus", "s_gram", "q_plus",
+                                        "gamma_minus", "s_gram", "gamma_plus"]
+    assert [row[header.index("warnings")] for row in rows] == ["marker"] * 6
 
 
 def test_cli_lau25_needs_a_sharp_step(tmp_path, capsys):
