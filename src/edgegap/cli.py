@@ -33,7 +33,7 @@ from .modelops import (IntervalSpec, endpoint_bracket, epsilon_bounds,
                        sandwich_check, sinc_rule)
 from .potentials import finiteness_predicate
 from .scenario import (Scenario, load_scenario, normalized_scenario,
-                       scenario_to_dict, schema_json)
+                       schema_json)
 
 _NAN = float("nan")
 _MODELOPS_HEADER = ("m", "operator", "threshold", "count", "ratio", "target",
@@ -42,12 +42,14 @@ _COUNTS_HEADER = ("lambda", "j", "route", "threshold", "count", "warnings",
                   "precision_bits")
 
 
-def _verdict(name: str, ok: bool, value, target, tol) -> dict:
-    # a verdict cannot pass on a value, target or tol that is not finite
+def _verdict(name: str, ok: bool, value, target, tol, reports=()) -> dict:
+    # a verdict cannot pass on a value, target or tol that is not finite,
+    # nor on a count whose report carries a tie: or floor: flag
     value, target, tol = float(value), float(target), float(tol)
     finite = all(math.isfinite(x) for x in (value, target, tol))
-    return {"name": name, "pass": bool(ok) and finite, "value": value,
-            "target": target, "tol": tol}
+    flagged = any(rep.warnings for rep in reports)
+    return {"name": name, "pass": bool(ok) and finite and not flagged,
+            "value": value, "target": target, "tol": tol}
 
 
 def _write_csv(out: Path, name: str, header, rows):
@@ -57,10 +59,8 @@ def _write_csv(out: Path, name: str, header, rows):
         writer.writerows(rows)
 
 
-def _write_summary(out: Path, subcommand: str, sc: Scenario, verdicts):
-    doc = {"subcommand": subcommand, "scenario": sc.source_hash,
-           "verdicts": verdicts}
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -260,7 +260,7 @@ def cmd_verify_kms(sc: Scenario, out: Path):
                  target, p["l3_tol"]),
         _verdict("count_ratio", abs(report.count / m_c / target - 1.0)
                  <= p["count_tol"], report.count / m_c, target,
-                 p["count_tol"]),
+                 p["count_tol"], (report,)),
     ]
 
 
@@ -278,12 +278,12 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
     rows = [(mm, name, rep.threshold, rep.count, "", "", rep.precision_bits,
              box.cell(rep)) for mm, name, rep in named]
     _write_csv(out, "modelops.csv", _MODELOPS_HEADER, rows)
-    n = mid.count
-    return [_verdict(name, excess <= slack, excess, 0.0, slack)
-            for name, excess in (("model_lower", q_lo.count - n),
-                                 ("model_upper", n - q_hi.count),
-                                 ("endpoint_lower", g_lo.count - n),
-                                 ("endpoint_upper", n - g_hi.count))]
+    return [_verdict(name, lo.count - hi.count <= slack,
+                     lo.count - hi.count, 0.0, slack, (lo, hi))
+            for name, lo, hi in (("model_lower", q_lo, mid),
+                                 ("model_upper", mid, q_hi),
+                                 ("endpoint_lower", g_lo, mid),
+                                 ("endpoint_upper", mid, g_hi))]
 
 
 def cmd_verify_weylkyfan(sc: Scenario, out: Path):
@@ -296,22 +296,26 @@ def cmd_verify_weylkyfan(sc: Scenario, out: Path):
         return 0.5 * (g + g.conj().T)
 
     weyl_bad = kyfan_bad = 0
+    weyl_flagged, kyfan_flagged = [], []
     for _ in range(trials):
         a, b = hermitian(), hermitian()
         s1, s2 = rng.uniform(0.05, 2.0, size=2)
-        total = count_above(a + b, s1 + s2).count
-        if total > count_above(a, s1).count + count_above(b, s2).count:
-            weyl_bad += 1
+        weyl = (count_above(a + b, s1 + s2), count_above(a, s1),
+                count_above(b, s2))
+        weyl_bad += weyl[0].count > weyl[1].count + weyl[2].count
+        weyl_flagged += [rep for rep in weyl if rep.warnings]
         t1 = rng.standard_normal((dim + 3, dim)) \
             + 1j * rng.standard_normal((dim + 3, dim))
         t2 = rng.standard_normal((dim + 3, dim)) \
             + 1j * rng.standard_normal((dim + 3, dim))
-        if n_star(t1 + t2, s1 + s2).count > (n_star(t1, s1).count
-                                             + n_star(t2, s2).count):
-            kyfan_bad += 1
+        kyfan = (n_star(t1 + t2, s1 + s2), n_star(t1, s1), n_star(t2, s2))
+        kyfan_bad += kyfan[0].count > kyfan[1].count + kyfan[2].count
+        kyfan_flagged += [rep for rep in kyfan if rep.warnings]
     return [
-        _verdict("weyl_subadditive", weyl_bad == 0, weyl_bad, 0.0, 0.0),
-        _verdict("kyfan_subadditive", kyfan_bad == 0, kyfan_bad, 0.0, 0.0),
+        _verdict("weyl_subadditive", weyl_bad == 0, weyl_bad, 0.0, 0.0,
+                 weyl_flagged),
+        _verdict("kyfan_subadditive", kyfan_bad == 0, kyfan_bad, 0.0, 0.0,
+                 kyfan_flagged),
     ]
 
 
@@ -326,18 +330,18 @@ def cmd_effective_count(sc: Scenario, out: Path):
         for rep in (rep_lo, rep_hi):
             rows.append((lam, sc.j, rep.route, rep.threshold, rep.count,
                          box.cell(rep), rep.precision_bits))
-        lowers.append(rep_lo.count)
-        uppers.append(rep_hi.count)
+        lowers.append(rep_lo)
+        uppers.append(rep_hi)
     _write_csv(out, "counts.csv", _COUNTS_HEADER, rows)
-    verdicts = [_verdict("bracket_ordered",
-                         all(l <= u for l, u in zip(lowers, uppers)),
-                         max(l - u for l, u in zip(lowers, uppers)), 0.0,
-                         0.0)]
+    excess = [l.count - u.count for l, u in zip(lowers, uppers)]
+    verdicts = [_verdict("bracket_ordered", max(excess) <= 0, max(excess),
+                         0.0, 0.0, lowers + uppers)]
     if finiteness_predicate(sc.v, sc.w):
-        spread = max(uppers) - min(uppers)
+        spread = (max(u.count for u in uppers)
+                  - min(u.count for u in uppers))
         verdicts.append(_verdict("finite_spread",
                                  spread <= p["spread_tol"], spread, 0.0,
-                                 p["spread_tol"]))
+                                 p["spread_tol"], uppers))
     return verdicts
 
 
@@ -358,12 +362,12 @@ def cmd_bs_count(sc: Scenario, out: Path):
     lam0 = sc.lam_grid.start
     slack = p["cross_slack"]
     with _WarningBox():
-        lo, hi = (rep.count for rep in
-                  effective_count(sc.j, lam0, float(p["cross_eps"]), sc))
+        bracket = effective_count(sc.j, lam0, float(p["cross_eps"]), sc)
+    lo, hi = (rep.count for rep in bracket)
     verdicts.append(_verdict("cross_route_bracket",
                              lo - slack <= counts[lam0] <= hi + slack,
                              counts[lam0], 0.5 * (lo + hi),
-                             0.5 * (hi - lo) + slack))
+                             0.5 * (hi - lo) + slack, bracket))
     full = full_line_gram(sc.j, lam0, sc)
     anti = full_line_gram(sc.j, lam0, sc, y_order=sc.quad.gauss_y_order)
     for r in p["route_r"]:
@@ -377,7 +381,7 @@ def cmd_bs_count(sc: Scenario, out: Path):
                      box.cell(n2), n2.precision_bits))
         verdicts.append(_verdict(f"route_agreement_r{r:g}",
                                  n1.count == n2.count, n1.count - n2.count,
-                                 0.0, 0.0))
+                                 0.0, 0.0, (n1, n2)))
     _write_csv(out, "counts.csv", _COUNTS_HEADER, rows)
     return verdicts
 
@@ -387,7 +391,7 @@ def cmd_scaling(sc: Scenario, out: Path):
     p = sc.verify_params("scaling")
     lams = sc.lam_grid.values()
     finite = finiteness_predicate(sc.v, sc.w)
-    rows, counts = [], []
+    rows, counts, reports = [], [], []
     if finite:
         # no positive-halfplane mass: fall back to the resolvent-route
         # bracket, whose flat upper counts carry the slope-0 statement
@@ -399,6 +403,7 @@ def cmd_scaling(sc: Scenario, out: Path):
             rows.append((lam, m, lo.count, hi.count, _NAN, _NAN,
                          hi.precision_bits, box.cell(lo, hi)))
             counts.append(hi.count)
+            reports += [lo, hi]
     else:
         r2 = float(p["r"]) ** 2
         delta = float(p["delta"])
@@ -417,6 +422,7 @@ def cmd_scaling(sc: Scenario, out: Path):
             rows.append((lam, m, rep.count, upper, cmi * root, cpl * root,
                          rep.precision_bits, box.cell(rep)))
             counts.append(rep.count)
+            reports.append(rep)
     _write_csv(out, "scaling.csv",
                ("lambda", "m", "lower_count", "upper_count",
                 "c_minus_scaled", "c_plus_scaled", "precision_bits",
@@ -430,22 +436,24 @@ def cmd_scaling(sc: Scenario, out: Path):
                                  1)[0])
     if finite:
         verdicts = [_verdict("slope_flat", abs(slope) <= p["flat_tol"], slope,
-                             0.0, p["flat_tol"])]
+                             0.0, p["flat_tol"], reports)]
     else:
         spread = float(lnln.max() - lnln.min())
         if spread < p["min_lnln_spread"]:
             # a slope regression over a narrow ln|ln lam| window would be
             # noise; record the spread instead of a fake slope claim
             verdicts = [_verdict("slope_grid_narrow", True, spread,
-                                 p["min_lnln_spread"], 0.0)]
+                                 p["min_lnln_spread"], 0.0, reports)]
         else:
             verdicts = [_verdict("slope_half",
                                  p["slope_lo"] <= slope <= p["slope_hi"],
                                  slope, 0.5,
-                                 0.5 * (p["slope_hi"] - p["slope_lo"]))]
+                                 0.5 * (p["slope_hi"] - p["slope_lo"]),
+                                 reports)]
         verdicts.append(_verdict("rows_ordered",
                                  all(r[2] <= r[3] for r in rows),
-                                 max(r[2] - r[3] for r in rows), 0.0, 0.0))
+                                 max(r[2] - r[3] for r in rows), 0.0, 0.0,
+                                 reports))
     if "endpoint" in p:
         e = p["endpoint"]
         m_e = float(e["m"])
@@ -464,7 +472,7 @@ def cmd_scaling(sc: Scenario, out: Path):
                      box.cell(rep))])
         verdicts.append(_verdict("endpoint_density",
                                  abs(ratio - 1.0) <= e["tol"], ratio, 1.0,
-                                 e["tol"]))
+                                 e["tol"], (rep,)))
     return verdicts
 
 
@@ -561,22 +569,19 @@ def run(argv=None) -> int:
             if getattr(args, key) is not None})
         out = Path(args.out if args.out is not None else sc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "scenario.json", "w", encoding="utf-8") as fh:
-            json.dump(scenario_to_dict(sc), fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "scenario.json", sc.doc)
         if sc.normalize_x_plus:
-            with open(out / "scenario_normalized.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(scenario_to_dict(normalized_scenario(sc)), fh,
-                          indent=2)
-                fh.write("\n")
+            _write_json(out / "scenario_normalized.json",
+                        normalized_scenario(sc).doc)
         if args.subcommand == "verify":
             name = f"verify-{args.check}"
             verdicts = _VERIFY[args.check](sc, out)
         else:
             name = args.subcommand
             verdicts = _COMMANDS[args.subcommand](sc, out)
-        _write_summary(out, name, sc, verdicts)
+        _write_json(out / "summary.json", {"subcommand": name,
+                                           "scenario": sc.source_hash,
+                                           "verdicts": verdicts})
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

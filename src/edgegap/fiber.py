@@ -300,12 +300,21 @@ def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
     """Phi_j(k)^2 = int (W_+ - W(x + k/b)) psi_tilde_{j,inf}(x)^2 dx.
 
     psi_tilde is the recentered limiting eigenfunction b^{1/4} phi_j(sqrt(b) x);
-    Gauss panels split at the (shifted) potential breakpoints.
+    Gauss panels split at the (shifted) potential breakpoints.  The
+    integrand vanishes above the last jump c_max, and psi_tilde^2 is
+    negligible beyond the reach R = 10/sqrt(b) of its centre, or of the
+    first jump c_min when that lies left of it, so the panels cover
+    [min(-R, c_min - R), min(R, c_max)].  -R stays a cut, so the panels
+    inside [-R, R] are those of the plain window.
     """
     w_plus = w.w_plus_limit
     reach = 10.0 / math.sqrt(b)
-    cuts = sorted({-reach, reach} | {c - k / b for c in _split_points(w)
-                                     if -reach < c - k / b < reach})
+    jumps = [c - k / b for c in _split_points(w)]
+    start, stop = -reach, reach
+    if jumps:
+        start, stop = min(start, jumps[0] - reach), min(stop, jumps[-1])
+    cuts = sorted({start, stop} | {c for c in jumps + [-reach]
+                                   if start < c < stop})
     nodes, wts = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):

@@ -23,7 +23,6 @@ import numpy as np
 from .bsham import get_gap_model, k_truncation, sjstar_sj
 from .counting import count_above
 from .errors import DomainError
-from .geometry import kappa
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
 from .oscillator import log_p_coeff
@@ -233,11 +232,6 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
         qmax *= 2
     count = int(np.count_nonzero(t > half_ln_s))
     return count, count / m
-
-
-def diag_count_limit(xi: float, delta: float, R: float) -> float:
-    """The large-m limit of the diagonal surrogate's counting ratio."""
-    return math.e * R * kappa(max(xi + delta, 0.0) / (math.e * R))
 
 
 def envelope_potentials(w, delta: float):

@@ -12,6 +12,12 @@ condition, lo < hi, stop <= start and at most MAX_DEPTHS depths,
 j <= fiber.n/10, the kms window and the endpoint alpha < beta, polygon
 simplicity and containment) is checked as the objects are built, so
 downstream code never sees a half-formed scenario.
+
+The document `validate` returns, every default filled in and the CLI
+overrides merged, is the scenario record: `Scenario.doc`.  The typed
+fields are built from it alone, the verify checks read their parameters
+from it, `scenario.json` is it and `source_hash` hashes it, so the hash
+covers exactly what ran and no spelling of a number moves it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EdgegapError, ScenarioError
 from .fiber import FiberDiscretization
@@ -60,8 +66,8 @@ def _object(properties, **more):
             "properties": properties, **more}
 
 
-# Verdict tolerances are config-owned; each check's defaults are merged
-# under whatever the config's "verify" block provides.
+# Verdict tolerances are config-owned; validate fills each check's
+# defaults in under whatever the config's "verify" block provides.
 _VERIFY = {
     "p21": {"k_lo": _num(-10.0), "k_hi": _num(10.0),
             "points": _int(401, minimum=2),
@@ -242,9 +248,6 @@ def validate(value, schema: dict = SCHEMA, path: str = "config"):
     return value
 
 
-VERIFY_DEFAULTS = validate({}, SCHEMA["properties"]["verify"], "config.verify")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform momentum grid for band sweeps."""
@@ -298,7 +301,11 @@ class LambdaGrid:
 
 @dataclass
 class Scenario:
-    """One validated experiment description; SCHEMA holds the defaults."""
+    """One validated experiment description.
+
+    doc is the validated document, with SCHEMA's defaults filled in; every
+    other field is built from it.
+    """
 
     b: float
     w: EdgePotential
@@ -316,17 +323,15 @@ class Scenario:
     m_grid: tuple
     out_dir: str
     normalize_x_plus: bool
-    verify: dict
-    raw: dict
+    doc: dict
 
     def verify_params(self, name: str) -> dict:
-        return {**VERIFY_DEFAULTS[name], **self.verify.get(name, {})}
+        return self.doc["verify"][name]
 
     @property
     def source_hash(self) -> str:
         """SHA-256 of the scenario as it runs, CLI overrides included."""
-        canonical = json.dumps(scenario_to_dict(self), sort_keys=True,
-                               separators=(",", ":"))
+        canonical = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -356,27 +361,25 @@ def _polygon(vertices, label: str) -> PolygonDomain:
 def _build_perturbation(spec) -> Perturbation:
     if spec is None:
         return None
-    kwargs = {key: _polygon(spec.get(key), key)
-              for key in ("omega_minus", "omega_plus")}
-    for key in ("c0_minus", "c0_plus"):
-        if spec.get(key) is not None:
-            kwargs[key] = float(spec[key])
+    polygons = {key: _polygon(spec.get(key), key)
+                for key in ("omega_minus", "omega_plus")}
     try:
         return Perturbation(support=_polygon(spec["vertices"], "support"),
-                            amplitude=float(spec["amplitude"]), **kwargs)
+                            amplitude=spec["amplitude"],
+                            c0_minus=spec.get("c0_minus"),
+                            c0_plus=spec.get("c0_plus"), **polygons)
     except ValueError as exc:
         raise ScenarioError(f"invalid perturbation: {exc}") from exc
 
 
 def scenario_from_dict(doc: dict, **overrides) -> Scenario:
     """The scenario a config document describes.  overrides (the CLI's
-    --j and --precision-bits) are merged into the document and validated
-    again, so the hash covers them like any other field."""
+    --j and --precision-bits) are merged into the validated document and
+    validated again, so the hash covers them like any other field."""
     fields = validate(doc)
     if overrides:
-        doc = {**doc, **overrides}
-        fields = validate(doc)
-    b = float(fields["b"])
+        fields = validate({**fields, **overrides})
+    b = fields["b"]
     w = _build_potential(fields.get("edge_potential"))
     if w is not None and not gap_condition(w, b):
         raise ScenarioError(
@@ -395,7 +398,7 @@ def scenario_from_dict(doc: dict, **overrides) -> Scenario:
         raise ScenarioError(f"band index j must lie in [1, {disc.max_levels}] "
                             f"for fiber.n = {disc.n}, got {j}")
 
-    m_grid = tuple(float(m) for m in fields["m_grid"])
+    m_grid = tuple(fields["m_grid"])
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
         raise ScenarioError("m_grid must be strictly increasing")
     verify = fields["verify"]
@@ -411,15 +414,13 @@ def scenario_from_dict(doc: dict, **overrides) -> Scenario:
 
     return Scenario(b=b, w=w, v=v, quad=QuadratureSpec(**fields["quadrature"]),
                     fiber_n=fiber["n"], fiber_half_width=fiber["half_width"],
-                    j=j, a_momentum=float(fields["a_momentum"]),
-                    envelope_delta=float(fields["envelope_delta"]),
+                    j=j, a_momentum=fields["a_momentum"],
+                    envelope_delta=fields["envelope_delta"],
                     precision_bits=fields["precision_bits"],
                     k_grid=GridSpec(**fields["k_grid"]),
-                    lam_grid=LambdaGrid(**{key: float(x) for key, x in
-                                           fields["lambda_grid"].items()}),
+                    lam_grid=LambdaGrid(**fields["lambda_grid"]),
                     m_grid=m_grid, out_dir=fields["out_dir"],
-                    normalize_x_plus=fields["normalize_x_plus"],
-                    verify=doc.get("verify", {}), raw=doc)
+                    normalize_x_plus=fields["normalize_x_plus"], doc=fields)
 
 
 def load_scenario(path: str, **overrides) -> Scenario:
@@ -438,7 +439,9 @@ def normalized_scenario(sc: Scenario) -> Scenario:
 
     The magnetic translation that realizes the shift moves the perturbation
     by the same amount in x and leaves every count invariant, so the copy
-    is spectrally equivalent to the original.
+    is spectrally equivalent to the original.  The shifted document is
+    validated and built like any config; a step or two-step profile
+    becomes a step at x0 = 0.
     """
     if sc.w is None:
         return sc
@@ -448,76 +451,20 @@ def normalized_scenario(sc: Scenario) -> Scenario:
             "cannot normalize: the profile never attains its supremum")
     if shift == 0.0:
         return sc
+    doc = {**sc.doc, "_normalized_shift": shift}
     if sc.w.kind in ("step", "two_step_upper"):
-        w_new = EdgePotential(kind="step", w_minus=sc.w.w_minus,
-                              w_plus=sc.w.w_plus, x0=0.0)
+        doc["edge_potential"] = {"type": "step", "w_minus": sc.w.w_minus,
+                                 "w_plus": sc.w.w_plus, "x0": 0.0}
     else:
-        w_new = EdgePotential(
-            kind="piecewise_constant",
-            breakpoints=tuple(bp - shift for bp in sc.w.breakpoints),
-            values=sc.w.values)
-    v_new = sc.v
-    if sc.v is not None:
-        def moved(poly):
-            if poly is None:
-                return None
-            return PolygonDomain([(x - shift, y) for x, y in poly.vertices])
-        v_new = Perturbation(support=moved(sc.v.support),
-                             amplitude=sc.v.amplitude,
-                             omega_minus=moved(sc.v.omega_minus),
-                             omega_plus=moved(sc.v.omega_plus),
-                             c0_minus=sc.v.c0_minus, c0_plus=sc.v.c0_plus)
-    raw_new = dict(sc.raw)
-    raw_new["_normalized_shift"] = shift
-    return replace(sc, w=w_new, v=v_new, raw=raw_new)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """JSON-ready mirror of the loaded (possibly normalized) scenario."""
-    doc = {"b": sc.b, "j": sc.j, "a_momentum": sc.a_momentum,
-           "envelope_delta": sc.envelope_delta,
-           "precision_bits": sc.precision_bits,
-           "out_dir": sc.out_dir,
-           "normalize_x_plus": sc.normalize_x_plus,
-           "fiber": {"n": sc.fiber_n, "half_width": sc.fiber_half_width},
-           "quadrature": {"k_panels": sc.quad.k_panels,
-                          "k_nodes": sc.quad.k_nodes,
-                          "x_nodes": sc.quad.x_nodes,
-                          "x_rate": sc.quad.x_rate,
-                          "y_order": sc.quad.y_order},
-           "k_grid": {"lo": sc.k_grid.lo, "hi": sc.k_grid.hi,
-                      "points": sc.k_grid.points},
-           "lambda_grid": {"start": sc.lam_grid.start,
-                           "stop": sc.lam_grid.stop,
-                           "ratio": sc.lam_grid.ratio},
-           "m_grid": list(sc.m_grid),
-           "verify": sc.verify}
-    if sc.w is None:
-        doc["edge_potential"] = None
-    else:
-        spec = {"type": sc.w.kind}
-        for key in _POTENTIAL_KEYS[sc.w.kind]:
-            value = getattr(sc.w, key)
-            spec[key] = list(value) if isinstance(value, tuple) else value
-        doc["edge_potential"] = spec
-    if sc.v is None:
-        doc["perturbation"] = None
-    else:
-        spec = {"type": "polygon_indicator",
-                "vertices": [list(p) for p in sc.v.support.vertices],
-                "amplitude": sc.v.amplitude}
-        if sc.v.omega_minus is not None:
-            spec["omega_minus"] = [list(p) for p in sc.v.omega_minus.vertices]
-        if sc.v.omega_plus is not None:
-            spec["omega_plus"] = [list(p) for p in sc.v.omega_plus.vertices]
-        if sc.v.c0_minus is not None:
-            spec["c0_minus"] = sc.v.c0_minus
-        if sc.v.c0_plus is not None:
-            spec["c0_plus"] = sc.v.c0_plus
-        doc["perturbation"] = spec
-    if "_normalized_shift" in sc.raw:
-        doc["_normalized_shift"] = sc.raw["_normalized_shift"]
-    return doc
+        doc["edge_potential"] = {**doc["edge_potential"], "breakpoints": [
+            bp - shift for bp in sc.w.breakpoints]}
+    spec = doc.get("perturbation")
+    if spec is not None:
+        doc["perturbation"] = {**spec, **{
+            key: [[x - shift, y] for x, y in spec[key]]
+            for key in ("vertices", "omega_minus", "omega_plus")
+            if spec.get(key) is not None}}
+    return scenario_from_dict(doc)
 
 
 def schema_json() -> str:

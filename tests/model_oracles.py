@@ -10,9 +10,10 @@ reproduce bit for bit.
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_hermite, gammaln
 
 from edgegap.counting import count_above
+from edgegap.geometry import kappa
 from edgegap.modelops import IntervalSpec, _sinc_dense
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
 from edgegap.oscillator import _hermite_levels
@@ -124,6 +125,32 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
         qmax *= 2
     count = int(np.count_nonzero(t > half_ln_s))
     return count, count / m
+
+
+def diag_count_limit(xi: float, delta: float, R: float) -> float:
+    """The large-m limit e R kappa((xi + delta)_+ / (e R)) of the diagonal
+    surrogate's counting ratio."""
+    return math.e * R * kappa(max(xi + delta, 0.0) / (math.e * R))
+
+
+def hermite_tails(n_max: int, t: float) -> list:
+    """int_t^inf phi_n(u)^2 du for the normalized Hermite functions
+    phi_n = H_n e^{-u^2/2} / sqrt(2^n n! sqrt(pi)), n = 0..n_max, from
+    1/2 erfc(t) and the tail identity
+
+        int_t^inf phi_n^2 = int_t^inf phi_{n-1}^2
+                            + phi_n(t) phi_{n-1}(t) / sqrt(2n).
+
+    H_n comes from scipy.special.  For t above the largest zero of
+    phi_n every term is positive, so deep tails keep full relative
+    accuracy."""
+    phis = [eval_hermite(n, t) * math.exp(-0.5 * t * t)
+            / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
+            for n in range(n_max + 1)]
+    tails = [0.5 * math.erfc(t)]
+    for n in range(1, n_max + 1):
+        tails.append(tails[-1] + phis[n] * phis[n - 1] / math.sqrt(2 * n))
+    return tails
 
 
 def psi_inf_asymptotic(j: int, k, x, b: float):

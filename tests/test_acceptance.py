@@ -36,7 +36,6 @@ from edgegap.geometry import (
 )
 from edgegap.modelops import (
     IntervalSpec,
-    diag_count_limit,
     epsilon_bounds,
     gamma_diag_count,
     gamma_gram,
@@ -49,7 +48,7 @@ from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
 from tests.conftest import (REFERENCE_CONFIG, Bundle, gap_to_phi_ratios, rect,
                             run_python)
-from tests.model_oracles import kms_count_ratio
+from tests.model_oracles import diag_count_limit, kms_count_ratio
 
 
 def test_criterion_01_landau_levels():

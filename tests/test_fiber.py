@@ -36,6 +36,7 @@ from edgegap.potentials import EdgePotential, step_potential
 from edgegap.scenario import load_scenario
 from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios
 from tests.fiber_oracle import bisection_levels
+from tests.model_oracles import hermite_tails
 from tests.mp_edge_oracle import mp_edge_comparison
 
 GAP_ORACLE = {
@@ -335,6 +336,28 @@ def test_phi_squared_erfc_identity(step01):
     shifted = step_potential(0.0, 0.6, 0.25)
     assert phi_squared(1, 1.0, 4.0, shifted) == pytest.approx(
         0.3 * erfc(0.5 - 0.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.7, 4.0])
+@pytest.mark.parametrize("w", [
+    step_potential(0.0, 0.8, 0.3),
+    EdgePotential(kind="piecewise_constant", breakpoints=(-0.5, 0.4),
+                  values=(0.0, 0.35, 1.0)),
+], ids=["step", "piecewise"])
+def test_phi_squared_hermite_tail_identity(w, b):
+    # W_+ - W(x + k/b) is a sum of indicators of x < c - k/b, one per jump
+    # c, so Phi_j(k)^2 sums jump * int_t^inf phi_{j-1}^2 at
+    # t = k/sqrt(b) - sqrt(b) c; k reaches 16, where the Gaussian tail of
+    # the last jump lies past 10/sqrt(b) of the eigenfunction's centre
+    jumps, values = w._steps()
+    for k in np.arange(-4.0, 16.5, 0.5):
+        tails = [hermite_tails(8, k / math.sqrt(b) - math.sqrt(b) * c)
+                 for c in jumps]
+        for j in range(1, 9):
+            want = sum((hi - lo) * tail[j - 1] for lo, hi, tail
+                       in zip(values[:-1], values[1:], tails))
+            assert phi_squared(j, float(k), b, w) == pytest.approx(
+                want, rel=1e-12, abs=0.0), (j, k)
 
 
 def test_gap_ratio_to_coupling_tends_to_one(step01):

@@ -16,7 +16,6 @@ from edgegap.errors import DomainError
 from edgegap.geometry import kappa
 from edgegap.modelops import (
     IntervalSpec,
-    diag_count_limit,
     endpoint_bracket,
     epsilon_bounds,
     exp_sinc_kernel,
@@ -32,6 +31,7 @@ from edgegap.operators import QuadratureSpec
 from tests.conftest import rect
 from tests.inertia_oracle import PrecisionExhausted, count_hp_inertia
 from tests.model_oracles import (
+    diag_count_limit,
     disk_moment_check,
     gamma_diag_count as gammaln_diag_count,
     kms_count_ratio,

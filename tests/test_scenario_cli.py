@@ -16,11 +16,11 @@ from edgegap import counting, fiber
 from edgegap.fiber import FiberDiscretization, edge_comparison
 from edgegap.scenario import (
     MAX_DEPTHS,
+    SCHEMA,
     LambdaGrid,
     load_scenario,
     normalized_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     schema_json,
 )
 from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios, run_python
@@ -91,8 +91,7 @@ def test_source_hash_ignores_number_spelling():
 
     ints, floats = (scenario_from_dict(doc(num)) for num in (int, float))
     assert ints.source_hash == floats.source_hash
-    assert json.dumps(scenario_to_dict(ints)) == \
-        json.dumps(scenario_to_dict(floats))
+    assert json.dumps(ints.doc) == json.dumps(floats.doc)
     assert ints.k_grid.lo == -10.0 and type(ints.k_grid.lo) is float
     assert type(ints.fiber_half_width) is float
 
@@ -103,6 +102,45 @@ def test_verify_params_merge_defaults_under_config():
     assert params["m_trace"] == 40
     assert params["window"] == [0.25, 2.25]
     assert sc.verify_params("sandwich")["slack"] == 3
+
+
+def _reference_doc():
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_source_hash_ignores_verify_number_spelling():
+    # verify blocks are validated like every other field: 160 and 160.0
+    # run, persist and hash alike
+    doc = _reference_doc()
+    spelt = _reference_doc()
+    spelt["verify"]["kms"]["m_trace"] = 160.0
+    assert scenario_from_dict(spelt).source_hash == \
+        scenario_from_dict(doc).source_hash
+    assert scenario_from_dict(spelt).doc == scenario_from_dict(doc).doc
+
+
+def test_source_hash_ignores_written_out_defaults():
+    # the record holds every default, so a default written out or left
+    # out hashes alike; the reference config writes out slack: 3
+    doc = _reference_doc()
+    other = _reference_doc()
+    del other["verify"]["sandwich"]["slack"]
+    other["verify"]["teth1"] = {"far_max": 0.2}
+    assert scenario_from_dict(other).source_hash == \
+        scenario_from_dict(doc).source_hash
+
+
+def test_source_hash_covers_schema_defaults(monkeypatch):
+    # a verify default changed in SCHEMA changes what runs, so the hash
+    # of an unchanged config moves with it
+    doc = _reference_doc()
+    before = scenario_from_dict(doc).source_hash
+    teth1 = SCHEMA["properties"]["verify"]["properties"]["teth1"]
+    monkeypatch.setitem(teth1["properties"]["far_max"], "default", 0.25)
+    after = scenario_from_dict(doc)
+    assert after.verify_params("teth1")["far_max"] == 0.25
+    assert after.source_hash != before
 
 
 BAD_DOCS = [
@@ -171,10 +209,10 @@ def test_normalization_shifts_origin_to_saturation():
     assert norm.w.x0 == 0.0
     assert norm.v.support.vertices[0][0] == pytest.approx(BOX[0][0] - 0.5)
     assert norm.v.support.vertices[0][1] == BOX[0][1]
-    assert norm.raw["_normalized_shift"] == 0.5
-    assert sc.w.x0 == 0.5  # original untouched
-    # the normalized mirror stays loadable
-    scenario_from_dict(scenario_to_dict(norm))
+    assert norm.doc["_normalized_shift"] == 0.5
+    assert sc.w.x0 == 0.5 and "_normalized_shift" not in sc.doc
+    # the normalized mirror is its own record and loads again as itself
+    assert scenario_from_dict(norm.doc).doc == norm.doc
 
 
 def test_normalization_special_cases():
@@ -195,7 +233,8 @@ def test_normalization_special_cases():
 
 def test_round_trip_preserves_content():
     sc = scenario_from_dict(base_doc(j=2, m_grid=[10, 20]))
-    sc2 = scenario_from_dict(scenario_to_dict(sc))
+    sc2 = scenario_from_dict(sc.doc)
+    assert sc2.doc == sc.doc and sc2.source_hash == sc.source_hash
     assert sc2.w == sc.w and sc2.v == sc.v
     assert sc2.j == 2 and sc2.m_grid == (10.0, 20.0)
     assert sc2.quad == sc.quad and sc2.lam_grid == sc.lam_grid
@@ -225,7 +264,7 @@ def test_cli_gaps_and_summary(tmp_path):
     assert [float(x) for x in rows[2]] == [2.0, 4.0, 5.0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["subcommand"] == "gaps"
-    ran = dataclasses.replace(load_scenario(cfg), j=2)
+    ran = load_scenario(cfg, j=2)
     assert summary["scenario"] == ran.source_hash
     assert [v["name"] for v in summary["verdicts"]] == [
         "gap_open_j1", "gap_open_j2"]
@@ -312,6 +351,11 @@ def test_cli_exit_codes(tmp_path):
                 "--precision-bits", "32"]) == 2
     bad = write_cfg(tmp_path, base_doc(b=-2.0), name="bad.json")
     assert run(["gaps", "--config", bad, "--out", str(tmp_path / "x")]) == 2
+    # a document that is not an object is rejected before any override
+    # is merged into it
+    listed = write_cfg(tmp_path, [1, 2, 3], name="list.json")
+    assert run(["gaps", "--config", listed, "--out", str(tmp_path / "x"),
+                "--j", "2"]) == 2
 
 
 def test_cli_unwritable_out_exit(tmp_path, capsys):
@@ -457,7 +501,7 @@ def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path):
     doc = base_doc(lambda_grid={"start": 1e-100, "stop": 1e-100})
     doc["perturbation"]["vertices"] = [[-0.5, -1], [3, -1], [3, 1], [-0.5, 1]]
     assert run(["scaling", "--config", write_cfg(tmp_path, doc),
-                "--out", str(tmp_path / "out")]) == 0
+                "--out", str(tmp_path / "out")]) == 4
     header, row = read_csv(tmp_path / "out" / "scaling.csv")
     cell = dict(zip(header, row))
     assert cell["lower_count"] == "42"
@@ -469,7 +513,8 @@ def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path):
 def test_cli_sandwich_rows_carry_their_reports_warnings(tmp_path,
                                                          monkeypatch):
     # every modelops.csv row of verify sandwich shows the warnings of the
-    # report it was built from, the s_gram count in both of its rows
+    # report it was built from, the s_gram count in both of its rows, and
+    # no verdict resting on those flagged reports passes
     count_above = counting.count_above
 
     def marked(*args, **kwargs):
@@ -482,11 +527,13 @@ def test_cli_sandwich_rows_carry_their_reports_warnings(tmp_path,
                 getattr(module, "count_above", None) is count_above:
             monkeypatch.setattr(module, "count_above", marked)
     assert run(["verify", "sandwich", "--config", REFERENCE_CONFIG,
-                "--out", str(tmp_path)]) == 0
+                "--out", str(tmp_path)]) == 4
     header, *rows = read_csv(tmp_path / "modelops.csv")
     assert [row[1] for row in rows] == ["q_minus", "s_gram", "q_plus",
                                         "gamma_minus", "s_gram", "gamma_plus"]
     assert [row[header.index("warnings")] for row in rows] == ["marker"] * 6
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [v["pass"] for v in summary["verdicts"]] == [False] * 4
 
 
 def test_cli_lau25_needs_a_sharp_step(tmp_path, capsys):

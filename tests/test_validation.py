@@ -19,9 +19,9 @@ import pytest
 
 from edgegap import cli
 from edgegap.cli import _verdict, run
+from edgegap.counting import CountingReport
 from edgegap.errors import ScenarioError
-from edgegap.scenario import (SCHEMA, VERIFY_DEFAULTS, scenario_from_dict,
-                              validate)
+from edgegap.scenario import SCHEMA, scenario_from_dict, validate
 from tests.conftest import REFERENCE_CONFIG, ROOT
 
 
@@ -29,7 +29,7 @@ def _reference():
     with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
         doc = json.load(fh)
     doc["verify"] = {name: {**defaults, **doc["verify"].get(name, {})}
-                     for name, defaults in VERIFY_DEFAULTS.items()}
+                     for name, defaults in validate({})["verify"].items()}
     return doc
 
 
@@ -164,6 +164,17 @@ def test_verdict_fails_on_non_finite(field, bad):
     assert _verdict("x", True, **figures)["pass"] is False
 
 
+def test_verdict_fails_on_a_flagged_count():
+    clean = CountingReport(threshold=1.0, count=2, route="double_eig",
+                           precision_bits=53, margin=0.1)
+    assert _verdict("x", True, 0.0, 0.0, 0.0, (clean,))["pass"] is True
+    for flag in ("tie: 1 eigenvalue(s) within 1e-08 of threshold",
+                 "floor: threshold ln s = 0.0 lies 41.4 nats below"):
+        flagged = dataclasses.replace(clean, warnings=(flag,))
+        assert _verdict("x", True, 0.0, 0.0, 0.0,
+                        (clean, flagged))["pass"] is False
+
+
 def _write(tmp_path, **over):
     with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
         doc = {**json.load(fh), **over}
@@ -173,7 +184,7 @@ def _write(tmp_path, **over):
 
 
 def test_lau25_nan_closed_form_fails(tmp_path, capsys, monkeypatch):
-    erfc_k = VERIFY_DEFAULTS["lau25"]["erfc_k"]
+    erfc_k = validate({})["verify"]["lau25"]["erfc_k"]
     phi_squared = cli.phi_squared
     monkeypatch.setattr(cli, "phi_squared", lambda j, k, b, w: (
         math.nan if k in erfc_k else phi_squared(j, k, b, w)))
