@@ -27,8 +27,9 @@ import numpy as np
 from .counting import LogHermitian, count_above
 from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
-from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
-                        polygon_x_rule, product_gram, sections_at)
+from .operators import (DiscretizedOperator, QuadratureSpec, gauss_legendre,
+                        gauss_panel_rule, polygon_x_rule, product_gram,
+                        sections_at)
 from .oscillator import log_p_coeff, psi_inf
 
 _TAIL_REL = 1e-16
@@ -175,7 +176,7 @@ def _support_nodes(v, quad, b, k_reach):
     """Tensor quadrature nodes (x, y, weight) over supp V."""
     x_pts, x_wts = polygon_x_rule(v.support, k_reach, b, quad)
     order = quad.gauss_y_order
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = gauss_legendre(order)
     xs, ys, ws = [], [], []
     for x, wx in zip(x_pts, x_wts):
         for y1, y2 in v.support.vertical_sections(float(x)):

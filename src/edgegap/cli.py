@@ -44,12 +44,16 @@ _COUNTS_HEADER = ("lambda", "j", "route", "threshold", "count", "warnings",
 
 def _verdict(name: str, ok: bool, value, target, tol, reports=()) -> dict:
     # a verdict cannot pass on a value, target or tol that is not finite,
-    # nor on a count whose report carries a tie: or floor: flag
+    # nor on a count whose report carries a tie: or floor: flag; a
+    # flagged verdict lists those messages under "flags", once each
     value, target, tol = float(value), float(target), float(tol)
     finite = all(math.isfinite(x) for x in (value, target, tol))
-    flagged = any(rep.warnings for rep in reports)
-    return {"name": name, "pass": bool(ok) and finite and not flagged,
-            "value": value, "target": target, "tol": tol}
+    flags = list(dict.fromkeys(msg for rep in reports for msg in rep.warnings))
+    verdict = {"name": name, "pass": bool(ok) and finite and not flags,
+               "value": value, "target": target, "tol": tol}
+    if flags:
+        verdict["flags"] = flags
+    return verdict
 
 
 def _write_csv(out: Path, name: str, header, rows):
@@ -597,8 +601,10 @@ def run(argv=None) -> int:
         return 2
     for verdict in verdicts:
         status = "pass" if verdict["pass"] else "FAIL"
+        flags = "; ".join(verdict.get("flags", ()))
         print(f"{status} {verdict['name']}: value={verdict['value']:.6g} "
-              f"target={verdict['target']:.6g} tol={verdict['tol']:.6g}")
+              f"target={verdict['target']:.6g} tol={verdict['tol']:.6g}"
+              + (f" flags: {flags}" if flags else ""))
     if not all(v["pass"] for v in verdicts):
         return 4
     return 0

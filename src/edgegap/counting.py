@@ -94,39 +94,64 @@ class LogHermitian:
 
     @property
     def max_log(self) -> float:
-        finite = self.log_mag[np.isfinite(self.log_mag)]
-        return float(finite.max()) if finite.size else -math.inf
+        lm = self.log_mag
+        return float(np.max(lm, where=np.isfinite(lm), initial=-math.inf))
 
     def check_hermitian(self, rtol: float = 1e-12) -> None:
+        """Raise ValueError unless the pair represents a Hermitian matrix.
+
+        The zero pattern (-inf entries of log_mag) must be symmetric;
+        elsewhere |L_ij - L_ji| <= rtol max(1, |L_ij|) and the phase
+        residual |e^{i phi_ij} - e^{-i phi_ji}|, computed in real
+        arithmetic as 2|sin((phi_ij + phi_ji)/2)|, must stay within
+        1e-10, so phases of +-pi pass.  Both tests share one (n, n) work
+        array; the masks are boolean.
+        """
         lm, ph = self.log_mag, self.phase
         zero = np.isneginf(lm)
         if not np.array_equal(zero, zero.T):
             raise ValueError("zero pattern of log-magnitude matrix is not symmetric")
         with np.errstate(invalid="ignore"):  # -inf minus -inf inside the mask
-            diff = np.abs(np.where(zero, 0.0, lm - lm.T))
-        scale = np.maximum(1.0, np.where(zero, 0.0, np.abs(lm)))
-        if np.any(diff > rtol * scale):
+            work = np.subtract(lm, lm.T)
+        np.abs(work, out=work)
+        work[zero] = 0.0
+        # diff > rtol max(1, |L|) holds iff diff > rtol and diff > rtol |L|
+        big = work > rtol
+        if np.any(work[big] > rtol * np.abs(lm[big])):
             raise ValueError("log-magnitude matrix is not symmetric")
-        resid = np.abs(np.exp(1j * ph) - np.exp(-1j * ph.T))
-        if np.any(resid[~zero] > 1e-10):
+        np.add(ph, ph.T, out=work)
+        work *= 0.5
+        np.sin(work, out=work)
+        np.abs(work, out=work)
+        work *= 2.0
+        work[zero] = 0.0
+        if np.any(work > 1e-10):
             raise ValueError("phase matrix is not antisymmetric")
 
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(np.sin(self.phase))) < 1e-13)
+        buf = np.sin(self.phase)
+        np.abs(buf, out=buf)
+        return bool(buf.max() < 1e-13)
 
     def to_dense(self) -> np.ndarray:
+        """The represented matrix: real exp(log_mag) sign(cos phase) when
+        every phase is 0 or +-pi to 1e-13, else complex.  The real form
+        is built in place, so it allocates the result and one buffer."""
         mag = np.exp(self.log_mag)
-        if self.is_real():
-            return mag * np.sign(np.cos(self.phase))
-        return mag * np.exp(1j * self.phase)
+        if not self.is_real():
+            return mag * np.exp(1j * self.phase)
+        sign = np.cos(self.phase)
+        np.sign(sign, out=sign)
+        mag *= sign
+        return mag
 
     @classmethod
     def from_dense(cls, m) -> "LogHermitian":
         m = np.asarray(m)
+        log_mag = np.asarray(np.abs(m), dtype=float)
         with np.errstate(divide="ignore"):
-            log_mag = np.log(np.abs(m).astype(float))
-        phase = np.angle(m).astype(float)
-        return cls(log_mag, phase)
+            np.log(log_mag, out=log_mag)
+        return cls(log_mag, np.asarray(np.angle(m), dtype=float))
 
 
 def _check_dense_hermitian(m: np.ndarray, rtol: float = 1e-12) -> None:
@@ -166,7 +191,10 @@ def _count_double_eig(m: np.ndarray, s: float) -> CountingReport:
     eigs = np.linalg.eigvalsh(m)
     count = int((eigs > s).sum())
     margin = float(np.abs(eigs - s).min())
-    tol = _TIE_RTOL * max(1.0, abs(s))
+    # a tie is within the threshold's relative resolution or within the
+    # eigensolver's backward error n eps ||M||, whichever is wider
+    tol = max(_TIE_RTOL * max(1.0, abs(s)),
+              len(eigs) * _EPS * float(np.abs(eigs).max()))
     return CountingReport(s, count, "double_eig", 53, margin,
                           _tie_warnings(eigs, s, count, tol))
 
@@ -238,6 +266,13 @@ def count_above(m, s: float, route: str = "auto",
     eigenvalues of the equilibrated S(M - sI)S.  Every count is flagged
     here: a tie warning from the route, then a floor warning when m
     carries an assembly noise floor above ln s (see CountingReport).
+    On route double_eig an eigenvalue ties with s when it lies within
+    max(1e-8 max(1, |s|), n eps max|eig|): the threshold's relative
+    resolution or the eigensolver's backward error n eps ||M||,
+    whichever is wider.  A LogHermitian is checked on one work array
+    and, on route double_eig, exponentiated in place, so the count
+    allocates about two copies of the matrix besides the eigensolver's
+    workspace.
     precision_cap is accepted for compatibility and has no effect: both
     routes run in double precision.
     """

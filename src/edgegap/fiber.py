@@ -48,6 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
+from .operators import gauss_legendre
 from .oscillator import log_p_coeff, psi_inf, psi_inf_levels
 from .potentials import EdgePotential, gap_condition
 
@@ -315,7 +316,7 @@ def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
         start, stop = min(start, jumps[0] - reach), min(stop, jumps[-1])
     cuts = sorted({start, stop} | {c for c in jumps + [-reach]
                                    if start < c < stop})
-    nodes, wts = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    nodes, wts = gauss_legendre(_GAUSS_NODES)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         panels = max(2, int(math.ceil((hi - lo) * math.sqrt(b))))

@@ -28,6 +28,10 @@ from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
 from .oscillator import log_p_coeff
 from .potentials import step_potential, upper_envelope
 
+# rows of exp_sinc_kernel evaluated at once: a 64 x n block of each
+# temporary, where the whole matrix would take n x n
+_KERNEL_ROWS = 64
+
 
 @dataclass(frozen=True)
 class IntervalSpec:
@@ -105,14 +109,24 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
     gamma_gram over (alpha, beta) x (-L, L) with the Gaussian factor off
     equals this kernel at eta = beta minus the same at eta = alpha, with
     sinc scale mL.  Evaluated without weights, in linear scale, so keep
-    eta m (k+k') under the overflow line.
+    eta m (k+k') under the overflow line.  The (n, n) result is filled
+    in blocks of _KERNEL_ROWS rows, each entry by the same elementwise
+    operations in the same order as on the whole matrix (tau, k + k',
+    the geometric factor, the sinc, then exp * osc * geo), so the
+    temporaries stay a few rows wide and the bits do not depend on the
+    block size.
     """
     k = np.asarray(k, dtype=float)
-    tau = k[:, None] - k[None, :]
-    ssum = k[:, None] + k[None, :]
-    geo = 2.0 * np.sqrt(np.outer(k, k)) / ssum
-    osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
-    return np.exp(eta * m * ssum) * osc * geo
+    out = np.empty((len(k), len(k)))
+    for lo in range(0, len(k), _KERNEL_ROWS):
+        rows = k[lo:lo + _KERNEL_ROWS, None]
+        tau = rows - k[None, :]
+        ssum = rows + k[None, :]
+        geo = 2.0 * np.sqrt(rows * k[None, :]) / ssum
+        osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
+        np.multiply(np.exp(eta * m * ssum) * osc, geo,
+                    out=out[lo:lo + _KERNEL_ROWS])
+    return out
 
 
 def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
@@ -131,7 +145,10 @@ def _sinc_dense(interval: IntervalSpec, scale: float, nodes: int = None):
     pts, wts = sinc_rule(interval, scale, nodes)
     kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)
-    return pts, wts, root[:, None] * kern * root[None, :]
+    # in place, in the order (sqrt(w_i) K_ij) sqrt(w_j)
+    kern *= root[:, None]
+    kern *= root[None, :]
+    return pts, wts, kern
 
 
 def g_sinc(interval: IntervalSpec, scale: float,

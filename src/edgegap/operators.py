@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +71,21 @@ class DiscretizedOperator:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int):
+    """(points, weights) of the order-point Gauss-Legendre rule on
+    (-1, 1), built once per order; both arrays are read-only."""
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
+    return pts, wts
+
+
 def gauss_panel_rule(a: float, b: float, panels: int, nodes: int):
     """Composite Gauss-Legendre rule on (a, b)."""
     if not b > a:
         raise ValueError("need a < b")
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    base_x, base_w = gauss_legendre(nodes)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -125,7 +136,7 @@ def _section_osc_integral(tau, sections):
 
 def _section_gauss_integral(tau, sections, order):
     """Same integrals by a per-section Gauss rule (independent route)."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = gauss_legendre(order)
     total = np.zeros(np.shape(tau), dtype=complex)
     for y1, y2 in sections:
         mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)

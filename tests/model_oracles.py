@@ -4,7 +4,8 @@ None of these is on a package code path: each is an independent
 evaluation of a quantity (a normalization, an asymptote, a moment
 series, a coefficient table) whose exact value is known, or a plain
 evaluation (full_product_gram) that a faster package route must
-reproduce bit for bit.
+reproduce bit for bit (full_product_gram, full_exp_sinc_kernel,
+full_sinc_dense, complex_check_hermitian).
 """
 
 import math
@@ -14,7 +15,7 @@ from scipy.special import eval_hermite, gammaln
 
 from edgegap.counting import count_above
 from edgegap.geometry import kappa
-from edgegap.modelops import IntervalSpec, _sinc_dense
+from edgegap.modelops import IntervalSpec, _sinc_dense, sinc_rule
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
 from edgegap.oscillator import _hermite_levels
 from tests.inertia_oracle import PrecisionExhausted
@@ -219,3 +220,40 @@ def full_product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
     phase[(iu[1], iu[0])] = -phase[iu]
     np.fill_diagonal(phase, 0.0)
     return log_mag, phase
+
+
+def full_exp_sinc_kernel(eta, m, sinc_scale, k):
+    """modelops.exp_sinc_kernel evaluated on the whole (n, n) matrix at
+    once, each temporary a full matrix."""
+    k = np.asarray(k, dtype=float)
+    tau = k[:, None] - k[None, :]
+    ssum = k[:, None] + k[None, :]
+    geo = 2.0 * np.sqrt(np.outer(k, k)) / ssum
+    osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
+    return np.exp(eta * m * ssum) * osc * geo
+
+
+def full_sinc_dense(interval, scale, nodes=None):
+    """modelops._sinc_dense with the root weights multiplied into a new
+    matrix, (sqrt(w_i) K_ij) sqrt(w_j)."""
+    pts, wts = sinc_rule(interval, scale, nodes)
+    kern = full_exp_sinc_kernel(0.0, 1.0, scale, pts)
+    root = np.sqrt(wts)
+    return pts, wts, root[:, None] * kern * root[None, :]
+
+
+def complex_check_hermitian(logm, rtol=1e-12):
+    """LogHermitian.check_hermitian with the phase test in complex
+    arithmetic, |e^{i phi_ij} - e^{-i phi_ji}| <= 1e-10."""
+    lm, ph = logm.log_mag, logm.phase
+    zero = np.isneginf(lm)
+    if not np.array_equal(zero, zero.T):
+        raise ValueError("zero pattern of log-magnitude matrix is not symmetric")
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(np.where(zero, 0.0, lm - lm.T))
+    scale = np.maximum(1.0, np.where(zero, 0.0, np.abs(lm)))
+    if np.any(diff > rtol * scale):
+        raise ValueError("log-magnitude matrix is not symmetric")
+    resid = np.abs(np.exp(1j * ph) - np.exp(-1j * ph.T))
+    if np.any(resid[~zero] > 1e-10):
+        raise ValueError("phase matrix is not antisymmetric")

@@ -12,6 +12,7 @@ from edgegap.counting import (LogHermitian, _equilibrating_exponents,
                               _scaled_spectrum, count_above, n_star)
 from tests.inertia_oracle import (PrecisionExhausted, count_hp_inertia,
                                   scaled_eigenvalues)
+from tests.model_oracles import complex_check_hermitian
 
 
 def _rand_hermitian(rng, n):
@@ -207,6 +208,72 @@ def test_tie_reported_on_both_routes():
     assert any("zero pivot" in w for w in rep_hp.warnings)
 
 
+def test_dense_tie_tolerance_scales_with_the_matrix_norm():
+    # 1 + 1e-6 lies 1e-6 above s = 1, beyond the relative resolution
+    # 1e-8 but inside the eigensolver's backward error 2 eps 1e12
+    rep = count_above(np.diag([1e12, 1.0 + 1e-6]), 1.0)
+    assert rep.count == 2
+    tol = 2 * np.finfo(float).eps * 1e12
+    assert rep.warnings == (f"tie: 1 eigenvalue(s) within {tol:g} of "
+                            "threshold, nearest 1.000001; count could be 1 "
+                            "to 2",)
+    # a small matrix keeps the relative tolerance
+    assert count_above(np.diag([2.0, 1.0 + 1e-6]), 1.0).warnings == ()
+
+
+def _check_outcome(check, logm):
+    try:
+        check(logm)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_hermitian_rejects_what_it_must():
+    rng = np.random.default_rng(29)
+    logm = LogHermitian.from_dense(_rand_hermitian(rng, 6))
+    logm.check_hermitian()
+    lm = logm.log_mag.copy()
+    lm[1, 4] += 1e-9
+    with pytest.raises(ValueError, match="log-magnitude matrix is not symmetric"):
+        LogHermitian(lm, logm.phase).check_hermitian()
+    ph = logm.phase.copy()
+    ph[2, 3] += 1e-8
+    with pytest.raises(ValueError, match="phase matrix is not antisymmetric"):
+        LogHermitian(logm.log_mag, ph).check_hermitian()
+    lm = logm.log_mag.copy()
+    lm[0, 5] = -math.inf
+    with pytest.raises(ValueError, match="zero pattern"):
+        LogHermitian(lm, logm.phase).check_hermitian()
+    # phases of pi and -pi both stand for a negative real entry
+    neg = LogHermitian(np.zeros((3, 3)), np.array([[math.pi, math.pi, -math.pi],
+                                                   [math.pi, -math.pi, 0.0],
+                                                   [-math.pi, 0.0, 0.0]]))
+    neg.check_hermitian()
+    # a phase mismatch inside the zero pattern is ignored
+    zero = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, 0.0]]),
+                        np.array([[0.0, 1.0], [2.0, 0.0]]))
+    zero.check_hermitian()
+
+
+def test_check_hermitian_agrees_with_the_complex_residual():
+    # perturbations just inside and just outside both tolerances get the
+    # same verdict as the complex-arithmetic phase test
+    rng = np.random.default_rng(31)
+    base = LogHermitian.from_dense(_rand_hermitian(rng, 8))
+    for size in (1e-13, 1e-12, 1e-11, 5e-11, 2e-10, 1e-9):
+        for _ in range(10):
+            i, j = rng.integers(0, 8, 2)
+            lm, ph = base.log_mag.copy(), base.phase.copy()
+            if rng.random() < 0.5:
+                lm[i, j] += size * rng.choice((-1.0, 1.0)) * max(1.0, abs(lm[i, j]))
+            else:
+                ph[i, j] += size * rng.choice((-1.0, 1.0))
+            logm = LogHermitian(lm, ph)
+            assert (_check_outcome(LogHermitian.check_hermitian, logm)
+                    == _check_outcome(complex_check_hermitian, logm))
+
+
 def test_count_below_and_n_star_identities():
     rng = np.random.default_rng(3)
     m = _rand_hermitian(rng, 9)
@@ -243,4 +310,15 @@ def test_round_trip_and_empty():
     m = _rand_hermitian(rng, 5)
     back = LogHermitian.from_dense(m).to_dense()
     np.testing.assert_allclose(back, m, rtol=1e-13)
+    # a real matrix with an exact zero: real form built in place, and
+    # max_log skips the -inf entries
+    a = m.real + m.real.T
+    a[2, 4] = a[4, 2] = 0.0
+    logm = LogHermitian.from_dense(a)
+    assert logm.is_real() and np.isneginf(logm.log_mag[2, 4])
+    assert logm.max_log == float(logm.log_mag[np.isfinite(logm.log_mag)].max())
+    assert np.array_equal(logm.to_dense(), np.exp(logm.log_mag)
+                          * np.sign(np.cos(logm.phase)))
+    np.testing.assert_allclose(logm.to_dense(), a, rtol=1e-13)
+    assert LogHermitian(np.full((2, 2), -math.inf)).max_log == -math.inf
     assert count_above(np.zeros((0, 0)), 1.0).count == 0

@@ -32,6 +32,7 @@ from edgegap.fiber import (
     solve_fiber,
     step_tail_asymptote,
 )
+from edgegap.operators import gauss_legendre
 from edgegap.potentials import EdgePotential, step_potential
 from edgegap.scenario import load_scenario
 from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios
@@ -358,6 +359,25 @@ def test_phi_squared_hermite_tail_identity(w, b):
                        in zip(values[:-1], values[1:], tails))
             assert phi_squared(j, float(k), b, w) == pytest.approx(
                 want, rel=1e-12, abs=0.0), (j, k)
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only(monkeypatch):
+    # every Gauss-Legendre rule of the package comes from one cache: a
+    # phi_squared sweep builds its 24-point rule at most once
+    base = gauss_legendre(24)
+    assert base is gauss_legendre(24)
+    for arr, want in zip(base, np.polynomial.legendre.leggauss(24)):
+        assert np.array_equal(arr, want) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    w = step_potential(0.0, 1.0, 0.0)
+    for k in (0.0, 1.0, 2.0):
+        phi_squared(1, k, 1.0, w)
+    assert calls == []
 
 
 def test_gap_ratio_to_coupling_tends_to_one(step01):

@@ -6,6 +6,7 @@ around them (bounds, limits, cross-route agreement) carry the math.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from edgegap.errors import DomainError
 from edgegap.geometry import kappa
 from edgegap.modelops import (
     IntervalSpec,
+    _sinc_dense,
     endpoint_bracket,
     epsilon_bounds,
     exp_sinc_kernel,
@@ -33,6 +35,8 @@ from tests.inertia_oracle import PrecisionExhausted, count_hp_inertia
 from tests.model_oracles import (
     diag_count_limit,
     disk_moment_check,
+    full_exp_sinc_kernel,
+    full_sinc_dense,
     gamma_diag_count as gammaln_diag_count,
     kms_count_ratio,
     reciprocal_interval,
@@ -175,6 +179,62 @@ def test_kms_count_profile():
     assert kms_count_ratio(WINDOW, 300.0, 1.5) < 0.01
     with pytest.raises(ValueError):
         kms_count_ratio(WINDOW, 100.0, 1.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [50.0, 160.0, 300.0])
+def test_row_block_sinc_kernel_is_bit_identical(m):
+    # the row-block kernel and the in-place weights give the bits of the
+    # whole-matrix evaluation, and g_sinc stores their log form
+    iv = IntervalSpec(0.25, 2.25)
+    pts, wts, dense = _sinc_dense(iv, m)
+    old_pts, old_wts, old_dense = full_sinc_dense(iv, m)
+    assert _same_bits(pts, old_pts) and _same_bits(wts, old_wts)
+    assert _same_bits(dense, old_dense)
+    kernel = g_sinc(iv, m).kernel
+    assert _same_bits(kernel.log_mag, np.log(np.abs(old_dense).astype(float)))
+    assert _same_bits(kernel.phase, np.angle(old_dense).astype(float))
+    assert _same_bits(kernel.to_dense(), np.exp(kernel.log_mag)
+                      * np.sign(np.cos(kernel.phase)))
+
+
+def test_row_block_rectangle_kernel_is_bit_identical():
+    # the closed-form rectangle kernel of the gamma_gram test, at both eta
+    op = gamma_gram("minus", 50.0, 0.05, rect(0.05, 0.2, -0.5, 0.5),
+                    QUAD, b=0.0)
+    for eta in (0.05, 0.2):
+        assert _same_bits(exp_sinc_kernel(eta, 50.0, 25.0, op.nodes),
+                          full_exp_sinc_kernel(eta, 50.0, 25.0, op.nodes))
+
+
+def _traced_peak(call):
+    """Bytes call allocates at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_sinc_count_stays_inside_a_few_matrix_copies():
+    # the 770-node kernel of verify kms: g_sinc keeps the kernel, its log
+    # magnitude and its phase, and counting it adds the dense matrix and
+    # one buffer; the whole-matrix code reached 7.0x and 8.2x
+    iv = IntervalSpec(0.25, 2.25)
+    op, peak = _traced_peak(lambda: g_sinc(iv, 300.0))
+    nbytes = op.kernel.log_mag.nbytes
+    assert op.n == 770
+    assert peak <= 4 * nbytes
+    report, peak = _traced_peak(lambda: count_above(op.kernel, 0.5))
+    assert report.count == 191 and report.warnings == ()
+    assert peak <= 3 * nbytes
 
 
 def test_epsilon_bounds():

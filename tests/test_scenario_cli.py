@@ -494,10 +494,12 @@ def test_cli_edge_checks_solve_each_lane_once(tmp_path, monkeypatch, check,
         assert {lane: grid.count(lane) for lane in grid} == lanes
 
 
-def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path):
+def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path,
+                                                            capsys):
     # a support reaching x = 3 at lam = 1e-100: the Gram of the count is
     # assembled with a noise floor 41.4 nats above ln r^2 = 0, and its row
-    # says so after the count's own tie message
+    # says so after the count's own tie message; every verdict resting on
+    # that count fails and names both flags in summary.json and on stdout
     doc = base_doc(lambda_grid={"start": 1e-100, "stop": 1e-100})
     doc["perturbation"]["vertices"] = [[-0.5, -1], [3, -1], [3, 1], [-0.5, 1]]
     assert run(["scaling", "--config", write_cfg(tmp_path, doc),
@@ -508,6 +510,14 @@ def test_cli_scaling_row_flags_a_count_below_the_noise_floor(tmp_path):
     tie, floor = cell["warnings"].split("; floor: ")
     assert tie.startswith("tie: ")
     assert floor.startswith("threshold ln s = 0.0 lies 41.4 nats below")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    flagged = [v for v in summary["verdicts"] if "flags" in v]
+    assert flagged and all(not v["pass"] for v in flagged)
+    assert flagged[0]["flags"] == [tie, "floor: " + floor]
+    out = capsys.readouterr().out
+    for v in flagged:
+        assert f"FAIL {v['name']}: " in out
+    assert f" flags: {tie}; floor: {floor}\n" in out
 
 
 def test_cli_sandwich_rows_carry_their_reports_warnings(tmp_path,
