@@ -36,8 +36,10 @@ _TAIL_REL = 1e-16
 # bs_count forms C diag(s) C^* this many momentum nodes at a time, so
 # the complex columns never exist all at once
 _MOMENTUM_BLOCK = 16
-# momenta per batched fiber solve of _resolvent_columns
-_FIBER_BLOCK = 64
+# momenta per batched fiber solve of _resolvent_columns: at j_sum = 6
+# bands, 32 momenta are 192 lanes, one tridiagonal._LANE_BLOCK, with
+# 3 MB of eigenvectors (n = 2001)
+_FIBER_BLOCK = 32
 
 
 def _log_envelope(j: int, b: float, x_ref: float, k):

@@ -152,11 +152,15 @@ def _bases(disc: FiberDiscretization, ks, n: int = None):
     """(x offsets' spacing h, p, base (n, K)) of the fiber operators at
     the momenta ks: T(k) = tridiag(-p, 2p + base[:, k], -p) is the matrix
     of tridiagonal(k, n), and base = diag - 2p holds exactly
-    (b s)^2 + W (the subtraction is exact)."""
-    cols = [disc.tridiagonal(float(k), n)[1] for k in ks]
+    (b s)^2 + W (the subtraction is exact), filled in place column by
+    column."""
     _, _, off, h = disc.tridiagonal(0.0, n)
     p = -float(off[0])
-    return h, p, np.stack(cols, axis=1) - 2.0 * p
+    base = np.empty((len(off) + 1, len(ks)))
+    for i, k in enumerate(ks):
+        base[:, i] = disc.tridiagonal(float(k), n)[1]
+    base -= 2.0 * p
+    return h, p, base
 
 
 def _band_brackets(b: float, levels, h: float, w_lo: float, w_hi: float):
@@ -178,9 +182,11 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     which fixes which level is which, and Rayleigh-quotient iteration by
     twisted factorizations converges inside the bracket (checked).  The
     n-grid iteration starts from those energies, moved by the h^2 shift
-    of the difference Laplacian estimated on the coarse vectors.  Both
-    grids' energies are gradient-form Rayleigh quotients,
-    Richardson-extrapolated; an h^2 correction above conv_tol raises
+    of the difference Laplacian estimated from the coarse vectors'
+    curvature sum (Delta^2 v)^2, which the coarse iteration takes lane by
+    lane, so no coarse vector is kept; the coarse base is dropped before
+    the fine solve.  Both grids' energies are gradient-form Rayleigh
+    quotients, Richardson-extrapolated; an h^2 correction above conv_tol raises
     ConvergenceFailure.  A fine-grid lane that converged to another level
     misses its seed by more than 3 conv_tol, unless levels lie closer
     than that (gap_condition only asks W_+ - W_- < 2b), where two lanes
@@ -196,15 +202,15 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     bounds = ((0.0, 0.0) if disc.w is None
               else (disc.w.w_minus_limit, disc.w.w_plus_limit))
     h2, p2, base2 = _bases(disc, ks, disc.n_half)
-    coarse, vec2 = certified_levels(
-        base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds), True)
+    coarse, curv = certified_levels(
+        base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds),
+        "curvature")
+    del base2
     # the difference Laplacian lowers E by about h^2 |psi''|^2 / 12, so the
     # n grid lies 3/4 of the coarse shift higher
-    d2 = np.diff(vec2, n=2, axis=-1, prepend=0.0, append=0.0)
-    seed = coarse + (d2 * d2).sum(axis=-1) / (16.0 * h2 * h2)
-    del vec2, d2
+    seed = coarse + curv / (16.0 * h2 * h2)
     h, p, base = _bases(disc, ks)
-    fine, vecs = refine(base, p, seed, vectors)
+    fine, vecs = refine(base, p, seed, "vectors" if vectors else None)
     rich, resid = _richardson(fine, coarse)
     bad = (resid > conv_tol).any(axis=1)
     if bad.any():
@@ -442,11 +448,11 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
                      (e_plus - jump.min(axis=1) + pad)[:, None])
     seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
-    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), vectors=True)
+    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), "vectors")
     shift = shift[:, 0]
     if np.any((shift < lo[:, 0]) | (shift >= hi[:, 0])):
         raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
-    log_w, sign_w = log_vectors((base - shift) / p + 2.0)
+    log_w, sign_w = log_vectors(base, p, shift)
     overlap = (sign_p * sign_w * np.exp(log_p + log_w)).sum(axis=1)
     sign_w *= np.where(overlap < 0.0, -1.0, 1.0)[:, None]
     # twin identity (E_+ - E_W) <v_+, v_W> = <v_+, D v_W>, summed in log

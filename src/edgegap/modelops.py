@@ -119,20 +119,27 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     out = np.empty((len(k), len(k)))
     for lo in range(0, len(k), _KERNEL_ROWS):
-        rows = k[lo:lo + _KERNEL_ROWS, None]
-        tau = rows - k[None, :]
-        ssum = rows + k[None, :]
-        geo = 2.0 * np.sqrt(rows * k[None, :]) / ssum
-        osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
-        np.multiply(np.exp(eta * m * ssum) * osc, geo,
-                    out=out[lo:lo + _KERNEL_ROWS])
+        _exp_sinc_entries(eta, m, sinc_scale, k[lo:lo + _KERNEL_ROWS, None],
+                          k[None, :], out[lo:lo + _KERNEL_ROWS])
     return out
+
+
+def _exp_sinc_entries(eta, m, sinc_scale, rows, cols, out=None):
+    """Entries of exp_sinc_kernel at the broadcast pairs (rows, cols):
+    tau, k + k', the geometric factor, the sinc, then exp * osc * geo."""
+    tau = rows - cols
+    ssum = rows + cols
+    geo = 2.0 * np.sqrt(rows * cols) / ssum
+    osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
+    return np.multiply(np.exp(eta * m * ssum) * osc, geo, out=out)
 
 
 def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
     """(points, weights) of the sinc-family Nystrom rule on the window:
     10-point Gauss panels, at least `nodes` points (default 4 scale
-    |window|/pi, at least 400)."""
+    |window|/pi, at least 400).  The window must lie in (0, infinity)."""
+    if interval.lo < 0.0:
+        raise DomainError("sinc-family window must lie in (0, infinity)")
     if nodes is None:
         nodes = max(400, int(4.0 * scale * interval.length / math.pi))
     panels = max(1, int(math.ceil(nodes / 10)))
@@ -140,8 +147,6 @@ def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
 
 
 def _sinc_dense(interval: IntervalSpec, scale: float, nodes: int = None):
-    if interval.lo < 0.0:
-        raise DomainError("sinc-family window must lie in (0, infinity)")
     pts, wts = sinc_rule(interval, scale, nodes)
     kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)
@@ -166,6 +171,27 @@ def g_sinc(interval: IntervalSpec, scale: float,
     kernel = LogHermitian.from_dense(dense)
     return DiscretizedOperator(nodes=pts, weights=wts, kernel=kernel,
                                meta={"scale": scale, "family": "sinc"})
+
+
+def g_sinc_trace(interval: IntervalSpec, scale: float, nodes: int = None):
+    """(n, Tr g_sinc) of g_sinc(interval, scale, nodes), from its n
+    diagonal entries alone.
+
+    Each entry goes through the operations g_sinc and
+    LogHermitian.to_dense apply to it: the kernel entry, the weight
+    symmetrization (sqrt(w_i) K_ii) sqrt(w_i), then ln|.| with its phase
+    and back, so the trace is that of the exponentiated matrix, bit for
+    bit, without the (n, n) kernel.
+    """
+    pts, wts = sinc_rule(interval, scale, nodes)
+    root = np.sqrt(wts)
+    diag = _exp_sinc_entries(0.0, 1.0, scale, pts, pts)
+    diag *= root
+    diag *= root
+    with np.errstate(divide="ignore"):
+        mag = np.exp(np.log(np.abs(diag)))
+    mag *= np.sign(np.cos(np.angle(diag)))
+    return len(pts), float(np.sum(mag))
 
 
 def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,

@@ -13,6 +13,13 @@ The same ratios give the eigenvector in log form, so its tails keep
 full relative accuracy far below the double range.  Energies are
 gradient-form Rayleigh quotients.
 
+The pivot rows beta = 2 + (base - sigma)/p are formed in one place
+(_pivot_rows), from base, _CHUNK grid rows at a time, for Sturm counts
+and for both sweeps and the twist search of a twisted factorization.
+A block of lanes therefore holds two (n, lanes) arrays, its forward
+and backward pivots, and the kept vectors are written straight into
+the result.
+
 A lane's result does not depend on the other lanes of its batch: lanes
 stop on their own, sums run pairwise along contiguous rows, no BLAS
 product is used, and small batches run the same IEEE operations as
@@ -33,10 +40,12 @@ from .errors import ConvergenceFailure
 # the same IEEE operations in the same order, so a lane's bits do not
 # depend on the path
 _SCALAR_LANES = 12
-# most lanes refined at once, which bounds the (n, lanes) work arrays of
-# the twisted factorizations to three of 4 MB each (n = 2001)
-_LANE_BLOCK = 256
-# grid rows (or lanes) per numpy chunk of the bookkeeping around a sweep
+# most lanes refined at once, which bounds the two (n, lanes) pivot arrays
+# of a twisted factorization to 3 MB each (n = 2001)
+_LANE_BLOCK = 192
+# grid rows (or lanes) per numpy chunk: the pivot rows beta of every sweep
+# are formed from base this many rows at a time, and the Rayleigh
+# quotients taken this many lanes at a time
 _CHUNK = 64
 # bisection stops once the level is isolated and its bracket is below
 # this fraction of 1 + |E|; Rayleigh-quotient iteration finishes it
@@ -49,9 +58,21 @@ _RQI_REL = 1e-8
 _MAX_RQI = 8
 
 
-def _inverse_pivots(beta, inv=None):
+def _pivot_rows(base, p, ik, shift, lo):
+    """beta = 2 + (base - shift)/p on grid rows lo:lo + _CHUNK, one column
+    per lane: column ik[l] of base (n, K) at shift[l].  The one place
+    where pivot rows are formed."""
+    rows = base[lo:lo + _CHUNK, ik]
+    rows -= shift
+    rows /= p
+    rows += 2.0
+    return rows
+
+
+def _inverse_pivots(beta, inv=None, out=None):
     """1/rho (rows, lanes) of the LDL^T pivots D_i = p rho_i of T - sigma
-    eliminated from the first row, T = tridiag(-p, 2p + base, -p).
+    eliminated from the first row, T = tridiag(-p, 2p + base, -p), in out
+    if given.
 
     beta = 2 + (base - sigma)/p, one column per lane, and
     rho_i = beta_i - 1/rho_{i-1}, continued from the inverses inv of the
@@ -62,20 +83,19 @@ def _inverse_pivots(beta, inv=None):
     """
     rows, lanes = beta.shape
     inv = np.zeros(lanes) if inv is None else inv
+    out = np.empty((rows, lanes)) if out is None else out
     if lanes <= _SCALAR_LANES:
         cols = []
         for col, x in zip(beta.T.tolist(), inv.tolist()):
-            out = []
             for b in col:
                 rho = b - x
                 try:
                     x = 1.0 / rho
                 except ZeroDivisionError:
                     x = math.copysign(math.inf, rho)
-                out.append(x)
-            cols.append(out)
-        return np.array(cols).reshape(lanes, rows).T
-    out = np.empty((rows, lanes))
+                cols.append(x)
+        out[...] = np.array(cols).reshape(lanes, rows).T
+        return out
     tmp = np.empty(lanes)
     subtract, reciprocal = np.subtract, np.reciprocal
     with np.errstate(divide="ignore"):
@@ -97,11 +117,7 @@ def sturm_counts(base, p, lam):
     neg = np.zeros(lam.size, dtype=np.intp)
     inv = None
     for lo in range(0, len(base), _CHUNK):
-        rows = base[lo:lo + _CHUNK, ik]
-        rows -= shift
-        rows /= p
-        rows += 2.0
-        inv = _inverse_pivots(rows, inv)
+        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo), inv)
         neg += np.count_nonzero(inv < 0.0, axis=0)
         inv = inv[-1]
     return neg.reshape(lam.shape)
@@ -139,22 +155,37 @@ def isolate(base, p, level, lo, hi, width=math.inf):
     raise ConvergenceFailure("bisection did not isolate a fiber level")
 
 
-def _twisted(beta):
-    """(1/rho+, 1/rho-, r): inverse forward and backward pivots of
-    T - sigma (beta = 2 + (base - sigma)/p) and, per lane, the twist
-    r = argmin |gamma_r| with gamma_r / p = rho+_r + rho-_r - beta_r
-    (Dhillon & Parlett, LAA 387, 2004).  The solution of
-    (T - sigma) z = gamma_r e_r with z_r = 1 is z_i = z_{i+1} / rho+_i
-    left of r and z_i = z_{i-1} / rho-_i right of it: each factor comes
-    from the wall on its side, where z grows."""
-    inv_f = _inverse_pivots(beta)
-    inv_b = _inverse_pivots(beta[::-1])[::-1]
-    best = np.full(beta.shape[1], np.inf)
-    r = np.zeros(beta.shape[1], dtype=np.intp)
+def _twisted(base, p, ik, shift):
+    """(1/rho+, 1/rho-, r): inverse forward and backward pivots (n, lanes)
+    of T - shift, lane l the matrix of column ik[l] of base at shift[l],
+    and, per lane, the twist r = argmin |gamma_r| with
+    gamma_r / p = rho+_r + rho-_r - beta_r (Dhillon & Parlett, LAA 387,
+    2004).  The solution of (T - sigma) z = gamma_r e_r with z_r = 1 is
+    z_i = z_{i+1} / rho+_i left of r and z_i = z_{i-1} / rho-_i right of
+    it: each factor comes from the wall on its side, where z grows.
+
+    The pivot rows beta are formed from base _CHUNK rows at a time, for
+    the forward sweep, the backward sweep and the twist search alike, so
+    the two pivot arrays are the only (n, lanes) arrays.
+    """
+    n, lanes = base.shape[0], len(ik)
+    inv_f, inv_b = np.empty((n, lanes)), np.empty((n, lanes))
+    chunks = range(0, n, _CHUNK)
+    inv = None
+    for lo in chunks:
+        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo), inv,
+                              inv_f[lo:lo + _CHUNK])[-1]
+    inv = None
+    for lo in reversed(chunks):
+        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo)[::-1], inv,
+                              inv_b[lo:lo + _CHUNK][::-1])[-1]
+    best = np.full(lanes, np.inf)
+    r = np.zeros(lanes, dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, len(beta), _CHUNK):
+        for lo in chunks:
             rows = slice(lo, lo + _CHUNK)
-            gamma = np.abs(1.0 / inv_f[rows] + 1.0 / inv_b[rows] - beta[rows])
+            gamma = np.abs(1.0 / inv_f[rows] + 1.0 / inv_b[rows]
+                           - _pivot_rows(base, p, ik, shift, lo))
             at = np.argmin(gamma, axis=0)
             low = np.take_along_axis(gamma, at[None], axis=0)[0]
             # strict: the first minimum wins, as in one argmin
@@ -164,11 +195,11 @@ def _twisted(beta):
     return inv_f, inv_b, r
 
 
-def _twisted_vectors(beta):
+def _twisted_vectors(base, p, ik, shift):
     """Eigenvector estimates z (n, lanes), z_r = 1, from one twisted
     factorization at each lane's shift (see _twisted), built in place of
-    the pivot arrays."""
-    inv_f, inv_b, r = _twisted(beta)
+    the forward pivots."""
+    inv_f, inv_b, r = _twisted(base, p, ik, shift)
     idx = np.arange(len(inv_f))[:, None]
     inv_f[idx >= r] = 1.0
     inv_b[idx <= r] = 1.0
@@ -178,12 +209,13 @@ def _twisted_vectors(beta):
     return inv_f
 
 
-def log_vectors(beta):
-    """(ln|v|, sign v), each (lanes, n), of the unit eigenvectors from one
-    twisted factorization at each lane's shift, with no product formed:
-    ln|z| sums ln|1/rho| from the twist outward, so the tails keep their
-    relative accuracy far below the double range."""
-    inv_f, inv_b, r = _twisted(beta)
+def log_vectors(base, p, shift):
+    """(ln|v|, sign v), each (K, n), of the unit eigenvectors from one
+    twisted factorization of each column of base (n, K) at its shift
+    (K,), with no product formed: ln|z| sums ln|1/rho| from the twist
+    outward, so the tails keep their relative accuracy far below the
+    double range."""
+    inv_f, inv_b, r = _twisted(base, p, np.arange(base.shape[1]), shift)
     idx = np.arange(len(inv_f))[:, None]
     left, right = idx < r, idx > r
     log_z = (np.cumsum(np.log(np.abs(np.where(left, inv_f, 1.0)))[::-1],
@@ -199,81 +231,107 @@ def log_vectors(beta):
     return log_z, sign
 
 
-def _rayleigh_quotients(base, p, vecs, ik, out=None):
-    """Rayleigh quotients of the columns of vecs (n, lanes) for
-    T = tridiag(-p, 2p + base[:, ik], -p), and the unit vectors as rows
-    of out (lanes, n) if given.
+def _gradient(v):
+    """First differences (lanes, n + 1) of the rows v (lanes, n) with zero
+    walls, np.diff(v, prepend=0.0, append=0.0) without its padded copy."""
+    grad = np.empty((v.shape[0], v.shape[1] + 1))
+    np.subtract(v[:, :1], 0.0, out=grad[:, :1])
+    np.subtract(v[:, 1:], v[:, :-1], out=grad[:, 1:-1])
+    np.subtract(0.0, v[:, -1:], out=grad[:, -1:])
+    return grad
+
+
+def _rayleigh_quotients(base, p, v, ik):
+    """(Rayleigh quotients, squared norms) of the rows v (lanes, n) for
+    T = tridiag(-p, 2p + base[:, ik], -p).
 
     The gradient form p sum (v_{i+1} - v_i)^2 + sum base_i v_i^2 (zero
     walls) never forms the O(p) terms that cancel: every term is
     nonnegative where the potential is, so the sums keep a relative
     accuracy of about log2(n) eps.  They are pairwise sums along
-    contiguous rows, the same for a lane whatever its batch, taken
-    _CHUNK lanes at a time.
+    contiguous rows, the same for a lane whatever its batch.  The
+    products are taken in place: at most three arrays the size of v.
     """
-    quot = np.empty(vecs.shape[1])
-    for lo in range(0, vecs.shape[1], _CHUNK):
-        lanes = slice(lo, lo + _CHUNK)
-        v = np.ascontiguousarray(vecs[:, lanes].T)
-        grad = np.diff(v, axis=1, prepend=0.0, append=0.0)
-        norm2 = (v * v).sum(axis=1)
-        quot[lanes] = (p * (grad * grad).sum(axis=1)
-                       + (base[:, ik[lanes]].T * v * v).sum(axis=1)) / norm2
-        if out is not None:
-            np.divide(v, np.sqrt(norm2)[:, None], out=out[lanes])
-    return quot
+    grad = _gradient(v)
+    grad *= grad
+    kinetic = grad.sum(axis=1)
+    del grad
+    work = np.multiply(v, v)
+    norm2 = work.sum(axis=1)
+    np.multiply(base[:, ik].T, v, out=work)
+    work *= v
+    return (p * kinetic + work.sum(axis=1)) / norm2, norm2
 
 
-def refine(base, p, sigma, vectors=False):
-    """(energies, vectors) by Rayleigh-quotient iteration from the shifts
+def refine(base, p, sigma, keep=None):
+    """(energies, kept) by Rayleigh-quotient iteration from the shifts
     sigma (K, M) on the columns of base (n, K).
 
     Each step is one twisted factorization at the lane's shift, and the
     Rayleigh quotient of its vector is the next shift.  A lane stops once
     its shift moved by less than _RQI_REL (1 + |E|); its energy is that
-    last quotient and its vector the one it came from, unit-normalized,
-    in vectors[k, m] (K, M, n) if asked for (else None).  Lanes run in
-    blocks of _LANE_BLOCK; a lane's result does not depend on its block.
+    last quotient.  Of the unit-normalized vector it came from, kept
+    holds nothing (keep None, kept None), the vector itself in
+    kept[k, m] (K, M, n) (keep "vectors"), or its curvature
+    sum_i ((v_{i+1} - v_i) - (v_i - v_{i-1}))^2, zero walls, in
+    kept[k, m] (K, M) (keep "curvature").  Lanes run in blocks of
+    _LANE_BLOCK, whose working set is the two pivot arrays of their
+    twisted factorization; quotients are taken and vectors written
+    straight into kept _CHUNK lanes at a time.  A lane's result does not
+    depend on its block.
     """
     sigma = sigma.astype(float)
-    vecs = np.empty(sigma.shape + (base.shape[0],)) if vectors else None
+    kept = None
+    if keep == "vectors":
+        kept = np.empty(sigma.shape + (base.shape[0],))
+    elif keep == "curvature":
+        kept = np.empty(sigma.shape)
+    flat = None if kept is None else kept.reshape(sigma.size, -1)
     active = np.ones(sigma.shape, dtype=bool)
     for _ in range(_MAX_RQI):
         lanes = np.nonzero(active)
         for lo in range(0, len(lanes[0]), _LANE_BLOCK):
             ik, im = (x[lo:lo + _LANE_BLOCK] for x in lanes)
-            beta = base[:, ik]
-            beta -= sigma[ik, im]
-            beta /= p
-            beta += 2.0
-            z = _twisted_vectors(beta)
-            del beta
-            unit = np.empty(z.shape[::-1]) if vectors else None
-            new = _rayleigh_quotients(base, p, z, ik, unit)
+            row = ik * sigma.shape[1] + im
+            z = _twisted_vectors(base, p, ik, sigma[ik, im])
+            new = np.empty(len(ik))
+            for c in range(0, len(ik), _CHUNK):
+                part = slice(c, c + _CHUNK)
+                v = np.ascontiguousarray(z[:, part].T)
+                new[part], norm2 = _rayleigh_quotients(base, p, v, ik[part])
+                if keep is not None:
+                    v /= np.sqrt(norm2)[:, None]
+                if keep == "vectors":
+                    flat[row[part]] = v
+                elif keep == "curvature":
+                    d2 = np.diff(_gradient(v), axis=1)
+                    d2 *= d2
+                    flat[row[part], 0] = d2.sum(axis=1)
+                    del d2
+                del v
             del z
-            if vectors:
-                vecs[ik, im] = unit
             done = np.abs(new - sigma[ik, im]) <= _RQI_REL * (1.0 + np.abs(new))
             sigma[ik, im] = new
             active[ik[done], im[done]] = False
         if not active.any():
-            return sigma, vecs
+            return sigma, kept
     raise ConvergenceFailure("Rayleigh-quotient iteration did not converge "
                              "on a fiber level")
 
 
-def certified_levels(base, p, levels, lo, hi, vectors=False):
-    """(energies, vectors) of the given levels (K, M) of the columns of
+def certified_levels(base, p, levels, lo, hi, keep=None):
+    """(energies, kept) of the given levels (K, M) of the columns of
     base: bisection from the brackets lo, hi to an isolating bracket,
-    then Rayleigh-quotient iteration from its midpoint.  An energy outside
-    its bracket belongs to another level and raises ConvergenceFailure."""
+    then Rayleigh-quotient iteration from its midpoint, keeping what
+    refine's keep names.  An energy outside its bracket belongs to
+    another level and raises ConvergenceFailure."""
     shape = (base.shape[1],) + np.shape(levels)[1:]
     lo, hi = isolate(base, p, levels, np.broadcast_to(lo, shape),
                      np.broadcast_to(hi, shape), _BRACKET_REL)
-    energies, vecs = refine(base, p, 0.5 * (lo + hi), vectors)
+    energies, kept = refine(base, p, 0.5 * (lo + hi), keep)
     if np.any((energies < lo) | (energies >= hi)):
         raise ConvergenceFailure("a fiber level left its isolating bracket")
-    return energies, vecs
+    return energies, kept
 
 
 def rayleigh_quotient(base, p, v) -> float:
@@ -356,7 +414,7 @@ def log_level(base, p, level: int, lo, hi):
     base (n,): certified by certified_levels, energy the exact-sum
     Rayleigh quotient and the unit vector rebuilt in log form at it."""
     col = base[:, None]
-    _, vec = certified_levels(col, p, np.array([[level]]), lo, hi, True)
+    _, vec = certified_levels(col, p, np.array([[level]]), lo, hi, "vectors")
     energy = rayleigh_quotient(base, p, vec[0, 0])
-    log_v, sign = log_vectors((col - energy) / p + 2.0)
+    log_v, sign = log_vectors(col, p, np.array([energy]))
     return energy, log_v[0], sign[0]

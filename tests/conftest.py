@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,18 @@ def run_python(args, **env):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def traced_peak(call):
+    """(call(), bytes it allocates at its peak beyond what was live before)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def gap_to_phi_ratios(disc, j, ks):

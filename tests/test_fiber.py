@@ -35,7 +35,8 @@ from edgegap.fiber import (
 from edgegap.operators import gauss_legendre
 from edgegap.potentials import EdgePotential, step_potential
 from edgegap.scenario import load_scenario
-from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios
+from tests import fiber_oracle
+from tests.conftest import REFERENCE_CONFIG, gap_to_phi_ratios, traced_peak
 from tests.fiber_oracle import bisection_levels
 from tests.model_oracles import hermite_tails
 from tests.mp_edge_oracle import mp_edge_comparison
@@ -190,6 +191,71 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
         assert cmp.gap_dist == gap
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@pytest.mark.parametrize("lanes", [1, 12, 13, 192, 300])
+def test_chunked_twisted_factorization_is_bit_identical(reference, lanes):
+    # pivot rows formed from base chunk by chunk give the pivots, twists
+    # and vectors of the whole-array factorization, on the Python float
+    # path (at most 12 lanes) and the numpy path, at shifts among the
+    # levels 1..6 of the reference window
+    sc, disc = reference
+    ks = np.linspace(-4.0, 6.0, -(-lanes // 6))
+    h, p, base = fiber._bases(disc, ks)
+    ik = np.repeat(np.arange(len(ks)), 6)[:lanes]
+    levels = np.tile(np.arange(1, 7), len(ks))[:lanes]
+    shift = np.mean(fiber._band_brackets(disc.b, levels, h, 0.0, 1.0), axis=0)
+    beta = (base[:, ik] - shift) / p + 2.0
+    new = tridiagonal._twisted(base, p, ik, shift)
+    for got, want in zip(new, fiber_oracle.twisted(beta)):
+        assert _same_bits(got, want)
+    assert _same_bits(tridiagonal._twisted_vectors(base, p, ik, shift),
+                      fiber_oracle.twisted_vectors(beta))
+
+
+def test_refine_in_split_lane_blocks_is_bit_identical(reference):
+    # 60 momenta x 5 levels are 300 lanes, and the first lane block ends
+    # inside the 39th momentum: blocks, chunked pivots and vectors
+    # written straight into the result give the energies and vectors of
+    # the whole-array iteration, and the kept curvature is that of the
+    # vectors
+    sc, disc = reference
+    ks = sc.k_grid.values()[::6][:60]
+    assert 5 * len(ks) == 300 > tridiagonal._LANE_BLOCK
+    h, p, base = fiber._bases(disc, ks)
+    seeds = band_table(disc, ks, 5).energies.T
+    want, vecs = fiber_oracle.refine(base, p, seeds)
+    energies, got = tridiagonal.refine(base, p, seeds, "vectors")
+    assert _same_bits(energies, want) and _same_bits(got, vecs)
+    energies, curv = tridiagonal.refine(base, p, seeds, "curvature")
+    d2 = np.diff(vecs, n=2, axis=-1, prepend=0.0, append=0.0)
+    assert _same_bits(energies, want)
+    assert _same_bits(curv, (d2 * d2).sum(axis=-1))
+    energies, kept = tridiagonal.refine(base, p, seeds)
+    assert _same_bits(energies, want) and kept is None
+
+
+def test_fiber_solves_stay_inside_a_fixed_working_set(reference):
+    # solve_fiber keeps its vectors, one lane block's two pivot arrays and
+    # the limit functions of one level; the whole-array pivots, the
+    # unit-vector buffer and the coarse vectors reached 3.7x.  band_table
+    # keeps the fine grid's base and one lane block's pivots; the coarse
+    # vectors and their second differences took it to 21.6 MB.
+    sc, disc = reference
+    ks = sc.k_grid.values()[::6][:64]
+    pairs, peak = traced_peak(lambda: solve_fiber(disc, ks, 6))
+    vectors = pairs[0][0].values.base
+    assert vectors.shape == (64, 6, disc.n)
+    assert peak <= 3 * vectors.nbytes
+    table, peak = traced_peak(lambda: band_table(disc, sc.k_grid.values(), 1))
+    assert table.energies.shape == (1, 401)
+    assert peak <= 15e6
+
+
 def test_edge_comparisons_ignore_order_and_keep_no_state(disc01, monkeypatch):
     # a shuffled batch with a repeated momentum gives each momentum the
     # bits of a sorted batch, and asking again solves again: nothing is
@@ -242,10 +308,10 @@ def _corrupt_seeds(monkeypatch, rows, corrupt):
     points through corrupt(seeds) -> seeds."""
     refine = tridiagonal.refine
 
-    def refine_from(base, p, sigma, vectors=False):
+    def refine_from(base, p, sigma, keep=None):
         if base.shape[0] == rows:
             sigma = corrupt(sigma.copy())
-        return refine(base, p, sigma, vectors)
+        return refine(base, p, sigma, keep)
 
     monkeypatch.setattr(tridiagonal, "refine", refine_from)
 

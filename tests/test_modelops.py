@@ -6,7 +6,6 @@ around them (bounds, limits, cross-route agreement) carry the math.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from edgegap.modelops import (
     epsilon_bounds,
     exp_sinc_kernel,
     g_sinc,
+    g_sinc_trace,
     gamma_diag_count,
     gamma_gram,
     inscribed_rectangle_count,
@@ -30,7 +30,7 @@ from edgegap.modelops import (
     sandwich_check,
 )
 from edgegap.operators import QuadratureSpec
-from tests.conftest import rect
+from tests.conftest import rect, traced_peak
 from tests.inertia_oracle import PrecisionExhausted, count_hp_inertia
 from tests.model_oracles import (
     diag_count_limit,
@@ -154,6 +154,8 @@ def test_sinc_trace_is_exact():
     assert tr == pytest.approx(80.0 * WINDOW.length / math.pi, rel=1e-12)
     with pytest.raises(DomainError):
         g_sinc(IntervalSpec(-0.1, 0.5), 10.0)
+    with pytest.raises(DomainError):
+        g_sinc_trace(IntervalSpec(-0.1, 0.5), 10.0)
 
 
 def test_kms_trace_ratios():
@@ -202,6 +204,18 @@ def test_row_block_sinc_kernel_is_bit_identical(m):
                       * np.sign(np.cos(kernel.phase)))
 
 
+@pytest.mark.parametrize("m", [50.0, 160.0, 300.0])
+def test_sinc_trace_from_the_diagonal_is_bit_identical(m):
+    # verify kms's trace from the n diagonal entries alone is the trace of
+    # the exponentiated kernel, bit for bit, without the (n, n) matrices
+    iv = IntervalSpec(0.25, 2.25)
+    op = g_sinc(iv, m)
+    (n, trace), peak = traced_peak(lambda: g_sinc_trace(iv, m))
+    assert n == op.n
+    assert _same_bits(np.float64(trace), np.trace(op.kernel.to_dense()))
+    assert peak <= 0.1 * op.kernel.log_mag.nbytes
+
+
 def test_row_block_rectangle_kernel_is_bit_identical():
     # the closed-form rectangle kernel of the gamma_gram test, at both eta
     op = gamma_gram("minus", 50.0, 0.05, rect(0.05, 0.2, -0.5, 0.5),
@@ -211,28 +225,16 @@ def test_row_block_rectangle_kernel_is_bit_identical():
                           full_exp_sinc_kernel(eta, 50.0, 25.0, op.nodes))
 
 
-def _traced_peak(call):
-    """Bytes call allocates at its peak, beyond what was live before."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_sinc_count_stays_inside_a_few_matrix_copies():
     # the 770-node kernel of verify kms: g_sinc keeps the kernel, its log
     # magnitude and its phase, and counting it adds the dense matrix and
     # one buffer; the whole-matrix code reached 7.0x and 8.2x
     iv = IntervalSpec(0.25, 2.25)
-    op, peak = _traced_peak(lambda: g_sinc(iv, 300.0))
+    op, peak = traced_peak(lambda: g_sinc(iv, 300.0))
     nbytes = op.kernel.log_mag.nbytes
     assert op.n == 770
     assert peak <= 4 * nbytes
-    report, peak = _traced_peak(lambda: count_above(op.kernel, 0.5))
+    report, peak = traced_peak(lambda: count_above(op.kernel, 0.5))
     assert report.count == 191 and report.warnings == ()
     assert peak <= 3 * nbytes
 

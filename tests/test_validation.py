@@ -11,10 +11,8 @@ import dataclasses
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import jsonschema
-import numpy as np
 import pytest
 
 from edgegap import cli
@@ -211,17 +209,13 @@ def test_p21_nan_band_fails_monotone(tmp_path, capsys, monkeypatch):
 
 
 def test_kms_nan_trace_fails(tmp_path, capsys, monkeypatch):
-    g_sinc = cli.g_sinc
+    g_sinc_trace = cli.g_sinc_trace
 
     def nan_trace(iv, m):
-        op = g_sinc(iv, m)
-        if m != 20.0:
-            return op
-        dense = np.full((op.n, op.n), math.nan)
-        return SimpleNamespace(n=op.n, kernel=SimpleNamespace(
-            to_dense=lambda: dense))
+        n, trace = g_sinc_trace(iv, m)
+        return (n, math.nan) if m == 20.0 else (n, trace)
 
-    monkeypatch.setattr(cli, "g_sinc", nan_trace)
+    monkeypatch.setattr(cli, "g_sinc_trace", nan_trace)
     cfg = _write(tmp_path, m_grid=[20, 40], verify={"kms": {
         "window": [0.25, 0.75], "m_trace": 40, "m_count": 60}})
     assert run(["verify", "kms", "--config", cfg,
