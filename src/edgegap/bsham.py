@@ -27,9 +27,8 @@ import numpy as np
 from .counting import LogHermitian, count_above
 from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
-from .operators import (DiscretizedOperator, QuadratureSpec, gauss_legendre,
-                        gauss_panel_rule, polygon_x_rule, product_gram,
-                        sections_at)
+from .operators import (DiscretizedOperator, gauss_legendre, gauss_panel_rule,
+                        polygon_x_rule, product_gram, sections_at)
 from .oscillator import log_p_coeff, psi_inf
 
 _TAIL_REL = 1e-16
@@ -82,11 +81,14 @@ def k_truncation_symmetric(j: int, b: float, x_inf: float, x_sup: float,
 
 
 @lru_cache(maxsize=32)
-def get_gap_model(b: float, w, j: int, k_lo: float, k_hi: float,
-                  n: int = 2001, half_width: float = None) -> GapModel:
-    """GapModel on the fiber window (n, half_width), cached per argument
-    tuple; callers pass the scenario's fiber.n and fiber.half_width."""
-    return GapModel(b, w, j, k_lo, k_hi, n=n, half_width=half_width)
+def get_gap_model(disc: FiberDiscretization, j: int, k_lo: float,
+                  k_hi: float) -> GapModel:
+    """GapModel of level j on (k_lo, k_hi), solved on the fiber window
+    disc (a scenario's fiber).  The frozen window is part of the cache
+    key, so two scenarios share a model only when their windows agree;
+    this is the one place the window is unpacked for GapModel."""
+    return GapModel(disc.b, disc.w, j, k_lo, k_hi, n=disc.n,
+                    half_width=disc.half_width)
 
 
 def _zero_operator(k_pts, k_wts, meta) -> DiscretizedOperator:
@@ -104,29 +106,30 @@ def _psi_log_factors(j: int, b: float, x_pts, k_pts):
     return logmag, sign
 
 
-def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float,
-              k_lo: float = None, k_hi: float = None, y_order: int = 0,
-              fiber_n: int = 2001,
-              fiber_half_width: float = None) -> DiscretizedOperator:
-    """Gram matrix S*S of the gap-weighted band kernel on (a, K).
+def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
+              k_hi: float = None, y_order: int = 0) -> DiscretizedOperator:
+    """Gram matrix S*S of the gap-weighted band kernel on (k_lo, K).
 
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
-    psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2};
-    the truncation K is set by the certified Gaussian envelope rule.
-    g_j comes from the GapModel on the fiber window (fiber_n,
-    fiber_half_width).
+    psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2}.
+    k_lo defaults to the scenario's momentum cutoff a_momentum, and the
+    truncation K to the certified Gaussian envelope rule; the momentum
+    and x rules are the scenario's quad, and g_j comes from the GapModel
+    on the scenario's fiber window.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
-    if v is None:
-        k_pts, k_wts = gauss_panel_rule(a, a + 1.0, quad.k_panels, quad.k_nodes)
-        return _zero_operator(k_pts, k_wts, {"j": j, "lam": lam, "a": a})
-    if k_hi is None:
-        k_hi = k_truncation(j, b, v.support.x_extent[1], a)
+    quad, v, b = scenario.quad, scenario.v, scenario.b
     if k_lo is None:
-        k_lo = a
+        k_lo = scenario.a_momentum
+    if v is None:
+        k_pts, k_wts = gauss_panel_rule(k_lo, k_lo + 1.0, quad.k_panels,
+                                        quad.k_nodes)
+        return _zero_operator(k_pts, k_wts, {"j": j, "lam": lam, "a": k_lo})
+    if k_hi is None:
+        k_hi = k_truncation(j, b, v.support.x_extent[1], k_lo)
     k_pts, k_wts = gauss_panel_rule(k_lo, k_hi, quad.k_panels, quad.k_nodes)
-    gap_model = get_gap_model(b, w, j, k_lo, k_hi, fiber_n, fiber_half_width)
+    gap_model = get_gap_model(scenario.fiber, j, k_lo, k_hi)
     log_row = np.log(gap_model.weight(k_pts, lam))
     x_pts, x_wts = polygon_x_rule(v.support, k_hi, b, quad)
     secs = sections_at(v.support, x_pts)
@@ -134,7 +137,7 @@ def sjstar_sj(j: int, lam: float, a: float, quad: QuadratureSpec, v, w, b: float
     op = product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
                       secs, 1.0, math.log(v.amplitude / (2.0 * math.pi)),
                       y_order=y_order,
-                      meta={"j": j, "lam": lam, "a": a, "k_hi": k_hi,
+                      meta={"j": j, "lam": lam, "a": k_lo, "k_hi": k_hi,
                             "y_route": "gauss" if y_order else "sections"})
     return op
 
@@ -144,7 +147,7 @@ def _full_line_reach(j: int, b: float, v) -> float:
     return k_truncation_symmetric(j, b, *v.support.x_extent)
 
 
-def full_line_gram(j: int, lam: float, scenario, quad: QuadratureSpec = None,
+def full_line_gram(j: int, lam: float, scenario,
                    y_order: int = 0) -> DiscretizedOperator:
     """sjstar_sj on the symmetric momentum window (-K, K) of bs_count.
 
@@ -153,24 +156,17 @@ def full_line_gram(j: int, lam: float, scenario, quad: QuadratureSpec = None,
     order on every section instead.  On one momentum grid the two
     y-routes are independent quadratures of the same whole-line Gram.
     """
-    quad = quad or scenario.quad
-    v, w, b = scenario.v, scenario.w, scenario.b
-    k_sym = _full_line_reach(j, b, v)
-    return sjstar_sj(j, lam, -k_sym, quad, v, w, b, k_lo=-k_sym, k_hi=k_sym,
-                     y_order=y_order, fiber_n=scenario.fiber_n,
-                     fiber_half_width=scenario.fiber_half_width)
+    k_sym = _full_line_reach(j, scenario.b, scenario.v)
+    return sjstar_sj(j, lam, scenario, k_lo=-k_sym, k_hi=k_sym,
+                     y_order=y_order)
 
 
-def effective_count(j: int, lam: float, eps: float, scenario,
-                    quad: QuadratureSpec = None):
+def effective_count(j: int, lam: float, eps: float, scenario):
     """(lower, upper) CountingReports bracketing the gap counting function
     at depth lam: n_+(1+eps; S*S) and n_+(1-eps; S*S)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    quad = quad or scenario.quad
-    op = sjstar_sj(j, lam, scenario.a_momentum, quad, scenario.v, scenario.w,
-                   scenario.b, fiber_n=scenario.fiber_n,
-                   fiber_half_width=scenario.fiber_half_width)
+    op = sjstar_sj(j, lam, scenario)
     return count_above(op.kernel, 1.0 + eps), count_above(op.kernel, 1.0 - eps)
 
 
@@ -189,7 +185,7 @@ def _support_nodes(v, quad, b, k_reach):
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
-def _resolvent_columns(j: int, j_sum: int, scenario, quad: QuadratureSpec):
+def _resolvent_columns(j: int, j_sum: int, scenario):
     """The lam-independent part of bs_count, one column per fiber pair,
     on the scenario's fiber window.
 
@@ -200,13 +196,11 @@ def _resolvent_columns(j: int, j_sum: int, scenario, quad: QuadratureSpec):
     k_wts are the momentum weights, energy the band energies and
     gap = g_j(k), each per column.
     """
-    v, w, b = scenario.v, scenario.w, scenario.b
-    n, half_width = scenario.fiber_n, scenario.fiber_half_width
-    edge = gap_edges(b, w, j)[0]
+    v, b, quad, disc = scenario.v, scenario.b, scenario.quad, scenario.fiber
+    edge = gap_edges(b, scenario.w, j)[0]
     k_sym = _full_line_reach(j, b, v)
     xs, ys, ws = _support_nodes(v, quad, b, k_sym)
-    gap_model = get_gap_model(b, w, j, -k_sym, k_sym, n, half_width)
-    disc = FiberDiscretization(b=b, w=w, n=n, half_width=half_width)
+    gap_model = get_gap_model(disc, j, -k_sym, k_sym)
     panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
     k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
     root_v = np.sqrt(v.amplitude * ws)
@@ -230,8 +224,7 @@ def _resolvent_columns(j: int, j_sum: int, scenario, quad: QuadratureSpec):
             np.repeat(gap_model.gap(k_pts), j_sum), edge)
 
 
-def bs_count(j: int, lam, scenario, quad: QuadratureSpec = None,
-             j_sum: int = None):
+def bs_count(j: int, lam, scenario, j_sum: int = None):
     """n_-(1; V^{1/2}(H0 - z)^{-1}V^{1/2}) at z = E_j^+ + lam.
 
     The resolvent kernel is expanded over fiber eigenpairs j' <= j_sum
@@ -249,14 +242,12 @@ def bs_count(j: int, lam, scenario, quad: QuadratureSpec = None,
     lams = [float(x) for x in np.atleast_1d(lam)]
     if not lams or min(lams) <= 0:
         raise ValueError("lam must be positive")
-    quad = quad or scenario.quad
-    v, w, b = scenario.v, scenario.w, scenario.b
-    if v is None:
+    if scenario.v is None:
         counts = [0] * len(lams)
     else:
         j_sum = j_sum or (2 * j + 2)
         amp, phase, k_wts, band, energy, gap, edge = _resolvent_columns(
-            j, j_sum, scenario, quad)
+            j, j_sum, scenario)
         nn, n_k = phase.shape
         last = band == j_sum
         counts, remainder = [], 0.0

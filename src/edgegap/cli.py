@@ -98,11 +98,6 @@ def _need(sc: Scenario, w: bool = False, v: bool = False):
         raise ScenarioError("this subcommand needs a perturbation")
 
 
-def _disc(sc: Scenario) -> FiberDiscretization:
-    return FiberDiscretization(b=sc.b, w=sc.w, n=sc.fiber_n,
-                               half_width=sc.fiber_half_width)
-
-
 def _phi_asymptote(j: int, k: float, sc: Scenario) -> float:
     if sc.w.kind != "step" or k <= 0:
         return _NAN
@@ -113,7 +108,7 @@ def _phi_asymptote(j: int, k: float, sc: Scenario) -> float:
 
 
 def cmd_bands(sc: Scenario, out: Path):
-    table = band_table(_disc(sc), sc.k_grid.values(), sc.j)
+    table = band_table(sc.fiber, sc.k_grid.values(), sc.j)
     rows = [(float(k), j + 1, float(table.energies[j, i]))
             for j in range(sc.j)
             for i, k in enumerate(table.k_grid)]
@@ -145,7 +140,7 @@ def cmd_verify_p21(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("p21")
     k_grid = np.linspace(p["k_lo"], p["k_hi"], p["points"])
-    table = band_table(_disc(sc), k_grid, sc.j)
+    table = band_table(sc.fiber, k_grid, sc.j)
     band = table.energies[sc.j - 1]
     rows = [(float(k), sc.j, float(e)) for k, e in zip(k_grid, band)]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
@@ -174,13 +169,12 @@ def cmd_verify_tep2(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("tep2")
     k_list = [float(k) for k in p["k_list"]]
-    disc = _disc(sc)
-    rows, ratios = _gap_to_phi(disc, sc.j, k_list)
+    rows, ratios = _gap_to_phi(sc.fiber, sc.j, k_list)
     verdicts = [_verdict(f"gap_to_phi_k{k:g}", abs(ratio - 1.0) <= p["tol"],
                          ratio, 1.0, p["tol"])
                 for k, ratio in zip(k_list, ratios)]
     k2 = float(p["j2_k"])
-    row2, (ratio2,) = _gap_to_phi(disc, sc.j + 1, [k2])
+    row2, (ratio2,) = _gap_to_phi(sc.fiber, sc.j + 1, [k2])
     rows += row2
     verdicts.append(_verdict(f"gap_to_phi_j{sc.j + 1}_k{k2:g}",
                              abs(ratio2 - 1.0) <= p["j2_tol"], ratio2, 1.0,
@@ -193,7 +187,7 @@ def cmd_verify_teth1(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("teth1")
     k_near, k_far = float(p["k_near"]), float(p["k_far"])
-    cmps = edge_comparisons(_disc(sc), sc.j, [k_near, k_far])
+    cmps = edge_comparisons(sc.fiber, sc.j, [k_near, k_far])
     rows = [(c.k, sc.j, float(c.energy_w)) for c in cmps]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
     near, far = (c.scaled_distance for c in cmps)

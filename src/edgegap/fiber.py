@@ -291,18 +291,6 @@ def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     return BandTable(k_grid=k_grid, energies=energies, edges=edges)
 
 
-def _split_points(w: EdgePotential):
-    if w is None:
-        return ()
-    if w.kind == "step":
-        return (w.x0,)
-    if w.kind == "two_step_upper":
-        return (-w.delta,)
-    if w.kind == "piecewise_constant":
-        return w.breakpoints
-    return ()
-
-
 def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
     """Phi_j(k)^2 = int (W_+ - W(x + k/b)) psi_tilde_{j,inf}(x)^2 dx.
 
@@ -316,7 +304,8 @@ def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
     """
     w_plus = w.w_plus_limit
     reach = 10.0 / math.sqrt(b)
-    jumps = [c - k / b for c in _split_points(w)]
+    steps = w.steps
+    jumps = [c - k / b for c in steps[0]] if steps else []
     start, stop = -reach, reach
     if jumps:
         start, stop = min(start, jumps[0] - reach), min(stop, jumps[-1])

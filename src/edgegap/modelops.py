@@ -9,14 +9,15 @@ counting ratios have exact limits, a diagonal factorial surrogate whose
 counting ratio tends to e R kappa(.), and the band-kernel comparison
 operators built from two-sided step envelopes of the edge potential.
 Gram entries span hundreds of orders of magnitude at realistic m, so
-everything is assembled in log-magnitude + phase form and exponentiated
-only inside the counting routines.
+the Grams are assembled in log-magnitude + phase form and exponentiated
+only inside the counting routines; the sinc family, whose entries are
+O(1) and real, stays a dense matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,19 +120,14 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     out = np.empty((len(k), len(k)))
     for lo in range(0, len(k), _KERNEL_ROWS):
-        _exp_sinc_entries(eta, m, sinc_scale, k[lo:lo + _KERNEL_ROWS, None],
-                          k[None, :], out[lo:lo + _KERNEL_ROWS])
+        rows, cols = k[lo:lo + _KERNEL_ROWS, None], k[None, :]
+        tau = rows - cols
+        ssum = rows + cols
+        geo = 2.0 * np.sqrt(rows * cols) / ssum
+        osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
+        np.multiply(np.exp(eta * m * ssum) * osc, geo,
+                    out=out[lo:lo + _KERNEL_ROWS])
     return out
-
-
-def _exp_sinc_entries(eta, m, sinc_scale, rows, cols, out=None):
-    """Entries of exp_sinc_kernel at the broadcast pairs (rows, cols):
-    tau, k + k', the geometric factor, the sinc, then exp * osc * geo."""
-    tau = rows - cols
-    ssum = rows + cols
-    geo = 2.0 * np.sqrt(rows * cols) / ssum
-    osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
-    return np.multiply(np.exp(eta * m * ssum) * osc, geo, out=out)
 
 
 def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
@@ -146,30 +142,25 @@ def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
     return gauss_panel_rule(interval.lo, interval.hi, panels, 10)
 
 
-def _sinc_dense(interval: IntervalSpec, scale: float, nodes: int = None):
-    pts, wts = sinc_rule(interval, scale, nodes)
-    kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
-    root = np.sqrt(wts)
-    # in place, in the order (sqrt(w_i) K_ij) sqrt(w_j)
-    kern *= root[:, None]
-    kern *= root[None, :]
-    return pts, wts, kern
-
-
 def g_sinc(interval: IntervalSpec, scale: float,
            nodes: int = None) -> DiscretizedOperator:
     """Weight-symmetrized Nystrom matrix of the sinc-family kernel
 
         sin(scale (k-k'))/(pi (k-k')) * 2 sqrt(kk')/(k+k')
 
-    on the window.  Its diagonal is exactly scale/pi, so the trace is
-    scale |window| / pi to quadrature-weight roundoff; the node default
-    oversamples the ~ scale|window|/pi significant eigenvalues 4x.
+    on the window.  Its entries are O(1) and real, so the kernel is the
+    dense (n, n) array, (sqrt(w_i) K_ij) sqrt(w_j) with the root weights
+    multiplied in place, and no log form.  Its diagonal is exactly
+    scale/pi times the weights, so the trace is scale |window| / pi to
+    quadrature-weight roundoff; the node default oversamples the
+    ~ scale|window|/pi significant eigenvalues 4x.
     """
-    from .counting import LogHermitian
-    pts, wts, dense = _sinc_dense(interval, scale, nodes)
-    kernel = LogHermitian.from_dense(dense)
-    return DiscretizedOperator(nodes=pts, weights=wts, kernel=kernel,
+    pts, wts = sinc_rule(interval, scale, nodes)
+    kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
+    root = np.sqrt(wts)
+    kern *= root[:, None]
+    kern *= root[None, :]
+    return DiscretizedOperator(nodes=pts, weights=wts, kernel=kern,
                                meta={"scale": scale, "family": "sinc"})
 
 
@@ -177,21 +168,17 @@ def g_sinc_trace(interval: IntervalSpec, scale: float, nodes: int = None):
     """(n, Tr g_sinc) of g_sinc(interval, scale, nodes), from its n
     diagonal entries alone.
 
-    Each entry goes through the operations g_sinc and
-    LogHermitian.to_dense apply to it: the kernel entry, the weight
-    symmetrization (sqrt(w_i) K_ii) sqrt(w_i), then ln|.| with its phase
-    and back, so the trace is that of the exponentiated matrix, bit for
-    bit, without the (n, n) kernel.
+    Every diagonal entry of the kernel is exactly scale/pi: sinc(0) = 1,
+    and 2 sqrt(k k)/(k + k) = 1 in IEEE arithmetic, since sqrt(fl(k^2))
+    = k.  So the trace is the sum of ((scale/pi) sqrt(w_i)) sqrt(w_i),
+    the bits of np.trace of the kernel, without the (n, n) matrix.
     """
     pts, wts = sinc_rule(interval, scale, nodes)
     root = np.sqrt(wts)
-    diag = _exp_sinc_entries(0.0, 1.0, scale, pts, pts)
+    diag = np.full(len(pts), scale / math.pi)
     diag *= root
     diag *= root
-    with np.errstate(divide="ignore"):
-        mag = np.exp(np.log(np.abs(diag)))
-    mag *= np.sign(np.cos(np.angle(diag)))
-    return len(pts), float(np.sum(mag))
+    return len(pts), float(np.sum(diag))
 
 
 def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,
@@ -200,9 +187,9 @@ def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,
     for every fixed power l >= 1."""
     if l < 1:
         raise ValueError("power l must be at least 1")
-    _, _, dense = _sinc_dense(interval, m, nodes)
     if l == 1:
-        return float(np.trace(dense)) / m
+        return g_sinc_trace(interval, m, nodes)[1] / m
+    dense = g_sinc(interval, m, nodes).kernel
     # Tr(g^l) = sum_ij (g^(l-1))_ij g_ji.  einsum multiplies without
     # BLAS and fsum adds exactly, so the bytes do not depend on the BLAS
     # thread count.
@@ -284,20 +271,22 @@ def envelope_potentials(w, delta: float):
     return lower, upper_envelope(w, delta)
 
 
-def q_operator(side: str, j: int, lam: float, a: float,
-               quad: QuadratureSpec, scenario) -> DiscretizedOperator:
+def q_operator(side: str, j: int, lam: float, scenario) -> DiscretizedOperator:
     """Gram of the step-envelope comparison kernel over a sandwich polygon.
 
     Kernel (p_j/2pi)^{1/2} e^{iky} e^{-(sqrt(b)x - k/sqrt(b))^2/2}
     (g_j(k; envelope) + lam)^{-1/2} (-k)^{j-1} on momentum (a, K), with
-    the band distance g_j taken for the lower step envelope (side
-    "minus", over the inner polygon) or the upper two-step envelope
-    (side "plus", over the outer polygon).  The parity sign (-1)^{j-1}
-    is carried exactly as a sign, never folded into magnitudes; it
-    squares away in the Gram for momenta of one sign.
+    a the scenario's a_momentum and the band distance g_j taken for the
+    lower step envelope (side "minus", over the inner polygon) or the
+    upper two-step envelope (side "plus", over the outer polygon), on the
+    scenario's fiber window with W replaced by that envelope.  The
+    momentum and x rules are the scenario's quad.  The parity sign
+    (-1)^{j-1} is carried exactly as a sign, never folded into
+    magnitudes; it squares away in the Gram for momenta of one sign.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
+    a, quad = scenario.a_momentum, scenario.quad
     if a < 0:
         raise ValueError("momentum cutoff a must be nonnegative")
     w, v, b = scenario.w, scenario.v, scenario.b
@@ -311,8 +300,7 @@ def q_operator(side: str, j: int, lam: float, a: float,
         raise ValueError("side must be 'minus' or 'plus'")
     k_hi = k_truncation(j, b, omega.x_extent[1], a)
     k_pts, k_wts = gauss_panel_rule(a, k_hi, quad.k_panels, quad.k_nodes)
-    gap_model = get_gap_model(b, w0, j, a, k_hi, scenario.fiber_n,
-                              scenario.fiber_half_width)
+    gap_model = get_gap_model(replace(scenario.fiber, w=w0), j, a, k_hi)
     log_row = (np.log(gap_model.weight(k_pts, lam))
                + (j - 1) * np.log(k_pts))
     x_pts, x_wts = polygon_x_rule(omega, k_hi, b, quad)
@@ -327,8 +315,7 @@ def q_operator(side: str, j: int, lam: float, a: float,
                               "k_hi": k_hi, "delta": delta})
 
 
-def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
-                   quad: QuadratureSpec = None):
+def sandwich_check(j: int, lam: float, r: float, eps: float, scenario):
     """Three-route count comparison at fixed gap depth.
 
     Counts n_*(r(1+eps); sqrt(c0-) Q-) <= n_*(r; S_j) <=
@@ -339,23 +326,17 @@ def sandwich_check(j: int, lam: float, r: float, eps: float, scenario,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    quad = quad or scenario.quad
-    a = scenario.a_momentum
-    mid_op = sjstar_sj(j, lam, a, quad, scenario.v, scenario.w, scenario.b,
-                       fiber_n=scenario.fiber_n,
-                       fiber_half_width=scenario.fiber_half_width)
-    mid = count_above(mid_op.kernel, r * r)
-    lo_op = q_operator("minus", j, lam, a, quad, scenario)
+    mid = count_above(sjstar_sj(j, lam, scenario).kernel, r * r)
+    lo_op = q_operator("minus", j, lam, scenario)
     lower = count_above(lo_op.kernel,
                         (r * (1.0 + eps)) ** 2 / scenario.v.c0_minus)
-    hi_op = q_operator("plus", j, lam, a, quad, scenario)
+    hi_op = q_operator("plus", j, lam, scenario)
     upper = count_above(hi_op.kernel,
                         (r * (1.0 - eps)) ** 2 / scenario.v.c0_plus)
     return lower, mid, upper
 
 
-def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
-                     quad: QuadratureSpec = None):
+def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario):
     """Exponential-Gram bracket of the gap count at depth lam.
 
     With m = sqrt(b |ln lam|), the count n_*(r; S_j) is caught between
@@ -374,8 +355,7 @@ def endpoint_bracket(j: int, lam: float, r: float, eps: float, scenario,
         raise ValueError("eps must lie in (0, 1)")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1) for the log scale")
-    quad = quad or scenario.quad
-    w, v, b = scenario.w, scenario.v, scenario.b
+    quad, w, v, b = scenario.quad, scenario.w, scenario.v, scenario.b
     delta = scenario.envelope_delta
     m = math.sqrt(b * abs(math.log(lam)))
     s_lo = r * (1.0 + eps) * math.sqrt(

@@ -57,13 +57,16 @@ class DiscretizedOperator:
     """Square Hermitian discretization of an integral operator.
 
     nodes/weights are the momentum quadrature (rows and columns agree for
-    every Gram assembled here); the kernel is stored in log-magnitude +
-    phase form with the root quadrature weights folded in.
+    every Gram assembled here); the kernel has the root quadrature
+    weights folded in.  It is a LogHermitian (log-magnitude + phase form)
+    for every Gram, whose entries can leave the double range, and a dense
+    real ndarray for the sinc family (modelops.g_sinc), whose entries are
+    O(1); count_above takes either form.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kernel: LogHermitian
+    kernel: LogHermitian | np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property

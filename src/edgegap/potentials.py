@@ -103,8 +103,10 @@ class EdgePotential:
             out = vals[idx]
         return float(out) if out.ndim == 0 else out
 
-    def _steps(self):
-        """(breakpoints, values) view of the piecewise-constant kinds."""
+    @property
+    def steps(self):
+        """(breakpoints, values) of the piecewise-constant kinds, jumps in
+        increasing order; None for smooth_monotone."""
         if self.kind == "step":
             return (self.x0,), (self.w_minus, self.w_plus)
         if self.kind == "two_step_upper":
@@ -122,7 +124,7 @@ class EdgePotential:
         value, which matches the average to O(h^2) anyway.
         """
         centers = np.asarray(centers, dtype=float)
-        steps = self._steps()
+        steps = self.steps
         if steps is None:
             return self(centers)
         bp, vals = steps

@@ -304,15 +304,16 @@ class Scenario:
     """One validated experiment description.
 
     doc is the validated document, with SCHEMA's defaults filled in; every
-    other field is built from it.
+    other field is built from it.  fiber is the one fiber window
+    FiberDiscretization(b, w, **doc["fiber"]) that every band, edge and
+    resolvent computation of the scenario solves on.
     """
 
     b: float
     w: EdgePotential
     v: Perturbation
     quad: QuadratureSpec
-    fiber_n: int
-    fiber_half_width: float
+    fiber: FiberDiscretization
     j: int
     a_momentum: float
     envelope_delta: float
@@ -387,16 +388,14 @@ def scenario_from_dict(doc: dict, **overrides) -> Scenario:
             f"{w.w_plus_limit - w.w_minus_limit} >= 2b = {2 * b}")
     v = _build_perturbation(fields.get("perturbation"))
 
-    fiber = fields["fiber"]
     try:
-        # the same check FiberDiscretization makes later, as a config error
-        disc = FiberDiscretization(b=b, w=w, **fiber)
+        fiber = FiberDiscretization(b=b, w=w, **fields["fiber"])
     except ValueError as exc:
         raise ScenarioError(f"invalid fiber block: {exc}") from exc
     j = fields["j"]
-    if j > disc.max_levels:
-        raise ScenarioError(f"band index j must lie in [1, {disc.max_levels}] "
-                            f"for fiber.n = {disc.n}, got {j}")
+    if j > fiber.max_levels:
+        raise ScenarioError(f"band index j must lie in [1, {fiber.max_levels}] "
+                            f"for fiber.n = {fiber.n}, got {j}")
 
     m_grid = tuple(fields["m_grid"])
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
@@ -413,8 +412,7 @@ def scenario_from_dict(doc: dict, **overrides) -> Scenario:
             f"alpha={endpoint['alpha']}, beta={endpoint['beta']}")
 
     return Scenario(b=b, w=w, v=v, quad=QuadratureSpec(**fields["quadrature"]),
-                    fiber_n=fiber["n"], fiber_half_width=fiber["half_width"],
-                    j=j, a_momentum=fields["a_momentum"],
+                    fiber=fiber, j=j, a_momentum=fields["a_momentum"],
                     envelope_delta=fields["envelope_delta"],
                     precision_bits=fields["precision_bits"],
                     k_grid=GridSpec(**fields["k_grid"]),

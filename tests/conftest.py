@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgegap.fiber import edge_comparisons, phi_squared
+from edgegap.fiber import FiberDiscretization, edge_comparisons, phi_squared
 from edgegap.geometry import PolygonDomain
 from edgegap.operators import QuadratureSpec
 from edgegap.potentials import Perturbation, step_potential
@@ -54,16 +54,19 @@ def rect(x0, x1, y0, y1) -> PolygonDomain:
 
 
 class Bundle:
-    """Attribute bag quacking like a loaded scenario."""
+    """Attribute bag quacking like a loaded scenario; its fiber window is
+    the default one on its own b and w, so the two cannot disagree."""
 
     def __init__(self, **kw):
         self.b = 1.0
         self.a_momentum = 0.0
         self.envelope_delta = 0.1
-        self.fiber_n = 2001
-        self.fiber_half_width = None
         self.quad = QuadratureSpec()
         self.__dict__.update(kw)
+
+    @property
+    def fiber(self) -> FiberDiscretization:
+        return FiberDiscretization(b=self.b, w=self.w)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from scipy.special import eval_hermite, gammaln
 
 from edgegap.counting import count_above
 from edgegap.geometry import kappa
-from edgegap.modelops import IntervalSpec, _sinc_dense, sinc_rule
+from edgegap.modelops import IntervalSpec, g_sinc, sinc_rule
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
 from edgegap.oscillator import _hermite_levels
 from tests.inertia_oracle import PrecisionExhausted
@@ -71,8 +71,7 @@ def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
     """
     if s <= 0 or s == 1.0:
         raise ValueError("threshold must be positive and away from 1")
-    _, _, dense = _sinc_dense(interval, m, nodes)
-    return count_above(dense, s).count / m
+    return count_above(g_sinc(interval, m, nodes).kernel, s).count / m
 
 
 def disk_moment_check(m: float, R: float, k: float, kp: float):
@@ -234,8 +233,9 @@ def full_exp_sinc_kernel(eta, m, sinc_scale, k):
 
 
 def full_sinc_dense(interval, scale, nodes=None):
-    """modelops._sinc_dense with the root weights multiplied into a new
-    matrix, (sqrt(w_i) K_ij) sqrt(w_j)."""
+    """(points, weights, kernel) of modelops.g_sinc, the kernel evaluated
+    on the whole matrix at once and the root weights multiplied into a
+    new matrix, (sqrt(w_i) K_ij) sqrt(w_j)."""
     pts, wts = sinc_rule(interval, scale, nodes)
     kern = full_exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)

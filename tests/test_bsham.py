@@ -30,7 +30,7 @@ def bracket(*args):
 
 def test_kernel_hermitian_and_psd(coarse_scenario):
     sc = coarse_scenario
-    op = sjstar_sj(1, 1e-3, sc.a_momentum, sc.quad, sc.v, sc.w, sc.b)
+    op = sjstar_sj(1, 1e-3, sc)
     op.kernel.check_hermitian()
     ev = np.linalg.eigvalsh(op.kernel.to_dense())
     assert ev.min() >= -1e-8 * ev.max()
@@ -41,7 +41,7 @@ def test_zero_perturbation_counts_nothing(coarse_scenario):
     empty = Bundle(w=coarse_scenario.w, v=None)
     assert bracket(1, 1e-4, 0.3, empty) == (0, 0)
     assert bs_count(1, 1e-4, empty) == 0
-    op = sjstar_sj(1, 1e-4, 0.0, empty.quad, None, empty.w, 1.0)
+    op = sjstar_sj(1, 1e-4, empty)
     assert np.all(np.isneginf(op.kernel.log_mag))
 
 
@@ -94,9 +94,10 @@ def test_section_and_phase_plane_routes_agree(coarse_scenario):
 
 def test_count_stable_under_node_doubling(coarse_scenario):
     sc = coarse_scenario
-    fine = QuadratureSpec(k_panels=16, k_nodes=16, x_nodes=40)
-    base = sjstar_sj(1, 1e-4, 0.0, sc.quad, sc.v, sc.w, sc.b)
-    dbl = sjstar_sj(1, 1e-4, 0.0, fine, sc.v, sc.w, sc.b)
+    fine = Bundle(w=sc.w, v=sc.v,
+                  quad=QuadratureSpec(k_panels=16, k_nodes=16, x_nodes=40))
+    base = sjstar_sj(1, 1e-4, sc)
+    dbl = sjstar_sj(1, 1e-4, fine)
     assert (count_above(base.kernel, 1.0).count
             == count_above(dbl.kernel, 1.0).count)
 
@@ -116,7 +117,7 @@ def test_truncation_is_certified():
 def test_parameter_validation(coarse_scenario):
     sc = coarse_scenario
     with pytest.raises(ValueError):
-        sjstar_sj(1, 0.0, 0.0, sc.quad, sc.v, sc.w, sc.b)
+        sjstar_sj(1, 0.0, sc)
     with pytest.raises(ValueError):
         effective_count(1, 1e-4, 0.0, sc)
     with pytest.raises(ValueError):

@@ -101,8 +101,7 @@ def test_band_monotone_between_limits(step01):
 def reference():
     """(reference scenario, its fiber window)."""
     sc = load_scenario(REFERENCE_CONFIG)
-    return sc, FiberDiscretization(b=sc.b, w=sc.w, n=sc.fiber_n,
-                                   half_width=sc.fiber_half_width)
+    return sc, sc.fiber
 
 
 @pytest.mark.parametrize("j_max, stride", [(1, 1), (3, 5)])
@@ -416,7 +415,7 @@ def test_phi_squared_hermite_tail_identity(w, b):
     # c, so Phi_j(k)^2 sums jump * int_t^inf phi_{j-1}^2 at
     # t = k/sqrt(b) - sqrt(b) c; k reaches 16, where the Gaussian tail of
     # the last jump lies past 10/sqrt(b) of the eigenfunction's centre
-    jumps, values = w._steps()
+    jumps, values = w.steps
     for k in np.arange(-4.0, 16.5, 0.5):
         tails = [hermite_tails(8, k / math.sqrt(b) - math.sqrt(b) * c)
                  for c in jumps]

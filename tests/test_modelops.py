@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from edgegap.bsham import sjstar_sj
-from edgegap.counting import count_above
+from edgegap.counting import LogHermitian, count_above
 from edgegap.errors import DomainError
 from edgegap.geometry import kappa
 from edgegap.modelops import (
     IntervalSpec,
-    _sinc_dense,
     endpoint_bracket,
     epsilon_bounds,
     exp_sinc_kernel,
@@ -141,16 +140,16 @@ def test_noise_floor_flags_the_gamma_m60_probe():
 
 def test_counts_without_a_floor_carry_no_floor_message():
     op = g_sinc(WINDOW, 80.0)
-    assert op.kernel.noise_floor_log is None
-    dense = op.kernel.to_dense()
-    for m in (op.kernel, dense):
+    logm = LogHermitian.from_dense(op.kernel)
+    assert logm.noise_floor_log is None
+    for m in (logm, op.kernel):
         for route in ("double_eig", "scaled_eig"):
             assert not _floor_messages(count_above(m, 1e-300, route=route))
 
 
 def test_sinc_trace_is_exact():
     op = g_sinc(WINDOW, 80.0)
-    tr = float(np.trace(op.kernel.to_dense()))
+    tr = float(np.trace(op.kernel))
     assert tr == pytest.approx(80.0 * WINDOW.length / math.pi, rel=1e-12)
     with pytest.raises(DomainError):
         g_sinc(IntervalSpec(-0.1, 0.5), 10.0)
@@ -190,30 +189,27 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("m", [50.0, 160.0, 300.0])
 def test_row_block_sinc_kernel_is_bit_identical(m):
-    # the row-block kernel and the in-place weights give the bits of the
-    # whole-matrix evaluation, and g_sinc stores their log form
-    iv = IntervalSpec(0.25, 2.25)
-    pts, wts, dense = _sinc_dense(iv, m)
-    old_pts, old_wts, old_dense = full_sinc_dense(iv, m)
-    assert _same_bits(pts, old_pts) and _same_bits(wts, old_wts)
-    assert _same_bits(dense, old_dense)
-    kernel = g_sinc(iv, m).kernel
-    assert _same_bits(kernel.log_mag, np.log(np.abs(old_dense).astype(float)))
-    assert _same_bits(kernel.phase, np.angle(old_dense).astype(float))
-    assert _same_bits(kernel.to_dense(), np.exp(kernel.log_mag)
-                      * np.sign(np.cos(kernel.phase)))
-
-
-@pytest.mark.parametrize("m", [50.0, 160.0, 300.0])
-def test_sinc_trace_from_the_diagonal_is_bit_identical(m):
-    # verify kms's trace from the n diagonal entries alone is the trace of
-    # the exponentiated kernel, bit for bit, without the (n, n) matrices
+    # the row-block kernel with the root weights multiplied in place, the
+    # dense matrix g_sinc keeps, has the bits of the whole-matrix evaluation
     iv = IntervalSpec(0.25, 2.25)
     op = g_sinc(iv, m)
+    pts, wts, dense = full_sinc_dense(iv, m)
+    assert _same_bits(op.nodes, pts) and _same_bits(op.weights, wts)
+    assert _same_bits(op.kernel, dense)
+
+
+@pytest.mark.parametrize("m", [50.0, 80.0, 100.0, 160.0, 200.0, 300.0])
+def test_sinc_trace_from_the_diagonal_is_bit_identical(m):
+    # verify kms's trace from the root weights and the exact diagonal
+    # scale/pi is np.trace of the whole kernel, bit for bit, without the
+    # (n, n) matrix
+    iv = IntervalSpec(0.25, 2.25)
+    _, _, dense = full_sinc_dense(iv, m)
     (n, trace), peak = traced_peak(lambda: g_sinc_trace(iv, m))
-    assert n == op.n
-    assert _same_bits(np.float64(trace), np.trace(op.kernel.to_dense()))
-    assert peak <= 0.1 * op.kernel.log_mag.nbytes
+    assert n == len(dense)
+    assert _same_bits(np.float64(trace), np.trace(dense))
+    assert kms_trace_ratio(iv, m, 1) == trace / m
+    assert peak <= 0.1 * dense.nbytes
 
 
 def test_row_block_rectangle_kernel_is_bit_identical():
@@ -226,14 +222,15 @@ def test_row_block_rectangle_kernel_is_bit_identical():
 
 
 def test_sinc_count_stays_inside_a_few_matrix_copies():
-    # the 770-node kernel of verify kms: g_sinc keeps the kernel, its log
-    # magnitude and its phase, and counting it adds the dense matrix and
-    # one buffer; the whole-matrix code reached 7.0x and 8.2x
+    # the 770-node kernel of verify kms: g_sinc keeps the dense kernel
+    # beside a few rows of temporaries, and counting it adds a work array
+    # and the eigensolver's copy; the whole-matrix code reached 7.0x and
+    # 8.2x, and a log-form kernel 3.15x to build
     iv = IntervalSpec(0.25, 2.25)
     op, peak = traced_peak(lambda: g_sinc(iv, 300.0))
-    nbytes = op.kernel.log_mag.nbytes
+    nbytes = op.kernel.nbytes
     assert op.n == 770
-    assert peak <= 4 * nbytes
+    assert peak <= 2 * nbytes
     report, peak = traced_peak(lambda: count_above(op.kernel, 0.5))
     assert report.count == 191 and report.warnings == ()
     assert peak <= 3 * nbytes
@@ -311,9 +308,9 @@ def test_step_envelope_operator_reduces_to_band_kernel(coarse_scenario):
     # for the ground level over the same polygon, the comparison kernel
     # is the band kernel itself up to the amplitude prefactor
     sc = coarse_scenario
-    q_op = q_operator("minus", 1, 1e-3, 0.0, sc.quad, sc)
-    s_op = sjstar_sj(1, 1e-3, 0.0, sc.quad, sc.v, sc.w, sc.b,
-                     k_lo=q_op.meta.get("a"), k_hi=q_op.meta["k_hi"])
+    q_op = q_operator("minus", 1, 1e-3, sc)
+    s_op = sjstar_sj(1, 1e-3, sc, k_lo=q_op.meta["a"],
+                     k_hi=q_op.meta["k_hi"])
     np.testing.assert_allclose(q_op.nodes, s_op.nodes)
     shift = math.log(sc.v.amplitude)
     mask = np.isfinite(s_op.kernel.log_mag)

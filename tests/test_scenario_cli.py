@@ -93,7 +93,7 @@ def test_source_hash_ignores_number_spelling():
     assert ints.source_hash == floats.source_hash
     assert json.dumps(ints.doc) == json.dumps(floats.doc)
     assert ints.k_grid.lo == -10.0 and type(ints.k_grid.lo) is float
-    assert type(ints.fiber_half_width) is float
+    assert type(ints.fiber.half_width) is float
 
 
 def test_verify_params_merge_defaults_under_config():
@@ -480,7 +480,7 @@ def test_cli_edge_checks_solve_each_lane_once(tmp_path, monkeypatch, check,
     # the rows and the verdicts of a check come from one batch of twin
     # comparisons per band: every (j, k) lane is solved once on each grid
     sc = load_scenario(REFERENCE_CONFIG)
-    solved = {sc.fiber_n: [], (sc.fiber_n + 1) // 2: []}
+    solved = {sc.fiber.n: [], sc.fiber.n_half: []}
     twin_levels = fiber._twin_levels
 
     def recording(disc, j, ks, n):
@@ -585,6 +585,24 @@ def test_cli_fiber_window_reaches_resolvent_path(tmp_path, monkeypatch):
     bsham.get_gap_model.cache_clear()
     assert {kind for kind, _, _ in windows} == {"gap_model", "solve_fiber"}
     assert {(n, hw) for _, n, hw in windows} == {(2001, 14.0)}
+
+
+def test_scenario_fiber_is_the_window_of_its_gap_model(monkeypatch):
+    # the config's fiber block is the scenario's one fiber window, and the
+    # gap model behind effective_count is built on it
+    from edgegap import bsham
+    sc = scenario_from_dict(base_doc(fiber={"n": 1001, "half_width": 10}))
+    assert sc.fiber == FiberDiscretization(sc.b, sc.w, 1001, 10.0)
+    windows = []
+    get_gap_model = bsham.get_gap_model
+
+    def recording(disc, *args):
+        windows.append(disc)
+        return get_gap_model(disc, *args)
+
+    monkeypatch.setattr(bsham, "get_gap_model", recording)
+    bsham.effective_count(sc.j, 1e-3, 0.3, sc)
+    assert windows == [sc.fiber]
 
 
 def test_cli_window_missing_the_jump_exit(tmp_path, capsys):
