@@ -35,10 +35,6 @@ _TAIL_REL = 1e-16
 # bs_count forms C diag(s) C^* this many momentum nodes at a time, so
 # the complex columns never exist all at once
 _MOMENTUM_BLOCK = 16
-# momenta per batched fiber solve of _resolvent_columns: at j_sum = 6
-# bands, 32 momenta are 192 lanes, one tridiagonal._LANE_BLOCK, with
-# 3 MB of eigenvectors (n = 2001)
-_FIBER_BLOCK = 32
 
 
 def _log_envelope(j: int, b: float, x_ref: float, k):
@@ -195,6 +191,10 @@ def _resolvent_columns(j: int, j_sum: int, scenario):
     interpolated onto the support nodes, times its plane wave e^{iky}.
     k_wts are the momentum weights, energy the band energies and
     gap = g_j(k), each per column.
+
+    Every momentum node is solved in one solve_fiber batch, which
+    reduces each eigenvector, as it converges, to its values at the
+    support's distinct x: no batch of whole vectors is held.
     """
     v, b, quad, disc = scenario.v, scenario.b, scenario.quad, scenario.fiber
     edge = gap_edges(b, scenario.w, j)[0]
@@ -203,21 +203,15 @@ def _resolvent_columns(j: int, j_sum: int, scenario):
     gap_model = get_gap_model(disc, j, -k_sym, k_sym)
     panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
     k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
-    root_v = np.sqrt(v.amplitude * ws)
-    amp = np.empty((len(xs), len(k_pts) * j_sum))
-    energy = np.empty(amp.shape[1])
-    # momenta in blocks, so the solver's eigenvectors stay a few MB; a
-    # block's pairs are views of one array, dropped before the next solve
-    for lo in range(0, len(k_pts), _FIBER_BLOCK):
-        block = k_pts[lo:lo + _FIBER_BLOCK]
-        for i, pairs in enumerate(solve_fiber(disc, block, j_sum), start=lo):
-            grid = disc.grid(float(k_pts[i]))
-            for pair in pairs:
-                c = i * j_sum + pair.j - 1
-                vec = np.interp(xs, grid, pair.values, left=0.0, right=0.0)
-                amp[:, c] = root_v * vec
-                energy[c] = pair.energy
-        del pairs, pair
+    x_at, node = np.unique(xs, return_inverse=True)
+    pairs = [pair for at_k in solve_fiber(disc, k_pts, j_sum, at=x_at)
+             for pair in at_k]
+    # one row per support node, C-ordered: the bits of bs_count's BLAS
+    # products depend on the layout
+    amp = np.ascontiguousarray(
+        np.array([pair.values for pair in pairs])[:, node].T)
+    amp *= np.sqrt(v.amplitude * ws)[:, None]
+    energy = np.array([pair.energy for pair in pairs])
     phase = np.exp(1j * ys[:, None] * k_pts[None, :])
     band = np.tile(np.arange(1, j_sum + 1), len(k_pts))
     return (amp, phase, np.repeat(k_wts, j_sum), band, energy,
@@ -234,8 +228,10 @@ def bs_count(j: int, lam, scenario, j_sum: int = None):
 
     Only the denominators depend on lam.  The fiber solves, the
     interpolated kernel columns C, their weights w, the band energies
-    and g_j(k) are assembled once per call, and each depth costs the
-    product C diag(w / (2 pi denom)) C^*, formed in blocks of momenta.
+    and g_j(k) are assembled once per call (_resolvent_columns: one
+    solve_fiber batch over every momentum node, each eigenvector kept
+    only at the support's x), and each depth costs the product
+    C diag(w / (2 pi denom)) C^*, formed in blocks of momenta.
     lam may be a sequence of depths sharing that assembly; a list of
     counts is then returned.
     """

@@ -264,6 +264,13 @@ def cmd_verify_kms(sc: Scenario, out: Path):
 
 def cmd_verify_sandwich(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
+    # the upper envelope, W(-delta) below -delta and W_+ above, exists
+    # only while W(-delta) < W_+
+    lower = float(sc.w(-sc.envelope_delta))
+    if lower >= sc.w.w_plus_limit:
+        raise ScenarioError(
+            f"verify sandwich needs edge_potential below W_+ at "
+            f"-envelope_delta = {-sc.envelope_delta:g}, where it is {lower:g}")
     p = sc.verify_params("sandwich")
     lam, eps, r = float(p["lam"]), float(p["eps"]), float(p["r"])
     slack = p["slack"]

@@ -33,6 +33,9 @@ _EPS = float(np.finfo(float).eps)
 # double eigensolvers resolve a threshold s only when the matrix norm is
 # within ~30 nats of it (backward error ~ ||M|| * 1e-16)
 _DOUBLE_HEADROOM_NATS = 30.0
+# rows of a dense matrix compared with its columns at a time by the
+# Hermitian check
+_CHECK_ROWS = 64
 # each symmetric Ruiz sweep about halves a row's log excess, so a grading
 # of 700 nats settles in ~12 sweeps; 0.5 nats is finer than the ln 2
 # rounding of the scales that follows
@@ -155,8 +158,19 @@ class LogHermitian:
 
 
 def _check_dense_hermitian(m: np.ndarray, rtol: float = 1e-12) -> None:
-    scale = np.abs(m).max() if m.size else 0.0
-    if scale and np.abs(m - m.conj().T).max() > rtol * scale:
+    """Raise ValueError unless max|M - M^*| <= rtol max|M|.  Both maxima
+    are taken over _CHECK_ROWS rows of M (and the matching columns) at a
+    time: a maximum is exact and np.maximum keeps a NaN, so the verdict
+    is that of the whole-matrix expressions, and no (n, n) temporary is
+    formed."""
+    if not m.size:
+        return
+    scale = asym = 0.0
+    for lo in range(0, len(m), _CHECK_ROWS):
+        rows, cols = m[lo:lo + _CHECK_ROWS], m[:, lo:lo + _CHECK_ROWS]
+        scale = np.maximum(scale, np.abs(rows).max())
+        asym = np.maximum(asym, np.abs(rows - cols.conj().T).max())
+    if scale and asym > rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 

@@ -174,9 +174,11 @@ def _band_brackets(b: float, levels, h: float, w_lo: float, w_hi: float):
 
 
 def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
-                  vectors: bool = True):
-    """(h, energies (K, j_max), unit eigenvectors (K, j_max, n) or None) of
-    the lowest j_max levels at each momentum of ks.
+                  keep=None):
+    """(energies (K, j_max), kept) of the lowest j_max levels at each
+    momentum of ks: kept holds what the reducer keep (see
+    tridiagonal.refine) returns for each n-grid unit eigenvector, and is
+    None without one.
 
     On the n_half grid, Sturm-count bisection brackets every level alone,
     which fixes which level is which, and Rayleigh-quotient iteration by
@@ -209,8 +211,8 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     # the difference Laplacian lowers E by about h^2 |psi''|^2 / 12, so the
     # n grid lies 3/4 of the coarse shift higher
     seed = coarse + curv / (16.0 * h2 * h2)
-    h, p, base = _bases(disc, ks)
-    fine, vecs = refine(base, p, seed, "vectors" if vectors else None)
+    _, p, base = _bases(disc, ks)
+    fine, kept = refine(base, p, seed, keep)
     rich, resid = _richardson(fine, coarse)
     bad = (resid > conv_tol).any(axis=1)
     if bad.any():
@@ -222,11 +224,26 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
         i = int(np.argmax(np.any(np.diff(rich, axis=1) <= 0, axis=1)))
         raise ConvergenceFailure(
             f"fiber levels out of order at k={ks[i]}; spectrum should be simple")
-    return h, rich, vecs
+    return rich, kept
+
+
+def _limits(disc: FiberDiscretization, ks, levels):
+    """psi_inf (lanes, n) at each lane's level and momentum ks[l], on the
+    grid disc.grid(ks[l]): one run of psi_inf_levels over the distinct
+    momenta, up to the highest level asked for.  Its operations are
+    elementwise, so a lane's bits do not depend on the others."""
+    ku, row = np.unique(ks, return_inverse=True)
+    x = ku[:, None] / disc.b + disc._offsets()
+    out = np.empty((len(ks), disc.n))
+    for j, psi in enumerate(psi_inf_levels(int(levels.max()), ku[:, None], x,
+                                           disc.b), start=1):
+        at = levels == j
+        out[at] = psi[row[at]]
+    return out
 
 
 def solve_fiber(disc: FiberDiscretization, k, j_max: int,
-                conv_tol: float = _ENERGY_CONV_TOL):
+                conv_tol: float = _ENERGY_CONV_TOL, at=None):
     """Lowest j_max eigenpairs of the fiber operator at momentum k, or at
     each momentum of a sequence k (a list of lists).
 
@@ -236,24 +253,41 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int,
     _fiber_levels); the h^2 correction estimate must stay below conv_tol
     or ConvergenceFailure is raised.  Eigenvectors are the n-grid ones,
     trapezoid-normalized with sign fixed by a nonnegative overlap with the
-    limiting eigenfunction.  A momentum's pairs are the same bits alone
-    or in a batch.
+    limiting eigenfunction.  A pair's values are the eigenvector on its
+    grid, or, given points at, its linear interpolant there (zero off the
+    window): each vector is reduced to them on the Rayleigh step where it
+    converges (the reducer of tridiagonal.refine), so no batch of whole
+    vectors is held.  A momentum's pairs are the same bits alone or in a
+    batch, with or without at.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    h, rich, evecs = _fiber_levels(disc, ks, j_max, conv_tol)
-    weights = _trapezoid_weights(disc.n, h)
-    x = ks[:, None] / disc.b + disc._offsets()  # row i is disc.grid(ks[i])
+    offsets = disc._offsets()
+    weights = _trapezoid_weights(disc.n, offsets[1] - offsets[0])
     overlap = np.empty((len(ks), j_max))
-    limits = psi_inf_levels(j_max, ks[:, None], x, disc.b)
-    for idx, limit in enumerate(limits):
-        # one level at every momentum; each sum runs pairwise along one
-        # contiguous row, so a momentum's bits do not depend on the batch
-        vecs = evecs[:, idx]  # row views, normalized in place
-        vecs /= np.sqrt((weights * vecs * vecs).sum(axis=1))[:, None]
-        c = (weights * vecs * limit).sum(axis=1)
-        vecs *= np.where(c < 0.0, -1.0, 1.0)[:, None]
-        overlap[:, idx] = np.minimum(np.abs(c), 1.0)
-    out = [[FiberEigenpair(j=idx + 1, k=kk, energy=e, values=evecs[i, idx],
+
+    def reduce(v, ik, im):
+        # (weights v) v and (weights v) psi_inf, products taken in place;
+        # each sum runs pairwise along one contiguous row, so a lane's bits
+        # do not depend on the others
+        limit = _limits(disc, ks[ik], im + 1)
+        work = weights * v
+        work *= v
+        v /= np.sqrt(work.sum(axis=1))[:, None]
+        np.multiply(weights, v, out=work)
+        work *= limit
+        c = work.sum(axis=1)
+        del work, limit
+        v *= np.where(c < 0.0, -1.0, 1.0)[:, None]
+        overlap[ik, im] = np.minimum(np.abs(c), 1.0)
+        if at is None:
+            return v
+        # each vector on its own grid, disc.grid(k)
+        return np.array([np.interp(at, k / disc.b + offsets, row, left=0.0,
+                                   right=0.0)
+                         for k, row in zip(ks[ik].tolist(), v)])
+
+    rich, values = _fiber_levels(disc, ks, j_max, conv_tol, reduce)
+    out = [[FiberEigenpair(j=idx + 1, k=kk, energy=e, values=values[i, idx],
                            overlap_with_limit=c)
             for idx, (e, c) in enumerate(zip(rich[i].tolist(),
                                              overlap[i].tolist()))]
@@ -285,8 +319,7 @@ def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     the eigenvectors.  At each k they increase strictly in j, which
     _fiber_levels checks."""
     k_grid = np.asarray(k_grid, dtype=float)
-    energies = _fiber_levels(disc, k_grid, j_max, _ENERGY_CONV_TOL,
-                             vectors=False)[1].T
+    energies = _fiber_levels(disc, k_grid, j_max, _ENERGY_CONV_TOL)[0].T
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
     return BandTable(k_grid=k_grid, energies=energies, edges=edges)
 

@@ -172,11 +172,16 @@ def product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
     row, col = np.triu_indices(nk)
     tau = y_scale * (k_pts[row] - k_pts[col])
     upper = np.zeros(len(row), dtype=complex)
+    last = None
     for ix in range(len(x_pts)):
-        if y_order > 0:
-            ysum = _section_gauss_integral(tau, sections[ix], y_order)
-        else:
-            ysum = _section_osc_integral(tau, sections[ix])
+        # consecutive nodes with the same sections (all of a rectangle's)
+        # share one y-integral
+        if sections[ix] != last:
+            last = sections[ix]
+            if y_order > 0:
+                ysum = _section_gauss_integral(tau, last, y_order)
+            else:
+                ysum = _section_osc_integral(tau, last)
         upper += x_wts[ix] * (scaled[ix, row] * scaled[ix, col]) * ysum
     acc = np.zeros((nk, nk), dtype=complex)  # lower triangle: mirrored below
     acc[row, col] = upper

@@ -148,8 +148,9 @@ SCHEMA = {
                                           "12/sqrt(b)"},
         }, default={}),
         "j": _int(1, minimum=1, description="band index, at most fiber.n/10"),
-        "a_momentum": _num(0.0, description="momentum cutoff A of the "
-                                            "truncated kernels"),
+        "a_momentum": _num(0.0, minimum=0,
+                           description="momentum cutoff A of the "
+                                       "truncated kernels"),
         "envelope_delta": _num(0.1, **_OPEN_HALF),
         "precision_bits": _int(512, minimum=64,
                                description="accepted for compatibility; no "

@@ -14,11 +14,17 @@ full relative accuracy far below the double range.  Energies are
 gradient-form Rayleigh quotients.
 
 The pivot rows beta = 2 + (base - sigma)/p are formed in one place
-(_pivot_rows), from base, _CHUNK grid rows at a time, for Sturm counts
-and for both sweeps and the twist search of a twisted factorization.
-A block of lanes therefore holds two (n, lanes) arrays, its forward
-and backward pivots, and the kept vectors are written straight into
-the result.
+(_pivot_rows), from base, _CHUNK grid rows at a time and C-contiguous,
+so each row of a sweep is one contiguous numpy call.  A twisted
+factorization runs its forward and backward sweeps in one row loop,
+the backward lanes beside the forward ones on the rows mirrored from
+the bottom wall, and its twist search reads each pivot row formed
+there at the step where the second sweep passes it.  Rayleigh-quotient
+iteration holds one such (n, 2 lanes) array, a lane block's forward and
+backward pivots, and refills it for every block and step.
+Each lane's vector is passed, once, on the Rayleigh step where it
+converges, to a reducer that keeps what the caller needs of it: the
+vector, its curvature sum, or its values at a few points.
 
 A lane's result does not depend on the other lanes of its batch: lanes
 stop on their own, sums run pairwise along contiguous rows, no BLAS
@@ -35,18 +41,22 @@ import numpy as np
 from .errors import ConvergenceFailure
 
 # sweeps over at most this many lanes run as Python float loops, one lane
-# at a time: a 2001-row numpy sweep costs ~3.5 ms at any width up to a few
-# hundred lanes, the float loop ~0.33 ms a lane (2 vCPU), and both perform
-# the same IEEE operations in the same order, so a lane's bits do not
-# depend on the path
+# at a time: a 2001-row numpy sweep over contiguous rows costs ~2 ms at
+# any width up to a few hundred lanes, the float loop ~0.2 ms a lane
+# (2 vCPU), and both perform the same IEEE operations in the same order,
+# so a lane's bits do not depend on the path.  A twisted factorization
+# stacks its two sweeps, so it takes the float path up to 6 lanes
 _SCALAR_LANES = 12
 # most lanes refined at once, which bounds the two (n, lanes) pivot arrays
 # of a twisted factorization to 3 MB each (n = 2001)
 _LANE_BLOCK = 192
-# grid rows (or lanes) per numpy chunk: the pivot rows beta of every sweep
-# are formed from base this many rows at a time, and the Rayleigh
-# quotients taken this many lanes at a time
+# grid rows per numpy chunk: the pivot rows beta of every sweep are
+# formed from base this many rows at a time
 _CHUNK = 64
+# lanes whose Rayleigh quotients are taken, and whose vectors are reduced,
+# at a time: their few (lanes, n) temporaries stay small beside the pivot
+# arrays that refine keeps (0.26 MB each at n = 2001)
+_QUOTIENT_LANES = 16
 # bisection stops once the level is isolated and its bracket is below
 # this fraction of 1 + |E|; Rayleigh-quotient iteration finishes it
 _BRACKET_REL = 1e-4
@@ -58,15 +68,26 @@ _RQI_REL = 1e-8
 _MAX_RQI = 8
 
 
-def _pivot_rows(base, p, ik, shift, lo):
-    """beta = 2 + (base - shift)/p on grid rows lo:lo + _CHUNK, one column
-    per lane: column ik[l] of base (n, K) at shift[l].  The one place
-    where pivot rows are formed."""
-    rows = base[lo:lo + _CHUNK, ik]
-    rows -= shift
-    rows /= p
-    rows += 2.0
-    return rows
+def _pivot_rows(base, p, ik, shift, lo, mirrored=False):
+    """beta = 2 + (base - shift)/p on grid rows lo:lo + _CHUNK, C-contiguous,
+    one column per lane: column ik[l] of base (n, K) at shift[l].  With
+    mirrored, beta has 2 len(ik) columns: those lanes, then the same lanes
+    on as many rows counted from the bottom wall, n - 1 - lo downward
+    (the steps of a backward sweep).  The one place where pivot rows are
+    formed."""
+    rows = base[lo:lo + _CHUNK]
+    if mirrored:
+        n, lanes, size = len(base), len(ik), len(rows)
+        beta = np.empty((size, 2 * lanes))
+        np.subtract(np.take(rows, ik, axis=1), shift, out=beta[:, :lanes])
+        np.subtract(np.take(base[n - lo - size:n - lo], ik, axis=1), shift,
+                    out=beta[::-1, lanes:])
+    else:
+        beta = np.take(rows, ik, axis=1)
+        beta -= shift
+    beta /= p
+    beta += 2.0
+    return beta
 
 
 def _inverse_pivots(beta, inv=None, out=None):
@@ -134,7 +155,8 @@ def isolate(base, p, level, lo, hi, width=math.inf):
     own, so its bracket does not depend on the other lanes.
     """
     level = np.broadcast_to(level, lo.shape)
-    c_lo, c_hi = (sturm_counts(base, p, x) for x in (lo, hi))
+    c_lo, c_hi = np.split(
+        sturm_counts(base, p, np.concatenate((lo, hi), axis=1)), 2, axis=1)
     bad = (c_lo >= level) | (c_hi < level)
     if bad.any():
         # every eigenvalue lies within 2p of the diagonal 2p + base
@@ -155,51 +177,60 @@ def isolate(base, p, level, lo, hi, width=math.inf):
     raise ConvergenceFailure("bisection did not isolate a fiber level")
 
 
-def _twisted(base, p, ik, shift):
+def _twisted(base, p, ik, shift, work=None):
     """(1/rho+, 1/rho-, r): inverse forward and backward pivots (n, lanes)
     of T - shift, lane l the matrix of column ik[l] of base at shift[l],
     and, per lane, the twist r = argmin |gamma_r| with
     gamma_r / p = rho+_r + rho-_r - beta_r (Dhillon & Parlett, LAA 387,
-    2004).  The solution of (T - sigma) z = gamma_r e_r with z_r = 1 is
-    z_i = z_{i+1} / rho+_i left of r and z_i = z_{i-1} / rho-_i right of
-    it: each factor comes from the wall on its side, where z grows.
+    2004), ties to the lowest row.  The solution of
+    (T - sigma) z = gamma_r e_r with z_r = 1 is z_i = z_{i+1} / rho+_i
+    left of r and z_i = z_{i-1} / rho-_i right of it: each factor comes
+    from the wall on its side, where z grows.
 
-    The pivot rows beta are formed from base _CHUNK rows at a time, for
-    the forward sweep, the backward sweep and the twist search alike, so
-    the two pivot arrays are the only (n, lanes) arrays.
+    Both sweeps run in one row loop over the 2 len(ik) columns of work
+    (n, 2 len(ik)), allocated if not given: row s takes the forward
+    pivots of grid row s and, beside them, the backward pivots of grid
+    row n - 1 - s, from one _pivot_rows call per _CHUNK steps.  The
+    twist search reads those same pivot rows, each once, at the step
+    where the second sweep reaches it.  The pivots returned are views of
+    work, the backward ones in grid row order.
     """
     n, lanes = base.shape[0], len(ik)
-    inv_f, inv_b = np.empty((n, lanes)), np.empty((n, lanes))
-    chunks = range(0, n, _CHUNK)
-    inv = None
-    for lo in chunks:
-        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo), inv,
-                              inv_f[lo:lo + _CHUNK])[-1]
-    inv = None
-    for lo in reversed(chunks):
-        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo)[::-1], inv,
-                              inv_b[lo:lo + _CHUNK][::-1])[-1]
+    if work is None:
+        work = np.empty((n, 2 * lanes))
+    inv_f, inv_b = work[:, :lanes], work[::-1, lanes:]
     best = np.full(lanes, np.inf)
     r = np.zeros(lanes, dtype=np.intp)
+    last = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in chunks:
-            rows = slice(lo, lo + _CHUNK)
-            gamma = np.abs(1.0 / inv_f[rows] + 1.0 / inv_b[rows]
-                           - _pivot_rows(base, p, ik, shift, lo))
-            at = np.argmin(gamma, axis=0)
-            low = np.take_along_axis(gamma, at[None], axis=0)[0]
-            # strict: the first minimum wins, as in one argmin
-            better = low < best
-            best = np.where(better, low, best)
-            r = np.where(better, lo + at, r)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            beta = _pivot_rows(base, p, ik, shift, lo, mirrored=True)
+            last = _inverse_pivots(beta, last, work[lo:hi])[-1]
+            # rows both sweeps have now passed, first reached this step:
+            # backward rows n - hi.. the forward sweep passed earlier, then
+            # forward rows n - lo.. the backward sweep passed earlier
+            for g0, g1, rows, first in (
+                    (n - hi, min(n - lo, hi), beta[::-1, lanes:], n - hi),
+                    (max(lo, n - lo), hi, beta[:, :lanes], lo)):
+                if g0 >= g1:
+                    continue
+                gamma = np.abs(1.0 / inv_f[g0:g1] + 1.0 / inv_b[g0:g1]
+                               - rows[g0 - first:g1 - first])
+                at = np.argmin(gamma, axis=0)
+                low = np.take_along_axis(gamma, at[None], axis=0)[0]
+                at += g0
+                better = (low < best) | ((low == best) & (at < r))
+                best = np.where(better, low, best)
+                r = np.where(better, at, r)
     return inv_f, inv_b, r
 
 
-def _twisted_vectors(base, p, ik, shift):
+def _twisted_vectors(base, p, ik, shift, work=None):
     """Eigenvector estimates z (n, lanes), z_r = 1, from one twisted
-    factorization at each lane's shift (see _twisted), built in place of
-    the forward pivots."""
-    inv_f, inv_b, r = _twisted(base, p, ik, shift)
+    factorization at each lane's shift (see _twisted, which takes work),
+    built in place of the forward pivots."""
+    inv_f, inv_b, r = _twisted(base, p, ik, shift, work)
     idx = np.arange(len(inv_f))[:, None]
     inv_f[idx >= r] = 1.0
     inv_b[idx <= r] = 1.0
@@ -263,6 +294,30 @@ def _rayleigh_quotients(base, p, v, ik):
     return (p * kinetic + work.sum(axis=1)) / norm2, norm2
 
 
+def _keep_vectors(v, ik, im):
+    """refine's reducer that keeps the unit vectors themselves, kept[k, m]
+    (n,)."""
+    return v
+
+
+def _keep_curvature(v, ik, im):
+    """refine's reducer that keeps the curvature sum
+    sum_i ((v_{i+1} - v_i) - (v_i - v_{i-1}))^2 (zero walls) of each unit
+    vector, kept[k, m] a number."""
+    d2 = np.diff(_gradient(v), axis=1)
+    d2 *= d2
+    return d2.sum(axis=1)
+
+
+_REDUCERS = {"vectors": _keep_vectors, "curvature": _keep_curvature}
+
+
+def _settled(new, old):
+    """Lanes whose Rayleigh-quotient shift moved by at most
+    _RQI_REL (1 + |E|)."""
+    return np.abs(new - old) <= _RQI_REL * (1.0 + np.abs(new))
+
+
 def refine(base, p, sigma, keep=None):
     """(energies, kept) by Rayleigh-quotient iteration from the shifts
     sigma (K, M) on the columns of base (n, K).
@@ -270,47 +325,49 @@ def refine(base, p, sigma, keep=None):
     Each step is one twisted factorization at the lane's shift, and the
     Rayleigh quotient of its vector is the next shift.  A lane stops once
     its shift moved by less than _RQI_REL (1 + |E|); its energy is that
-    last quotient.  Of the unit-normalized vector it came from, kept
-    holds nothing (keep None, kept None), the vector itself in
-    kept[k, m] (K, M, n) (keep "vectors"), or its curvature
-    sum_i ((v_{i+1} - v_i) - (v_i - v_{i-1}))^2, zero walls, in
-    kept[k, m] (K, M) (keep "curvature").  Lanes run in blocks of
-    _LANE_BLOCK, whose working set is the two pivot arrays of their
-    twisted factorization; quotients are taken and vectors written
-    straight into kept _CHUNK lanes at a time.  A lane's result does not
-    depend on its block.
+    last quotient.  keep is a reducer, a function (v, ik, im) -> rows,
+    or the name of one ("vectors": _keep_vectors, "curvature":
+    _keep_curvature).  On the step where a lane stops, its unit-normalized
+    vector, a row of v (lanes, n) with the lane's momentum column ik and
+    level index im, is passed to the reducer, and kept[k, m] (K, M, ...)
+    holds the lane's row of what it returns (kept None for keep None).
+    Lanes run in blocks of _LANE_BLOCK.  The working set is the two pivot
+    arrays of one block's twisted factorization, allocated once and
+    filled by every block and step, so a fresh process does not fault
+    new pages in for each; quotients are taken and the reducer called
+    _QUOTIENT_LANES lanes at a time.  A lane's result does not depend on
+    its block.
     """
+    reduce = _REDUCERS.get(keep, keep)
     sigma = sigma.astype(float)
     kept = None
-    if keep == "vectors":
-        kept = np.empty(sigma.shape + (base.shape[0],))
-    elif keep == "curvature":
-        kept = np.empty(sigma.shape)
-    flat = None if kept is None else kept.reshape(sigma.size, -1)
+    work = np.empty((base.shape[0], 2 * min(_LANE_BLOCK, sigma.size)))
     active = np.ones(sigma.shape, dtype=bool)
     for _ in range(_MAX_RQI):
         lanes = np.nonzero(active)
         for lo in range(0, len(lanes[0]), _LANE_BLOCK):
             ik, im = (x[lo:lo + _LANE_BLOCK] for x in lanes)
-            row = ik * sigma.shape[1] + im
-            z = _twisted_vectors(base, p, ik, sigma[ik, im])
+            z = _twisted_vectors(base, p, ik, sigma[ik, im],
+                                 work[:, :2 * len(ik)])
             new = np.empty(len(ik))
-            for c in range(0, len(ik), _CHUNK):
-                part = slice(c, c + _CHUNK)
+            for c in range(0, len(ik), _QUOTIENT_LANES):
+                part = slice(c, c + _QUOTIENT_LANES)
                 v = np.ascontiguousarray(z[:, part].T)
                 new[part], norm2 = _rayleigh_quotients(base, p, v, ik[part])
-                if keep is not None:
+                done = _settled(new[part], sigma[ik[part], im[part]])
+                if reduce is not None and done.any():
+                    if not done.all():
+                        v, norm2 = v[done], norm2[done]
                     v /= np.sqrt(norm2)[:, None]
-                if keep == "vectors":
-                    flat[row[part]] = v
-                elif keep == "curvature":
-                    d2 = np.diff(_gradient(v), axis=1)
-                    d2 *= d2
-                    flat[row[part], 0] = d2.sum(axis=1)
-                    del d2
+                    at = ik[part][done], im[part][done]
+                    rows = reduce(v, *at)
+                    if kept is None:
+                        kept = np.empty(sigma.shape + rows.shape[1:])
+                    kept[at] = rows
+                    del rows
                 del v
             del z
-            done = np.abs(new - sigma[ik, im]) <= _RQI_REL * (1.0 + np.abs(new))
+            done = _settled(new, sigma[ik, im])
             sigma[ik, im] = new
             active[ik[done], im[done]] = False
         if not active.any():
@@ -323,8 +380,8 @@ def certified_levels(base, p, levels, lo, hi, keep=None):
     """(energies, kept) of the given levels (K, M) of the columns of
     base: bisection from the brackets lo, hi to an isolating bracket,
     then Rayleigh-quotient iteration from its midpoint, keeping what
-    refine's keep names.  An energy outside its bracket belongs to
-    another level and raises ConvergenceFailure."""
+    refine's reducer keep returns.  An energy outside its bracket belongs
+    to another level and raises ConvergenceFailure."""
     shape = (base.shape[1],) + np.shape(levels)[1:]
     lo, hi = isolate(base, p, levels, np.broadcast_to(lo, shape),
                      np.broadcast_to(hi, shape), _BRACKET_REL)

@@ -11,15 +11,25 @@ rows at once, three (n, lanes) arrays beside the vectors, and every
 active lane of a Rayleigh-quotient step in one batch.  The package forms
 beta chunk by chunk and runs lanes in blocks; it must reproduce these
 bits exactly.
+
+Per-block resolvent columns: bs_count's kernel columns from whole n-grid
+eigenvectors, solved a block of momenta at a time, normalized and signed
+after the solve and interpolated onto every support node.  The package
+reduces each vector to its support-node values as it converges, in one
+batch of every momentum; it must reproduce these bits exactly.
 """
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from edgegap import bsham
 from edgegap.errors import ConvergenceFailure
-from edgegap.fiber import FiberDiscretization, _richardson
+from edgegap.fiber import (FiberDiscretization, _band_brackets, _bases,
+                           _richardson, _trapezoid_weights)
+from edgegap.operators import gauss_panel_rule
+from edgegap.oscillator import psi_inf_levels
 from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
-                                 rayleigh_quotient)
+                                 certified_levels, rayleigh_quotient)
 
 
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
@@ -99,3 +109,52 @@ def refine(base, p, sigma):
         if not active.any():
             return sigma, vecs
     raise ConvergenceFailure("whole-array iteration did not converge")
+
+
+def fiber_vectors(disc: FiberDiscretization, ks, j_max: int):
+    """(extrapolated energies (K, j_max), n-grid vectors (K, j_max, n)) of
+    solve_fiber: the package's coarse brackets and curvature seeds, then
+    refine above on the n grid, and every vector trapezoid-normalized and
+    signed by its overlap with psi_inf after the solve, one level of the
+    whole batch at a time."""
+    ks = np.asarray(ks, dtype=float)
+    levels = np.arange(1, j_max + 1)[None, :]
+    bounds = (disc.w.w_minus_limit, disc.w.w_plus_limit)
+    h2, p2, base2 = _bases(disc, ks, disc.n_half)
+    coarse, curv = certified_levels(
+        base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds),
+        "curvature")
+    h, p, base = _bases(disc, ks)
+    fine, vecs = refine(base, p, coarse + curv / (16.0 * h2 * h2))
+    weights = _trapezoid_weights(disc.n, h)
+    x = ks[:, None] / disc.b + disc._offsets()
+    for idx, limit in enumerate(psi_inf_levels(j_max, ks[:, None], x, disc.b)):
+        v = vecs[:, idx]
+        v /= np.sqrt((weights * v * v).sum(axis=1))[:, None]
+        c = (weights * v * limit).sum(axis=1)
+        v *= np.where(c < 0.0, -1.0, 1.0)[:, None]
+    return _richardson(fine, coarse)[0], vecs
+
+
+def resolvent_columns(j: int, j_sum: int, scenario, block: int = 32):
+    """(amp, energy) of bsham._resolvent_columns from fiber_vectors,
+    solved block momenta at a time, each vector interpolated onto every
+    support node."""
+    v, b, quad, disc = scenario.v, scenario.b, scenario.quad, scenario.fiber
+    k_sym = bsham._full_line_reach(j, b, v)
+    xs, _, ws = bsham._support_nodes(v, quad, b, k_sym)
+    panels = max(quad.k_panels, int(np.ceil(2.0 * k_sym / np.sqrt(b))))
+    k_pts, _ = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
+    root_v = np.sqrt(v.amplitude * ws)
+    amp = np.empty((len(xs), len(k_pts) * j_sum))
+    energy = np.empty(amp.shape[1])
+    for lo in range(0, len(k_pts), block):
+        rich, vecs = fiber_vectors(disc, k_pts[lo:lo + block], j_sum)
+        for i, k in enumerate(k_pts[lo:lo + block].tolist()):
+            grid = disc.grid(k)
+            for idx in range(j_sum):
+                c = (lo + i) * j_sum + idx
+                amp[:, c] = root_v * np.interp(xs, grid, vecs[i, idx],
+                                               left=0.0, right=0.0)
+                energy[c] = rich[i, idx]
+    return amp, energy

@@ -242,6 +242,14 @@ def full_sinc_dense(interval, scale, nodes=None):
     return pts, wts, root[:, None] * kern * root[None, :]
 
 
+def whole_matrix_check_hermitian(m, rtol=1e-12):
+    """The dense Hermitian check on whole (n, n) temporaries:
+    max|M - M^*| <= rtol max|M|."""
+    scale = np.abs(m).max() if m.size else 0.0
+    if scale and np.abs(m - m.conj().T).max() > rtol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+
+
 def complex_check_hermitian(logm, rtol=1e-12):
     """LogHermitian.check_hermitian with the phase test in complex
     arithmetic, |e^{i phi_ij} - e^{-i phi_ji}| <= 1e-10."""

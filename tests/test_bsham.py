@@ -14,9 +14,11 @@ from edgegap.bsham import (
 )
 from edgegap.counting import count_above
 from edgegap.errors import TruncationWarning
+from edgegap.fiber import solve_fiber
 from edgegap.operators import QuadratureSpec, product_gram
 from edgegap.scenario import load_scenario
-from tests.conftest import REFERENCE_CONFIG, Bundle
+from tests import fiber_oracle
+from tests.conftest import REFERENCE_CONFIG, ROOT, Bundle, traced_peak
 from tests.model_oracles import full_product_gram
 
 # (depth, (lower, upper)) brackets on the coarse scenario at eps = 0.3
@@ -150,3 +152,49 @@ def test_upper_triangle_gram_equals_full_accumulation(monkeypatch, route):
     assert np.array_equal(kernel.phase, phase)
     assert np.array_equal(kernel.log_mag, kernel.log_mag.T)
     assert np.array_equal(kernel.phase, -kernel.phase.T)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@pytest.mark.parametrize("config", ["reference", "growth"])
+def test_one_pass_columns_equal_the_per_block_path(config):
+    # every momentum solved in one batch, each vector reduced to its
+    # support-node values as it converges, gives the bits of whole vectors
+    # solved 32 momenta at a time and interpolated after the solve; the
+    # columns stay C-ordered, so the BLAS products of bs_count see the
+    # same layout
+    sc = load_scenario(str(ROOT / "configs" / f"{config}.json"))
+    j_sum = sc.verify_params("bs")["j_sum"]
+    amp, _, _, _, energy, _, _ = bsham._resolvent_columns(sc.j, j_sum, sc)
+    want_amp, want_energy = fiber_oracle.resolvent_columns(sc.j, j_sum, sc)
+    assert _same_bits(amp, want_amp) and amp.flags.c_contiguous
+    assert _same_bits(energy, want_energy)
+
+
+def test_momentum_column_is_the_same_alone_or_batched():
+    # a momentum's support-node values, energies and overlaps have the
+    # same bits alone (Python float sweeps) and among 40 momenta
+    sc = load_scenario(REFERENCE_CONFIG)
+    x = np.linspace(-0.25, 0.4, 9)
+    ks = np.linspace(-6.0, 6.0, 40)
+    batch = solve_fiber(sc.fiber, ks, 6, at=x)
+    for i in (0, 13, 39):
+        alone = solve_fiber(sc.fiber, float(ks[i]), 6, at=x)
+        for a, b in zip(alone, batch[i]):
+            assert a.energy == b.energy
+            assert a.overlap_with_limit == b.overlap_with_limit
+            assert _same_bits(a.values, b.values) and a.values.shape == (9,)
+
+
+def test_resolvent_columns_hold_no_whole_vectors():
+    # the one fiber pass holds the fine base and one lane block's pivots;
+    # 32-momentum blocks of whole eigenvectors peaked at 13.5 MB (gap
+    # model built inside, as here)
+    sc = load_scenario(REFERENCE_CONFIG)
+    bsham.get_gap_model.cache_clear()
+    _, peak = traced_peak(lambda: bsham._resolvent_columns(sc.j, 6, sc))
+    assert peak <= 13.4e6

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.counting import (LogHermitian, _equilibrating_exponents,
-                              _scaled_spectrum, count_above, n_star)
+from edgegap.counting import (LogHermitian, _check_dense_hermitian,
+                              _equilibrating_exponents, _scaled_spectrum,
+                              count_above, n_star)
 from tests.inertia_oracle import (PrecisionExhausted, count_hp_inertia,
                                   scaled_eigenvalues)
-from tests.model_oracles import complex_check_hermitian
+from tests.model_oracles import (complex_check_hermitian,
+                                 whole_matrix_check_hermitian)
 
 
 def _rand_hermitian(rng, n):
@@ -272,6 +274,30 @@ def test_check_hermitian_agrees_with_the_complex_residual():
             logm = LogHermitian(lm, ph)
             assert (_check_outcome(LogHermitian.check_hermitian, logm)
                     == _check_outcome(complex_check_hermitian, logm))
+
+
+def test_dense_check_in_row_blocks_agrees_with_the_whole_matrix():
+    # sizes around the row block, real and complex, perturbations just
+    # inside and outside the tolerance, NaN and inf entries, and the zero
+    # matrix all get the whole-matrix verdict
+    rng = np.random.default_rng(41)
+    cases = [np.zeros((0, 0)), np.zeros((70, 70))]
+    for n in (1, 63, 64, 65, 130):
+        for m in (_rand_hermitian(rng, n), _rand_hermitian(rng, n).real):
+            cases.append(m)
+            for size in (5e-13, 2e-12):
+                bad = m.copy()
+                i, j = rng.integers(0, n, 2)
+                bad[i, j] += size * np.abs(m).max()
+                cases.append(bad)
+            for value in (math.nan, math.inf):
+                odd = m.copy()
+                odd[rng.integers(0, n), rng.integers(0, n)] = value
+                cases.append(odd)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for m in cases:
+            assert (_check_outcome(_check_dense_hermitian, m)
+                    == _check_outcome(whole_matrix_check_hermitian, m))
 
 
 def test_count_below_and_n_star_identities():

@@ -196,11 +196,12 @@ def _same_bits(a, b):
             and np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
-@pytest.mark.parametrize("lanes", [1, 12, 13, 192, 300])
+@pytest.mark.parametrize("lanes", [1, 6, 7, 12, 13, 192, 300])
 def test_chunked_twisted_factorization_is_bit_identical(reference, lanes):
-    # pivot rows formed from base chunk by chunk give the pivots, twists
-    # and vectors of the whole-array factorization, on the Python float
-    # path (at most 12 lanes) and the numpy path, at shifts among the
+    # pivot rows formed from base chunk by chunk, both sweeps in one row
+    # loop, give the pivots, twists and vectors of the whole-array
+    # factorization, on the Python float path (at most 12 stacked lanes:
+    # 6 lanes) and the numpy path (from 7 lanes), at shifts among the
     # levels 1..6 of the reference window
     sc, disc = reference
     ks = np.linspace(-4.0, 6.0, -(-lanes // 6))

@@ -236,6 +236,15 @@ def test_sinc_count_stays_inside_a_few_matrix_copies():
     assert peak <= 3 * nbytes
 
 
+def test_sinc_count_checks_hermitian_in_row_blocks():
+    # counting the 770-node kernel of verify kms allocates little beyond
+    # it: the Hermitian check's two (n, n) temporaries took it to 2.0x
+    op = g_sinc(IntervalSpec(0.25, 2.25), 300.0)
+    report, peak = traced_peak(lambda: count_above(op.kernel, 0.5))
+    assert report.count == 191
+    assert peak <= 1.2 * op.kernel.nbytes
+
+
 def test_epsilon_bounds():
     assert epsilon_bounds(rect(-1.0, 2.0, 0.0, 1.0)) == (
         pytest.approx(math.exp(-4.0)), 1.0)

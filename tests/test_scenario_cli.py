@@ -358,6 +358,39 @@ def test_cli_exit_codes(tmp_path):
                 "--j", "2"]) == 2
 
 
+def _reference_doc(**over):
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(over)
+    return doc
+
+
+def test_cli_negative_momentum_cutoff_exits_2(tmp_path, capsys):
+    # the schema rejects a_momentum < 0; verify sandwich used to reach
+    # q_operator's bare ValueError and exit 1 with a traceback
+    cfg = write_cfg(tmp_path, _reference_doc(a_momentum=-1.0))
+    assert run(["verify", "sandwich", "--config", cfg,
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "a_momentum" in err and "Traceback" not in err
+
+
+def test_cli_saturated_upper_envelope_exits_2(tmp_path, capsys):
+    # with the step at x0 = -3, W(-envelope_delta) = W_+ and the two-step
+    # upper envelope of verify sandwich does not exist; commands that do
+    # not build it still run
+    doc = _reference_doc()
+    doc["edge_potential"] = {**doc["edge_potential"], "x0": -3.0}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["verify", "sandwich", "--config", cfg,
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "edge_potential" in err and "envelope_delta" in err
+    assert "Traceback" not in err
+    assert run(["geometry", "--config", cfg,
+                "--out", str(tmp_path / "y")]) == 0
+
+
 def test_cli_unwritable_out_exit(tmp_path, capsys):
     blocker = tmp_path / "plain-file"
     blocker.write_text("not a directory\n")
@@ -569,9 +602,9 @@ def test_cli_fiber_window_reaches_resolvent_path(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
             windows.append(("gap_model", self.disc.n, self.disc.half_width))
 
-    def recording_solve(disc, k, j_max):
+    def recording_solve(disc, k, j_max, **kwargs):
         windows.append(("solve_fiber", disc.n, disc.half_width))
-        return solve_fiber(disc, k, j_max)
+        return solve_fiber(disc, k, j_max, **kwargs)
 
     monkeypatch.setattr(bsham, "GapModel", RecordingGapModel)
     monkeypatch.setattr(bsham, "solve_fiber", recording_solve)
