@@ -5,7 +5,7 @@ subcommand; the finiteness and growth configs run the subcommands they
 were built to exercise.  growth's bs-count is left out because it fails
 its route verdicts: its Gauss y-rule does not resolve the plane waves
 over the tall slab.  It joins the battery with that fix, together with
-growth's effective-count and finiteness's bs-count (ROADMAP item 1).
+growth's effective-count and finiteness's bs-count (ROADMAP item 3).
 Each (config, subcommand) pair writes under out/<config>/<subcommand>/ and
 the table reports exit codes plus the verdict tally read back from
 summary.json.  Exits with the worst code seen.

@@ -31,6 +31,7 @@ from .operators import (DiscretizedOperator, gauss_legendre, gauss_panel_rule,
                         polygon_x_rule, product_gram, sections_at)
 from .oscillator import log_p_coeff, psi_inf
 
+# the momentum reach K puts the kernel envelope this far below its peak
 _TAIL_REL = 1e-16
 # bs_count forms C diag(s) C^* this many momentum nodes at a time, so
 # the complex columns never exist all at once
@@ -44,16 +45,16 @@ def _log_envelope(j: int, b: float, x_ref: float, k):
     return log_p_coeff(j, b) + poly - (k / math.sqrt(b) - math.sqrt(b) * x_ref) ** 2
 
 
-def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0,
-                 rel: float = _TAIL_REL) -> float:
-    """Smallest K beyond which the kernel envelope is below rel times its
-    in-window maximum; the Gaussian factor makes the tail certifiable."""
+def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
+    """Smallest K beyond which the kernel envelope is below _TAIL_REL
+    times its in-window maximum; the Gaussian factor makes the tail
+    certifiable."""
     rb = math.sqrt(b)
     lo = max(a, 1e-6)
     grid = np.arange(lo, b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
     vals = _log_envelope(j, b, x_sup, grid)
     peak_idx = int(np.argmax(vals))
-    cut = vals[peak_idx] + math.log(rel)
+    cut = vals[peak_idx] + math.log(_TAIL_REL)
     below = np.nonzero(vals[peak_idx:] < cut)[0]
     if len(below) == 0:
         warnings.warn("envelope tail still above the relative cutoff at the "
@@ -62,16 +63,16 @@ def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0,
     return float(grid[peak_idx + below[0]])
 
 
-def k_truncation_symmetric(j: int, b: float, x_inf: float, x_sup: float,
-                           rel: float = _TAIL_REL) -> float:
-    """Two-sided truncation K with the envelope below rel·max outside
-    (-K, K), for whole-line discretizations."""
+def k_truncation_symmetric(j: int, b: float, x_inf: float,
+                           x_sup: float) -> float:
+    """Two-sided truncation K with the envelope below _TAIL_REL·max
+    outside (-K, K), for whole-line discretizations."""
     rb = math.sqrt(b)
     reach = b * max(abs(x_inf), abs(x_sup)) + 14.0 * rb
     grid = np.arange(-reach, reach, 0.01 * rb)
     vals = np.maximum(_log_envelope(j, b, x_sup, grid),
                       _log_envelope(j, b, x_inf, grid))
-    cut = vals.max() + math.log(rel)
+    cut = vals.max() + math.log(_TAIL_REL)
     inside = np.nonzero(vals >= cut)[0]
     return float(max(abs(grid[inside[0]]), abs(grid[inside[-1]])))
 

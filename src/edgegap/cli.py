@@ -98,6 +98,16 @@ def _need(sc: Scenario, w: bool = False, v: bool = False):
         raise ScenarioError("this subcommand needs a perturbation")
 
 
+def _need_depth(sc: Scenario, lam: float, field: str):
+    """Raise ScenarioError naming field unless the depth lam puts
+    z = E_j^+ + lam inside the open gap: 0 < lam < 2b - (W_+ - W_-)."""
+    width = 2.0 * sc.b - (sc.w.w_plus_limit - sc.w.w_minus_limit)
+    if not 0.0 < lam < width:
+        raise ScenarioError(
+            f"config.{field} = {lam:g} must lie inside the open gap: "
+            f"0 < lambda < 2b - (W_+ - W_-) = {width:g}")
+
+
 def _phi_asymptote(j: int, k: float, sc: Scenario) -> float:
     if sc.w.kind != "step" or k <= 0:
         return _NAN
@@ -273,6 +283,7 @@ def cmd_verify_sandwich(sc: Scenario, out: Path):
             f"-envelope_delta = {-sc.envelope_delta:g}, where it is {lower:g}")
     p = sc.verify_params("sandwich")
     lam, eps, r = float(p["lam"]), float(p["eps"]), float(p["r"])
+    _need_depth(sc, lam, "verify.sandwich.lam")
     slack = p["slack"]
     with _WarningBox() as box:
         q_lo, mid, q_hi = sandwich_check(sc.j, lam, r, eps, sc)
@@ -326,6 +337,7 @@ def cmd_verify_weylkyfan(sc: Scenario, out: Path):
 
 def cmd_effective_count(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
+    _need_depth(sc, sc.lam_grid.start, "lambda_grid.start")
     p = sc.verify_params("effective")
     eps = float(p["eps"])
     rows, lowers, uppers = [], [], []
@@ -352,6 +364,7 @@ def cmd_effective_count(sc: Scenario, out: Path):
 
 def cmd_bs_count(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
+    _need_depth(sc, sc.lam_grid.start, "lambda_grid.start")
     p = sc.verify_params("bs")
     j_sum = p["j_sum"]
     if j_sum < sc.j:
@@ -393,6 +406,7 @@ def cmd_bs_count(sc: Scenario, out: Path):
 
 def cmd_scaling(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
+    _need_depth(sc, sc.lam_grid.start, "lambda_grid.start")
     p = sc.verify_params("scaling")
     lams = sc.lam_grid.values()
     finite = finiteness_predicate(sc.v, sc.w)

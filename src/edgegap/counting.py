@@ -2,9 +2,10 @@
 
 Counts n_+(s; M) = #{eigenvalues > s} by a dense double-precision
 eigendecomposition, either of M itself (route "double_eig") or of an
-equilibrated congruence of M - sI (route "scaled_eig").  The scaled
-route accepts matrices in log-magnitude + phase form whose entries span
-hundreds of orders of magnitude.  It forms A = S(M - sI)S with
+equilibrated congruence of M - sI (route "scaled_eig"); count_above
+picks the route from the matrix.  The scaled route takes matrices in
+log-magnitude + phase form whose entries span hundreds of orders of
+magnitude.  It forms A = S(M - sI)S with
 S = diag(2^-e_i) chosen by log-domain symmetric Ruiz sweeps, so every
 row of A peaks near 1 and nothing overflows, and counts #{lambda(A) > 0}:
 Sylvester's law of inertia gives A the inertia of M - sI for any
@@ -29,6 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _TIE_RTOL = 1e-8
+# relative asymmetry a Hermitian check allows, of log-magnitudes in log
+# form and of the largest entry in dense form
+_HERMITIAN_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 # double eigensolvers resolve a threshold s only when the matrix norm is
 # within ~30 nats of it (backward error ~ ||M|| * 1e-16)
@@ -100,17 +104,18 @@ class LogHermitian:
         lm = self.log_mag
         return float(np.max(lm, where=np.isfinite(lm), initial=-math.inf))
 
-    def check_hermitian(self, rtol: float = 1e-12) -> None:
+    def check_hermitian(self) -> None:
         """Raise ValueError unless the pair represents a Hermitian matrix.
 
         The zero pattern (-inf entries of log_mag) must be symmetric;
-        elsewhere |L_ij - L_ji| <= rtol max(1, |L_ij|) and the phase
-        residual |e^{i phi_ij} - e^{-i phi_ji}|, computed in real
-        arithmetic as 2|sin((phi_ij + phi_ji)/2)|, must stay within
-        1e-10, so phases of +-pi pass.  Both tests share one (n, n) work
+        elsewhere |L_ij - L_ji| <= rtol max(1, |L_ij|), rtol =
+        _HERMITIAN_RTOL, and the phase residual
+        |e^{i phi_ij} - e^{-i phi_ji}|, computed in real arithmetic as
+        2|sin((phi_ij + phi_ji)/2)|, must stay within 1e-10, so phases of
+        +-pi pass.  Both tests share one (n, n) work
         array; the masks are boolean.
         """
-        lm, ph = self.log_mag, self.phase
+        lm, ph, rtol = self.log_mag, self.phase, _HERMITIAN_RTOL
         zero = np.isneginf(lm)
         if not np.array_equal(zero, zero.T):
             raise ValueError("zero pattern of log-magnitude matrix is not symmetric")
@@ -148,21 +153,13 @@ class LogHermitian:
         mag *= sign
         return mag
 
-    @classmethod
-    def from_dense(cls, m) -> "LogHermitian":
-        m = np.asarray(m)
-        log_mag = np.asarray(np.abs(m), dtype=float)
-        with np.errstate(divide="ignore"):
-            np.log(log_mag, out=log_mag)
-        return cls(log_mag, np.asarray(np.angle(m), dtype=float))
 
-
-def _check_dense_hermitian(m: np.ndarray, rtol: float = 1e-12) -> None:
-    """Raise ValueError unless max|M - M^*| <= rtol max|M|.  Both maxima
-    are taken over _CHECK_ROWS rows of M (and the matching columns) at a
-    time: a maximum is exact and np.maximum keeps a NaN, so the verdict
-    is that of the whole-matrix expressions, and no (n, n) temporary is
-    formed."""
+def _check_dense_hermitian(m: np.ndarray) -> None:
+    """Raise ValueError unless max|M - M^*| <= _HERMITIAN_RTOL max|M|.
+    Both maxima are taken over _CHECK_ROWS rows of M (and the matching
+    columns) at a time: a maximum is exact and np.maximum keeps a NaN, so
+    the verdict is that of the whole-matrix expressions, and no (n, n)
+    temporary is formed."""
     if not m.size:
         return
     scale = asym = 0.0
@@ -170,7 +167,7 @@ def _check_dense_hermitian(m: np.ndarray, rtol: float = 1e-12) -> None:
         rows, cols = m[lo:lo + _CHECK_ROWS], m[:, lo:lo + _CHECK_ROWS]
         scale = np.maximum(scale, np.abs(rows).max())
         asym = np.maximum(asym, np.abs(rows - cols.conj().T).max())
-    if scale and asym > rtol * scale:
+    if scale and asym > _HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
@@ -188,10 +185,10 @@ def _tie_warnings(eigs: np.ndarray, s: float, count: int, tol: float):
             f"{count + tied.size - above}",)
 
 
-def _floor_warnings(logm, s: float):
+def _floor_warnings(logm: LogHermitian, s: float):
     """One floor: message if ln s lies below the assembly noise floor of
     logm; none if it does not or logm carries no floor."""
-    floor = None if logm is None else logm.noise_floor_log
+    floor = logm.noise_floor_log
     if floor is None or math.log(s) >= floor:
         return ()
     return (f"floor: threshold ln s = {math.log(s):.1f} lies "
@@ -269,18 +266,18 @@ def _count_scaled_eig(logm: LogHermitian, s: float) -> CountingReport:
                           _tie_warnings(lam, 0.0, count, 2.0 * tau))
 
 
-def count_above(m, s: float, route: str = "auto",
-                precision_cap=None) -> CountingReport:
+def count_above(m, s: float, precision_cap=None) -> CountingReport:
     """n_+(s; M): eigenvalues strictly greater than s.
 
-    m is a dense Hermitian ndarray or a LogHermitian.  Route "auto"
-    uses the double eigensolver on M whenever the entries are
-    representable and the matrix norm leaves the threshold ~30 nats of
-    headroom; otherwise route "scaled_eig" counts the positive
-    eigenvalues of the equilibrated S(M - sI)S.  Every count is flagged
-    here: a tie warning from the route, then a floor warning when m
-    carries an assembly noise floor above ln s (see CountingReport).
-    On route double_eig an eigenvalue ties with s when it lies within
+    m is a dense Hermitian ndarray or a LogHermitian; the matrix picks
+    the route.  A dense one, or a LogHermitian whose largest entry is
+    representable and leaves the threshold ~30 nats of headroom, goes to
+    the double eigensolver on M (route double_eig); any other
+    LogHermitian to the positive eigenvalues of the equilibrated
+    S(M - sI)S (route scaled_eig).  Every count is flagged here: a tie
+    warning from the route, then a floor warning when m carries an
+    assembly noise floor above ln s (see CountingReport).  On route
+    double_eig an eigenvalue ties with s when it lies within
     max(1e-8 max(1, |s|), n eps max|eig|): the threshold's relative
     resolution or the eigensolver's backward error n eps ||M||,
     whichever is wider.  A LogHermitian is checked on one work array
@@ -292,35 +289,24 @@ def count_above(m, s: float, route: str = "auto",
     """
     if s <= 0:
         raise ValueError("threshold s must be positive")
-    if isinstance(m, LogHermitian):
-        m.check_hermitian()
-        logm = m
-        if route == "auto":
-            usable = logm.max_log < math.log(s) + _DOUBLE_HEADROOM_NATS and logm.max_log < 700.0
-            route = "double_eig" if usable else "scaled_eig"
-    else:
+    if not isinstance(m, LogHermitian):
         m = np.asarray(m)
         _check_dense_hermitian(m)
-        logm = None
-        if route == "auto":
-            route = "double_eig"
-    if route == "double_eig":
-        dense = m.to_dense() if logm is not None else np.asarray(m)
-        report = _count_double_eig(dense, s)
-    elif route == "scaled_eig":
-        report = _count_scaled_eig(
-            LogHermitian.from_dense(m) if logm is None else logm, s)
+        return _count_double_eig(m, s)
+    m.check_hermitian()
+    if m.max_log < min(math.log(s) + _DOUBLE_HEADROOM_NATS, 700.0):
+        report = _count_double_eig(m.to_dense(), s)
     else:
-        raise ValueError(f"unknown route {route!r}")
-    floor = _floor_warnings(logm, s)
+        report = _count_scaled_eig(m, s)
+    floor = _floor_warnings(m, s)
     return replace(report, warnings=report.warnings + floor) if floor else report
 
 
-def n_star(t, s: float, route: str = "auto") -> CountingReport:
+def n_star(t, s: float) -> CountingReport:
     """n_*(s; T) = n_+(s^2; T^* T) for rectangular T."""
     if s <= 0:
         raise ValueError("threshold s must be positive")
     t = np.asarray(t)
     gram = t.conj().T @ t
     gram = 0.5 * (gram + gram.conj().T)
-    return count_above(gram, s * s, route)
+    return count_above(gram, s * s)

@@ -97,8 +97,8 @@ class FiberDiscretization:
         n = self.n if n is None else n
         return np.linspace(-self.half_width, self.half_width, n)
 
-    def grid(self, k: float, n: int = None) -> np.ndarray:
-        return k / self.b + self._offsets(n)
+    def grid(self, k: float) -> np.ndarray:
+        return k / self.b + self._offsets()
 
     def tridiagonal(self, k: float, n: int = None, w_override=None):
         """(x, diag, offdiag, h) of the discretized fiber operator.
@@ -173,8 +173,7 @@ def _band_brackets(b: float, levels, h: float, w_lo: float, w_hi: float):
     return landau + w_lo - slack, landau + w_hi + slack
 
 
-def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
-                  keep=None):
+def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, keep=None):
     """(energies (K, j_max), kept) of the lowest j_max levels at each
     momentum of ks: kept holds what the reducer keep (see
     tridiagonal.refine) returns for each n-grid unit eigenvector, and is
@@ -188,15 +187,16 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     curvature sum (Delta^2 v)^2, which the coarse iteration takes lane by
     lane, so no coarse vector is kept; the coarse base is dropped before
     the fine solve.  Both grids' energies are gradient-form Rayleigh
-    quotients, Richardson-extrapolated; an h^2 correction above conv_tol raises
-    ConvergenceFailure.  A fine-grid lane that converged to another level
-    misses its seed by more than 3 conv_tol, unless levels lie closer
-    than that (gap_condition only asks W_+ - W_- < 2b), where two lanes
+    quotients, Richardson-extrapolated; an h^2 correction above
+    _ENERGY_CONV_TOL raises ConvergenceFailure.  A fine-grid lane that
+    converged to another level misses its seed by more than 3
+    _ENERGY_CONV_TOL, unless levels lie closer than that
+    (gap_condition only asks W_+ - W_- < 2b), where two lanes
     can land on each other's levels; the energies must therefore also
     increase strictly, which band_table's interlacing relies on.  A
     lane's result does not depend on the other momenta of ks.
     """
-    from .tridiagonal import certified_levels, refine
+    from .tridiagonal import certified_levels, keep_curvature, refine
     if not 1 <= j_max <= disc.max_levels:
         raise ValueError("need 1 <= j_max <= n/10")
     ks = np.asarray(ks, dtype=float)
@@ -206,7 +206,7 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     h2, p2, base2 = _bases(disc, ks, disc.n_half)
     coarse, curv = certified_levels(
         base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds),
-        "curvature")
+        keep_curvature)
     del base2
     # the difference Laplacian lowers E by about h^2 |psi''|^2 / 12, so the
     # n grid lies 3/4 of the coarse shift higher
@@ -214,12 +214,12 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, conv_tol: float,
     _, p, base = _bases(disc, ks)
     fine, kept = refine(base, p, seed, keep)
     rich, resid = _richardson(fine, coarse)
-    bad = (resid > conv_tol).any(axis=1)
+    bad = (resid > _ENERGY_CONV_TOL).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceFailure(
-            f"h^2 correction {resid[i].max():.3e} above {conv_tol:g} at "
-            f"k={ks[i]}; refine the grid")
+            f"h^2 correction {resid[i].max():.3e} above "
+            f"{_ENERGY_CONV_TOL:g} at k={ks[i]}; refine the grid")
     if np.any(np.diff(rich, axis=1) <= 0):
         i = int(np.argmax(np.any(np.diff(rich, axis=1) <= 0, axis=1)))
         raise ConvergenceFailure(
@@ -242,23 +242,23 @@ def _limits(disc: FiberDiscretization, ks, levels):
     return out
 
 
-def solve_fiber(disc: FiberDiscretization, k, j_max: int,
-                conv_tol: float = _ENERGY_CONV_TOL, at=None):
+def solve_fiber(disc: FiberDiscretization, k, j_max: int, at=None):
     """Lowest j_max eigenpairs of the fiber operator at momentum k, or at
     each momentum of a sequence k (a list of lists).
 
     Energies are Richardson-extrapolated over the (n, (n+1)//2) grid
     pair from Rayleigh quotients of twisted-factorization Rayleigh-quotient
     iteration, bracketed by bisection on the n_half grid (see
-    _fiber_levels); the h^2 correction estimate must stay below conv_tol
-    or ConvergenceFailure is raised.  Eigenvectors are the n-grid ones,
-    trapezoid-normalized with sign fixed by a nonnegative overlap with the
-    limiting eigenfunction.  A pair's values are the eigenvector on its
-    grid, or, given points at, its linear interpolant there (zero off the
-    window): each vector is reduced to them on the Rayleigh step where it
-    converges (the reducer of tridiagonal.refine), so no batch of whole
-    vectors is held.  A momentum's pairs are the same bits alone or in a
-    batch, with or without at.
+    _fiber_levels); the h^2 correction estimate must stay below
+    _ENERGY_CONV_TOL (1e-3) or ConvergenceFailure is raised.  Eigenvectors
+    are the n-grid ones, trapezoid-normalized with sign fixed by a
+    nonnegative overlap with the limiting eigenfunction.  A pair's values
+    are the eigenvector on its grid, or, given points at, its linear
+    interpolant there (zero off the window): each vector is reduced to
+    them on the Rayleigh step where it converges (the reducer of
+    tridiagonal.refine), so no batch of whole vectors is held.  A
+    momentum's pairs are the same bits alone or in a batch, with or
+    without at.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     offsets = disc._offsets()
@@ -286,7 +286,7 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int,
                                    right=0.0)
                          for k, row in zip(ks[ik].tolist(), v)])
 
-    rich, values = _fiber_levels(disc, ks, j_max, conv_tol, reduce)
+    rich, values = _fiber_levels(disc, ks, j_max, reduce)
     out = [[FiberEigenpair(j=idx + 1, k=kk, energy=e, values=values[i, idx],
                            overlap_with_limit=c)
             for idx, (e, c) in enumerate(zip(rich[i].tolist(),
@@ -319,7 +319,7 @@ def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
     the eigenvectors.  At each k they increase strictly in j, which
     _fiber_levels checks."""
     k_grid = np.asarray(k_grid, dtype=float)
-    energies = _fiber_levels(disc, k_grid, j_max, _ENERGY_CONV_TOL)[0].T
+    energies = _fiber_levels(disc, k_grid, j_max)[0].T
     edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
     return BandTable(k_grid=k_grid, energies=energies, edges=edges)
 
@@ -453,7 +453,7 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     and of the log-form vector, so no lane pays for an exact sum; the gap
     and the overlap move only at rounding level with it.
     """
-    from .tridiagonal import isolate, log_vectors, refine
+    from .tridiagonal import isolate, keep_vectors, log_vectors, refine
     ks = np.asarray(ks, dtype=float)
     plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
     base_p, v_plus, log_p, sign_p, e_plus = plus
@@ -470,7 +470,7 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
                      (e_plus - jump.min(axis=1) + pad)[:, None])
     seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
-    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), "vectors")
+    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), keep_vectors)
     shift = shift[:, 0]
     if np.any((shift < lo[:, 0]) | (shift >= hi[:, 0])):
         raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
@@ -492,11 +492,11 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
                        log_s=top + np.log(total), overlap=np.abs(overlap))
 
 
-def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
+def _free_comparisons(disc: FiberDiscretization, j: int, ks):
     """EdgeComparisons for W = None: the twins coincide, and level j of
     the free fiber is the same matrix at every momentum."""
     from .tridiagonal import log_level
-    h, p, base = _bases(disc, (0.0,), n)
+    h, p, base = _bases(disc, (0.0,))
     energy, _, _ = log_level(base[:, 0], p, j,
                              *_band_brackets(disc.b, j, h, 0.0, 0.0))
     return [EdgeComparison(j=j, k=float(k), gap_dist=0.0, overlap=1.0,
@@ -504,17 +504,15 @@ def _free_comparisons(disc: FiberDiscretization, j: int, ks, n: int):
             for k in ks]
 
 
-def _twin_comparisons(disc: FiberDiscretization, j: int, ks,
-                      n: int = None) -> list:
-    """EdgeComparisons of the twin operators on the n-point grid of the
-    window of disc (default disc.n), with the single-grid gap.  energy_w
-    is the exact-sum Rayleigh quotient of the twin eigenvector, the one
-    energy here that is reported, and the shift of the deflated solve."""
+def _twin_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
+    """EdgeComparisons of the twin operators on disc's n-point grid, with
+    the single-grid gap.  energy_w is the exact-sum Rayleigh quotient of
+    the twin eigenvector, the one energy here that is reported, and the
+    shift of the deflated solve."""
     from .tridiagonal import deflated_solve, rayleigh_quotient
-    n = disc.n if n is None else n
     if disc.w is None:
-        return _free_comparisons(disc, j, ks, n)
-    tw = _twin_levels(disc, j, ks, n)
+        return _free_comparisons(disc, j, ks)
+    tw = _twin_levels(disc, j, ks, disc.n)
     base_p, v_plus = tw.plus[0], tw.plus[1]
     out = []
     for i, k in enumerate(tw.ks.tolist()):

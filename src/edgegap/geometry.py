@@ -25,6 +25,10 @@ _E = math.e
 # Halley steps from the starting guess of kappa: enough for every finite
 # s >= 0, after which a further step only moves rounding noise
 _HALLEY_STEPS = 3
+# c_plus searches a _DISK_GRID^2 grid of disk centres, then refines it
+# _DISK_ROUNDS times around the best one, each time on four grid steps
+_DISK_GRID = 41
+_DISK_ROUNDS = 3
 
 
 def kappa(s):
@@ -119,11 +123,6 @@ class PolygonDomain:
     def x_extent(self):
         xs = [v[0] for v in self.vertices]
         return (min(xs), max(xs))
-
-    @cached_property
-    def y_extent(self):
-        ys = [v[1] for v in self.vertices]
-        return (min(ys), max(ys))
 
     @cached_property
     def diameter(self) -> float:
@@ -246,15 +245,15 @@ def _disk_objective(xi, eta, verts: np.ndarray):
     return r * kappa(np.maximum(xi, 0.0) / (_E * r))
 
 
-def _disk_search(poly: PolygonDomain, grid: int, rounds: int):
+def _disk_search(poly: PolygonDomain):
     verts = np.asarray(poly.vertices)
     cx, cy = poly.centroid
     half = 2.0 * poly.diameter
     best_xi, best_eta = cx, cy
     best = float(_disk_objective(cx, cy, verts))
-    for _ in range(rounds + 1):
-        xis = np.linspace(best_xi - half, best_xi + half, grid)
-        etas = np.linspace(best_eta - half, best_eta + half, grid)
+    for _ in range(_DISK_ROUNDS + 1):
+        xis = np.linspace(best_xi - half, best_xi + half, _DISK_GRID)
+        etas = np.linspace(best_eta - half, best_eta + half, _DISK_GRID)
         vals = _disk_objective(xis[:, None], etas[None, :], verts)
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         if vals[i, j] < best:
@@ -264,21 +263,21 @@ def _disk_search(poly: PolygonDomain, grid: int, rounds: int):
     return best, best_xi, best_eta
 
 
-def c_plus(poly: PolygonDomain, grid: int = 41, rounds: int = 3) -> float:
+def c_plus(poly: PolygonDomain) -> float:
     """inf over enclosing disks B_R(xi + i eta) of R * kappa(xi_+ / (e R)).
 
-    Two-stage search: a coarse grid of centers over a box of side
+    Two-stage search: a _DISK_GRID^2 grid of centers over a box of side
     4*diam around the centroid (R = max vertex distance makes every
-    candidate disk enclosing), then local grid refinement.  Ties break
-    lexicographically on (xi, eta) through the row-major argmin.
+    candidate disk enclosing), then _DISK_ROUNDS local grid refinements.
+    Ties break lexicographically on (xi, eta) through the row-major argmin.
     """
-    return _disk_search(poly, grid, rounds)[0]
+    return _disk_search(poly)[0]
 
 
-def optimal_disk(poly: PolygonDomain, grid: int = 41, rounds: int = 3):
+def optimal_disk(poly: PolygonDomain):
     """(xi, eta, R) of the enclosing disk realizing the c_plus search
     minimum; R is the largest vertex distance from the chosen center."""
-    _, xi, eta = _disk_search(poly, grid, rounds)
+    _, xi, eta = _disk_search(poly)
     return xi, eta, float(_disk_radius(xi, eta, np.asarray(poly.vertices)))
 
 

@@ -130,20 +130,19 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
     return out
 
 
-def sinc_rule(interval: IntervalSpec, scale: float, nodes: int = None):
+def sinc_rule(interval: IntervalSpec, scale: float):
     """(points, weights) of the sinc-family Nystrom rule on the window:
-    10-point Gauss panels, at least `nodes` points (default 4 scale
-    |window|/pi, at least 400).  The window must lie in (0, infinity)."""
+    10-point Gauss panels, at least max(400, 4 scale |window|/pi) points,
+    which oversamples the ~ scale |window|/pi significant eigenvalues 4x.
+    The window must lie in (0, infinity)."""
     if interval.lo < 0.0:
         raise DomainError("sinc-family window must lie in (0, infinity)")
-    if nodes is None:
-        nodes = max(400, int(4.0 * scale * interval.length / math.pi))
+    nodes = max(400, int(4.0 * scale * interval.length / math.pi))
     panels = max(1, int(math.ceil(nodes / 10)))
     return gauss_panel_rule(interval.lo, interval.hi, panels, 10)
 
 
-def g_sinc(interval: IntervalSpec, scale: float,
-           nodes: int = None) -> DiscretizedOperator:
+def g_sinc(interval: IntervalSpec, scale: float) -> DiscretizedOperator:
     """Weight-symmetrized Nystrom matrix of the sinc-family kernel
 
         sin(scale (k-k'))/(pi (k-k')) * 2 sqrt(kk')/(k+k')
@@ -152,10 +151,9 @@ def g_sinc(interval: IntervalSpec, scale: float,
     dense (n, n) array, (sqrt(w_i) K_ij) sqrt(w_j) with the root weights
     multiplied in place, and no log form.  Its diagonal is exactly
     scale/pi times the weights, so the trace is scale |window| / pi to
-    quadrature-weight roundoff; the node default oversamples the
-    ~ scale|window|/pi significant eigenvalues 4x.
+    quadrature-weight roundoff; the nodes are sinc_rule's.
     """
-    pts, wts = sinc_rule(interval, scale, nodes)
+    pts, wts = sinc_rule(interval, scale)
     kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)
     kern *= root[:, None]
@@ -164,8 +162,8 @@ def g_sinc(interval: IntervalSpec, scale: float,
                                meta={"scale": scale, "family": "sinc"})
 
 
-def g_sinc_trace(interval: IntervalSpec, scale: float, nodes: int = None):
-    """(n, Tr g_sinc) of g_sinc(interval, scale, nodes), from its n
+def g_sinc_trace(interval: IntervalSpec, scale: float):
+    """(n, Tr g_sinc) of g_sinc(interval, scale), from its n
     diagonal entries alone.
 
     Every diagonal entry of the kernel is exactly scale/pi: sinc(0) = 1,
@@ -173,7 +171,7 @@ def g_sinc_trace(interval: IntervalSpec, scale: float, nodes: int = None):
     = k.  So the trace is the sum of ((scale/pi) sqrt(w_i)) sqrt(w_i),
     the bits of np.trace of the kernel, without the (n, n) matrix.
     """
-    pts, wts = sinc_rule(interval, scale, nodes)
+    pts, wts = sinc_rule(interval, scale)
     root = np.sqrt(wts)
     diag = np.full(len(pts), scale / math.pi)
     diag *= root
@@ -181,15 +179,14 @@ def g_sinc_trace(interval: IntervalSpec, scale: float, nodes: int = None):
     return len(pts), float(np.sum(diag))
 
 
-def kms_trace_ratio(interval: IntervalSpec, m: float, l: int,
-                    nodes: int = None) -> float:
+def kms_trace_ratio(interval: IntervalSpec, m: float, l: int) -> float:
     """Tr(g^l)/m for the sinc family at scale m; tends to |window|/pi
     for every fixed power l >= 1."""
     if l < 1:
         raise ValueError("power l must be at least 1")
     if l == 1:
-        return g_sinc_trace(interval, m, nodes)[1] / m
-    dense = g_sinc(interval, m, nodes).kernel
+        return g_sinc_trace(interval, m)[1] / m
+    dense = g_sinc(interval, m).kernel
     # Tr(g^l) = sum_ij (g^(l-1))_ij g_ji.  einsum multiplies without
     # BLAS and fsum adds exactly, so the bytes do not depend on the BLAS
     # thread count.
@@ -212,7 +209,7 @@ def epsilon_bounds(omega, b: float = 1.0):
 
 def inscribed_rectangle_count(r: float, m: float, delta: float,
                               alpha: float, beta: float, half_height: float,
-                              eps_minus: float, nodes: int = None):
+                              eps_minus: float):
     """Certified lower-route count through an inscribed rectangle.
 
     For a rectangle (alpha, beta) x (-L, L) inside the lower sandwich
@@ -230,7 +227,7 @@ def inscribed_rectangle_count(r: float, m: float, delta: float,
         raise ValueError("need positive half height and eps_minus in (0, 1]")
     s = (r * math.exp(-2.0 * beta * delta * m)
          / (eps_minus * (1.0 - math.exp(2.0 * (alpha - beta) * delta * m))))
-    op = g_sinc(IntervalSpec.inner(delta), m * half_height, nodes)
+    op = g_sinc(IntervalSpec.inner(delta), m * half_height)
     return count_above(op.kernel, s), s
 
 

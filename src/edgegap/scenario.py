@@ -11,7 +11,9 @@ is a ScenarioError naming the field.  What relates two fields (the gap
 condition, lo < hi, stop <= start and at most MAX_DEPTHS depths,
 j <= fiber.n/10, the kms window and the endpoint alpha < beta, polygon
 simplicity and containment) is checked as the objects are built, so
-downstream code never sees a half-formed scenario.
+downstream code never sees a half-formed scenario.  The one exception is
+a gap depth: 0 < lambda < 2b - (W_+ - W_-) is checked by the commands
+that count at a depth, so a narrow-gap config still runs the others.
 
 The document `validate` returns, every default filled in and the CLI
 overrides merged, is the scenario record: `Scenario.doc`.  The typed
@@ -43,6 +45,8 @@ _POTENTIAL_KEYS = {
 
 _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
+# a list a verdict runs over: an empty one would pass it on no data
+_SAMPLES = {**_NUMBERS, "minItems": 1}
 _POSITIVE = {"exclusiveMinimum": 0}
 _POSITIVE_NUMBER = {**_NUMBER, **_POSITIVE}
 _TOL = {"minimum": 0}
@@ -72,13 +76,13 @@ _VERIFY = {
     "p21": {"k_lo": _num(-10.0), "k_hi": _num(10.0),
             "points": _int(401, minimum=2),
             "monotone_tol": _num(1e-9, **_TOL), "edge_tol": _num(1e-3, **_TOL)},
-    "tep2": {"k_list": {**_NUMBERS, "default": [4.0, 5.0, 6.0]},
+    "tep2": {"k_list": {**_SAMPLES, "default": [4.0, 5.0, 6.0]},
              "tol": _num(0.05, **_TOL), "j2_k": _num(6.0),
              "j2_tol": _num(0.10, **_TOL)},
     "teth1": {"k_near": _num(4.0), "k_far": _num(6.0),
               "far_max": _num(0.2, **_TOL)},
     "lau25": {"k_ratio": _num(5.0, **_POSITIVE), "ratio_tol": _num(0.05, **_TOL),
-              "erfc_k": {**_NUMBERS, "default": [0.5, 1.0, 2.0, 3.0]},
+              "erfc_k": {**_SAMPLES, "default": [0.5, 1.0, 2.0, 3.0]},
               "erfc_tol": _num(1e-8, **_TOL)},
     "kms": {"window": {**_NUMBERS, "minItems": 2, "maxItems": 2,
                        "default": [0.25, 2.25]},
@@ -86,13 +90,14 @@ _VERIFY = {
             "trace_tol": _num(1e-10, **_TOL), "l2_tol": _num(0.02, **_TOL),
             "l3_tol": _num(0.03, **_TOL), "s": _num(0.5, **_POSITIVE),
             "count_tol": _num(0.05, **_TOL)},
-    "sandwich": {"lam": _num(1e-4, **_POSITIVE), "eps": _num(0.3, **_OPEN_UNIT),
-                 "r": _num(1.0, **_POSITIVE), "slack": _int(3, minimum=0)},
+    "sandwich": {"lam": _num(1e-4, **_OPEN_UNIT),
+                 "eps": _num(0.3, **_OPEN_UNIT), "r": _num(1.0, **_POSITIVE),
+                 "slack": _int(3, minimum=0)},
     "weylkyfan": {"trials": _int(1000, minimum=0), "dim": _int(8, minimum=1),
                   "seed": _int(20260822, minimum=0)},
     "effective": {"eps": _num(0.3, **_OPEN_UNIT), "spread_tol": _num(1, **_TOL)},
     "bs": {"j_sum": _int(6, minimum=1),
-           "route_r": {"type": "array", "items": _POSITIVE_NUMBER,
+           "route_r": {**_SAMPLES, "items": _POSITIVE_NUMBER,
                        "default": [0.5, 1.0, 2.0]},
            "cross_eps": _num(0.3, **_OPEN_UNIT),
            "cross_slack": _int(2, minimum=0)},
@@ -162,7 +167,7 @@ SCHEMA = {
             "start": _num(1e-3, **_POSITIVE), "stop": _num(1e-8, **_POSITIVE),
             "ratio": _num(10.0, exclusiveMinimum=1),
         }, default={}, description="geometric grid of gap depths"),
-        "m_grid": {"type": "array", "items": _POSITIVE_NUMBER,
+        "m_grid": {**_SAMPLES, "items": _POSITIVE_NUMBER,
                    "default": [50, 100, 200, 300]},
         "out_dir": {"type": "string", "default": "out"},
         "normalize_x_plus": {"type": "boolean", "default": False,

@@ -294,22 +294,19 @@ def _rayleigh_quotients(base, p, v, ik):
     return (p * kinetic + work.sum(axis=1)) / norm2, norm2
 
 
-def _keep_vectors(v, ik, im):
+def keep_vectors(v, ik, im):
     """refine's reducer that keeps the unit vectors themselves, kept[k, m]
     (n,)."""
     return v
 
 
-def _keep_curvature(v, ik, im):
+def keep_curvature(v, ik, im):
     """refine's reducer that keeps the curvature sum
     sum_i ((v_{i+1} - v_i) - (v_i - v_{i-1}))^2 (zero walls) of each unit
     vector, kept[k, m] a number."""
     d2 = np.diff(_gradient(v), axis=1)
     d2 *= d2
     return d2.sum(axis=1)
-
-
-_REDUCERS = {"vectors": _keep_vectors, "curvature": _keep_curvature}
 
 
 def _settled(new, old):
@@ -325,12 +322,12 @@ def refine(base, p, sigma, keep=None):
     Each step is one twisted factorization at the lane's shift, and the
     Rayleigh quotient of its vector is the next shift.  A lane stops once
     its shift moved by less than _RQI_REL (1 + |E|); its energy is that
-    last quotient.  keep is a reducer, a function (v, ik, im) -> rows,
-    or the name of one ("vectors": _keep_vectors, "curvature":
-    _keep_curvature).  On the step where a lane stops, its unit-normalized
-    vector, a row of v (lanes, n) with the lane's momentum column ik and
-    level index im, is passed to the reducer, and kept[k, m] (K, M, ...)
-    holds the lane's row of what it returns (kept None for keep None).
+    last quotient.  keep is None or a reducer, a function
+    (v, ik, im) -> rows such as keep_vectors or keep_curvature.  On the
+    step where a lane stops, its unit-normalized vector, a row of
+    v (lanes, n) with the lane's momentum column ik and level index im,
+    is passed to the reducer, and kept[k, m] (K, M, ...) holds the
+    lane's row of what it returns (kept None for keep None).
     Lanes run in blocks of _LANE_BLOCK.  The working set is the two pivot
     arrays of one block's twisted factorization, allocated once and
     filled by every block and step, so a fresh process does not fault
@@ -338,7 +335,6 @@ def refine(base, p, sigma, keep=None):
     _QUOTIENT_LANES lanes at a time.  A lane's result does not depend on
     its block.
     """
-    reduce = _REDUCERS.get(keep, keep)
     sigma = sigma.astype(float)
     kept = None
     work = np.empty((base.shape[0], 2 * min(_LANE_BLOCK, sigma.size)))
@@ -355,12 +351,12 @@ def refine(base, p, sigma, keep=None):
                 v = np.ascontiguousarray(z[:, part].T)
                 new[part], norm2 = _rayleigh_quotients(base, p, v, ik[part])
                 done = _settled(new[part], sigma[ik[part], im[part]])
-                if reduce is not None and done.any():
+                if keep is not None and done.any():
                     if not done.all():
                         v, norm2 = v[done], norm2[done]
                     v /= np.sqrt(norm2)[:, None]
                     at = ik[part][done], im[part][done]
-                    rows = reduce(v, *at)
+                    rows = keep(v, *at)
                     if kept is None:
                         kept = np.empty(sigma.shape + rows.shape[1:])
                     kept[at] = rows
@@ -471,7 +467,8 @@ def log_level(base, p, level: int, lo, hi):
     base (n,): certified by certified_levels, energy the exact-sum
     Rayleigh quotient and the unit vector rebuilt in log form at it."""
     col = base[:, None]
-    _, vec = certified_levels(col, p, np.array([[level]]), lo, hi, "vectors")
+    _, vec = certified_levels(col, p, np.array([[level]]), lo, hi,
+                              keep_vectors)
     energy = rayleigh_quotient(base, p, vec[0, 0])
     log_v, sign = log_vectors(col, p, np.array([energy]))
     return energy, log_v[0], sign[0]

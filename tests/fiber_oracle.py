@@ -29,7 +29,8 @@ from edgegap.fiber import (FiberDiscretization, _band_brackets, _bases,
 from edgegap.operators import gauss_panel_rule
 from edgegap.oscillator import psi_inf_levels
 from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
-                                 certified_levels, rayleigh_quotient)
+                                 certified_levels, keep_curvature,
+                                 rayleigh_quotient)
 
 
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
@@ -123,7 +124,7 @@ def fiber_vectors(disc: FiberDiscretization, ks, j_max: int):
     h2, p2, base2 = _bases(disc, ks, disc.n_half)
     coarse, curv = certified_levels(
         base2, p2, levels, *_band_brackets(disc.b, levels, h2, *bounds),
-        "curvature")
+        keep_curvature)
     h, p, base = _bases(disc, ks)
     fine, vecs = refine(base, p, coarse + curv / (16.0 * h2 * h2))
     weights = _trapezoid_weights(disc.n, h)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import eval_hermite, gammaln
 
-from edgegap.counting import count_above
+from edgegap.counting import LogHermitian, count_above
 from edgegap.geometry import kappa
 from edgegap.modelops import IntervalSpec, g_sinc, sinc_rule
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
@@ -61,8 +61,7 @@ def theta_coeffs(delta: float, q_max: int) -> np.ndarray:
     return np.where(l <= q, np.exp(logv), 0.0)
 
 
-def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
-                    nodes: int = None) -> float:
+def kms_count_ratio(interval: IntervalSpec, m: float, s: float) -> float:
     """n_+(s; g)/m for the sinc family at scale m, counted on the
     Nystrom matrix g_sinc exponentiates.
 
@@ -71,7 +70,7 @@ def kms_count_ratio(interval: IntervalSpec, m: float, s: float,
     """
     if s <= 0 or s == 1.0:
         raise ValueError("threshold must be positive and away from 1")
-    return count_above(g_sinc(interval, m, nodes).kernel, s).count / m
+    return count_above(g_sinc(interval, m).kernel, s).count / m
 
 
 def disk_moment_check(m: float, R: float, k: float, kp: float):
@@ -232,14 +231,24 @@ def full_exp_sinc_kernel(eta, m, sinc_scale, k):
     return np.exp(eta * m * ssum) * osc * geo
 
 
-def full_sinc_dense(interval, scale, nodes=None):
+def full_sinc_dense(interval, scale):
     """(points, weights, kernel) of modelops.g_sinc, the kernel evaluated
     on the whole matrix at once and the root weights multiplied into a
     new matrix, (sqrt(w_i) K_ij) sqrt(w_j)."""
-    pts, wts = sinc_rule(interval, scale, nodes)
+    pts, wts = sinc_rule(interval, scale)
     kern = full_exp_sinc_kernel(0.0, 1.0, scale, pts)
     root = np.sqrt(wts)
     return pts, wts, root[:, None] * kern * root[None, :]
+
+
+def from_dense(m) -> LogHermitian:
+    """The dense Hermitian matrix m in log form: ln|m_ij|, -inf at an
+    exact zero, and the phase angle(m_ij)."""
+    m = np.asarray(m)
+    log_mag = np.asarray(np.abs(m), dtype=float)
+    with np.errstate(divide="ignore"):
+        np.log(log_mag, out=log_mag)
+    return LogHermitian(log_mag, np.asarray(np.angle(m), dtype=float))
 
 
 def whole_matrix_check_hermitian(m, rtol=1e-12):

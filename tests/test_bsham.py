@@ -104,7 +104,7 @@ def test_count_stable_under_node_doubling(coarse_scenario):
             == count_above(dbl.kernel, 1.0).count)
 
 
-def test_truncation_is_certified():
+def test_truncation_is_certified(monkeypatch):
     k1 = k_truncation(1, 1.0, 0.5)
     assert k1 > 0.5
     # growing support reach pushes the cutoff out
@@ -112,8 +112,9 @@ def test_truncation_is_certified():
     ks = k_truncation_symmetric(1, 1.0, -1.0, 1.0)
     # matches the one-sided cutoff up to the 0.01 sqrt(b) search step
     assert ks >= k_truncation(1, 1.0, 1.0, 0.0) - 0.02
+    monkeypatch.setattr(bsham, "_TAIL_REL", 1e-300)
     with pytest.warns(TruncationWarning):
-        k_truncation(1, 1.0, 0.0, rel=1e-300)
+        k_truncation(1, 1.0, 0.0)
 
 
 def test_parameter_validation(coarse_scenario):

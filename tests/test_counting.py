@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgegap.counting import (LogHermitian, _check_dense_hermitian,
+                              _count_double_eig, _count_scaled_eig,
                               _equilibrating_exponents, _scaled_spectrum,
                               count_above, n_star)
 from tests.inertia_oracle import (PrecisionExhausted, count_hp_inertia,
                                   scaled_eigenvalues)
-from tests.model_oracles import (complex_check_hermitian,
+from tests.model_oracles import (complex_check_hermitian, from_dense,
                                  whole_matrix_check_hermitian)
 
 
@@ -106,7 +107,7 @@ def test_graded_counts_match_high_precision_oracle():
     for _ in range(25):
         logm = _graded_symmetric(rng, 8, 60.0)
         rep = count_above(logm, 1.0)
-        assert rep == count_above(logm, 1.0, route="scaled_eig")
+        assert rep == _count_scaled_eig(logm, 1.0)
         assert rep.route == "double_eig"
         assert rep.count == _mp_count_above(logm, 1.0)
         assert rep.precision_bits == 53
@@ -122,7 +123,7 @@ def test_equilibrated_graded_counts_certify_on_first_rung(complex_):
         logm, exact = _graded_congruence(rng, n, 150.0, complex_)
         assert logm.is_real() != complex_
         rep = count_above(logm, 1.0)
-        assert rep == count_above(logm, 1.0, route="scaled_eig")
+        assert rep == _count_scaled_eig(logm, 1.0)
         assert rep.route == "double_eig"
         assert rep.count == exact
         assert rep.precision_bits == 53
@@ -139,9 +140,9 @@ def test_ill_conditioned_after_equilibration_escalates():
                   [1.0, 1.0 + d, 1.0 + c, 0.0],
                   [1.0, 1.0 + c, 1.0, 1.0],
                   [0.0, 0.0, 1.0, 1.0]])
-    logm = LogHermitian.from_dense(a + np.eye(4))
+    logm = from_dense(a + np.eye(4))
     # in double the near-zero eigenvalue sits inside the budget: flagged
-    rep = count_above(logm, 1.0, route="scaled_eig")
+    rep = _count_scaled_eig(logm, 1.0)
     assert rep.count == 3
     assert any(w.startswith("tie:") for w in rep.warnings)
     # the exact-inertia ladder resolves it only by escalating
@@ -173,8 +174,8 @@ def test_routes_agree_on_representable_graded():
     rng = np.random.default_rng(7)
     for _ in range(10):
         logm = _graded_symmetric(rng, 6, 10.0)
-        a = count_above(logm, 1.0, route="double_eig").count
-        b = count_above(logm, 1.0, route="scaled_eig").count
+        a = _count_double_eig(logm.to_dense(), 1.0).count
+        b = _count_scaled_eig(logm, 1.0).count
         assert a == b == count_hp_inertia(logm, 1.0).count
 
 
@@ -182,13 +183,16 @@ def test_auto_route_selection():
     # both routes report route "double_eig"; the margin, taken in each
     # route's own coordinates, shows which one ran
     small = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, 1.0]]))
-    assert count_above(small, 1.0) == count_above(small, 1.0, route="double_eig")
+    assert count_above(small, 1.0) == _count_double_eig(small.to_dense(), 1.0)
     assert count_above(small, 1.0).route == "double_eig"
     big = LogHermitian(np.array([[100.0, -math.inf], [-math.inf, 1.0]]))
     rep = count_above(big, 1.0)
-    assert rep == count_above(big, 1.0, route="scaled_eig")
-    assert rep.margin != count_above(big, 1.0, route="double_eig").margin
+    assert rep == _count_scaled_eig(big, 1.0)
+    assert rep.margin != _count_double_eig(big.to_dense(), 1.0).margin
     assert rep.route == "double_eig"
+    # a dense matrix always takes the double eigensolver
+    assert (count_above(big.to_dense(), 1.0)
+            == _count_double_eig(big.to_dense(), 1.0))
 
 
 def test_tie_reported_on_both_routes():
@@ -202,7 +206,7 @@ def test_tie_reported_on_both_routes():
     assert rep.warnings == ("tie: 3 eigenvalue(s) within 1e-08 of threshold, "
                             "nearest 1.0; count could be 1 to 4",)
     diag = LogHermitian(np.array([[0.0, -math.inf], [-math.inf, math.log(2)]]))
-    rep_scaled = count_above(diag, 1.0, route="scaled_eig")
+    rep_scaled = _count_scaled_eig(diag, 1.0)
     assert rep_scaled.count == 1
     assert any(w.startswith("tie:") for w in rep_scaled.warnings)
     rep_hp = count_hp_inertia(diag, 1.0)
@@ -233,7 +237,7 @@ def _check_outcome(check, logm):
 
 def test_check_hermitian_rejects_what_it_must():
     rng = np.random.default_rng(29)
-    logm = LogHermitian.from_dense(_rand_hermitian(rng, 6))
+    logm = from_dense(_rand_hermitian(rng, 6))
     logm.check_hermitian()
     lm = logm.log_mag.copy()
     lm[1, 4] += 1e-9
@@ -262,7 +266,7 @@ def test_check_hermitian_agrees_with_the_complex_residual():
     # perturbations just inside and just outside both tolerances get the
     # same verdict as the complex-arithmetic phase test
     rng = np.random.default_rng(31)
-    base = LogHermitian.from_dense(_rand_hermitian(rng, 8))
+    base = from_dense(_rand_hermitian(rng, 8))
     for size in (1e-13, 1e-12, 1e-11, 5e-11, 2e-10, 1e-9):
         for _ in range(10):
             i, j = rng.integers(0, 8, 2)
@@ -319,10 +323,6 @@ def test_validation_and_errors():
         count_above(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ValueError):
         LogHermitian(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        count_above(np.eye(2), 1.0, route="cayley")
-    with pytest.raises(ValueError):
-        count_above(np.eye(2), 1.0, route="hp_inertia")
     lop = LogHermitian(np.array([[0.0, 0.0], [-math.inf, 0.0]]))
     with pytest.raises(ValueError):
         count_above(lop, 1.0)
@@ -334,13 +334,13 @@ def test_validation_and_errors():
 def test_round_trip_and_empty():
     rng = np.random.default_rng(11)
     m = _rand_hermitian(rng, 5)
-    back = LogHermitian.from_dense(m).to_dense()
+    back = from_dense(m).to_dense()
     np.testing.assert_allclose(back, m, rtol=1e-13)
     # a real matrix with an exact zero: real form built in place, and
     # max_log skips the -inf entries
     a = m.real + m.real.T
     a[2, 4] = a[4, 2] = 0.0
-    logm = LogHermitian.from_dense(a)
+    logm = from_dense(a)
     assert logm.is_real() and np.isneginf(logm.log_mag[2, 4])
     assert logm.max_log == float(logm.log_mag[np.isfinite(logm.log_mag)].max())
     assert np.array_equal(logm.to_dense(), np.exp(logm.log_mag)

@@ -11,6 +11,7 @@ three times the measured relative error at each momentum.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +71,11 @@ def test_landau_levels_flat_in_momentum():
         np.testing.assert_allclose(energies, [1.0, 3.0, 5.0], atol=1e-7)
 
 
-def test_convergence_guard_trips_on_tight_tolerance():
+def test_convergence_guard_trips_on_tight_tolerance(monkeypatch):
     disc = FiberDiscretization(b=1.0, w=None, n=301)
+    monkeypatch.setattr(fiber, "_ENERGY_CONV_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure):
-        solve_fiber(disc, 0.0, 1, conv_tol=1e-14)
+        solve_fiber(disc, 0.0, 1)
 
 
 def test_gap_edges_values(step01):
@@ -229,9 +231,11 @@ def test_refine_in_split_lane_blocks_is_bit_identical(reference):
     h, p, base = fiber._bases(disc, ks)
     seeds = band_table(disc, ks, 5).energies.T
     want, vecs = fiber_oracle.refine(base, p, seeds)
-    energies, got = tridiagonal.refine(base, p, seeds, "vectors")
+    energies, got = tridiagonal.refine(base, p, seeds,
+                                       tridiagonal.keep_vectors)
     assert _same_bits(energies, want) and _same_bits(got, vecs)
-    energies, curv = tridiagonal.refine(base, p, seeds, "curvature")
+    energies, curv = tridiagonal.refine(base, p, seeds,
+                                        tridiagonal.keep_curvature)
     d2 = np.diff(vecs, n=2, axis=-1, prepend=0.0, append=0.0)
     assert _same_bits(energies, want)
     assert _same_bits(curv, (d2 * d2).sum(axis=-1))
@@ -339,8 +343,9 @@ def test_level_order_rejects_a_swapped_pair(disc01, monkeypatch):
     # levels lie within 6 conv_tol of each other: the energies come out of
     # order
     _corrupt_seeds(monkeypatch, disc01.n, lambda sigma: sigma[:, [1, 0, 2]])
+    monkeypatch.setattr(fiber, "_ENERGY_CONV_TOL", 10.0)
     with pytest.raises(ConvergenceFailure, match="out of order"):
-        solve_fiber(disc01, 1.0, 3, conv_tol=10.0)
+        solve_fiber(disc01, 1.0, 3)
 
 
 def test_constant_twin_is_one_matrix_per_window(disc01, step01):
@@ -543,7 +548,9 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
 
 def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
     (fine,) = fiber._twin_comparisons(disc01, 1, (5.0,))
-    (coarse,) = fiber._twin_comparisons(disc01, 1, (5.0,), disc01.n_half)
+    # the n_half grid of disc01's window, the same linspace bit for bit
+    (coarse,) = fiber._twin_comparisons(replace(disc01, n=disc01.n_half), 1,
+                                        (5.0,))
     cmp = edge_comparison(disc01, 1, 5.0)
     assert cmp.gap_dist == (4.0 * fine.gap_dist - coarse.gap_dist) / 3.0
     assert (cmp.overlap, cmp.defect, cmp.energy_w) == (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from edgegap.bsham import sjstar_sj
-from edgegap.counting import LogHermitian, count_above
+from edgegap.counting import _count_double_eig, _count_scaled_eig, count_above
 from edgegap.errors import DomainError
 from edgegap.geometry import kappa
 from edgegap.modelops import (
@@ -34,6 +34,7 @@ from tests.inertia_oracle import PrecisionExhausted, count_hp_inertia
 from tests.model_oracles import (
     diag_count_limit,
     disk_moment_check,
+    from_dense,
     full_exp_sinc_kernel,
     full_sinc_dense,
     gamma_diag_count as gammaln_diag_count,
@@ -104,8 +105,8 @@ def test_inscribed_rectangle_certifies_lower_count(m, gram_n, sinc_n):
 def test_count_stable_across_routes_and_nodes():
     omega = rect(0.0, 0.15, -0.8, 0.8)
     op = gamma_gram("minus", 50.0, 0.1, omega, QUAD)
-    n_dbl = count_above(op.kernel, 1.0, route="double_eig").count
-    n_scaled = count_above(op.kernel, 1.0, route="scaled_eig").count
+    n_dbl = _count_double_eig(op.kernel.to_dense(), 1.0).count
+    n_scaled = _count_scaled_eig(op.kernel, 1.0).count
     n_256 = count_hp_inertia(op.kernel, 1.0, precision_cap=256).count
     n_512 = count_hp_inertia(op.kernel, 1.0, precision_cap=512).count
     fine = QuadratureSpec(k_panels=16, k_nodes=16, x_nodes=40)
@@ -120,10 +121,21 @@ def _floor_messages(report):
 
 def test_noise_floor_warning_below_assembly_resolution():
     op = gamma_gram("minus", 100.0, 0.1, rect(0.0, 0.3, -0.8, 0.8), QUAD)
-    assert op.kernel.noise_floor_log == op.meta["noise_floor_log"] > 0.0
-    for route in ("auto", "double_eig", "scaled_eig"):
-        (msg,) = _floor_messages(count_above(op.kernel, 1.0, route=route))
-        assert f"floor {op.meta['noise_floor_log']:.1f}" in msg
+    floor = op.meta["noise_floor_log"]
+    assert op.kernel.noise_floor_log == floor > 0.0
+    # the largest log-entry, 51.4, lies more than 30 nats above ln 1, so
+    # the count at 1 runs on scaled_eig, and less than 30 above 24, so
+    # the count at e^24 runs on double_eig; both thresholds lie below the
+    # floor, 26.3
+    routes = ((1.0, _count_scaled_eig),
+              (math.exp(24.0),
+               lambda logm, s: _count_double_eig(logm.to_dense(), s)))
+    for s, route in routes:
+        report, alone = count_above(op.kernel, s), route(op.kernel, s)
+        assert report.margin == alone.margin
+        (msg,) = _floor_messages(report)
+        assert report.warnings == alone.warnings + (msg,)
+        assert f"floor {floor:.1f}" in msg
 
 
 def test_noise_floor_flags_the_gamma_m60_probe():
@@ -140,11 +152,14 @@ def test_noise_floor_flags_the_gamma_m60_probe():
 
 def test_counts_without_a_floor_carry_no_floor_message():
     op = g_sinc(WINDOW, 80.0)
-    logm = LogHermitian.from_dense(op.kernel)
+    logm = from_dense(op.kernel)
     assert logm.noise_floor_log is None
+    # the dense kernel counts on double_eig, its log form at 1e-300 on
+    # scaled_eig
+    assert (count_above(logm, 1e-300).margin
+            == _count_scaled_eig(logm, 1e-300).margin)
     for m in (logm, op.kernel):
-        for route in ("double_eig", "scaled_eig"):
-            assert not _floor_messages(count_above(m, 1e-300, route=route))
+        assert not _floor_messages(count_above(m, 1e-300))
 
 
 def test_sinc_trace_is_exact():

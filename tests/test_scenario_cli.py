@@ -669,6 +669,73 @@ def test_cli_two_field_verify_rule_exit(tmp_path, capsys, verify, argv, field):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("over, argv, field", [
+    ({"verify": {"tep2": {"k_list": []}}}, ["verify", "tep2"],
+     "config.verify.tep2.k_list"),
+    ({"verify": {"lau25": {"erfc_k": []}}}, ["verify", "lau25"],
+     "config.verify.lau25.erfc_k"),
+    ({"m_grid": []}, ["verify", "kms"], "config.m_grid"),
+    ({"verify": {"bs": {"route_r": []}}}, ["bs-count"],
+     "config.verify.bs.route_r"),
+], ids=["tep2_k_list", "lau25_erfc_k", "m_grid", "bs_route_r"])
+def test_cli_empty_list_exits_2(tmp_path, capsys, over, argv, field):
+    # a verdict over no data says nothing: each of these lists used to
+    # pass its verdicts with exit 0, or (k_list) end in a traceback
+    cfg = write_cfg(tmp_path, base_doc(**over))
+    assert run([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+# a gap of width 2b - (W_+ - W_-) = 0.5
+_NARROW = {"type": "step", "w_minus": 0.0, "w_plus": 1.5, "x0": 0.0}
+
+
+@pytest.mark.parametrize("over, argv, field", [
+    ({"verify": {"sandwich": {"lam": 1.5}}}, ["verify", "sandwich"],
+     "config.verify.sandwich.lam"),
+    ({"b": 2.0, "verify": {"sandwich": {"lam": 1.5}}},
+     ["verify", "sandwich"], "config.verify.sandwich.lam"),
+    ({"edge_potential": _NARROW, "verify": {"sandwich": {"lam": 0.9}}},
+     ["verify", "sandwich"], "config.verify.sandwich.lam"),
+    ({"lambda_grid": {"start": 5.0, "stop": 0.5}}, ["effective-count"],
+     "config.lambda_grid.start"),
+    ({"lambda_grid": {"start": 5.0, "stop": 0.5}}, ["bs-count"],
+     "config.lambda_grid.start"),
+    ({"lambda_grid": {"start": 5.0, "stop": 0.5}}, ["scaling"],
+     "config.lambda_grid.start"),
+    ({"edge_potential": _NARROW, "lambda_grid": {"start": 0.9, "stop": 0.9}},
+     ["effective-count"], "config.lambda_grid.start"),
+], ids=["sandwich_lam_above_1", "sandwich_lam_above_1_b2",
+        "sandwich_lam_past_narrow_gap", "effective_count_past_gap",
+        "bs_count_past_gap", "scaling_past_gap", "effective_count_narrow"])
+def test_cli_depth_outside_the_open_gap_exits_2(tmp_path, capsys, over, argv,
+                                                  field):
+    # a count at depth lam is a count at z = E_j^+ + lam, which must lie
+    # in the open gap: 0 < lam < 2b - (W_+ - W_-)
+    doc = _reference_doc()
+    doc.update(over)
+    cfg = write_cfg(tmp_path, doc)
+    assert run([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_cli_narrow_gap_still_runs_bands_and_gaps(tmp_path, capsys):
+    # the gap 5e-4 is narrower than the default lambda grid's start 1e-3:
+    # only the commands that count at a depth reject the grid
+    cfg = write_cfg(tmp_path, base_doc(
+        edge_potential={"type": "step", "w_minus": 0.0, "w_plus": 1.9995,
+                        "x0": 0.0},
+        k_grid={"lo": -1.0, "hi": 1.0, "points": 3}))
+    for argv in (["gaps"], ["bands"]):
+        assert run([*argv, "--config", cfg,
+                    "--out", str(tmp_path / argv[0])]) == 0
+    assert run(["effective-count", "--config", cfg,
+                "--out", str(tmp_path / "count")]) == 2
+    assert "config.lambda_grid.start" in capsys.readouterr().err
+
+
 def test_cli_failed_verdict_exit(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(
         m_grid=[20, 40],
