@@ -407,6 +407,11 @@ def cmd_bs_count(sc: Scenario, out: Path):
 def cmd_scaling(sc: Scenario, out: Path):
     _need(sc, w=True, v=True)
     _need_depth(sc, sc.lam_grid.start, "lambda_grid.start")
+    if sc.lam_grid.start >= 1.0:
+        # m = sqrt(b |ln lam|) grows with the depth only below 1
+        raise ScenarioError(
+            f"config.lambda_grid.start = {sc.lam_grid.start:g} must lie "
+            f"below 1: scaling counts on the log scale of lambda")
     p = sc.verify_params("scaling")
     lams = sc.lam_grid.values()
     finite = finiteness_predicate(sc.v, sc.w)

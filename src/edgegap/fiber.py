@@ -31,12 +31,13 @@ pairwise-sum Rayleigh quotient its iteration ended on; only an energy
 that is reported (EdgeComparison.energy_w) is summed exactly, so the
 nodes of GapModel take no exact sums.  The eigenvector overlap defect
 1 - <v_+, v_W>^2 comes from one deflated solve with the same right
-side, at the exact-sum energy.  The twin gap is Richardson-extrapolated
-over the same grid pair as the energies, so every gap distance the
-package reads, from the Phi_j(k)^2 ratio checks to the resolvent
-weights of GapModel, is the one h^4-accurate number.  edge_comparisons
-is the one entry point of the edge checks: it solves the momenta it is
-given as one batch and keeps nothing between calls.
+side, at the exact-sum energy.  Twins run coarse first, like band
+levels, and the twin gap is Richardson-extrapolated over that grid pair
+in one place (_twin_pair), so every gap distance the package reads,
+from the Phi_j(k)^2 ratio checks to the resolvent weights of GapModel,
+is the one h^4-accurate number.  edge_comparisons is the one entry
+point of the edge checks: it solves the momenta it is given as one
+batch and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class FiberDiscretization:
         """Grid offsets s = x - k/b, the same at every momentum."""
         n = self.n if n is None else n
         return np.linspace(-self.half_width, self.half_width, n)
-
-    def grid(self, k: float) -> np.ndarray:
-        return k / self.b + self._offsets()
 
     def tridiagonal(self, k: float, n: int = None, w_override=None):
         """(x, diag, offdiag, h) of the discretized fiber operator.
@@ -228,10 +226,10 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, keep=None):
 
 
 def _limits(disc: FiberDiscretization, ks, levels):
-    """psi_inf (lanes, n) at each lane's level and momentum ks[l], on the
-    grid disc.grid(ks[l]): one run of psi_inf_levels over the distinct
-    momenta, up to the highest level asked for.  Its operations are
-    elementwise, so a lane's bits do not depend on the others."""
+    """psi_inf (lanes, n) at each lane's level and momentum ks[l], on its
+    n-point grid ks[l]/b + offsets: one run of psi_inf_levels over the
+    distinct momenta, up to the highest level asked for.  Its operations
+    are elementwise, so a lane's bits do not depend on the others."""
     ku, row = np.unique(ks, return_inverse=True)
     x = ku[:, None] / disc.b + disc._offsets()
     out = np.empty((len(ks), disc.n))
@@ -281,7 +279,7 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int, at=None):
         overlap[ik, im] = np.minimum(np.abs(c), 1.0)
         if at is None:
             return v
-        # each vector on its own grid, disc.grid(k)
+        # each vector on its own grid, k/b + offsets
         return np.array([np.interp(at, k / disc.b + offsets, row, left=0.0,
                                    right=0.0)
                          for k, row in zip(ks[ik].tolist(), v)])
@@ -389,7 +387,7 @@ class EdgeComparison:
 
 
 # largest relative h^2 correction |g_n - g_half| / (3 g_n) of the twin gap
-# that edge_comparisons extrapolates.  Every twin comparison of the
+# that _twin_pair extrapolates.  Every twin comparison of the
 # shipped-config commands needs at most 6.6e-3, while a jump on the wall,
 # or one the grid does not resolve, gives O(1) and can flip the sign of
 # the extrapolate
@@ -417,13 +415,15 @@ def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
 
 @dataclass(frozen=True)
 class _TwinLevels:
-    """Level j of the W operators at momenta ks on one grid, against the
-    constant-W_+ twin `plus` (_plus_twin): per lane the unit eigenvector
-    v_W of the matrix base[:, lane], its pairwise-sum Rayleigh quotient
-    `shift` (the shift its log form was built at), sign v_W, ln|D v_W|
-    (-inf where D = W_+ - W vanishes), ln <v_+, D v_W> and the overlap
-    c = <v_+, v_W> > 0, whose ratio is the twin gap.  The exact-sum
-    energy of v_W is left to the callers that report it."""
+    """Level j of the W operators at momenta ks on one grid of a pair
+    solved coarse first (_twin_pair), against the constant-W_+ twin
+    `plus` (_plus_twin): per lane the pairwise-sum Rayleigh quotient
+    `shift` of the unit eigenvector v_W of base[:, lane] (the shift its
+    log form was built at), sign v_W, ln|D v_W| (-inf where D = W_+ - W
+    vanishes), ln <v_+, D v_W> and the overlap c = <v_+, v_W> > 0, whose
+    ratio is the twin gap.  vectors holds v_W where the solve kept it
+    (None otherwise); the exact-sum energy of v_W is left to the callers
+    that report it."""
 
     ks: np.ndarray
     p: float
@@ -441,20 +441,23 @@ class _TwinLevels:
         return self.log_s - np.log(self.overlap)
 
 
-def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
-    """_TwinLevels of the twin operators on the n-point grid of disc's window.
+def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int, start,
+                 keep) -> _TwinLevels:
+    """_TwinLevels of the twin operators on the n-point grid of disc's
+    window; keep is tridiagonal.refine's reducer, keep_vectors or None.
 
     H_W = H_+ - D with 0 <= min D <= D <= max D, so by Weyl level j of
     H_W lies in [E_+ - max D, E_+ - min D]; two Sturm counts certify that
-    it lies there alone (else bisection isolates it), and
-    Rayleigh-quotient iteration starts from E_+ - <v_+, D v_+>, the
-    quotient of v_+.  The quotient the iteration ends on, a pairwise sum
-    within a few ulps of the exact one, is the shift of the bracket check
-    and of the log-form vector, so no lane pays for an exact sum; the gap
+    it lies there alone (else bisection isolates it).  Rayleigh-quotient
+    iteration starts in that bracket, from E_+ - <v_+, D v_+> (the
+    quotient of v_+), or from start = (shift, E_+) of the coarse twins
+    moved by the W_+ grid shift E_+(n) - E_+, which the W level shares
+    up to the small gap.  The quotient it ends on, a pairwise sum within
+    a few ulps of the exact one, is the shift of the bracket check and
+    of the log-form vector, so no lane pays for an exact sum; the gap
     and the overlap move only at rounding level with it.
     """
-    from .tridiagonal import isolate, keep_vectors, log_vectors, refine
-    ks = np.asarray(ks, dtype=float)
+    from .tridiagonal import isolate, log_vectors, refine
     plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
     base_p, v_plus, log_p, sign_p, e_plus = plus
     _, p, base = _bases(disc, ks, n)
@@ -469,8 +472,11 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
     pad = 1e-9 * (1.0 + abs(e_plus))
     lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
                      (e_plus - jump.min(axis=1) + pad)[:, None])
-    seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
-    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), keep_vectors)
+    if start is None:
+        seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
+    else:
+        seed = start[0] + (e_plus - start[1])
+    shift, vecs = refine(base, p, np.clip(seed[:, None], lo, hi), keep)
     shift = shift[:, 0]
     if np.any((shift < lo[:, 0]) | (shift >= hi[:, 0])):
         raise ConvergenceFailure("a twin fiber level left its Weyl bracket")
@@ -487,32 +493,42 @@ def _twin_levels(disc: FiberDiscretization, j: int, ks, n: int) -> _TwinLevels:
              * np.exp(terms - top[:, None])).sum(axis=1)
     if np.any(total <= 0.0):
         raise ConvergenceFailure("twin identity sum is not positive")
-    return _TwinLevels(ks=ks, p=p, plus=plus, base=base, vectors=vecs[:, 0],
+    return _TwinLevels(ks=ks, p=p, plus=plus, base=base,
+                       vectors=None if vecs is None else vecs[:, 0],
                        shift=shift, sign_w=sign_w, log_dw=log_dw,
                        log_s=top + np.log(total), overlap=np.abs(overlap))
 
 
-def _free_comparisons(disc: FiberDiscretization, j: int, ks):
-    """EdgeComparisons for W = None: the twins coincide, and level j of
-    the free fiber is the same matrix at every momentum."""
-    from .tridiagonal import log_level
-    h, p, base = _bases(disc, (0.0,))
-    energy, _, _ = log_level(base[:, 0], p, j,
-                             *_band_brackets(disc.b, j, h, 0.0, 0.0))
-    return [EdgeComparison(j=j, k=float(k), gap_dist=0.0, overlap=1.0,
-                           defect=0.0, scaled_distance=0.0, energy_w=energy)
-            for k in ks]
+def _twin_pair(disc: FiberDiscretization, j: int, ks, keep):
+    """(n-grid _TwinLevels, twin gaps) of level j at ks, coarse first:
+    the n_half twins keep nothing, and only their gaps and shifts reach
+    the n twins (_twin_levels), which keep what keep asks for, so the
+    pair's working set is one grid's.  This is the one place twin gaps
+    are extrapolated, (4 g_n - g_half)/3; an h^2 correction
+    |g_n - g_half|/3 above _TWIN_CONV_TOL of g_n raises ConvergenceFailure.
+    """
+    ks = np.asarray(ks, dtype=float)
+    coarse = _twin_levels(disc, j, ks, disc.n_half, None, None)
+    coarse_gap, start = np.exp(coarse.log_gap), (coarse.shift, coarse.plus[4])
+    del coarse
+    fine = _twin_levels(disc, j, ks, disc.n, start, keep)
+    fine_gap = np.exp(fine.log_gap)
+    gap, corr = _richardson(fine_gap, coarse_gap)
+    bad = corr > _TWIN_CONV_TOL * fine_gap
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceFailure(
+            f"twin gap h^2 correction {corr[i] / fine_gap[i]:.3e} of the gap, "
+            f"above {_TWIN_CONV_TOL:g}, at j={j}, k={ks[i]}; refine the grid")
+    return fine, gap
 
 
-def _twin_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
-    """EdgeComparisons of the twin operators on disc's n-point grid, with
-    the single-grid gap.  energy_w is the exact-sum Rayleigh quotient of
-    the twin eigenvector, the one energy here that is reported, and the
-    shift of the deflated solve."""
+def _twin_comparisons(tw: _TwinLevels, j: int) -> list:
+    """EdgeComparisons of the twin levels tw, which kept their vectors,
+    with the single-grid gap.  energy_w is the exact-sum Rayleigh
+    quotient of the twin eigenvector, the one energy here that is
+    reported, and the shift of the deflated solve."""
     from .tridiagonal import deflated_solve, rayleigh_quotient
-    if disc.w is None:
-        return _free_comparisons(disc, j, ks)
-    tw = _twin_levels(disc, j, ks, disc.n)
     base_p, v_plus = tw.plus[0], tw.plus[1]
     out = []
     for i, k in enumerate(tw.ks.tolist()):
@@ -535,55 +551,32 @@ def _twin_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
     return out
 
 
-def _extrapolated_gaps(disc: FiberDiscretization, j: int, ks, fine_gap):
-    """(4 g_n - g_half)/3 at ks from the fine twin gaps and the n_half
-    ones; an h^2 correction above _TWIN_CONV_TOL of g_n raises
-    ConvergenceFailure."""
-    coarse = np.exp(_twin_levels(disc, j, ks, disc.n_half).log_gap)
-    gap, corr = _richardson(fine_gap, coarse)
-    bad = corr > _TWIN_CONV_TOL * fine_gap
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ConvergenceFailure(
-            f"twin gap h^2 correction {corr[i] / fine_gap[i]:.3e} of the gap, "
-            f"above {_TWIN_CONV_TOL:g}, at j={j}, k={ks[i]}; refine the grid")
-    return gap
-
-
-def _edge_gaps(disc: FiberDiscretization, j: int, ks) -> np.ndarray:
-    """gap_dist of edge_comparisons at each momentum of ks, without the
-    overlap defect (no deflated solve): GapModel's nodes."""
-    ks = np.asarray(ks, dtype=float)
-    if disc.w is None:
-        return np.zeros(len(ks))
-    fine = np.exp(_twin_levels(disc, j, ks, disc.n).log_gap)
-    return _extrapolated_gaps(disc, j, ks, fine)
-
-
 def edge_comparisons(disc: FiberDiscretization, j: int, ks) -> list:
     """EdgeComparison at each momentum of ks, solved as one batch.
 
-    gap_dist is (4 g_n - g_half)/3 from the twin gaps on the n and n_half
-    grids; every other field is the fine-grid value.  A momentum's
-    comparison is the same bits alone, batched, repeated or in any order,
-    and nothing is kept between calls.  Raises ConvergenceFailure when
-    W = W_+ on the whole window (the jump lies beyond half_width), where
-    the twin operators coincide although the continuum gap distance is
-    positive, and when the h^2 correction |g_n - g_half|/3 exceeds
-    _TWIN_CONV_TOL of g_n, where the grid does not resolve the
-    eigenvector tails at the jump.
+    The twins run coarse first, like band levels (_twin_pair): gap_dist
+    is (4 g_n - g_half)/3 from the twin gaps on the n and n_half grids,
+    and every other field is the value of the n-grid twins, the only ones
+    that keep their vectors (for W = None, level j of the free fiber).  A
+    momentum's comparison is the same bits alone, batched, repeated or in
+    any order, and nothing is kept between calls.  Raises
+    ConvergenceFailure when W = W_+ on the whole window (the jump lies
+    beyond half_width), where the twin operators coincide although the
+    continuum gap distance is positive, and when the h^2 correction
+    |g_n - g_half|/3 exceeds _TWIN_CONV_TOL of g_n, where the grid does
+    not resolve the eigenvector tails at the jump.
     """
+    from .tridiagonal import keep_vectors
     ks = [float(k) for k in ks]
-    fine = _twin_comparisons(disc, j, ks)
     if disc.w is None:
-        return fine
-    gaps = _extrapolated_gaps(disc, j, np.array(ks),
-                              np.array([c.gap_dist for c in fine]))
+        energy = _plus_twin(disc, disc.n, 0.0, j)[4]
+        return [EdgeComparison(j, k, 0.0, 1.0, 0.0, 0.0, energy) for k in ks]
+    fine, gaps = _twin_pair(disc, j, ks, keep_vectors)
     # 2 sqrt(defect / gap) from the fine-grid value, which was formed in
     # log form and so survives a subnormal defect
     return [replace(c, gap_dist=float(g),
                     scaled_distance=c.scaled_distance * math.sqrt(c.gap_dist / g))
-            for c, g in zip(fine, gaps)]
+            for c, g in zip(_twin_comparisons(fine, j), gaps)]
 
 
 def edge_comparison(disc: FiberDiscretization, j: int, k: float) -> EdgeComparison:
@@ -625,9 +618,10 @@ def _not_a_knot_slopes(h: float, y: np.ndarray) -> np.ndarray:
 class GapModel:
     """Cached spline model of the edge distance g_j(k) = E_j^+ - E_j(k).
 
-    One batched _edge_gaps call gives every node edge_comparisons'
-    gap_dist, the twin gap extrapolated over the (n, n_half) grid pair,
-    so g is h^4-accurate at every depth, including far below one ulp of the edge energy where no
+    One batched coarse-to-fine twin pair (_twin_pair, which keeps no
+    vectors) gives every node edge_comparisons' gap_dist, the twin gap
+    extrapolated over the (n, n_half) grid pair, so g is h^4-accurate at
+    every depth, including far below one ulp of the edge energy where no
     difference of energies resolves it; a node whose h^2 correction
     exceeds the twin guard raises ConvergenceFailure.  A not-a-knot cubic
     on the uniform nodes interpolates ln g (slowly varying:
@@ -648,7 +642,7 @@ class GapModel:
                                      / (0.5 * math.sqrt(b)))) + 1)
         nodes = np.linspace(self.k_lo, self.k_hi, count)
         self._step = (self.k_hi - self.k_lo) / (count - 1)
-        self._log_gap = np.log(_edge_gaps(self.disc, j, nodes))
+        self._log_gap = np.log(_twin_pair(self.disc, j, nodes, None)[1])
         self._slopes = _not_a_knot_slopes(self._step, self._log_gap)
 
     def gap(self, k):

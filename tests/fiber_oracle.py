@@ -17,20 +17,36 @@ eigenvectors, solved a block of momenta at a time, normalized and signed
 after the solve and interpolated onto every support node.  The package
 reduces each vector to its support-node values as it converges, in one
 batch of every momentum; it must reproduce these bits exactly.
+
+Fine-first twin comparisons: each grid's twin batch solved on its own,
+Rayleigh-quotient iteration started from the first-order energy
+E_+ - <v_+, D v_+>, and the n_half batch solved after the n batch to
+extrapolate the gap.  The package solves the pair coarse first and seeds
+the n grid from it; it must reproduce these values to rounding: a
+relative 1e-13 on gap_dist, defect and scaled_distance, 4 ulp on
+energy_w.  The free fiber's level j solved from the n-grid window at
+k = 0 is the reference of the free comparisons' energy.
 """
+
+import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from edgegap import bsham
 from edgegap.errors import ConvergenceFailure
-from edgegap.fiber import (FiberDiscretization, _band_brackets, _bases,
-                           _richardson, _trapezoid_weights)
+from edgegap.fiber import (_TWIN_CONV_TOL, EdgeComparison,
+                           FiberDiscretization, _band_brackets, _bases,
+                           _plus_twin, _richardson, _trapezoid_weights)
 from edgegap.operators import gauss_panel_rule
 from edgegap.oscillator import psi_inf_levels
 from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
-                                 certified_levels, keep_curvature,
-                                 rayleigh_quotient)
+                                 certified_levels, deflated_solve, isolate,
+                                 keep_curvature, keep_vectors, log_level,
+                                 log_vectors, rayleigh_quotient)
+from edgegap.tridiagonal import refine as package_refine
 
 
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
@@ -152,10 +168,92 @@ def resolvent_columns(j: int, j_sum: int, scenario, block: int = 32):
     for lo in range(0, len(k_pts), block):
         rich, vecs = fiber_vectors(disc, k_pts[lo:lo + block], j_sum)
         for i, k in enumerate(k_pts[lo:lo + block].tolist()):
-            grid = disc.grid(k)
+            grid = k / disc.b + disc._offsets()
             for idx in range(j_sum):
                 c = (lo + i) * j_sum + idx
                 amp[:, c] = root_v * np.interp(xs, grid, vecs[i, idx],
                                                left=0.0, right=0.0)
                 energy[c] = rich[i, idx]
     return amp, energy
+
+
+def twin_levels(disc: FiberDiscretization, j: int, ks, n: int):
+    """Level j of the twin operators at ks on the n-point grid of disc's
+    window, solved on its own: Weyl bracket, iteration from the
+    first-order energy E_+ - <v_+, D v_+>, log-form vector at the
+    pairwise-sum quotient and the twin identity summed in log form."""
+    ks = np.asarray(ks, dtype=float)
+    plus = _plus_twin(replace(disc, w=None), n, disc.w.w_plus_limit, j)
+    base_p, v_plus, log_p, sign_p, e_plus = plus
+    _, p, base = _bases(disc, ks, n)
+    jump = np.ascontiguousarray((base_p[:, None] - base).T)
+    on = jump > 0.0
+    pad = 1e-9 * (1.0 + abs(e_plus))
+    lo, hi = isolate(base, p, j, (e_plus - jump.max(axis=1) - pad)[:, None],
+                     (e_plus - jump.min(axis=1) + pad)[:, None])
+    seed = e_plus - (jump * v_plus * v_plus).sum(axis=1)
+    shift, vecs = package_refine(base, p, np.clip(seed[:, None], lo, hi),
+                                 keep_vectors)
+    shift = shift[:, 0]
+    assert np.all((shift >= lo[:, 0]) & (shift < hi[:, 0]))
+    log_w, sign_w = log_vectors(base, p, shift)
+    overlap = (sign_p * sign_w * np.exp(log_p + log_w)).sum(axis=1)
+    sign_w *= np.where(overlap < 0.0, -1.0, 1.0)[:, None]
+    with np.errstate(divide="ignore"):
+        log_dw = np.where(on, np.log(np.where(on, jump, 1.0)) + log_w, -np.inf)
+    terms = log_dw + log_p
+    top = terms.max(axis=1)
+    total = (np.where(on, sign_w * sign_p, 0.0)
+             * np.exp(terms - top[:, None])).sum(axis=1)
+    log_s = top + np.log(total)
+    return SimpleNamespace(p=p, plus=plus, base=base, vectors=vecs[:, 0],
+                           sign_w=sign_w, log_dw=log_dw, log_s=log_s,
+                           log_gap=log_s - np.log(np.abs(overlap)))
+
+
+def _extrapolated(disc, j, ks, fine_gap):
+    coarse = np.exp(twin_levels(disc, j, ks, disc.n_half).log_gap)
+    gap, corr = _richardson(fine_gap, coarse)
+    assert np.all(corr <= _TWIN_CONV_TOL * fine_gap)
+    return gap
+
+
+def twin_gaps(disc: FiberDiscretization, j: int, ks):
+    """GapModel's node gaps by the fine-first path."""
+    fine = np.exp(twin_levels(disc, j, ks, disc.n).log_gap)
+    return _extrapolated(disc, j, ks, fine)
+
+
+def edge_comparisons(disc: FiberDiscretization, j: int, ks):
+    """edge_comparisons by the fine-first path: the fine grid's
+    comparisons, deflated solve at the exact-sum energy, then the gap
+    extrapolated with a separate n_half solve."""
+    tw = twin_levels(disc, j, ks, disc.n)
+    base_p, v_plus = tw.plus[0], tw.plus[1]
+    fine = []
+    for i, k in enumerate(np.asarray(ks, dtype=float).tolist()):
+        energy = rayleigh_quotient(tw.base[:, i], tw.p, tw.vectors[i])
+        scale = float(tw.log_dw[i].max())
+        rhs = (tw.sign_w[i] * np.exp(tw.log_dw[i] - scale)
+               - math.exp(tw.log_s[i] - scale) * v_plus)
+        u = deflated_solve(base_p, tw.p, energy, v_plus, rhs)
+        log_defect = 2.0 * scale + math.log(float(np.sum(u * u)))
+        defect = math.exp(log_defect)
+        log_gap = float(tw.log_gap[i])
+        fine.append(EdgeComparison(
+            j=j, k=k, gap_dist=math.exp(log_gap),
+            overlap=math.exp(0.5 * math.log1p(-defect)), defect=defect,
+            scaled_distance=2.0 * math.exp(0.5 * (log_defect - log_gap)),
+            energy_w=energy))
+    gaps = _extrapolated(disc, j, ks, np.array([c.gap_dist for c in fine]))
+    return [replace(c, gap_dist=float(g), scaled_distance=c.scaled_distance
+                    * math.sqrt(c.gap_dist / g))
+            for c, g in zip(fine, gaps)]
+
+
+def free_energy(disc: FiberDiscretization, j: int) -> float:
+    """Exact-sum energy of level j of the free fiber, solved from the
+    n-grid operator at k = 0."""
+    h, p, base = _bases(disc, (0.0,))
+    return log_level(base[:, 0], p, j,
+                     *_band_brackets(disc.b, j, h, 0.0, 0.0))[0]

@@ -171,6 +171,16 @@ def test_isolation_falls_back_to_gershgorin(disc01):
     assert np.all(hi - lo <= tridiagonal._BRACKET_REL * (1.0 + np.abs(hi)))
 
 
+def _fine_twin(disc, j, ks):
+    """The n-grid twins of the coarse-to-fine pair at ks, with their
+    vectors and without the pair's h^2 guard on the gap."""
+    ks = np.asarray(ks, dtype=float)
+    coarse = fiber._twin_levels(disc, j, ks, disc.n_half, None, None)
+    return fiber._twin_levels(disc, j, ks, disc.n,
+                              (coarse.shift, coarse.plus[4]),
+                              tridiagonal.keep_vectors)
+
+
 def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
     # 20 momenta run the numpy row sweeps, one momentum the Python float
     # loop: a lane's bits do not depend on its batch
@@ -182,10 +192,11 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
             assert a.energy == b.energy and a.k == b.k
             assert a.overlap_with_limit == b.overlap_with_limit
             assert np.array_equal(a.values, b.values)
-    twins = fiber._twin_comparisons(disc01, 1, ks[6:])
+    twins = fiber._twin_comparisons(_fine_twin(disc01, 1, ks[6:]), 1)
     for k, twin in zip(ks[6:], twins):
-        assert fiber._twin_comparisons(disc01, 1, (float(k),))[0] == twin
-    gaps = fiber._edge_gaps(disc01, 1, ks[6:])
+        (alone,) = fiber._twin_comparisons(_fine_twin(disc01, 1, [k]), 1)
+        assert alone == twin
+    gaps = fiber._twin_pair(disc01, 1, ks[6:], None)[1]
     comparisons = edge_comparisons(disc01, 1, ks[6:])
     for k, gap, cmp in zip(ks[6:], gaps, comparisons):
         assert edge_comparison(disc01, 1, float(k)) == cmp
@@ -270,9 +281,9 @@ def test_edge_comparisons_ignore_order_and_keep_no_state(disc01, monkeypatch):
     solves = []
     twin_levels = fiber._twin_levels
 
-    def counting(disc, j, lanes, n):
+    def counting(disc, j, lanes, *grid):
         solves.append(len(lanes))
-        return twin_levels(disc, j, lanes, n)
+        return twin_levels(disc, j, lanes, *grid)
 
     monkeypatch.setattr(fiber, "_twin_levels", counting)
     for _ in range(2):
@@ -289,17 +300,17 @@ def test_gap_model_nodes_take_no_exact_sum(disc01, monkeypatch):
     # quotient; the exact sum is left to reported energies.  The first
     # build solves the constant-W_+ twin, once per grid of the window.
     ks = np.linspace(-2.0, 4.0, 13)
-    first = fiber._edge_gaps(disc01, 1, ks)
+    first = fiber._twin_pair(disc01, 1, ks, None)[1]
 
     def exact_sum(*args):
         raise AssertionError("exact-sum Rayleigh quotient on a GapModel node")
 
     with monkeypatch.context() as patch:
         patch.setattr(tridiagonal, "rayleigh_quotient", exact_sum)
-        gaps = fiber._edge_gaps(disc01, 1, ks)
+        gaps = fiber._twin_pair(disc01, 1, ks, None)[1]
     assert np.array_equal(gaps, first)
     # energy_w is the exact-sum quotient of the twin eigenvector, bit for bit
-    tw = fiber._twin_levels(disc01, 1, ks, disc01.n)
+    tw = fiber._twin_pair(disc01, 1, ks, tridiagonal.keep_vectors)[0]
     for i, (k, gap) in enumerate(zip(ks.tolist(), gaps)):
         cmp = edge_comparison(disc01, 1, k)
         assert cmp.gap_dist == gap
@@ -508,6 +519,22 @@ def test_gap_model_free_case():
     assert np.all(model.gap(np.array([-1.0, 0.0, 1.0])) == 0.0)
 
 
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_free_comparisons_read_the_free_twin(b, j):
+    # for W = None the twins coincide: energy_w is level j of the free
+    # fiber, which is the constant-W_+ twin at W_+ = 0, bit for bit, and
+    # the level solved from the n-grid window at k = 0
+    disc = FiberDiscretization(b=b)
+    energy = _plus_twin(disc, disc.n, 0.0, j)[4]
+    assert energy == fiber_oracle.free_energy(disc, j)
+    for cmp, k in zip(edge_comparisons(disc, j, [-1.0, 0.0, 3.0]),
+                      (-1.0, 0.0, 3.0)):
+        assert cmp == fiber.EdgeComparison(
+            j=j, k=k, gap_dist=0.0, overlap=1.0, defect=0.0,
+            scaled_distance=0.0, energy_w=energy)
+
+
 # (potential, j, k, half_width); the wide window puts the jump where the
 # eigensolver's own tail components have stalled at their error floor
 TWIN_CASES = [("step", 1, k, None) for k in (2.0, 4.0, 5.0, 6.0, 8.0)] + [
@@ -536,7 +563,7 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
         _, diag_w, _, _ = disc.tridiagonal(k)
         _, diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
         assert np.all(diag_p - diag_w > 0)
-    (cmp,) = fiber._twin_comparisons(disc, j, (k,))
+    (cmp,) = fiber._twin_comparisons(_fine_twin(disc, j, [k]), j)
     oracle = mp_edge_comparison(disc, j, k)
     assert cmp.gap_dist == pytest.approx(oracle["gap_dist"], rel=1e-11, abs=0)
     assert cmp.defect == pytest.approx(oracle["defect"], rel=1e-11, abs=0)
@@ -547,12 +574,13 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
 
 
 def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
-    (fine,) = fiber._twin_comparisons(disc01, 1, (5.0,))
+    (fine,) = fiber._twin_comparisons(_fine_twin(disc01, 1, [5.0]), 1)
     # the n_half grid of disc01's window, the same linspace bit for bit
-    (coarse,) = fiber._twin_comparisons(replace(disc01, n=disc01.n_half), 1,
-                                        (5.0,))
+    coarse = fiber._twin_levels(replace(disc01, n=disc01.n_half), 1,
+                                np.array([5.0]), disc01.n_half, None, None)
     cmp = edge_comparison(disc01, 1, 5.0)
-    assert cmp.gap_dist == (4.0 * fine.gap_dist - coarse.gap_dist) / 3.0
+    assert cmp.gap_dist == (4.0 * fine.gap_dist
+                            - math.exp(coarse.log_gap[0])) / 3.0
     assert (cmp.overlap, cmp.defect, cmp.energy_w) == (
         fine.overlap, fine.defect, fine.energy_w)
     assert cmp.scaled_distance == pytest.approx(
@@ -570,6 +598,57 @@ def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["verify", "tep2", "--config", str(cfg),
                 "--out", str(tmp_path / "tep2")]) == 3
+
+
+@pytest.mark.parametrize("kind,j,ks,half_width", [
+    ("step", 1, (-2.0, 0.5, 2.0, 4.0, 5.0, 6.0, 8.0), None),
+    ("step", 2, (-1.0, 3.0, 6.0, 10.0), None),
+    ("step", 1, (6.0, 9.0), 14.0),
+    ("two_step_upper", 1, (1.0, 4.0), None),
+    ("piecewise_constant", 1, (0.0, 5.0), None),
+    ("smooth_monotone", 1, (2.0, 5.0), None)])
+def test_twin_pair_matches_the_fine_first_path(kind, j, ks, half_width):
+    # the coarse-to-fine pair gives the comparisons and the GapModel node
+    # gaps of the fine-first path within tolerances fixed before the
+    # change: a relative 1e-13, and 4 ulp on energy_w
+    disc = FiberDiscretization(b=1.0, w=TWIN_POTENTIALS[kind],
+                               half_width=half_width)
+    want = fiber_oracle.edge_comparisons(disc, j, ks)
+    for got, ref in zip(edge_comparisons(disc, j, ks), want):
+        for name in ("gap_dist", "defect", "scaled_distance"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(ref, name), rel=1e-13, abs=0)
+        assert abs(got.energy_w - ref.energy_w) <= 4 * math.ulp(ref.energy_w)
+    gaps = fiber._twin_pair(disc, j, ks, None)[1]
+    np.testing.assert_allclose(gaps, fiber_oracle.twin_gaps(disc, j, ks),
+                               rtol=1e-13, atol=0)
+
+
+def test_fine_twin_batch_takes_two_rayleigh_steps(reference, monkeypatch):
+    # the n twins start from the n_half twins moved by the constant-W_+
+    # twin's grid shift: a batch of 15 GapModel-spaced nodes on the
+    # reference window settles in 2 Rayleigh-quotient steps on the n grid,
+    # where the first-order start takes 4
+    sc, disc = reference
+    nodes = np.linspace(sc.a_momentum, 7.0, 15)
+    fiber._twin_pair(disc, sc.j, nodes, None)  # the W_+ twins, cached
+    twisted_vectors = tridiagonal._twisted_vectors
+    steps = []
+
+    def counting(base, *args):
+        if base.shape[0] == disc.n:
+            steps.append(base.shape[1])
+        return twisted_vectors(base, *args)
+
+    monkeypatch.setattr(tridiagonal, "_twisted_vectors", counting)
+    fiber._twin_pair(disc, sc.j, nodes, None)
+    assert 1 <= len(steps) <= 2
+    steps.clear()
+    fiber_oracle.twin_gaps(disc, sc.j, nodes)
+    assert len(steps) == 4
+    steps.clear()
+    edge_comparisons(disc, 1, [4.0, 5.0, 6.0])
+    assert 1 <= len(steps) <= 2
 
 
 def test_window_missing_the_jump_is_an_error(disc01):

@@ -516,9 +516,9 @@ def test_cli_edge_checks_solve_each_lane_once(tmp_path, monkeypatch, check,
     solved = {sc.fiber.n: [], sc.fiber.n_half: []}
     twin_levels = fiber._twin_levels
 
-    def recording(disc, j, ks, n):
+    def recording(disc, j, ks, n, *seed):
         solved[n].extend((j, float(k)) for k in ks)
-        return twin_levels(disc, j, ks, n)
+        return twin_levels(disc, j, ks, n, *seed)
 
     monkeypatch.setattr(fiber, "_twin_levels", recording)
     assert run(["verify", check, "--config", REFERENCE_CONFIG,
@@ -719,6 +719,18 @@ def test_cli_depth_outside_the_open_gap_exits_2(tmp_path, capsys, over, argv,
     assert run([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_cli_scaling_depth_at_or_above_1_exits_2(tmp_path, capsys, lam):
+    # b = 2 opens a gap of 3, so lam = 1 and 2 lie inside it; but scaling
+    # counts at m = sqrt(b |ln lam|), which is 0 at lam = 1 and grows
+    # with lam above it
+    doc = _reference_doc(b=2.0, lambda_grid={"start": lam, "stop": lam})
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["scaling", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config.lambda_grid.start" in err and "Traceback" not in err
 
 
 def test_cli_narrow_gap_still_runs_bands_and_gaps(tmp_path, capsys):
