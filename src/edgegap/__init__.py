@@ -10,9 +10,9 @@ from .counting import CountingReport, LogHermitian, count_above, n_star
 from .errors import (ConstantPotential, ConvergenceFailure, DomainError,
                      EdgegapError, EmptyIntersection, NoGap, ScenarioError,
                      TruncationWarning, WrongPotentialKind)
-from .fiber import (BandTable, EdgeComparison, FiberDiscretization,
-                    FiberEigenpair, GapModel, band_table, edge_comparison,
-                    edge_comparisons, gap_edges, phi_squared, solve_fiber)
+from .fiber import (EdgeComparison, FiberDiscretization, GapModel,
+                    band_table, edge_comparison, edge_comparisons, gap_edges,
+                    phi_squared, solve_fiber)
 from .geometry import (PolygonDomain, asymptotic_constants, c_minus, c_plus,
                        clip_positive_halfplane, kappa, optimal_disk)
 from .operators import DiscretizedOperator, QuadratureSpec
@@ -24,10 +24,10 @@ from .scenario import (Scenario, load_scenario, normalized_scenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandTable", "ConstantPotential", "ConvergenceFailure",
+    "ConstantPotential", "ConvergenceFailure",
     "CountingReport", "DiscretizedOperator", "DomainError",
     "EdgeComparison", "EdgePotential", "EdgegapError", "EmptyIntersection",
-    "FiberDiscretization", "FiberEigenpair", "GapModel", "LogHermitian",
+    "FiberDiscretization", "GapModel", "LogHermitian",
     "NoGap", "Perturbation", "PolygonDomain",
     "QuadratureSpec", "Scenario", "ScenarioError",
     "TruncationWarning", "WrongPotentialKind", "asymptotic_constants",

@@ -205,14 +205,12 @@ def _resolvent_columns(j: int, j_sum: int, scenario):
     panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
     k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
     x_at, node = np.unique(xs, return_inverse=True)
-    pairs = [pair for at_k in solve_fiber(disc, k_pts, j_sum, at=x_at)
-             for pair in at_k]
+    energy, values = solve_fiber(disc, k_pts, j_sum, at=x_at)
     # one row per support node, C-ordered: the bits of bs_count's BLAS
     # products depend on the layout
-    amp = np.ascontiguousarray(
-        np.array([pair.values for pair in pairs])[:, node].T)
+    amp = np.ascontiguousarray(values.reshape(-1, len(x_at))[:, node].T)
     amp *= np.sqrt(v.amplitude * ws)[:, None]
-    energy = np.array([pair.energy for pair in pairs])
+    energy = energy.ravel()
     phase = np.exp(1j * ys[:, None] * k_pts[None, :])
     band = np.tile(np.arange(1, j_sum + 1), len(k_pts))
     return (amp, phase, np.repeat(k_wts, j_sum), band, energy,

@@ -118,10 +118,11 @@ def _phi_asymptote(j: int, k: float, sc: Scenario) -> float:
 
 
 def cmd_bands(sc: Scenario, out: Path):
-    table = band_table(sc.fiber, sc.k_grid.values(), sc.j)
-    rows = [(float(k), j + 1, float(table.energies[j, i]))
+    k_grid = sc.k_grid.values()
+    energies = band_table(sc.fiber, k_grid, sc.j)
+    rows = [(float(k), j + 1, float(energies[j, i]))
             for j in range(sc.j)
-            for i, k in enumerate(table.k_grid)]
+            for i, k in enumerate(k_grid)]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
     return []
 
@@ -150,8 +151,7 @@ def cmd_verify_p21(sc: Scenario, out: Path):
     _need(sc, w=True)
     p = sc.verify_params("p21")
     k_grid = np.linspace(p["k_lo"], p["k_hi"], p["points"])
-    table = band_table(sc.fiber, k_grid, sc.j)
-    band = table.energies[sc.j - 1]
+    band = band_table(sc.fiber, k_grid, sc.j)[sc.j - 1]
     rows = [(float(k), sc.j, float(e)) for k, e in zip(k_grid, band)]
     _write_csv(out, "bands.csv", ("k", "j", "E"), rows)
     drop = float(np.maximum(0.0, -np.diff(band).min()))

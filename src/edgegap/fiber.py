@@ -13,6 +13,10 @@ the computed eigenvectors.  The window is built from offsets s = x - k/b
 that do not depend on k, so an operator whose potential is constant is
 the same matrix at every momentum.  The solver module is imported where
 it is first used, so a command that solves no fiber does not load it.
+solve_fiber hands back plain arrays, energies (K, j_max) and
+trapezoid-normalized eigenvector values whose sign is the one the
+iteration left (the resolvent kernel sums psi psi^* over each pair), and
+band_table the (j_max, K) energies.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NoGap, WrongPotentialKind
 from .operators import gauss_legendre
-from .oscillator import log_p_coeff, psi_inf, psi_inf_levels
+from .oscillator import log_p_coeff, psi_inf
 from .potentials import EdgePotential, gap_condition
 
 _GAUSS_NODES = 24
@@ -99,34 +103,25 @@ class FiberDiscretization:
         return np.linspace(-self.half_width, self.half_width, n)
 
     def tridiagonal(self, k: float, n: int = None, w_override=None):
-        """(x, diag, offdiag, h) of the discretized fiber operator.
+        """(diag, offdiag, h) of the discretized fiber operator.
 
-        Built on the offsets s: x = k/b + s, h = s[1] - s[0] and
+        Built on the offsets s of the grid k/b + s: h = s[1] - s[0] and
         diag = 2/h^2 + (b s)^2 + W, so only the potential samples depend
         on k.  w_override replaces them (used for the constant-W_+
         comparison operator on the identical grid, which is then the same
         matrix, bit for bit, at every k).
         """
         s = self._offsets(n)
-        x = k / self.b + s
         h = s[1] - s[0]
-        pot = np.zeros_like(x)
+        pot = np.zeros_like(s)
         if w_override is not None:
             pot += w_override
         elif self.w is not None:
-            pot = np.asarray(self.w.cell_average(x, h), dtype=float)
+            pot = np.asarray(self.w.cell_average(k / self.b + s, h),
+                             dtype=float)
         diag = 2.0 / h ** 2 + (self.b * s) ** 2 + pot
-        off = np.full(len(x) - 1, -1.0 / h ** 2)
-        return x, diag, off, h
-
-
-@dataclass(frozen=True)
-class FiberEigenpair:
-    j: int
-    k: float
-    energy: float
-    values: np.ndarray
-    overlap_with_limit: float
+        off = np.full(len(s) - 1, -1.0 / h ** 2)
+        return diag, off, h
 
 
 def _richardson(fine, coarse):
@@ -152,11 +147,11 @@ def _bases(disc: FiberDiscretization, ks, n: int = None):
     of tridiagonal(k, n), and base = diag - 2p holds exactly
     (b s)^2 + W (the subtraction is exact), filled in place column by
     column."""
-    _, _, off, h = disc.tridiagonal(0.0, n)
+    _, off, h = disc.tridiagonal(0.0, n)
     p = -float(off[0])
     base = np.empty((len(off) + 1, len(ks)))
     for i, k in enumerate(ks):
-        base[:, i] = disc.tridiagonal(float(k), n)[1]
+        base[:, i] = disc.tridiagonal(float(k), n)[0]
     base -= 2.0 * p
     return h, p, base
 
@@ -225,58 +220,37 @@ def _fiber_levels(disc: FiberDiscretization, ks, j_max: int, keep=None):
     return rich, kept
 
 
-def _limits(disc: FiberDiscretization, ks, levels):
-    """psi_inf (lanes, n) at each lane's level and momentum ks[l], on its
-    n-point grid ks[l]/b + offsets: one run of psi_inf_levels over the
-    distinct momenta, up to the highest level asked for.  Its operations
-    are elementwise, so a lane's bits do not depend on the others."""
-    ku, row = np.unique(ks, return_inverse=True)
-    x = ku[:, None] / disc.b + disc._offsets()
-    out = np.empty((len(ks), disc.n))
-    for j, psi in enumerate(psi_inf_levels(int(levels.max()), ku[:, None], x,
-                                           disc.b), start=1):
-        at = levels == j
-        out[at] = psi[row[at]]
-    return out
-
-
 def solve_fiber(disc: FiberDiscretization, k, j_max: int, at=None):
-    """Lowest j_max eigenpairs of the fiber operator at momentum k, or at
-    each momentum of a sequence k (a list of lists).
+    """(energies (K, j_max), values (K, j_max, n or len(at))) of the
+    lowest j_max eigenpairs of the fiber operator at each momentum of k,
+    a number (K = 1) or a sequence.
 
     Energies are Richardson-extrapolated over the (n, (n+1)//2) grid
     pair from Rayleigh quotients of twisted-factorization Rayleigh-quotient
     iteration, bracketed by bisection on the n_half grid (see
     _fiber_levels); the h^2 correction estimate must stay below
     _ENERGY_CONV_TOL (1e-3) or ConvergenceFailure is raised.  Eigenvectors
-    are the n-grid ones, trapezoid-normalized with sign fixed by a
-    nonnegative overlap with the limiting eigenfunction.  A pair's values
-    are the eigenvector on its grid, or, given points at, its linear
-    interpolant there (zero off the window): each vector is reduced to
-    them on the Rayleigh step where it converges (the reducer of
-    tridiagonal.refine), so no batch of whole vectors is held.  A
-    momentum's pairs are the same bits alone or in a batch, with or
-    without at.
+    are the n-grid ones, trapezoid-normalized, with the sign the iteration
+    left them: the resolvent kernel sums psi psi^* over each pair, so no
+    sign reaches a count.  A pair's values are the eigenvector on its
+    grid, or, given points at, its linear interpolant there (zero off the
+    window): each vector is reduced to them on the Rayleigh step where it
+    converges (the reducer of tridiagonal.refine), so no batch of whole
+    vectors is held.  A momentum's pairs are the same bits alone or in a
+    batch, with or without at.
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     offsets = disc._offsets()
     weights = _trapezoid_weights(disc.n, offsets[1] - offsets[0])
-    overlap = np.empty((len(ks), j_max))
 
     def reduce(v, ik, im):
-        # (weights v) v and (weights v) psi_inf, products taken in place;
-        # each sum runs pairwise along one contiguous row, so a lane's bits
-        # do not depend on the others
-        limit = _limits(disc, ks[ik], im + 1)
+        # (weights v) v, products taken in place; each sum runs pairwise
+        # along one contiguous row, so a lane's bits do not depend on the
+        # others
         work = weights * v
         work *= v
         v /= np.sqrt(work.sum(axis=1))[:, None]
-        np.multiply(weights, v, out=work)
-        work *= limit
-        c = work.sum(axis=1)
-        del work, limit
-        v *= np.where(c < 0.0, -1.0, 1.0)[:, None]
-        overlap[ik, im] = np.minimum(np.abs(c), 1.0)
+        del work
         if at is None:
             return v
         # each vector on its own grid, k/b + offsets
@@ -284,13 +258,7 @@ def solve_fiber(disc: FiberDiscretization, k, j_max: int, at=None):
                                    right=0.0)
                          for k, row in zip(ks[ik].tolist(), v)])
 
-    rich, values = _fiber_levels(disc, ks, j_max, reduce)
-    out = [[FiberEigenpair(j=idx + 1, k=kk, energy=e, values=values[i, idx],
-                           overlap_with_limit=c)
-            for idx, (e, c) in enumerate(zip(rich[i].tolist(),
-                                             overlap[i].tolist()))]
-           for i, kk in enumerate(ks.tolist())]
-    return out if np.ndim(k) else out[0]
+    return _fiber_levels(disc, ks, j_max, reduce)
 
 
 def gap_edges(b: float, w, j: int):
@@ -303,23 +271,13 @@ def gap_edges(b: float, w, j: int):
     return (b * (2 * j - 1) + w_plus, b * (2 * j + 1) + w_minus)
 
 
-@dataclass(frozen=True)
-class BandTable:
-    k_grid: np.ndarray
-    energies: np.ndarray  # shape (j_max, len(k_grid))
-    edges: tuple  # gap_edges(b, w, j) for j = 1..j_max
-
-
-def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> BandTable:
-    """Energies of bands 1..j_max on k_grid, the same extrapolated and
-    guarded values as solve_fiber's, bit for bit: the same batched
-    bisection and Rayleigh-quotient iteration, which only skips keeping
-    the eigenvectors.  At each k they increase strictly in j, which
-    _fiber_levels checks."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    energies = _fiber_levels(disc, k_grid, j_max)[0].T
-    edges = tuple(gap_edges(disc.b, disc.w, j) for j in range(1, j_max + 1))
-    return BandTable(k_grid=k_grid, energies=energies, edges=edges)
+def band_table(disc: FiberDiscretization, k_grid, j_max: int) -> np.ndarray:
+    """Energies (j_max, len(k_grid)) of bands 1..j_max on k_grid, the
+    same extrapolated and guarded values as solve_fiber's, bit for bit:
+    the same batched bisection and Rayleigh-quotient iteration, which only
+    skips keeping the eigenvectors.  At each k they increase strictly in
+    j, which _fiber_levels checks."""
+    return _fiber_levels(disc, np.asarray(k_grid, dtype=float), j_max)[0].T
 
 
 def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
@@ -402,7 +360,7 @@ def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
     and rebuilt from its log form, whose tails the twin identity sums.
     """
     from .tridiagonal import log_level
-    _, diag, off, h = free.tridiagonal(0.0, n, w_override=w_plus)
+    diag, off, h = free.tridiagonal(0.0, n, w_override=w_plus)
     p = -float(off[0])
     base = diag - 2.0 * p
     energy, log_v, sign = log_level(
@@ -678,13 +636,18 @@ def step_tail_asymptote(j: int, k: float, b: float, w: EdgePotential) -> float:
     the square of the leading eigenfunction tail integrated against the
     step; the 4^{j-1} carries the squared leading Hermite coefficient.
     Every factor but the jump is summed as a logarithm, because p_j,
-    4^{j-1} and k^{2j-3} leave the double range for high levels.
+    4^{j-1} and k^{2j-3} leave the double range for high levels.  Where
+    the sum itself does, the value is its limit: +-inf for k^{-1} at a
+    subnormal k (j = 1), 0 once the Gaussian exponent passes 1e308.
     """
     if w is None or w.kind != "step":
         raise WrongPotentialKind("closed-form tail asymptote requires a sharp step")
+    shift = min(abs(k / math.sqrt(b) - math.sqrt(b) * w.x0), 1e154)
     log_tail = ((j - 1) * math.log(4.0) + log_p_coeff(j, b)
-                + (2 * j - 3) * math.log(abs(k))
-                - (k / math.sqrt(b) - math.sqrt(b) * w.x0) ** 2)
+                + (2 * j - 3) * math.log(abs(k)) - shift ** 2)
+    try:
+        tail = math.exp(log_tail)
+    except OverflowError:
+        tail = math.inf
     # k^{2j-3} is an odd power and keeps the sign of k
-    return (math.copysign(0.5, k) * (w.w_plus_limit - w.w_minus_limit)
-            * math.exp(log_tail))
+    return math.copysign(0.5, k) * (w.w_plus_limit - w.w_minus_limit) * tail

@@ -1,10 +1,10 @@
 """Harmonic oscillator eigenfunctions and their large-momentum tails.
 
-phi(j) is the j-th normalized Hermite function (levels start at j=1),
-psi_inf translates and rescales it into the limiting fiber eigenfunction
-at field strength b, concentrated near x = k/b.  psi_inf_levels yields
-levels 1..j_max from one run of the Hermite recurrence, which has its
-one home in _hermite_levels.
+psi_inf(j, k, x, b) translates and rescales the j-th normalized Hermite
+function (levels start at j = 1) into the limiting fiber eigenfunction
+at field strength b, concentrated near x = k/b.  The Hermite recurrence
+has its one home in _hermite_levels, which yields levels 1..j_max from
+one run.
 """
 
 from __future__ import annotations
@@ -31,35 +31,23 @@ def _hermite_levels(j_max: int, x):
         yield p
 
 
-def psi_inf_levels(j_max: int, k, x, b: float):
-    """psi_inf(j, k, x, b) for j = 1..j_max, in order, from one run of
-    the Hermite recurrence and one Gaussian factor."""
-    if b <= 0:
-        raise ValueError("field strength b must be positive")
-    rb = math.sqrt(b)
-    t = rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb
-    gauss = np.exp(-0.5 * t * t)
-    for p in _hermite_levels(j_max, t):
-        yield b ** 0.25 * (p * gauss)
-
-
 def psi_inf(j: int, k, x, b: float):
     """Limiting fiber eigenfunction b^{1/4} phi_j(sqrt(b) x - k/sqrt(b)),
-    the last level of psi_inf_levels(j, k, x, b).
+    the normalized Hermite function phi_j (_hermite_levels) translated to
+    x = k/b and rescaled.
 
     L2-normalized in x for every momentum k.
     """
     if j < 1:
         raise ValueError("level j must be >= 1")
-    for out in psi_inf_levels(j, k, x, b):
+    if b <= 0:
+        raise ValueError("field strength b must be positive")
+    rb = math.sqrt(b)
+    t = rb * np.asarray(x, dtype=float) - np.asarray(k, dtype=float) / rb
+    for p in _hermite_levels(j, t):
         pass
+    out = b ** 0.25 * (p * np.exp(-0.5 * t * t))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def phi(j: int, x):
-    """Normalized oscillator eigenfunction, level j >= 1: psi_inf at
-    b = 1 and k = 0."""
-    return psi_inf(j, 0.0, x, 1.0)
 
 
 def log_p_coeff(j: int, b: float) -> float:

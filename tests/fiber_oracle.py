@@ -13,8 +13,8 @@ beta chunk by chunk and runs lanes in blocks; it must reproduce these
 bits exactly.
 
 Per-block resolvent columns: bs_count's kernel columns from whole n-grid
-eigenvectors, solved a block of momenta at a time, normalized and signed
-after the solve and interpolated onto every support node.  The package
+eigenvectors, solved a block of momenta at a time, normalized after the
+solve and interpolated onto every support node.  The package
 reduces each vector to its support-node values as it converges, in one
 batch of every momentum; it must reproduce these bits exactly.
 
@@ -41,7 +41,6 @@ from edgegap.fiber import (_TWIN_CONV_TOL, EdgeComparison,
                            FiberDiscretization, _band_brackets, _bases,
                            _plus_twin, _richardson, _trapezoid_weights)
 from edgegap.operators import gauss_panel_rule
-from edgegap.oscillator import psi_inf_levels
 from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
                                  certified_levels, deflated_solve, isolate,
                                  keep_curvature, keep_vectors, log_level,
@@ -52,7 +51,7 @@ from edgegap.tridiagonal import refine as package_refine
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
     """(exact-sum Rayleigh quotients, unit eigenvectors) of the lowest
     j_max levels at momentum k on the n-point grid (default disc.n)."""
-    _, diag, off, _ = disc.tridiagonal(k, n)
+    diag, off, _ = disc.tridiagonal(k, n)
     _, vecs = eigh_tridiagonal(diag, off, select="i",
                                select_range=(0, j_max - 1))
     p = -float(off[0])
@@ -131,9 +130,8 @@ def refine(base, p, sigma):
 def fiber_vectors(disc: FiberDiscretization, ks, j_max: int):
     """(extrapolated energies (K, j_max), n-grid vectors (K, j_max, n)) of
     solve_fiber: the package's coarse brackets and curvature seeds, then
-    refine above on the n grid, and every vector trapezoid-normalized and
-    signed by its overlap with psi_inf after the solve, one level of the
-    whole batch at a time."""
+    refine above on the n grid, and every vector trapezoid-normalized
+    after the solve, one level of the whole batch at a time."""
     ks = np.asarray(ks, dtype=float)
     levels = np.arange(1, j_max + 1)[None, :]
     bounds = (disc.w.w_minus_limit, disc.w.w_plus_limit)
@@ -144,12 +142,9 @@ def fiber_vectors(disc: FiberDiscretization, ks, j_max: int):
     h, p, base = _bases(disc, ks)
     fine, vecs = refine(base, p, coarse + curv / (16.0 * h2 * h2))
     weights = _trapezoid_weights(disc.n, h)
-    x = ks[:, None] / disc.b + disc._offsets()
-    for idx, limit in enumerate(psi_inf_levels(j_max, ks[:, None], x, disc.b)):
+    for idx in range(j_max):
         v = vecs[:, idx]
         v /= np.sqrt((weights * v * v).sum(axis=1))[:, None]
-        c = (weights * v * limit).sum(axis=1)
-        v *= np.where(c < 0.0, -1.0, 1.0)[:, None]
     return _richardson(fine, coarse)[0], vecs
 
 

@@ -82,8 +82,8 @@ def _comparison_dps(j: int, k: float, b: float) -> int:
 def mp_edge_comparison(disc: FiberDiscretization, j: int, k: float) -> dict:
     """gap_dist, defect (1 - c^2), scaled_distance and energy_w of the
     twin comparison, each rounded once from arbitrary precision."""
-    _, diag_w, off, _ = disc.tridiagonal(k)
-    _, diag_p, _, _ = disc.tridiagonal(k, w_override=disc.w.w_plus_limit)
+    diag_w, off, _ = disc.tridiagonal(k)
+    diag_p, _, _ = disc.tridiagonal(k, w_override=disc.w.w_plus_limit)
     i0 = j - 1
     ev_w, vec_w = eigh_tridiagonal(diag_w, off, select="i",
                                    select_range=(i0, i0))

@@ -176,19 +176,51 @@ def test_one_pass_columns_equal_the_per_block_path(config):
     assert _same_bits(energy, want_energy)
 
 
+def test_eigenvector_signs_never_reach_the_counted_matrix(monkeypatch):
+    # each column of -M = C diag(s) C^* meets its own conjugate, and
+    # negation is exact in floating point: negating a seeded half of the
+    # columns of amp gives every matrix bs_count counts the same bits
+    sc = load_scenario(REFERENCE_CONFIG)
+    j_sum = sc.verify_params("bs")["j_sum"]
+    lams = sc.lam_grid.values()
+    columns = bsham._resolvent_columns
+
+    def negated(*args):
+        amp, *rest = columns(*args)
+        half = np.random.default_rng(25).permutation(amp.shape[1])
+        amp[:, half[:amp.shape[1] // 2]] *= -1.0
+        return (amp, *rest)
+
+    def counted():
+        seen = []
+
+        def record(m, s):
+            seen.append(m.copy())
+            return count_above(m, s)
+
+        monkeypatch.setattr(bsham, "count_above", record)
+        return bs_count(sc.j, lams, sc, j_sum=j_sum), seen
+
+    counts, plain = counted()
+    monkeypatch.setattr(bsham, "_resolvent_columns", negated)
+    flipped_counts, flipped = counted()
+    assert flipped_counts == counts and len(plain) == len(lams) == 3
+    for a, b in zip(plain, flipped):
+        assert _same_bits(a, b) and a.dtype == complex
+
+
 def test_momentum_column_is_the_same_alone_or_batched():
-    # a momentum's support-node values, energies and overlaps have the
-    # same bits alone (Python float sweeps) and among 40 momenta
+    # a momentum's support-node values and energies have the same bits
+    # alone (Python float sweeps) and among 40 momenta
     sc = load_scenario(REFERENCE_CONFIG)
     x = np.linspace(-0.25, 0.4, 9)
     ks = np.linspace(-6.0, 6.0, 40)
-    batch = solve_fiber(sc.fiber, ks, 6, at=x)
+    energies, values = solve_fiber(sc.fiber, ks, 6, at=x)
+    assert values.shape == (40, 6, 9)
     for i in (0, 13, 39):
         alone = solve_fiber(sc.fiber, float(ks[i]), 6, at=x)
-        for a, b in zip(alone, batch[i]):
-            assert a.energy == b.energy
-            assert a.overlap_with_limit == b.overlap_with_limit
-            assert _same_bits(a.values, b.values) and a.values.shape == (9,)
+        assert _same_bits(alone[0], energies[i:i + 1])
+        assert _same_bits(alone[1], values[i:i + 1])
 
 
 def test_resolvent_columns_hold_no_whole_vectors():

@@ -67,8 +67,8 @@ def test_discretization_validation(step01):
 def test_landau_levels_flat_in_momentum():
     disc = FiberDiscretization(b=1.0, w=None)
     for k in (0.0, 3.7):
-        energies = [p.energy for p in solve_fiber(disc, k, 3)]
-        np.testing.assert_allclose(energies, [1.0, 3.0, 5.0], atol=1e-7)
+        energies, _ = solve_fiber(disc, k, 3)
+        np.testing.assert_allclose(energies[0], [1.0, 3.0, 5.0], atol=1e-7)
 
 
 def test_convergence_guard_trips_on_tight_tolerance(monkeypatch):
@@ -89,14 +89,13 @@ def test_gap_edges_values(step01):
 
 def test_band_monotone_between_limits(step01):
     disc = FiberDiscretization(b=1.0, w=step01)
-    table = band_table(disc, np.linspace(-8, 8, 21), 2)
-    e1 = table.energies[0]
+    energies = band_table(disc, np.linspace(-8, 8, 21), 2)
+    e1 = energies[0]
     assert np.all(np.diff(e1) > -1e-8)
     assert e1[0] == pytest.approx(1.0, abs=1e-3)   # b(2j-1) + W_-
     assert e1[-1] == pytest.approx(2.0, abs=1e-3)  # b(2j-1) + W_+
     # simple spectrum: bands interlace strictly
-    assert np.all(table.energies[1] - table.energies[0] > 0)
-    assert table.edges[0] == (2.0, 3.0)
+    assert np.all(energies[1] - energies[0] > 0)
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +111,10 @@ def test_band_table_energies_equal_solve_fiber(reference, j_max, stride):
     # band_table's energies are solve_fiber's, bit for bit
     sc, disc = reference
     k_grid = sc.k_grid.values()[::stride]
-    table = band_table(disc, k_grid, j_max)
-    want = np.array([[p.energy for p in pairs]
-                     for pairs in solve_fiber(disc, k_grid, j_max)]).T
-    assert table.energies.shape == (j_max, len(k_grid))
-    assert np.array_equal(table.energies, want)
+    energies = band_table(disc, k_grid, j_max)
+    want = solve_fiber(disc, k_grid, j_max)[0].T
+    assert energies.shape == (j_max, len(k_grid))
+    assert np.array_equal(energies, want)
 
 
 @pytest.mark.parametrize("j_max, stride", [(1, 1), (6, 5)])
@@ -126,12 +124,11 @@ def test_solve_fiber_reproduces_bisection_route(reference, j_max, stride):
     # (every stride-th point)
     sc, disc = reference
     ks = sc.k_grid.values()[::stride].tolist()
-    for k, pairs in zip(ks, solve_fiber(disc, ks, j_max)):
+    for k, got, values in zip(ks, *solve_fiber(disc, ks, j_max)):
         energies, vecs = bisection_levels(disc, k, j_max)
-        np.testing.assert_allclose([p.energy for p in pairs], energies,
-                                   rtol=1e-14, atol=0)
-        for pair, ref in zip(pairs, vecs.T):
-            unit = pair.values / np.linalg.norm(pair.values)
+        np.testing.assert_allclose(got, energies, rtol=1e-14, atol=0)
+        for row, ref in zip(values, vecs.T):
+            unit = row / np.linalg.norm(row)
             assert 1.0 - abs(unit @ ref) <= 1e-13
 
 
@@ -147,7 +144,7 @@ def test_coarse_energies_within_bisection_error(reference):
     coarse, _ = tridiagonal.certified_levels(
         base, p, levels, *fiber._band_brackets(disc.b, levels, h, 0.0, 1.0))
     for k, new in zip(ks, coarse):
-        _, diag, off, _ = disc.tridiagonal(float(k), disc.n_half)
+        diag, off, _ = disc.tridiagonal(float(k), disc.n_half)
         old = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                select_range=(0, 5))
         bound = 2.0 * np.finfo(float).eps * float(np.max(np.abs(diag)) + 2.0 * p)
@@ -185,13 +182,11 @@ def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
     # 20 momenta run the numpy row sweeps, one momentum the Python float
     # loop: a lane's bits do not depend on its batch
     ks = np.linspace(-3.0, 7.0, 20)
-    batch = solve_fiber(disc01, ks, 3)
+    energies, values = solve_fiber(disc01, ks, 3)
     for i in (0, 7, 19):
         alone = solve_fiber(disc01, float(ks[i]), 3)
-        for a, b in zip(alone, batch[i]):
-            assert a.energy == b.energy and a.k == b.k
-            assert a.overlap_with_limit == b.overlap_with_limit
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(alone[0], energies[i:i + 1])
+        assert np.array_equal(alone[1], values[i:i + 1])
     twins = fiber._twin_comparisons(_fine_twin(disc01, 1, ks[6:]), 1)
     for k, twin in zip(ks[6:], twins):
         (alone,) = fiber._twin_comparisons(_fine_twin(disc01, 1, [k]), 1)
@@ -240,7 +235,7 @@ def test_refine_in_split_lane_blocks_is_bit_identical(reference):
     ks = sc.k_grid.values()[::6][:60]
     assert 5 * len(ks) == 300 > tridiagonal._LANE_BLOCK
     h, p, base = fiber._bases(disc, ks)
-    seeds = band_table(disc, ks, 5).energies.T
+    seeds = band_table(disc, ks, 5).T
     want, vecs = fiber_oracle.refine(base, p, seeds)
     energies, got = tridiagonal.refine(base, p, seeds,
                                        tridiagonal.keep_vectors)
@@ -255,19 +250,20 @@ def test_refine_in_split_lane_blocks_is_bit_identical(reference):
 
 
 def test_fiber_solves_stay_inside_a_fixed_working_set(reference):
-    # solve_fiber keeps its vectors, one lane block's two pivot arrays and
-    # the limit functions of one level; the whole-array pivots, the
-    # unit-vector buffer and the coarse vectors reached 3.7x.  band_table
+    # solve_fiber keeps its vectors beside the fine grid's base and one
+    # lane block's two pivot arrays, 2.31x the vectors; the whole-array
+    # pivots, the unit-vector buffer and the coarse vectors reached 3.7x,
+    # and psi_inf of one level, formed for a sign pass, 2.39x.  band_table
     # keeps the fine grid's base and one lane block's pivots; the coarse
     # vectors and their second differences took it to 21.6 MB.
     sc, disc = reference
     ks = sc.k_grid.values()[::6][:64]
-    pairs, peak = traced_peak(lambda: solve_fiber(disc, ks, 6))
-    vectors = pairs[0][0].values.base
+    (_, vectors), peak = traced_peak(lambda: solve_fiber(disc, ks, 6))
     assert vectors.shape == (64, 6, disc.n)
-    assert peak <= 3 * vectors.nbytes
-    table, peak = traced_peak(lambda: band_table(disc, sc.k_grid.values(), 1))
-    assert table.energies.shape == (1, 401)
+    assert peak <= 2.5 * vectors.nbytes
+    energies, peak = traced_peak(
+        lambda: band_table(disc, sc.k_grid.values(), 1))
+    assert energies.shape == (1, 401)
     assert peak <= 15e6
 
 
@@ -362,7 +358,7 @@ def test_level_order_rejects_a_swapped_pair(disc01, monkeypatch):
 def test_constant_twin_is_one_matrix_per_window(disc01, step01):
     # the offsets grid makes the constant-W_+ operator k-independent, bit
     # for bit, so one GapModel solves it once on each grid of its pair
-    first, *rest = [disc01.tridiagonal(k, w_override=1.0)[1:]
+    first, *rest = [disc01.tridiagonal(k, w_override=1.0)
                     for k in (-3.0, 0.7, 5.0)]
     for diag, off, h in rest:
         assert np.array_equal(diag, first[0]) and np.array_equal(off, first[1])
@@ -489,6 +485,19 @@ def test_closed_form_tail_ratio(step01):
         step_tail_asymptote(1, 5.0, 1.0, None)
 
 
+def test_tail_asymptote_takes_its_limits_outside_the_double_range(step01):
+    # k^{-1} at a subnormal k overflowed math.exp, and a momentum past
+    # 1e154 overflowed the square of the Gaussian exponent: verify lau25
+    # and phi ended in an OverflowError
+    assert step_tail_asymptote(1, 2.2e-311, 1.0, step01) == math.inf
+    assert step_tail_asymptote(1, -5e-324, 1.0, step01) == -math.inf
+    assert 0.0 < step_tail_asymptote(2, 2.2e-311, 1.0, step01) < 1e-300
+    for k in (1e160, -1e300):
+        assert step_tail_asymptote(1, k, 1.0, step01) == 0.0
+        assert step_tail_asymptote(3, k, 1.0, step01) == 0.0
+    assert step_tail_asymptote(1, 5.0, 1.0, step01) > 0.0
+
+
 def test_gap_model_spline(step01):
     from scipy.interpolate import CubicSpline
     model = GapModel(1.0, step01, 1, -2.0, 4.0)
@@ -560,8 +569,8 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
                                half_width=half_width)
     if kind == "smooth_monotone":
         # D = diag(W_+ - W) has no zero on the window: both tails count
-        _, diag_w, _, _ = disc.tridiagonal(k)
-        _, diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
+        diag_w, _, _ = disc.tridiagonal(k)
+        diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
         assert np.all(diag_p - diag_w > 0)
     (cmp,) = fiber._twin_comparisons(_fine_twin(disc, j, [k]), j)
     oracle = mp_edge_comparison(disc, j, k)

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgegap.oscillator import log_p_coeff, phi, psi_inf, psi_inf_levels
+from edgegap.oscillator import log_p_coeff, psi_inf
 from tests.model_oracles import (
     gauss_hermite_gram,
     gauss_hermite_norm,
     p_coeff,
     psi_inf_asymptotic,
 )
+
+
+def phi(j: int, x):
+    """Normalized oscillator eigenfunction, level j >= 1: psi_inf at
+    b = 1 and k = 0."""
+    return psi_inf(j, 0.0, x, 1.0)
 
 
 def test_ground_state_is_gaussian():
@@ -118,13 +124,11 @@ def _psi_inf_one_level(j, k, x, b):
 
 
 @pytest.mark.parametrize("b", [1.0, 1.3])
-def test_psi_inf_levels_match_each_level_alone(b):
-    # one run of the recurrence for levels 1..8 gives each level's bits,
-    # on the (momentum, offset) grid solve_fiber evaluates
+def test_psi_inf_matches_one_level_recurrence(b):
+    # psi_inf at levels 1..8 has the bits of the recurrence written out
+    # for that level alone, on a (momentum, offset) grid of fiber windows
     ks = np.linspace(-6.0, 6.0, 7)[:, None]
     x = ks / b + np.linspace(-12.0, 12.0, 401) / math.sqrt(b)
-    levels = list(psi_inf_levels(8, ks, x, b))
-    assert len(levels) == 8
-    for j, level in enumerate(levels, start=1):
-        assert np.array_equal(level, _psi_inf_one_level(j, ks, x, b))
-        assert np.array_equal(level, psi_inf(j, ks, x, b))
+    for j in range(1, 9):
+        assert np.array_equal(psi_inf(j, ks, x, b),
+                              _psi_inf_one_level(j, ks, x, b))

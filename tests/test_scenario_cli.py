@@ -733,6 +733,19 @@ def test_cli_scaling_depth_at_or_above_1_exits_2(tmp_path, capsys, lam):
     assert "config.lambda_grid.start" in err and "Traceback" not in err
 
 
+def test_cli_tail_asymptote_outside_the_double_range_is_a_cell(tmp_path):
+    # a subnormal erfc_k and a k grid reaching 1e160 are schema-valid: the
+    # asymptote column holds the limits inf and 0, not an OverflowError
+    doc = _reference_doc(k_grid={"lo": -10.0, "hi": 1e160, "points": 2})
+    doc["verify"]["lau25"] = {"erfc_k": [2.2e-311, 1.0]}
+    cfg = write_cfg(tmp_path, doc)
+    for argv, cell in ((["verify", "lau25"], "inf"), (["phi"], "0.0")):
+        out = tmp_path / argv[-1]
+        assert run([*argv, "--config", cfg, "--out", str(out)]) == 0
+        # the row of k = 2.2e-311, and of k = 1e160
+        assert read_csv(out / "phi.csv")[2][2] == cell
+
+
 def test_cli_narrow_gap_still_runs_bands_and_gaps(tmp_path, capsys):
     # the gap 5e-4 is narrower than the default lambda grid's start 1e-3:
     # only the commands that count at a depth reject the grid
