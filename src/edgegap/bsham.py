@@ -1,6 +1,7 @@
 """Counting eigenvalues pulled into a spectral gap by a compact perturbation.
 
-Three routes to the same counting function, kept numerically independent:
+Three routes to the same counting function, kept numerically independent,
+on the momentum nodes of operators.momentum_rule up to a reach K:
 
 * sjstar_sj: Gram matrix of the band-limited, gap-weighted kernel
   (2 pi)^{-1/2} V(x,y)^{1/2} e^{iky} psi_inf(x;k) (g_j(k) + lam)^{-1/2}
@@ -27,7 +28,7 @@ import numpy as np
 from .counting import LogHermitian, count_above
 from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
-from .operators import (DiscretizedOperator, gauss_legendre, gauss_panel_rule,
+from .operators import (DiscretizedOperator, gauss_legendre, momentum_rule,
                         polygon_x_rule, product_gram, sections_at)
 from .oscillator import log_p_coeff, psi_inf
 
@@ -38,21 +39,15 @@ _TAIL_REL = 1e-16
 _MOMENTUM_BLOCK = 16
 
 
-def _log_envelope(j: int, b: float, x_ref: float, k):
-    """ln of the squared-kernel magnitude envelope p_j k^{2j-2} e^{-(k/sqrt(b)-sqrt(b)x)^2}."""
-    k = np.asarray(k, dtype=float)
-    poly = (2 * j - 2) * np.log(np.maximum(np.abs(k), 1e-300))
-    return log_p_coeff(j, b) + poly - (k / math.sqrt(b) - math.sqrt(b) * x_ref) ** 2
-
-
 def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
-    """Smallest K beyond which the kernel envelope is below _TAIL_REL
+    """Smallest K > a beyond which the squared-kernel envelope
+    p_j k^{2j-2} e^{-(k/sqrt(b) - sqrt(b) x_sup)^2} is below _TAIL_REL
     times its in-window maximum; the Gaussian factor makes the tail
     certifiable."""
     rb = math.sqrt(b)
-    lo = max(a, 1e-6)
-    grid = np.arange(lo, b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
-    vals = _log_envelope(j, b, x_sup, grid)
+    grid = np.arange(max(a, 1e-6), b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
+    vals = (log_p_coeff(j, b) + (2 * j - 2) * np.log(grid)
+            - (grid / rb - rb * x_sup) ** 2)
     peak_idx = int(np.argmax(vals))
     cut = vals[peak_idx] + math.log(_TAIL_REL)
     below = np.nonzero(vals[peak_idx:] < cut)[0]
@@ -61,20 +56,6 @@ def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
                       "search boundary", TruncationWarning)
         return float(grid[-1])
     return float(grid[peak_idx + below[0]])
-
-
-def k_truncation_symmetric(j: int, b: float, x_inf: float,
-                           x_sup: float) -> float:
-    """Two-sided truncation K with the envelope below _TAIL_REL·max
-    outside (-K, K), for whole-line discretizations."""
-    rb = math.sqrt(b)
-    reach = b * max(abs(x_inf), abs(x_sup)) + 14.0 * rb
-    grid = np.arange(-reach, reach, 0.01 * rb)
-    vals = np.maximum(_log_envelope(j, b, x_sup, grid),
-                      _log_envelope(j, b, x_inf, grid))
-    cut = vals.max() + math.log(_TAIL_REL)
-    inside = np.nonzero(vals >= cut)[0]
-    return float(max(abs(grid[inside[0]]), abs(grid[inside[-1]])))
 
 
 @lru_cache(maxsize=32)
@@ -88,21 +69,6 @@ def get_gap_model(disc: FiberDiscretization, j: int, k_lo: float,
                     half_width=disc.half_width)
 
 
-def _zero_operator(k_pts, k_wts, meta) -> DiscretizedOperator:
-    nk = len(k_pts)
-    kernel = LogHermitian(np.full((nk, nk), -np.inf), np.zeros((nk, nk)))
-    return DiscretizedOperator(nodes=k_pts, weights=k_wts, kernel=kernel, meta=meta)
-
-
-def _psi_log_factors(j: int, b: float, x_pts, k_pts):
-    """(log|psi_inf|, sign) on the (x, k) tensor grid."""
-    vals = psi_inf(j, k_pts[None, :], x_pts[:, None], b)
-    sign = np.where(vals >= 0, 1.0, -1.0)
-    with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(vals))
-    return logmag, sign
-
-
 def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
               k_hi: float = None, y_order: int = 0) -> DiscretizedOperator:
     """Gram matrix S*S of the gap-weighted band kernel on (k_lo, K).
@@ -110,38 +76,41 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
     psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2}.
     k_lo defaults to the scenario's momentum cutoff a_momentum, and the
-    truncation K to the certified Gaussian envelope rule; the momentum
-    and x rules are the scenario's quad, and g_j comes from the GapModel
-    on the scenario's fiber window.
+    truncation K to the certified Gaussian envelope rule; the nodes are
+    momentum_rule's and polygon_x_rule's, and g_j comes from the
+    GapModel on the scenario's fiber window.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
     quad, v, b = scenario.quad, scenario.v, scenario.b
     if k_lo is None:
         k_lo = scenario.a_momentum
-    if v is None:
-        k_pts, k_wts = gauss_panel_rule(k_lo, k_lo + 1.0, quad.k_panels,
-                                        quad.k_nodes)
-        return _zero_operator(k_pts, k_wts, {"j": j, "lam": lam, "a": k_lo})
+    if v is None:  # V = 0: the zero operator, on the one node k_lo
+        zero = LogHermitian(np.full((1, 1), -np.inf), np.zeros((1, 1)))
+        return DiscretizedOperator(np.array([k_lo]), np.ones(1), zero,
+                                   {"j": j, "lam": lam, "a": k_lo})
     if k_hi is None:
         k_hi = k_truncation(j, b, v.support.x_extent[1], k_lo)
-    k_pts, k_wts = gauss_panel_rule(k_lo, k_hi, quad.k_panels, quad.k_nodes)
+    k_pts, k_wts = momentum_rule(k_lo, k_hi, b, v.support, quad)
     gap_model = get_gap_model(scenario.fiber, j, k_lo, k_hi)
     log_row = np.log(gap_model.weight(k_pts, lam))
     x_pts, x_wts = polygon_x_rule(v.support, k_hi, b, quad)
     secs = sections_at(v.support, x_pts)
-    x_logmag, x_sign = _psi_log_factors(j, b, x_pts, k_pts)
-    op = product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
-                      secs, 1.0, math.log(v.amplitude / (2.0 * math.pi)),
-                      y_order=y_order,
-                      meta={"j": j, "lam": lam, "a": k_lo, "k_hi": k_hi,
-                            "y_route": "gauss" if y_order else "sections"})
-    return op
+    psi = psi_inf(j, k_pts[None, :], x_pts[:, None], b)
+    with np.errstate(divide="ignore"):
+        x_logmag = np.log(np.abs(psi))
+    x_sign = np.where(psi >= 0, 1.0, -1.0)
+    return product_gram(
+        k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign, secs, 1.0,
+        math.log(v.amplitude / (2.0 * math.pi)), y_order=y_order,
+        meta={"j": j, "lam": lam, "a": k_lo, "k_hi": k_hi,
+              "y_route": "gauss" if y_order else "sections"})
 
 
 def _full_line_reach(j: int, b: float, v) -> float:
-    """Symmetric momentum cutoff K of the whole-line assemblies over supp V."""
-    return k_truncation_symmetric(j, b, *v.support.x_extent)
+    """Symmetric momentum cutoff K of the whole-line assemblies over supp V:
+    the larger half-line K, as the envelope is even in (k, x) -> (-k, -x)."""
+    return max(k_truncation(j, b, v.x_sup), k_truncation(j, b, -v.x_inf))
 
 
 def full_line_gram(j: int, lam: float, scenario,
@@ -184,7 +153,7 @@ def _support_nodes(v, quad, b, k_reach):
 
 def _resolvent_columns(j: int, j_sum: int, scenario):
     """The lam-independent part of bs_count, one column per fiber pair,
-    on the scenario's fiber window.
+    on the scenario's fiber window and full_line_gram's momentum nodes.
 
     Returns (amp, phase, k_wts, band, energy, gap, edge).  Column
     c = i j_sum + j' - 1 of the kernel factor C is amp[:, c] * phase[:, i]:
@@ -202,8 +171,7 @@ def _resolvent_columns(j: int, j_sum: int, scenario):
     k_sym = _full_line_reach(j, b, v)
     xs, ys, ws = _support_nodes(v, quad, b, k_sym)
     gap_model = get_gap_model(disc, j, -k_sym, k_sym)
-    panels = max(quad.k_panels, int(math.ceil(2.0 * k_sym / math.sqrt(b))))
-    k_pts, k_wts = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
+    k_pts, k_wts = momentum_rule(-k_sym, k_sym, b, v.support, quad)
     x_at, node = np.unique(xs, return_inverse=True)
     energy, values = solve_fiber(disc, k_pts, j_sum, at=x_at)
     # one row per support node, C-ordered: the bits of bs_count's BLAS

@@ -125,6 +125,11 @@ class PolygonDomain:
         return (min(xs), max(xs))
 
     @cached_property
+    def y_extent(self):
+        ys = [v[1] for v in self.vertices]
+        return (min(ys), max(ys))
+
+    @cached_property
     def diameter(self) -> float:
         # the diameter of a polygon is attained at a vertex pair
         v = np.asarray(self.vertices)

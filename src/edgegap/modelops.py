@@ -25,7 +25,8 @@ from .bsham import get_gap_model, k_truncation, sjstar_sj
 from .counting import count_above
 from .errors import DomainError
 from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
-                        polygon_x_rule, product_gram, sections_at)
+                        momentum_rule, polygon_x_rule, product_gram,
+                        sections_at)
 from .oscillator import log_p_coeff
 from .potentials import step_potential, upper_envelope
 
@@ -277,7 +278,7 @@ def q_operator(side: str, j: int, lam: float, scenario) -> DiscretizedOperator:
     lower step envelope (side "minus", over the inner polygon) or the
     upper two-step envelope (side "plus", over the outer polygon), on the
     scenario's fiber window with W replaced by that envelope.  The
-    momentum and x rules are the scenario's quad.  The parity sign
+    momentum nodes are momentum_rule's over that polygon.  The parity sign
     (-1)^{j-1} is carried exactly as a sign, never folded into
     magnitudes; it squares away in the Gram for momenta of one sign.
     """
@@ -296,7 +297,7 @@ def q_operator(side: str, j: int, lam: float, scenario) -> DiscretizedOperator:
     else:
         raise ValueError("side must be 'minus' or 'plus'")
     k_hi = k_truncation(j, b, omega.x_extent[1], a)
-    k_pts, k_wts = gauss_panel_rule(a, k_hi, quad.k_panels, quad.k_nodes)
+    k_pts, k_wts = momentum_rule(a, k_hi, b, omega, quad)
     gap_model = get_gap_model(replace(scenario.fiber, w=w0), j, a, k_hi)
     log_row = (np.log(gap_model.weight(k_pts, lam))
                + (j - 1) * np.log(k_pts))

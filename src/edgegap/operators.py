@@ -29,7 +29,7 @@ from .geometry import PolygonDomain
 class QuadratureSpec:
     """Node budget for operator discretizations.
 
-    k_panels x k_nodes Gauss points on the momentum interval;
+    k_nodes Gauss points per momentum panel, at least k_panels panels;
     x_nodes per domain panel, with panel width capped so the kernel's
     exponent varies by at most x_rate per panel; y_order = 0 selects the
     closed-form section integrals, > 0 a tensor Gauss rule per section.
@@ -95,6 +95,18 @@ def gauss_panel_rule(a: float, b: float, panels: int, nodes: int):
     pts = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     wts = (half[:, None] * base_w[None, :]).ravel()
     return pts, wts
+
+
+def momentum_rule(k_lo: float, k_hi: float, b: float, poly: PolygonDomain,
+                  quad: QuadratureSpec):
+    """Gauss points on (k_lo, k_hi) for a band kernel V^{1/2} e^{iky}
+    psi(x; k) over poly: quad.k_nodes on each of at least quad.k_panels
+    panels, none wider than sqrt(b) nor than 4 periods 2 pi / Y of
+    e^{i(k - k')y}, Y the height of poly (counts broke at 13.5)."""
+    ya, yb = poly.y_extent
+    width = min(math.sqrt(b), 8.0 * math.pi / (yb - ya))
+    panels = max(quad.k_panels, int(math.ceil((k_hi - k_lo) / width)))
+    return gauss_panel_rule(k_lo, k_hi, panels, quad.k_nodes)
 
 
 def polygon_x_rule(poly: PolygonDomain, reach: float, b: float,

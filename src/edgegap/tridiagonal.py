@@ -229,14 +229,20 @@ def _twisted(base, p, ik, shift, work=None):
 def _twisted_vectors(base, p, ik, shift, work=None):
     """Eigenvector estimates z (n, lanes), z_r = 1, from one twisted
     factorization at each lane's shift (see _twisted, which takes work),
-    built in place of the forward pivots."""
+    built in place of the forward pivots.  A lane whose exact zero pivot
+    (see log_vectors) gives inf * 0 = NaN takes log_vectors' unit vector."""
     inv_f, inv_b, r = _twisted(base, p, ik, shift, work)
     idx = np.arange(len(inv_f))[:, None]
     inv_f[idx >= r] = 1.0
     inv_b[idx <= r] = 1.0
-    np.cumprod(inv_f[::-1], axis=0, out=inv_f[::-1])
-    np.cumprod(inv_b, axis=0, out=inv_b)
+    with np.errstate(invalid="ignore"):
+        np.cumprod(inv_f[::-1], axis=0, out=inv_f[::-1])
+        np.cumprod(inv_b, axis=0, out=inv_b)
     inv_f *= inv_b
+    bad = np.isnan(inv_f[0]) | np.isnan(inv_f[-1])
+    if bad.any():
+        log_z, sign = log_vectors(base[:, ik[bad]], p, shift[bad])
+        inv_f[:, bad] = (sign * np.exp(log_z)).T
     return inv_f
 
 
@@ -245,15 +251,22 @@ def log_vectors(base, p, shift):
     twisted factorization of each column of base (n, K) at its shift
     (K,), with no product formed: ln|z| sums ln|1/rho| from the twist
     outward, so the tails keep their relative accuracy far below the
-    double range."""
+    double range.  An exact zero pivot (1/rho = +-inf, then -+0 at a
+    node of v, past which z = -z before it) adds 0 to ln|z|, one sign
+    flip, and ln 0 = -inf at the node."""
     inv_f, inv_b, r = _twisted(base, p, np.arange(base.shape[1]), shift)
     idx = np.arange(len(inv_f))[:, None]
     left, right = idx < r, idx > r
-    log_z = (np.cumsum(np.log(np.abs(np.where(left, inv_f, 1.0)))[::-1],
-                       axis=0)[::-1]
-             + np.cumsum(np.log(np.abs(np.where(right, inv_b, 1.0))), axis=0))
-    flips = (np.cumsum((left & (inv_f < 0.0))[::-1], axis=0)[::-1]
-             + np.cumsum(right & (inv_b < 0.0), axis=0))
+    with np.errstate(divide="ignore"):
+        log_f = np.log(np.abs(np.where(left, inv_f, 1.0)))
+        log_b = np.log(np.abs(np.where(right, inv_b, 1.0)))
+    node = np.isneginf(log_f) | np.isneginf(log_b)
+    for log in (log_f, log_b):
+        log[np.isinf(log)] = 0.0
+    log_z = np.cumsum(log_f[::-1], axis=0)[::-1] + np.cumsum(log_b, axis=0)
+    log_z[node] = -np.inf
+    flips = (np.cumsum((left & np.signbit(inv_f))[::-1], axis=0)[::-1]
+             + np.cumsum(right & np.signbit(inv_b), axis=0))
     log_z = np.ascontiguousarray(log_z.T)
     sign = np.ascontiguousarray(np.where(flips % 2, -1.0, 1.0).T)
     top = log_z.max(axis=1, keepdims=True)

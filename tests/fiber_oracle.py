@@ -40,7 +40,7 @@ from edgegap.errors import ConvergenceFailure
 from edgegap.fiber import (_TWIN_CONV_TOL, EdgeComparison,
                            FiberDiscretization, _band_brackets, _bases,
                            _plus_twin, _richardson, _trapezoid_weights)
-from edgegap.operators import gauss_panel_rule
+from edgegap.operators import momentum_rule
 from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
                                  certified_levels, deflated_solve, isolate,
                                  keep_curvature, keep_vectors, log_level,
@@ -155,8 +155,7 @@ def resolvent_columns(j: int, j_sum: int, scenario, block: int = 32):
     v, b, quad, disc = scenario.v, scenario.b, scenario.quad, scenario.fiber
     k_sym = bsham._full_line_reach(j, b, v)
     xs, _, ws = bsham._support_nodes(v, quad, b, k_sym)
-    panels = max(quad.k_panels, int(np.ceil(2.0 * k_sym / np.sqrt(b))))
-    k_pts, _ = gauss_panel_rule(-k_sym, k_sym, panels, quad.k_nodes)
+    k_pts, _ = momentum_rule(-k_sym, k_sym, b, v.support, quad)
     root_v = np.sqrt(v.amplitude * ws)
     amp = np.empty((len(xs), len(k_pts) * j_sum))
     energy = np.empty(amp.shape[1])

@@ -79,11 +79,13 @@ def _comparison_dps(j: int, k: float, b: float) -> int:
     return max(50, int(25 + (k * k / b) / math.log(10.0)))
 
 
-def mp_edge_comparison(disc: FiberDiscretization, j: int, k: float) -> dict:
+def mp_edge_comparison(disc: FiberDiscretization, j: int, k: float,
+                       n: int = None) -> dict:
     """gap_dist, defect (1 - c^2), scaled_distance and energy_w of the
-    twin comparison, each rounded once from arbitrary precision."""
-    diag_w, off, _ = disc.tridiagonal(k)
-    diag_p, _, _ = disc.tridiagonal(k, w_override=disc.w.w_plus_limit)
+    twin comparison on the n-point grid of disc's window (default
+    disc.n), each rounded once from arbitrary precision."""
+    diag_w, off, _ = disc.tridiagonal(k, n)
+    diag_p, _, _ = disc.tridiagonal(k, n, w_override=disc.w.w_plus_limit)
     i0 = j - 1
     ev_w, vec_w = eigh_tridiagonal(diag_w, off, select="i",
                                    select_range=(i0, i0))

@@ -1,5 +1,7 @@
 """Gap counting routes: Gram, coherent-family, and resolvent agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,16 @@ from edgegap.bsham import (
     effective_count,
     full_line_gram,
     k_truncation,
-    k_truncation_symmetric,
     sjstar_sj,
 )
 from edgegap.counting import count_above
 from edgegap.errors import TruncationWarning
 from edgegap.fiber import solve_fiber
 from edgegap.operators import QuadratureSpec, product_gram
+from edgegap.potentials import Perturbation
 from edgegap.scenario import load_scenario
 from tests import fiber_oracle
-from tests.conftest import REFERENCE_CONFIG, ROOT, Bundle, traced_peak
+from tests.conftest import REFERENCE_CONFIG, ROOT, Bundle, rect, traced_peak
 from tests.model_oracles import full_product_gram
 
 # (depth, (lower, upper)) brackets on the coarse scenario at eps = 0.3
@@ -109,12 +111,36 @@ def test_truncation_is_certified(monkeypatch):
     assert k1 > 0.5
     # growing support reach pushes the cutoff out
     assert k_truncation(1, 1.0, 2.0) > k1
-    ks = k_truncation_symmetric(1, 1.0, -1.0, 1.0)
-    # matches the one-sided cutoff up to the 0.01 sqrt(b) search step
-    assert ks >= k_truncation(1, 1.0, 1.0, 0.0) - 0.02
+    # the whole-line reach is the larger half-line reach: the envelope
+    # is symmetric under (k, x) -> (-k, -x)
+    v = Perturbation(support=rect(-2.0, 0.5, 0.0, 1.0))
+    assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0) > k1
+    v = Perturbation(support=rect(-0.5, 2.0, 0.0, 1.0))
+    assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0)
     monkeypatch.setattr(bsham, "_TAIL_REL", 1e-300)
     with pytest.warns(TruncationWarning):
         k_truncation(1, 1.0, 0.0)
+
+
+def _full_line_route_counts(sc):
+    """(nodes, counts at r = 0.5, 1, 2 of the sections and Gauss y-routes)
+    of the full-line Grams at depth 1e-3, as bs-count tabulates them."""
+    ops = (full_line_gram(1, 1e-3, sc),
+           full_line_gram(1, 1e-3, sc, y_order=sc.quad.gauss_y_order))
+    return ops[0].n, [[count_above(op.kernel, r).count for r in (0.5, 1, 2)]
+                      for op in ops]
+
+
+def test_full_line_grams_resolve_the_plane_waves_of_a_tall_support():
+    # growth's support is 40 tall: 8 momentum panels span 10.8 periods
+    # 2 pi / 40 each and miscount (sections 23, 18, 13; Gauss 13, 11,
+    # 10).  The momentum rule keeps a panel within 4 periods, and no
+    # count moves when the panels are doubled
+    sc = load_scenario(str(ROOT / "configs" / "growth.json"))
+    n, counts = _full_line_route_counts(sc)
+    assert counts == [[23, 19, 13], [13, 12, 10]]
+    doubled = replace(sc.quad, k_panels=2 * n // sc.quad.k_nodes)
+    assert _full_line_route_counts(replace(sc, quad=doubled)) == (2 * n, counts)
 
 
 def test_parameter_validation(coarse_scenario):

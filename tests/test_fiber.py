@@ -582,6 +582,44 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
         oracle["energy_w"])
 
 
+# a contract-fuzz document: the level-2 constant-W_+ twin on the n_half
+# (151-point) grid of this window has an exact zero pivot at row 76 of
+# the backward sweep, and its odd eigenvector a node at the centre row 75
+ZERO_PIVOT_DISC = FiberDiscretization(
+    b=1.2750488573281173, n=302, half_width=15.655021657701909,
+    w=EdgePotential(kind="smooth_monotone", w_minus=0.36394459396136125,
+                    w_plus=1.2750488573281173, center=-0.5244265557951165,
+                    width=1.6825493230347914))
+
+
+@pytest.mark.parametrize("lanes", [1, 7])
+def test_exact_zero_pivot_gives_no_nan(lanes):
+    # ln|v| of the twin is finite off its node, the twisted vectors on
+    # the Python float path (1 lane) and the numpy path (7 lanes) are
+    # that vector, and the twin gap on that grid is the mp oracle's
+    disc = ZERO_PIVOT_DISC
+    n, w_plus = disc.n_half, disc.w.w_plus_limit
+    base, v, log_v, sign, energy = fiber._plus_twin(replace(disc, w=None), n,
+                                                    w_plus, 2)
+    p = -float(disc.tridiagonal(0.0, n)[1][0])
+    ik, shift = np.zeros(lanes, dtype=np.intp), np.full(lanes, energy)
+    inv_b = tridiagonal._twisted(base[:, None], p, ik, shift)[1]
+    assert np.isposinf(inv_b[76]).all() and np.signbit(inv_b[75]).all()
+    assert not np.isnan(log_v).any()
+    assert np.isneginf(log_v[75]) and np.isfinite(np.delete(log_v, 75)).all()
+    # odd about the node: past the pair, z keeps its magnitude and flips
+    np.testing.assert_allclose(log_v[:75], log_v[:75:-1], rtol=1e-12)
+    assert np.array_equal(sign[:75], -sign[:75:-1])
+    z = tridiagonal._twisted_vectors(base[:, None], p, ik, shift)
+    for lane in z.T:
+        np.testing.assert_allclose(lane / np.linalg.norm(lane), v,
+                                   rtol=0, atol=1e-15)
+    coarse = fiber._twin_levels(disc, 2, np.array([2.0]), n, None, None)
+    oracle = mp_edge_comparison(disc, 2, 2.0, n)
+    assert math.exp(coarse.log_gap[0]) == pytest.approx(oracle["gap_dist"],
+                                                       rel=1e-11, abs=0)
+
+
 def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
     (fine,) = fiber._twin_comparisons(_fine_twin(disc01, 1, [5.0]), 1)
     # the n_half grid of disc01's window, the same linspace bit for bit
