@@ -1,7 +1,7 @@
 """Counting eigenvalues pulled into a spectral gap by a compact perturbation.
 
 Three routes to the same counting function, kept numerically independent,
-on the momentum nodes of operators.momentum_rule up to a reach K:
+on the momentum nodes of operators.momentum_rule up to k_truncation's K:
 
 * sjstar_sj: Gram matrix of the band-limited, gap-weighted kernel
   (2 pi)^{-1/2} V(x,y)^{1/2} e^{iky} psi_inf(x;k) (g_j(k) + lam)^{-1/2}
@@ -12,9 +12,8 @@ on the momentum nodes of operators.momentum_rule up to a reach K:
 * bs_count: the resolvent route n_-(1; V^{1/2}(H0 - z)^{-1} V^{1/2})
   with the resolvent kernel summed over fiber eigenpairs.
 
-Cross-route agreement (count for count between the two y-rules of
-full_line_gram, up to an additive O(1) between the Gram and resolvent
-routes) is the package's main self-check.
+Cross-route agreement (count for count between full_line_gram's two
+y-rules, to an additive O(1) against bs_count) is the main self-check.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import TruncationWarning
 from .fiber import FiberDiscretization, GapModel, gap_edges, solve_fiber
 from .operators import (DiscretizedOperator, gauss_legendre, momentum_rule,
                         polygon_x_rule, product_gram, sections_at)
-from .oscillator import log_p_coeff, psi_inf
+from .oscillator import psi_inf
 
 # the momentum reach K puts the kernel envelope this far below its peak
 _TAIL_REL = 1e-16
@@ -40,22 +39,21 @@ _MOMENTUM_BLOCK = 16
 
 
 def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
-    """Smallest K > a beyond which the squared-kernel envelope
-    p_j k^{2j-2} e^{-(k/sqrt(b) - sqrt(b) x_sup)^2} is below _TAIL_REL
-    times its in-window maximum; the Gaussian factor makes the tail
-    certifiable."""
-    rb = math.sqrt(b)
-    grid = np.arange(max(a, 1e-6), b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
-    vals = (log_p_coeff(j, b) + (2 * j - 2) * np.log(grid)
-            - (grid / rb - rb * x_sup) ** 2)
-    peak_idx = int(np.argmax(vals))
-    cut = vals[peak_idx] + math.log(_TAIL_REL)
-    below = np.nonzero(vals[peak_idx:] < cut)[0]
-    if len(below) == 0:
-        warnings.warn("envelope tail still above the relative cutoff at the "
-                      "search boundary", TruncationWarning)
-        return float(grid[-1])
-    return float(grid[peak_idx + below[0]])
+    """Smallest K > a beyond which the envelope p_j k^{2j-2} e^{-(k/sqrt(b)
+    - sqrt(b) x_sup)^2} stays below _TAIL_REL times its maximum on [a, inf).
+    Its log f (p_j cancels) has f'' < -2/b: f peaks at a quadratic's root
+    or at a and falls past the cut within sqrt(-b ln _TAIL_REL), whence six
+    Newton steps reach K from the right.  K grows strictly with x_sup."""
+    c, rb, bx = 2 * j - 2, math.sqrt(b), b * x_sup
+
+    def log_env(k):
+        return c * math.log(k) - (k / rb - rb * x_sup) ** 2
+    peak = max(a, 1e-6, 0.5 * (bx + math.sqrt(bx * bx + 2 * c * b)))
+    cut = log_env(peak) + math.log(_TAIL_REL)
+    k = peak + math.sqrt(-b * math.log(_TAIL_REL))
+    for _ in range(6):
+        k -= (log_env(k) - cut) / (c / k - 2.0 * k / b + 2.0 * x_sup)
+    return k
 
 
 @lru_cache(maxsize=32)
@@ -75,22 +73,21 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
 
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
     psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2}.
-    k_lo defaults to the scenario's momentum cutoff a_momentum, and the
-    truncation K to the certified Gaussian envelope rule; the nodes are
-    momentum_rule's and polygon_x_rule's, and g_j comes from the
-    GapModel on the scenario's fiber window.
+    k_lo defaults to the scenario's momentum cutoff a_momentum and K to
+    k_truncation's envelope root; the nodes are momentum_rule's and
+    polygon_x_rule's, and g_j is the GapModel's on the fiber window.
+    A TruncationWarning naming lam flags a K at which |psi|^2 is not yet
+    sqrt(_TAIL_REL) below its peak: the envelope missed the kernel.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
     quad, v, b = scenario.quad, scenario.v, scenario.b
-    if k_lo is None:
-        k_lo = scenario.a_momentum
+    k_lo = scenario.a_momentum if k_lo is None else k_lo
     if v is None:  # V = 0: the zero operator, on the one node k_lo
         zero = LogHermitian(np.full((1, 1), -np.inf), np.zeros((1, 1)))
         return DiscretizedOperator(np.array([k_lo]), np.ones(1), zero,
                                    {"j": j, "lam": lam, "a": k_lo})
-    if k_hi is None:
-        k_hi = k_truncation(j, b, v.support.x_extent[1], k_lo)
+    k_hi = k_truncation(j, b, v.x_sup, k_lo) if k_hi is None else k_hi
     k_pts, k_wts = momentum_rule(k_lo, k_hi, b, v.support, quad)
     gap_model = get_gap_model(scenario.fiber, j, k_lo, k_hi)
     log_row = np.log(gap_model.weight(k_pts, lam))
@@ -100,6 +97,10 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
     with np.errstate(divide="ignore"):
         x_logmag = np.log(np.abs(psi))
     x_sign = np.where(psi >= 0, 1.0, -1.0)
+    env = 2.0 * x_logmag.max(axis=0)  # the envelope's claim, on the nodes
+    if env[-1] > env.max() + 0.5 * math.log(_TAIL_REL):
+        warnings.warn(f"lam = {lam:g}: the envelope's reach K = {k_hi:.4g} "
+                      f"misses the band-{j} kernel", TruncationWarning)
     return product_gram(
         k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign, secs, 1.0,
         math.log(v.amplitude / (2.0 * math.pi)), y_order=y_order,
@@ -108,9 +109,10 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
 
 
 def _full_line_reach(j: int, b: float, v) -> float:
-    """Symmetric momentum cutoff K of the whole-line assemblies over supp V:
-    the larger half-line K, as the envelope is even in (k, x) -> (-k, -x)."""
-    return max(k_truncation(j, b, v.x_sup), k_truncation(j, b, -v.x_inf))
+    """Symmetric momentum cutoff K of the whole-line assemblies: the
+    envelope is even in (k, x) -> (-k, -x) and K grows with x, so K is
+    the half-line reach at supp V's farther end, max(x_sup, -x_inf)."""
+    return k_truncation(j, b, max(v.x_sup, -v.x_inf))
 
 
 def full_line_gram(j: int, lam: float, scenario,
@@ -193,12 +195,10 @@ def bs_count(j: int, lam, scenario, j_sum: int = None):
     uses the gap model so (g + lam) stays exactly positive far in the
     Gaussian tail.  Serves as the cross-route oracle for effective_count.
 
-    Only the denominators depend on lam.  The fiber solves, the
-    interpolated kernel columns C, their weights w, the band energies
-    and g_j(k) are assembled once per call (_resolvent_columns: one
-    solve_fiber batch over every momentum node, each eigenvector kept
-    only at the support's x), and each depth costs the product
-    C diag(w / (2 pi denom)) C^*, formed in blocks of momenta.
+    Only the denominators depend on lam: _resolvent_columns assembles
+    the kernel columns C, their weights w, the band energies and g_j(k)
+    once per call, and each depth costs C diag(w / (2 pi denom)) C^*,
+    formed in blocks of momenta.
     lam may be a sequence of depths sharing that assembly; a list of
     counts is then returned.
     """

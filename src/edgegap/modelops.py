@@ -30,7 +30,7 @@ from .operators import (DiscretizedOperator, QuadratureSpec, gauss_panel_rule,
 from .oscillator import log_p_coeff
 from .potentials import step_potential, upper_envelope
 
-# rows of exp_sinc_kernel evaluated at once: a 64 x n block of each
+# rows of sinc_kernel evaluated at once: a 64 x n block of each
 # temporary, where the whole matrix would take n x n
 _KERNEL_ROWS = 64
 
@@ -104,19 +104,14 @@ def gamma_gram(side: str, m: float, delta: float, omega, quad: QuadratureSpec,
                         meta={"side": side, "m": m, "delta": delta, "b": b})
 
 
-def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
-    """Dense kernel e^{eta m (k+k')} sin(s(k-k'))/(pi(k-k')) 2sqrt(kk')/(k+k').
+def sinc_kernel(scale: float, k) -> np.ndarray:
+    """Dense kernel sin(scale (k-k'))/(pi(k-k')) 2sqrt(kk')/(k+k') of g_sinc.
 
-    The closed form the rectangle Gram reduces to at b = 0: the Gram of
-    gamma_gram over (alpha, beta) x (-L, L) with the Gaussian factor off
-    equals this kernel at eta = beta minus the same at eta = alpha, with
-    sinc scale mL.  Evaluated without weights, in linear scale, so keep
-    eta m (k+k') under the overflow line.  The (n, n) result is filled
-    in blocks of _KERNEL_ROWS rows, each entry by the same elementwise
-    operations in the same order as on the whole matrix (tau, k + k',
-    the geometric factor, the sinc, then exp * osc * geo), so the
-    temporaries stay a few rows wide and the bits do not depend on the
-    block size.
+    Evaluated without weights, in blocks of _KERNEL_ROWS rows, each entry
+    by the same elementwise operations in the same order as on the whole
+    matrix (tau, k + k', the geometric factor, the sinc, then osc * geo),
+    so the temporaries stay a few rows wide and the bits do not depend on
+    the block size.
     """
     k = np.asarray(k, dtype=float)
     out = np.empty((len(k), len(k)))
@@ -125,9 +120,8 @@ def exp_sinc_kernel(eta: float, m: float, sinc_scale: float, k) -> np.ndarray:
         tau = rows - cols
         ssum = rows + cols
         geo = 2.0 * np.sqrt(rows * cols) / ssum
-        osc = (sinc_scale / math.pi) * np.sinc(sinc_scale * tau / math.pi)
-        np.multiply(np.exp(eta * m * ssum) * osc, geo,
-                    out=out[lo:lo + _KERNEL_ROWS])
+        osc = (scale / math.pi) * np.sinc(scale * tau / math.pi)
+        np.multiply(osc, geo, out=out[lo:lo + _KERNEL_ROWS])
     return out
 
 
@@ -155,7 +149,7 @@ def g_sinc(interval: IntervalSpec, scale: float) -> DiscretizedOperator:
     quadrature-weight roundoff; the nodes are sinc_rule's.
     """
     pts, wts = sinc_rule(interval, scale)
-    kern = exp_sinc_kernel(0.0, 1.0, scale, pts)
+    kern = sinc_kernel(scale, pts)
     root = np.sqrt(wts)
     kern *= root[:, None]
     kern *= root[None, :]

@@ -171,8 +171,9 @@ SCHEMA = {
                    "default": [50, 100, 200, 300]},
         "out_dir": {"type": "string", "default": "out"},
         "normalize_x_plus": {"type": "boolean", "default": False,
-                             "description": "persist a copy shifted so the "
-                                            "saturation onset sits at x = 0"},
+                             "description": "persist a copy moved so x_+ "
+                                            "sits at x = 0 and a_momentum "
+                                            "at a - b x_+ >= 0"},
         "_normalized_shift": {**_NUMBER, "description": "shift a normalized "
                                                         "mirror was moved by"},
         "verify": _object({name: _object(props, default={})
@@ -442,10 +443,11 @@ def normalized_scenario(sc: Scenario) -> Scenario:
     """Copy with the coordinate origin moved to x_+ (the saturation onset).
 
     The magnetic translation that realizes the shift moves the perturbation
-    by the same amount in x and leaves every count invariant, so the copy
-    is spectrally equivalent to the original.  The shifted document is
-    validated and built like any config; a step or two-step profile
-    becomes a step at x0 = 0.
+    by the same amount in x and the momentum cutoff a_momentum to
+    a - b x_+, and leaves every count invariant, so the copy is spectrally
+    equivalent to the original.  A cutoff that would fall below 0 raises
+    ScenarioError.  The shifted document is validated and built like any
+    config; a step or two-step profile becomes a step at x0 = 0.
     """
     if sc.w is None:
         return sc
@@ -455,7 +457,12 @@ def normalized_scenario(sc: Scenario) -> Scenario:
             "cannot normalize: the profile never attains its supremum")
     if shift == 0.0:
         return sc
-    doc = {**sc.doc, "_normalized_shift": shift}
+    a = sc.a_momentum - sc.b * shift
+    if a < 0.0:
+        raise ScenarioError(
+            f"cannot normalize: the shift x_+ = {shift} moves a_momentum "
+            f"to a - b x_+ = {a} < 0")
+    doc = {**sc.doc, "_normalized_shift": shift, "a_momentum": a}
     if sc.w.kind in ("step", "two_step_upper"):
         doc["edge_potential"] = {"type": "step", "w_minus": sc.w.w_minus,
                                  "w_plus": sc.w.w_plus, "x0": 0.0}

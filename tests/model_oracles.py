@@ -2,10 +2,11 @@
 
 None of these is on a package code path: each is an independent
 evaluation of a quantity (a normalization, an asymptote, a moment
-series, a coefficient table) whose exact value is known, or a plain
-evaluation (full_product_gram) that a faster package route must
-reproduce bit for bit (full_product_gram, full_exp_sinc_kernel,
-full_sinc_dense, complex_check_hermitian).
+series, a coefficient table) whose exact value is known, a plain
+evaluation that a faster package route must reproduce bit for bit
+(full_product_gram, full_exp_sinc_kernel, full_sinc_dense,
+complex_check_hermitian), or a brute-force search that a closed form
+replaced (grid_reach).
 """
 
 import math
@@ -17,7 +18,7 @@ from edgegap.counting import LogHermitian, count_above
 from edgegap.geometry import kappa
 from edgegap.modelops import IntervalSpec, g_sinc, sinc_rule
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
-from edgegap.oscillator import _hermite_levels
+from edgegap.oscillator import _hermite_levels, log_p_coeff
 from tests.inertia_oracle import PrecisionExhausted
 
 
@@ -26,6 +27,21 @@ def p_coeff(j: int, b: float) -> float:
     as a product of doubles, the oracle for oscillator.log_p_coeff while
     it stays in double range (j <= 168)."""
     return b ** (-j + 1.5) / (math.sqrt(math.pi) * math.factorial(j - 1) * 2.0 ** (j - 1))
+
+
+def grid_reach(j: int, b: float, x_sup: float, a: float = 0.0):
+    """The momentum reach by brute force, as bsham.k_truncation found it
+    before its closed form: the first point of a 0.01 sqrt(b) grid from
+    max(a, 1e-6) past the grid's envelope peak where the log envelope
+    lies below the peak plus ln 1e-16, or None when none does before the
+    search boundary b|x_sup| + 14 sqrt(b)."""
+    rb = math.sqrt(b)
+    grid = np.arange(max(a, 1e-6), b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
+    vals = (log_p_coeff(j, b) + (2 * j - 2) * np.log(grid)
+            - (grid / rb - rb * x_sup) ** 2)
+    peak_idx = int(np.argmax(vals))
+    below = np.nonzero(vals[peak_idx:] < vals[peak_idx] + math.log(1e-16))[0]
+    return float(grid[peak_idx + below[0]]) if len(below) else None
 
 
 def reciprocal_interval(delta: float) -> IntervalSpec:
@@ -221,8 +237,16 @@ def full_product_gram(k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign,
 
 
 def full_exp_sinc_kernel(eta, m, sinc_scale, k):
-    """modelops.exp_sinc_kernel evaluated on the whole (n, n) matrix at
-    once, each temporary a full matrix."""
+    """Dense kernel e^{eta m (k+k')} sin(s(k-k'))/(pi(k-k')) 2sqrt(kk')/(k+k')
+    with s = sinc_scale, on the whole (n, n) matrix at once, each temporary
+    a full matrix.
+
+    The closed form the rectangle Gram reduces to at b = 0: the Gram of
+    gamma_gram over (alpha, beta) x (-L, L) with the Gaussian factor off
+    equals this kernel at eta = beta minus the same at eta = alpha, with
+    sinc scale mL.  At eta = 0 it is modelops.sinc_kernel bit for bit
+    (e^0 osc = osc).  Linear scale: keep eta m (k+k') under the overflow
+    line."""
     k = np.asarray(k, dtype=float)
     tau = k[:, None] - k[None, :]
     ssum = k[:, None] + k[None, :]

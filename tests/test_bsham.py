@@ -1,5 +1,9 @@
 """Gap counting routes: Gram, coherent-family, and resolvent agreement."""
 
+import itertools
+import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +22,10 @@ from edgegap.errors import TruncationWarning
 from edgegap.fiber import solve_fiber
 from edgegap.operators import QuadratureSpec, product_gram
 from edgegap.potentials import Perturbation
-from edgegap.scenario import load_scenario
+from edgegap.scenario import load_scenario, scenario_from_dict
 from tests import fiber_oracle
 from tests.conftest import REFERENCE_CONFIG, ROOT, Bundle, rect, traced_peak
-from tests.model_oracles import full_product_gram
+from tests.model_oracles import full_product_gram, grid_reach
 
 # (depth, (lower, upper)) brackets on the coarse scenario at eps = 0.3
 BRACKETS = [(1e-3, (1, 2)), (1e-4, (2, 2)), (1e-5, (2, 2))]
@@ -106,6 +110,56 @@ def test_count_stable_under_node_doubling(coarse_scenario):
             == count_above(dbl.kernel, 1.0).count)
 
 
+def _assert_exact_reach(j, b, x_sup, a):
+    """k_truncation's K lies past the envelope peak on [a, inf) where the
+    log envelope f (p_j left out) has fallen by exactly -ln _TAIL_REL, to
+    1e-9 nats.  The peak is found apart from k_truncation's quadratic:
+    f is concave, so its peak is a or the root of f', bisected."""
+    rb = math.sqrt(b)
+
+    def f(k):
+        return (2 * j - 2) * math.log(k) - (k / rb - rb * x_sup) ** 2
+
+    def df(k):
+        return (2 * j - 2) / k - 2.0 * k / b + 2.0 * x_sup
+
+    k = k_truncation(j, b, x_sup, a)
+    assert df(k) < 0
+    peak, hi = max(a, 1e-6), k
+    if df(peak) > 0:
+        for _ in range(100):
+            mid = 0.5 * (peak + hi)
+            peak, hi = (mid, hi) if df(mid) > 0 else (peak, mid)
+    assert k > peak
+    assert f(k) - f(peak) == pytest.approx(math.log(bsham._TAIL_REL),
+                                           abs=1e-9)
+    return k
+
+
+REACH_J = (1, 2, 3, 5, 20, 60, 170)
+REACH_B = (0.3, 1.0, 2.5)
+
+
+def test_reach_is_the_exact_envelope_root():
+    # the grid search the closed form replaced finds its cut within one
+    # grid step past the root for every band up to 20; for higher bands
+    # the cut may lie past its search boundary
+    for j, b, a in itertools.product(REACH_J, REACH_B, (0.0, 0.3, 3.0)):
+        for x_sup in np.linspace(-2.0, 2.0, 9):
+            k = _assert_exact_reach(j, b, x_sup, a)
+            k_grid = grid_reach(j, b, x_sup, a)
+            assert k_grid is not None or j > 20
+            if k_grid is not None:
+                assert 0.0 <= k_grid - k < 0.01 * math.sqrt(b)
+
+
+def test_reach_grows_strictly_with_the_support():
+    # so the whole-line reach is the half-line reach at the farther end
+    for j, b in itertools.product(REACH_J, REACH_B):
+        reach = [k_truncation(j, b, x) for x in np.linspace(-5.0, 5.0, 401)]
+        assert all(k2 > k1 for k1, k2 in zip(reach, reach[1:]))
+
+
 def test_truncation_is_certified(monkeypatch):
     k1 = k_truncation(1, 1.0, 0.5)
     assert k1 > 0.5
@@ -117,9 +171,16 @@ def test_truncation_is_certified(monkeypatch):
     assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0) > k1
     v = Perturbation(support=rect(-0.5, 2.0, 0.0, 1.0))
     assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0)
+    # a high band's envelope peaks late: the grid search stopped at its
+    # boundary, 14.39, and warned; the root lies at 17.73
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _assert_exact_reach(170, 1.0, 0.4, 0.0) == pytest.approx(
+            17.7349, abs=1e-4)
+    assert grid_reach(170, 1.0, 0.4) is None
+    # a cut far below any search boundary is still the exact root
     monkeypatch.setattr(bsham, "_TAIL_REL", 1e-300)
-    with pytest.warns(TruncationWarning):
-        k_truncation(1, 1.0, 0.0)
+    _assert_exact_reach(1, 1.0, 0.0, 0.0)
 
 
 def _full_line_route_counts(sc):
@@ -257,3 +318,14 @@ def test_resolvent_columns_hold_no_whole_vectors():
     bsham.get_gap_model.cache_clear()
     _, peak = traced_peak(lambda: bsham._resolvent_columns(sc.j, 6, sc))
     assert peak <= 13.4e6
+
+
+def test_a_reach_that_misses_the_kernel_warns():
+    # band 170's envelope peaks 2^169-fold above its Hermite function, so
+    # its reach 17.73 stops where the kernel is still at its peak; the
+    # counts move as K is raised by hand, so no depth counts silently
+    doc = json.loads((ROOT / "configs" / "reference.json").read_text())
+    doc["fiber"] = {"n": 8001, "half_width": 30.0}
+    sc = scenario_from_dict(doc)
+    with pytest.warns(TruncationWarning, match="lam = 0.001"):
+        effective_count(170, 1e-3, 0.3, sc)

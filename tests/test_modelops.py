@@ -18,7 +18,6 @@ from edgegap.modelops import (
     IntervalSpec,
     endpoint_bracket,
     epsilon_bounds,
-    exp_sinc_kernel,
     g_sinc,
     g_sinc_trace,
     gamma_diag_count,
@@ -27,6 +26,8 @@ from edgegap.modelops import (
     kms_trace_ratio,
     q_operator,
     sandwich_check,
+    sinc_kernel,
+    sinc_rule,
 )
 from edgegap.operators import QuadratureSpec
 from tests.conftest import rect, traced_peak
@@ -72,8 +73,8 @@ def test_exponential_gram_matches_closed_form_without_gaussian():
     op = gamma_gram("minus", m, delta, rect(alpha, beta, -half, half),
                     QUAD, b=0.0)
     got = _strip_weights(op)
-    closed = (exp_sinc_kernel(beta, m, m * half, op.nodes)
-              - exp_sinc_kernel(alpha, m, m * half, op.nodes))
+    closed = (full_exp_sinc_kernel(beta, m, m * half, op.nodes)
+              - full_exp_sinc_kernel(alpha, m, m * half, op.nodes))
     scale = np.abs(closed).max()
     assert np.abs(got - closed).max() <= 1e-10 * scale
 
@@ -228,12 +229,15 @@ def test_sinc_trace_from_the_diagonal_is_bit_identical(m):
 
 
 def test_row_block_rectangle_kernel_is_bit_identical():
-    # the closed-form rectangle kernel of the gamma_gram test, at both eta
+    # the row-block sinc kernel against the whole-matrix closed form at
+    # eta = 0, on the nodes of the rectangle Gram above and on the
+    # 770-node rule of verify kms (12 row blocks)
     op = gamma_gram("minus", 50.0, 0.05, rect(0.05, 0.2, -0.5, 0.5),
                     QUAD, b=0.0)
-    for eta in (0.05, 0.2):
-        assert _same_bits(exp_sinc_kernel(eta, 50.0, 25.0, op.nodes),
-                          full_exp_sinc_kernel(eta, 50.0, 25.0, op.nodes))
+    kms_nodes = sinc_rule(IntervalSpec(0.25, 2.25), 300.0)[0]
+    for scale, nodes in ((25.0, op.nodes), (300.0, kms_nodes)):
+        assert _same_bits(sinc_kernel(scale, nodes),
+                          full_exp_sinc_kernel(0.0, 1.0, scale, nodes))
 
 
 def test_sinc_count_stays_inside_a_few_matrix_copies():

@@ -202,17 +202,35 @@ def test_source_hash_ignores_key_order():
 
 
 def test_normalization_shifts_origin_to_saturation():
-    doc = base_doc(edge_potential={"type": "step", "w_minus": 0.0,
+    doc = base_doc(a_momentum=0.75,
+                   edge_potential={"type": "step", "w_minus": 0.0,
                                    "w_plus": 1.0, "x0": 0.5})
     sc = scenario_from_dict(doc)
     norm = normalized_scenario(sc)
     assert norm.w.x0 == 0.0
+    # the cutoff moves with the origin: a - b x_+
+    assert norm.a_momentum == 0.25 and sc.a_momentum == 0.75
     assert norm.v.support.vertices[0][0] == pytest.approx(BOX[0][0] - 0.5)
     assert norm.v.support.vertices[0][1] == BOX[0][1]
     assert norm.doc["_normalized_shift"] == 0.5
     assert sc.w.x0 == 0.5 and "_normalized_shift" not in sc.doc
     # the normalized mirror is its own record and loads again as itself
     assert scenario_from_dict(norm.doc).doc == norm.doc
+
+
+def test_normalization_needs_a_cutoff_past_the_shift(tmp_path, capsys):
+    # moving the origin to x_+ = 0.5 moves the cutoff a to a - b x_+,
+    # which the schema requires to stay >= 0
+    doc = base_doc(a_momentum=0.25, normalize_x_plus=True,
+                   edge_potential={"type": "step", "w_minus": 0.0,
+                                   "w_plus": 1.0, "x0": 0.5})
+    with pytest.raises(ScenarioError, match="a_momentum"):
+        normalized_scenario(scenario_from_dict(doc))
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["gaps", "--config", cfg, "--out",
+                str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "a_momentum" in err and "Traceback" not in err
 
 
 def test_normalization_special_cases():
@@ -774,7 +792,7 @@ def test_cli_failed_verdict_exit(tmp_path):
 
 def test_cli_persists_normalized_mirror(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(
-        normalize_x_plus=True,
+        normalize_x_plus=True, a_momentum=0.25,
         edge_potential={"type": "step", "w_minus": 0.0, "w_plus": 1.0,
                         "x0": 0.25}))
     out = tmp_path / "norm"
@@ -782,6 +800,7 @@ def test_cli_persists_normalized_mirror(tmp_path):
     mirror = json.loads((out / "scenario_normalized.json").read_text())
     assert mirror["_normalized_shift"] == 0.25
     assert mirror["edge_potential"]["x0"] == 0.0
+    assert mirror["a_momentum"] == 0.0
     # the mirror loads again as the scenario it describes
     reloaded = load_scenario(str(out / "scenario_normalized.json"))
     assert reloaded.source_hash == \

@@ -134,6 +134,7 @@ def test_shipped_configs_validate_under_both(name):
 def test_written_mirrors_validate_under_both(tmp_path):
     doc = _with(REFERENCE, ("edge_potential", "x0"), 0.25)
     doc["normalize_x_plus"] = True
+    doc["a_momentum"] = 0.25  # the mirror's cutoff a - b x_+ stays >= 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["gaps", "--config", str(cfg), "--out", str(tmp_path)]) == 0
