@@ -212,17 +212,22 @@ def bs_count(j: int, lam, scenario, j_sum: int = None):
         amp, phase, k_wts, band, energy, gap, edge = _resolvent_columns(
             j, j_sum, scenario)
         nn, n_k = phase.shape
+
+        def scale_at(depth):
+            return k_wts / (2.0 * math.pi * np.where(
+                band == j, -(gap + depth), energy - (edge + depth)))
+
+        # the last retained band bounds the first omitted one (1/(E - z)
+        # decays); its norm is that of the small Gram of its columns at the
+        # depth where its |scale|, monotone in depth, peaks: the largest
+        # depth above band j, the smallest on band j itself
         last = band == j_sum
-        counts, remainder = [], 0.0
+        end = max(lams) if j_sum > j else min(lams)
+        tail = amp[:, last] * phase * np.sqrt(np.abs(scale_at(end)[last]))
+        remainder = float(np.linalg.eigvalsh(tail.conj().T @ tail).max())
+        counts = []
         for depth in lams:
-            z = edge + depth
-            denom = np.where(band == j, -(gap + depth), energy - z)
-            scale = k_wts / (2.0 * math.pi * denom)
-            # the last retained band bounds the first omitted one (1/(E - z)
-            # decays); its norm is that of the small Gram of its columns
-            tail = amp[:, last] * phase * np.sqrt(np.abs(scale[last]))
-            remainder = max(remainder, float(
-                np.linalg.eigvalsh(tail.conj().T @ tail).max()))
+            scale = scale_at(depth)
             # n_-(1; M) = n_+(1; -M), with -M assembled directly
             neg = np.zeros((nn, nn), dtype=complex)
             for lo in range(0, n_k, _MOMENTUM_BLOCK):

@@ -14,22 +14,21 @@ full relative accuracy far below the double range.  Energies are
 gradient-form Rayleigh quotients.
 
 The pivot rows beta = 2 + (base - sigma)/p are formed in one place
-(_pivot_rows), from base, _CHUNK grid rows at a time and C-contiguous,
-so each row of a sweep is one contiguous numpy call.  A twisted
-factorization runs its forward and backward sweeps in one row loop,
-the backward lanes beside the forward ones on the rows mirrored from
-the bottom wall, and its twist search reads each pivot row formed
-there at the step where the second sweep passes it.  Rayleigh-quotient
-iteration holds one such (n, 2 lanes) array, a lane block's forward and
-backward pivots, and refills it for every block and step.
+(_pivot_rows), from base in chunks of rows, C-contiguous, so each row
+of a sweep is one contiguous numpy call.  A twisted factorization runs
+its forward and backward sweeps in one row loop, the backward lanes
+beside the forward ones on the rows mirrored from the bottom wall, and
+then finds its twist, rows in order.  Rayleigh-quotient iteration holds
+one such (n, 2 lanes) array, a lane block's forward and backward
+pivots, and refills it for every block and step.
 Each lane's vector is passed, once, on the Rayleigh step where it
 converges, to a reducer that keeps what the caller needs of it: the
 vector, its curvature sum, or its values at a few points.
 
 A lane's result does not depend on the other lanes of its batch: lanes
 stop on their own, sums run pairwise along contiguous rows, no BLAS
-product is used, and small batches run the same IEEE operations as
-Python float loops.
+product is used, and every sweep is one numpy implementation, whose
+row operations are a lane's IEEE operations in its own order.
 """
 
 from __future__ import annotations
@@ -40,19 +39,14 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-# sweeps over at most this many lanes run as Python float loops, one lane
-# at a time: a 2001-row numpy sweep over contiguous rows costs ~2 ms at
-# any width up to a few hundred lanes, the float loop ~0.2 ms a lane
-# (2 vCPU), and both perform the same IEEE operations in the same order,
-# so a lane's bits do not depend on the path.  A twisted factorization
-# stacks its two sweeps, so it takes the float path up to 6 lanes
-_SCALAR_LANES = 12
 # most lanes refined at once, which bounds the two (n, lanes) pivot arrays
 # of a twisted factorization to 3 MB each (n = 2001)
 _LANE_BLOCK = 192
-# grid rows per numpy chunk: the pivot rows beta of every sweep are
-# formed from base this many rows at a time
+# the pivot rows beta of every sweep are formed from base in chunks of at
+# most _CHUNK_ENTRIES numbers and never fewer than _CHUNK rows: a sweep of
+# a few lanes forms all its rows in one call, a wide one 64 rows at a time
 _CHUNK = 64
+_CHUNK_ENTRIES = 2 ** 14
 # lanes whose Rayleigh quotients are taken, and whose vectors are reduced,
 # at a time: their few (lanes, n) temporaries stay small beside the pivot
 # arrays that refine keeps (0.26 MB each at n = 2001)
@@ -68,19 +62,27 @@ _RQI_REL = 1e-8
 _MAX_RQI = 8
 
 
-def _pivot_rows(base, p, ik, shift, lo, mirrored=False):
-    """beta = 2 + (base - shift)/p on grid rows lo:lo + _CHUNK, C-contiguous,
-    one column per lane: column ik[l] of base (n, K) at shift[l].  With
+def _chunks(n, columns):
+    """(lo, hi) row ranges of a sweep over n grid rows and `columns`
+    pivot columns, at most _CHUNK_ENTRIES entries but never fewer than
+    _CHUNK rows each."""
+    rows = max(_CHUNK, _CHUNK_ENTRIES // columns)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _pivot_rows(base, p, ik, shift, lo, hi, mirrored=False):
+    """beta = 2 + (base - shift)/p on grid rows lo:hi, C-contiguous, one
+    column per lane: column ik[l] of base (n, K) at shift[l].  With
     mirrored, beta has 2 len(ik) columns: those lanes, then the same lanes
     on as many rows counted from the bottom wall, n - 1 - lo downward
     (the steps of a backward sweep).  The one place where pivot rows are
     formed."""
-    rows = base[lo:lo + _CHUNK]
+    rows = base[lo:hi]
     if mirrored:
-        n, lanes, size = len(base), len(ik), len(rows)
-        beta = np.empty((size, 2 * lanes))
+        n, lanes = len(base), len(ik)
+        beta = np.empty((hi - lo, 2 * lanes))
         np.subtract(np.take(rows, ik, axis=1), shift, out=beta[:, :lanes])
-        np.subtract(np.take(base[n - lo - size:n - lo], ik, axis=1), shift,
+        np.subtract(np.take(base[n - hi:n - lo], ik, axis=1), shift,
                     out=beta[::-1, lanes:])
     else:
         beta = np.take(rows, ik, axis=1)
@@ -97,26 +99,17 @@ def _inverse_pivots(beta, inv=None, out=None):
 
     beta = 2 + (base - sigma)/p, one column per lane, and
     rho_i = beta_i - 1/rho_{i-1}, continued from the inverses inv of the
-    row above (default the wall, rho_{-1} = inf).  Where T lies above
-    sigma, rho_i = z_{i+1}/z_i > 1 is the ratio by which a solution grows
-    away from the wall.  A zero pivot gives inf and its successor -inf,
-    on the Python path as in numpy.
+    row above (default the wall, rho_{-1} = inf): one numpy subtraction
+    and reciprocal per row, which are each lane's IEEE operations in its
+    own order.  Where T lies above sigma, rho_i = z_{i+1}/z_i > 1 is the
+    ratio by which a solution grows away from the wall.  A zero pivot
+    gives inf and its successor -inf.
     """
     rows, lanes = beta.shape
     inv = np.zeros(lanes) if inv is None else inv
     out = np.empty((rows, lanes)) if out is None else out
-    if lanes <= _SCALAR_LANES:
-        cols = []
-        for col, x in zip(beta.T.tolist(), inv.tolist()):
-            for b in col:
-                rho = b - x
-                try:
-                    x = 1.0 / rho
-                except ZeroDivisionError:
-                    x = math.copysign(math.inf, rho)
-                cols.append(x)
-        out[...] = np.array(cols).reshape(lanes, rows).T
-        return out
+    # rho goes through its own buffer: an in-place reciprocal costs about
+    # 0.3 us more a row at one lane (numpy 2.4), and the bits are the same
     tmp = np.empty(lanes)
     subtract, reciprocal = np.subtract, np.reciprocal
     with np.errstate(divide="ignore"):
@@ -129,16 +122,16 @@ def _inverse_pivots(beta, inv=None, out=None):
 
 def sturm_counts(base, p, lam):
     """Eigenvalues of T = tridiag(-p, 2p + base, -p) below lam, per lane:
-    the negative pivots of _inverse_pivots, run over _CHUNK rows at a
-    time.  base is (n, K), lam (K, M): lane (k, m) is column k at shift
+    the negative pivots of _inverse_pivots, run over chunks of rows.
+    base is (n, K), lam (K, M): lane (k, m) is column k at shift
     lam[k, m].
     """
     ik = np.repeat(np.arange(lam.shape[0]), lam.shape[1])
     shift = lam.ravel()
     neg = np.zeros(lam.size, dtype=np.intp)
     inv = None
-    for lo in range(0, len(base), _CHUNK):
-        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo), inv)
+    for lo, hi in _chunks(len(base), lam.size):
+        inv = _inverse_pivots(_pivot_rows(base, p, ik, shift, lo, hi), inv)
         neg += np.count_nonzero(inv < 0.0, axis=0)
         inv = inv[-1]
     return neg.reshape(lam.shape)
@@ -190,10 +183,9 @@ def _twisted(base, p, ik, shift, work=None):
     Both sweeps run in one row loop over the 2 len(ik) columns of work
     (n, 2 len(ik)), allocated if not given: row s takes the forward
     pivots of grid row s and, beside them, the backward pivots of grid
-    row n - 1 - s, from one _pivot_rows call per _CHUNK steps.  The
-    twist search reads those same pivot rows, each once, at the step
-    where the second sweep reaches it.  The pivots returned are views of
-    work, the backward ones in grid row order.
+    row n - 1 - s.  The twist is then found from both, rows in order.
+    The pivots returned are views of work, the backward ones in grid row
+    order.
     """
     n, lanes = base.shape[0], len(ik)
     if work is None:
@@ -203,26 +195,17 @@ def _twisted(base, p, ik, shift, work=None):
     r = np.zeros(lanes, dtype=np.intp)
     last = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            beta = _pivot_rows(base, p, ik, shift, lo, mirrored=True)
+        for lo, hi in _chunks(n, 2 * lanes):
+            beta = _pivot_rows(base, p, ik, shift, lo, hi, mirrored=True)
             last = _inverse_pivots(beta, last, work[lo:hi])[-1]
-            # rows both sweeps have now passed, first reached this step:
-            # backward rows n - hi.. the forward sweep passed earlier, then
-            # forward rows n - lo.. the backward sweep passed earlier
-            for g0, g1, rows, first in (
-                    (n - hi, min(n - lo, hi), beta[::-1, lanes:], n - hi),
-                    (max(lo, n - lo), hi, beta[:, :lanes], lo)):
-                if g0 >= g1:
-                    continue
-                gamma = np.abs(1.0 / inv_f[g0:g1] + 1.0 / inv_b[g0:g1]
-                               - rows[g0 - first:g1 - first])
-                at = np.argmin(gamma, axis=0)
-                low = np.take_along_axis(gamma, at[None], axis=0)[0]
-                at += g0
-                better = (low < best) | ((low == best) & (at < r))
-                best = np.where(better, low, best)
-                r = np.where(better, at, r)
+        for lo, hi in _chunks(n, lanes):
+            gamma = np.abs(1.0 / inv_f[lo:hi] + 1.0 / inv_b[lo:hi]
+                           - _pivot_rows(base, p, ik, shift, lo, hi))
+            at = np.argmin(gamma, axis=0)
+            low = np.take_along_axis(gamma, at[None], axis=0)[0]
+            better = low < best
+            best = np.where(better, low, best)
+            r = np.where(better, lo + at, r)
     return inv_f, inv_b, r
 
 

@@ -6,6 +6,11 @@ gradient-form Rayleigh quotients of its eigenvectors: the quantity the
 package's numpy eigensolver computes, from an independent eigensolver.
 The package's path must reproduce it to rounding.
 
+Scalar pivot recurrence: rho_i = beta_i - 1/rho_{i-1} in Python floats,
+one lane at a time.  The package's numpy row sweeps perform the same
+IEEE operations in the same order; they must reproduce its bits,
+the +-inf and -+0 of an exact zero pivot included.
+
 Whole-array twisted factorization: the pivot rows beta formed for all
 rows at once, three (n, lanes) arrays beside the vectors, and every
 active lane of a Rayleigh-quotient step in one batch.  The package forms
@@ -65,6 +70,25 @@ def bisection_levels(disc: FiberDiscretization, k: float, j_max: int):
     fine, vecs = grid_levels(disc, k, j_max)
     coarse, _ = grid_levels(disc, k, j_max, disc.n_half)
     return _richardson(fine, coarse)[0], vecs
+
+
+def scalar_inverse_pivots(beta, inv=None):
+    """1/rho (rows, lanes) of the pivot recurrence rho_i = beta_i - 1/rho_{i-1}
+    in Python floats, lane by lane, continued from the inverses inv of
+    the row above (default the wall, 1/rho_{-1} = 0).  A zero pivot gives
+    1/rho = inf with the zero's sign, and its successor -+0."""
+    rows, lanes = beta.shape
+    inv = [0.0] * lanes if inv is None else inv.tolist()
+    cols = []
+    for col, x in zip(beta.T.tolist(), inv):
+        for b in col:
+            rho = b - x
+            try:
+                x = 1.0 / rho
+            except ZeroDivisionError:
+                x = math.copysign(math.inf, rho)
+            cols.append(x)
+    return np.array(cols).reshape(lanes, rows).T
 
 
 def twisted(beta):

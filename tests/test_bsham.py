@@ -89,6 +89,35 @@ def test_resolvent_default_depth_warns(coarse_scenario):
         bs_count(1, 1e-3, coarse_scenario)
 
 
+@pytest.mark.parametrize("j_sum", [1, 4])
+def test_truncation_remainder_is_the_largest_over_depths(coarse_scenario,
+                                                         monkeypatch, j_sum):
+    # the last band's Gram norm, taken once at the depth where its |scale|
+    # peaks, is its largest over the depths: the largest depth above band
+    # j (j_sum 4), the smallest on band j itself (j_sum == j == 1)
+    lams = [1e-4, 1e-3, 1e-5]
+    seen, columns = [], bsham._resolvent_columns
+
+    def recorded(*args):
+        seen.append(columns(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bsham, "_resolvent_columns", recorded)
+    with pytest.warns(TruncationWarning, match="raise j_sum") as caught:
+        bs_count(1, lams, coarse_scenario, j_sum=j_sum)
+    (amp, phase, k_wts, band, energy, gap, edge), = seen
+    last = band == j_sum
+    norms = []
+    for depth in lams:
+        denom = np.where(band == 1, -(gap + depth), energy - (edge + depth))
+        scale = k_wts / (2.0 * math.pi * denom)
+        tail = amp[:, last] * phase * np.sqrt(np.abs(scale[last]))
+        norms.append(np.linalg.eigvalsh(tail.conj().T @ tail).max())
+    peak = int(np.argmax(norms))
+    assert lams[peak] == (min(lams) if j_sum == 1 else max(lams))
+    assert f"contributes {norms[peak]:.3f} " in str(caught[0].message)
+
+
 def test_section_and_phase_plane_routes_agree(coarse_scenario):
     full = full_line_gram(1, 1e-3, coarse_scenario)
     anti = full_line_gram(1, 1e-3, coarse_scenario, y_order=12)
@@ -298,7 +327,7 @@ def test_eigenvector_signs_never_reach_the_counted_matrix(monkeypatch):
 
 def test_momentum_column_is_the_same_alone_or_batched():
     # a momentum's support-node values and energies have the same bits
-    # alone (Python float sweeps) and among 40 momenta
+    # alone (every pivot row in one chunk) and among 40 momenta
     sc = load_scenario(REFERENCE_CONFIG)
     x = np.linspace(-0.25, 0.4, 9)
     ks = np.linspace(-6.0, 6.0, 40)

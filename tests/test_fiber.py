@@ -179,8 +179,8 @@ def _fine_twin(disc, j, ks):
 
 
 def test_one_momentum_alone_or_batched_is_bit_identical(disc01):
-    # 20 momenta run the numpy row sweeps, one momentum the Python float
-    # loop: a lane's bits do not depend on its batch
+    # 20 momenta sweep their pivot rows in chunks, one momentum forms all
+    # of them in one call: a lane's bits do not depend on its batch
     ks = np.linspace(-3.0, 7.0, 20)
     energies, values = solve_fiber(disc01, ks, 3)
     for i in (0, 7, 19):
@@ -207,22 +207,26 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("lanes", [1, 6, 7, 12, 13, 192, 300])
 def test_chunked_twisted_factorization_is_bit_identical(reference, lanes):
     # pivot rows formed from base chunk by chunk, both sweeps in one row
-    # loop, give the pivots, twists and vectors of the whole-array
-    # factorization, on the Python float path (at most 12 stacked lanes:
-    # 6 lanes) and the numpy path (from 7 lanes), at shifts among the
-    # levels 1..6 of the reference window
+    # loop and the twist found after them give the pivots, twists and
+    # vectors of the whole-array factorization, from one chunk of every
+    # row (1 lane) to 64-row chunks (from 128 lanes), at shifts among the
+    # levels 1..6 of the reference window and of its mirror-symmetric
+    # min(base, mirrored base), whose gammas are mirror-equal bit for bit:
+    # each twist off the centre row there is a tie, and goes to the lower
     sc, disc = reference
     ks = np.linspace(-4.0, 6.0, -(-lanes // 6))
     h, p, base = fiber._bases(disc, ks)
     ik = np.repeat(np.arange(len(ks)), 6)[:lanes]
     levels = np.tile(np.arange(1, 7), len(ks))[:lanes]
     shift = np.mean(fiber._band_brackets(disc.b, levels, h, 0.0, 1.0), axis=0)
-    beta = (base[:, ik] - shift) / p + 2.0
-    new = tridiagonal._twisted(base, p, ik, shift)
-    for got, want in zip(new, fiber_oracle.twisted(beta)):
-        assert _same_bits(got, want)
-    assert _same_bits(tridiagonal._twisted_vectors(base, p, ik, shift),
-                      fiber_oracle.twisted_vectors(beta))
+    for case in (base, np.minimum(base, base[::-1])):
+        beta = (case[:, ik] - shift) / p + 2.0
+        new = tridiagonal._twisted(case, p, ik, shift)
+        for got, want in zip(new, fiber_oracle.twisted(beta)):
+            assert _same_bits(got, want)
+        assert _same_bits(tridiagonal._twisted_vectors(case, p, ik, shift),
+                          fiber_oracle.twisted_vectors(beta))
+    assert np.all(new[2] <= len(base) // 2)
 
 
 def test_refine_in_split_lane_blocks_is_bit_identical(reference):
@@ -594,9 +598,9 @@ ZERO_PIVOT_DISC = FiberDiscretization(
 
 @pytest.mark.parametrize("lanes", [1, 7])
 def test_exact_zero_pivot_gives_no_nan(lanes):
-    # ln|v| of the twin is finite off its node, the twisted vectors on
-    # the Python float path (1 lane) and the numpy path (7 lanes) are
-    # that vector, and the twin gap on that grid is the mp oracle's
+    # ln|v| of the twin is finite off its node, the twisted vectors of 1
+    # lane and of 7 lanes are that vector, and the twin gap on that grid
+    # is the mp oracle's
     disc = ZERO_PIVOT_DISC
     n, w_plus = disc.n_half, disc.w.w_plus_limit
     base, v, log_v, sign, energy = fiber._plus_twin(replace(disc, w=None), n,
@@ -618,6 +622,64 @@ def test_exact_zero_pivot_gives_no_nan(lanes):
     oracle = mp_edge_comparison(disc, 2, 2.0, n)
     assert math.exp(coarse.log_gap[0]) == pytest.approx(oracle["gap_dist"],
                                                        rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 6, 7, 12, 13])
+def test_inverse_pivots_follow_the_scalar_recurrence(lanes):
+    # the numpy row sweep gives the Python float recurrence's bits at any
+    # width, from the wall and continued from a row above.  Lane 0 is the
+    # backward sweep of ZERO_PIVOT_DISC's level-2 twin at its energy
+    # (+inf at grid row 76, then -0 at the node 75), the others the same
+    # matrix at shifts from below its diagonal to above level 6
+    disc = ZERO_PIVOT_DISC
+    n, w_plus = disc.n_half, disc.w.w_plus_limit
+    base, _, _, _, energy = fiber._plus_twin(replace(disc, w=None), n,
+                                             w_plus, 2)
+    p = -float(disc.tridiagonal(0.0, n)[1][0])
+    shift = np.concatenate(([energy], np.linspace(base.min() - 1.0,
+                                                  6.0 * energy, lanes - 1)))
+    beta = np.ascontiguousarray((base[::-1, None] - shift) / p + 2.0)
+    want = fiber_oracle.scalar_inverse_pivots(beta)
+    assert np.isposinf(want[n - 1 - 76, 0]) and np.signbit(want[n - 1 - 75, 0])
+    assert (want < 0.0).any()
+    assert _same_bits(tridiagonal._inverse_pivots(beta), want)
+    top = tridiagonal._inverse_pivots(beta[:64])
+    rest = tridiagonal._inverse_pivots(beta[64:], top[-1])
+    assert _same_bits(np.concatenate((top, rest)), want)
+    assert _same_bits(fiber_oracle.scalar_inverse_pivots(beta[64:], want[63]),
+                      want[64:])
+
+
+def _whole_sweep_counts(base, p, lam):
+    """Negative pivots of the scalar recurrence over every row of base
+    (n, K), lane (k, m) at shift lam[k, m]."""
+    ik = np.repeat(np.arange(lam.shape[0]), lam.shape[1])
+    beta = (base[:, ik] - lam.ravel()) / p + 2.0
+    inv = fiber_oracle.scalar_inverse_pivots(beta)
+    return np.count_nonzero(inv < 0.0, axis=0).reshape(lam.shape)
+
+
+def test_sturm_counts_equal_the_whole_sweep(reference):
+    # the Sturm count, run over chunks of rows, counts the negative pivots
+    # of one scalar sweep over every row: at shifts across levels 1..6 of
+    # the reference window (90 lanes, more than one chunk), and at the
+    # exact level of the zero-pivot twin
+    sc, disc = reference
+    h, p, base = fiber._bases(disc, np.linspace(-4.0, 6.0, 5))
+    levels = np.arange(1, 7)[None, :]
+    lo, hi = fiber._band_brackets(disc.b, levels, h, 0.0, 1.0)
+    shifts = np.broadcast_to(np.concatenate((lo, 0.5 * (lo + hi), hi), axis=1),
+                             (base.shape[1], 18))
+    zero = ZERO_PIVOT_DISC
+    twin, _, _, _, energy = fiber._plus_twin(replace(zero, w=None), zero.n_half,
+                                             zero.w.w_plus_limit, 2)
+    p_twin = -float(zero.tridiagonal(0.0, zero.n_half)[1][0])
+    assert len(tridiagonal._chunks(base.shape[0], shifts.size)) > 1
+    for case_base, case_p, lam in ((base, p, shifts),
+                                   (twin[:, None], p_twin, [[energy]])):
+        lam = np.asarray(lam, dtype=float)
+        assert np.array_equal(tridiagonal.sturm_counts(case_base, case_p, lam),
+                              _whole_sweep_counts(case_base, case_p, lam))
 
 
 def test_edge_comparison_extrapolates_twin_gap(disc01, step01, tmp_path):
