@@ -5,7 +5,8 @@ on the momentum nodes of operators.momentum_rule up to k_truncation's K:
 
 * sjstar_sj: Gram matrix of the band-limited, gap-weighted kernel
   (2 pi)^{-1/2} V(x,y)^{1/2} e^{iky} psi_inf(x;k) (g_j(k) + lam)^{-1/2}
-  over a momentum half-line, with closed-form section integrals in y.
+  over a momentum half-line, integrated in y by the scenario's
+  quadrature.y_order (closed-form section integrals at 0).
 * full_line_gram: sjstar_sj on the symmetric window (-K, K), with the
   y-integrals over the support done either in closed form or by a
   Gauss rule on every vertical section.
@@ -68,7 +69,7 @@ def get_gap_model(disc: FiberDiscretization, j: int, k_lo: float,
 
 
 def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
-              k_hi: float = None, y_order: int = 0) -> DiscretizedOperator:
+              k_hi: float = None, y_order: int = None) -> DiscretizedOperator:
     """Gram matrix S*S of the gap-weighted band kernel on (k_lo, K).
 
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
@@ -76,6 +77,8 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
     k_lo defaults to the scenario's momentum cutoff a_momentum and K to
     k_truncation's envelope root; the nodes are momentum_rule's and
     polygon_x_rule's, and g_j is the GapModel's on the fiber window.
+    y_order defaults to the scenario's quadrature.y_order, the y-rule of
+    the sandwich's Q-+ (0: closed-form section integrals).
     A TruncationWarning naming lam flags a K at which |psi|^2 is not yet
     sqrt(_TAIL_REL) below its peak: the envelope missed the kernel.
     """
@@ -83,6 +86,7 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
         raise ValueError("lam must be positive (strictly inside the gap)")
     quad, v, b = scenario.quad, scenario.v, scenario.b
     k_lo = scenario.a_momentum if k_lo is None else k_lo
+    y_order = quad.y_order if y_order is None else y_order
     if v is None:  # V = 0: the zero operator, on the one node k_lo
         zero = LogHermitian(np.full((1, 1), -np.inf), np.zeros((1, 1)))
         return DiscretizedOperator(np.array([k_lo]), np.ones(1), zero,

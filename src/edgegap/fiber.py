@@ -3,20 +3,26 @@
 Second-order finite differences with Dirichlet walls on a moving window
 centered at x = k/b, where the eigenfunctions concentrate.  Energies are
 Richardson-extrapolated from a full- and half-resolution solve of the
-same window (h^4 accuracy).  The eigensolver (tridiagonal.py) is numpy
-code, batched over (momentum, level) lanes: Sturm-count bisection on the
+same window: h^4-accurate for a smooth W, while a jump of W leaves an
+O(h^2) term that moves with the jump's position inside its grid cell.
+The two grids put the jump at different positions, so the pair cannot
+cancel that term, and extrapolated values jitter in k on the scale of
+one cell, b h.  The eigensolver (tridiagonal.py) is numpy code, batched
+over (momentum, level) lanes: Sturm-count bisection on the
 half-resolution grid brackets each level alone, which fixes which level
 is which, and Rayleigh-quotient iteration by twisted factorizations
 converges it.  The full grid's iteration starts from the half grid's
 energies.  Both grids' energies are gradient-form Rayleigh quotients of
-the computed eigenvectors.  The window is built from offsets s = x - k/b
-that do not depend on k, so an operator whose potential is constant is
-the same matrix at every momentum.  The solver module is imported where
-it is first used, so a command that solves no fiber does not load it.
-solve_fiber hands back plain arrays, energies (K, j_max) and
-trapezoid-normalized eigenvector values whose sign is the one the
-iteration left (the resolvent kernel sums psi psi^* over each pair), and
-band_table the (j_max, K) energies.
+the computed eigenvectors.  Every matrix is built by _bases on offsets
+s = x - k/b that do not depend on k: the row 2/h^2 + (b s)^2 once per
+grid, plus, column by column, the cell averages of W over k/b + s or a
+constant, so the operator with the constant W_+ is the same matrix at
+every momentum.  The solver module is imported where it is first used,
+so a command that solves no fiber does not load it.  solve_fiber hands
+back plain arrays, energies (K, j_max) and trapezoid-normalized
+eigenvector values whose sign is the one the iteration left (the
+resolvent kernel sums psi psi^* over each pair), and band_table the
+(j_max, K) energies.
 
 Near a band edge the gap distance dies like a Gaussian in k and falls
 below double-precision resolution of the edge value.  It is therefore
@@ -39,9 +45,9 @@ side, at the exact-sum energy.  Twins run coarse first, like band
 levels, and the twin gap is Richardson-extrapolated over that grid pair
 in one place (_twin_pair), so every gap distance the package reads,
 from the Phi_j(k)^2 ratio checks to the resolvent weights of GapModel,
-is the one h^4-accurate number.  edge_comparisons is the one entry
-point of the edge checks: it solves the momenta it is given as one
-batch and keeps nothing between calls.
+is the one extrapolated number, jump jitter included.  edge_comparisons
+is the one entry point of the edge checks: it solves the momenta it is
+given as one batch and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ class FiberDiscretization:
     """Finite-difference window for the fiber operators.
 
     Domain is [k/b - half_width, k/b + half_width] with n grid points
-    and Dirichlet walls; w is None for the free (Landau) fiber.
+    and Dirichlet walls; w is None for the free (Landau) fiber.  It holds
+    the window only: _bases builds the matrices on it.
     """
 
     b: float = 1.0
@@ -102,31 +109,12 @@ class FiberDiscretization:
         n = self.n if n is None else n
         return np.linspace(-self.half_width, self.half_width, n)
 
-    def tridiagonal(self, k: float, n: int = None, w_override=None):
-        """(diag, offdiag, h) of the discretized fiber operator.
-
-        Built on the offsets s of the grid k/b + s: h = s[1] - s[0] and
-        diag = 2/h^2 + (b s)^2 + W, so only the potential samples depend
-        on k.  w_override replaces them (used for the constant-W_+
-        comparison operator on the identical grid, which is then the same
-        matrix, bit for bit, at every k).
-        """
-        s = self._offsets(n)
-        h = s[1] - s[0]
-        pot = np.zeros_like(s)
-        if w_override is not None:
-            pot += w_override
-        elif self.w is not None:
-            pot = np.asarray(self.w.cell_average(k / self.b + s, h),
-                             dtype=float)
-        diag = 2.0 / h ** 2 + (self.b * s) ** 2 + pot
-        off = np.full(len(s) - 1, -1.0 / h ** 2)
-        return diag, off, h
-
 
 def _richardson(fine, coarse):
-    """(h^4 extrapolate, h^2 correction) of a quantity with an h^2-leading
-    error, from its values on the n and n_half grids of one window."""
+    """(extrapolate, h^2 correction) of a quantity with an h^2-leading
+    error, from its values on the n and n_half grids of one window: the
+    extrapolate is h^4-accurate when that error is a smooth h^2 term, as
+    it is not at a jump of W (see the module docstring)."""
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
 
 
@@ -141,17 +129,29 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 _ENERGY_CONV_TOL = 1e-3
 
 
-def _bases(disc: FiberDiscretization, ks, n: int = None):
+def _bases(disc: FiberDiscretization, ks, n: int = None,
+           w_plus: float = None):
     """(x offsets' spacing h, p, base (n, K)) of the fiber operators at
-    the momenta ks: T(k) = tridiag(-p, 2p + base[:, k], -p) is the matrix
-    of tridiagonal(k, n), and base = diag - 2p holds exactly
-    (b s)^2 + W (the subtraction is exact), filled in place column by
-    column."""
-    _, off, h = disc.tridiagonal(0.0, n)
-    p = -float(off[0])
-    base = np.empty((len(off) + 1, len(ks)))
+    the momenta ks on the n-point grid (default disc.n): the matrix at
+    k is T(k) = tridiag(-p, 2p + base[:, k], -p) with p = 1/h^2.  Each
+    column is filled in place with the row 2/h^2 + (b s)^2 plus the cell
+    averages of W over the grid k/b + s, the constant w_plus when given
+    (the comparison operator, the same column at every k), or nothing
+    for W = None; 2p is then subtracted, exactly, so base holds
+    (b s)^2 + W."""
+    s = disc._offsets(n)
+    h = s[1] - s[0]
+    p = float(1.0 / h ** 2)
+    kinetic = 2.0 / h ** 2 + (disc.b * s) ** 2
+    base = np.empty((len(s), len(ks)))
     for i, k in enumerate(ks):
-        base[:, i] = disc.tridiagonal(float(k), n)[0]
+        if w_plus is not None:
+            np.add(kinetic, w_plus, out=base[:, i])
+        elif disc.w is not None:
+            np.add(kinetic, disc.w.cell_average(float(k) / disc.b + s, h),
+                   out=base[:, i])
+        else:
+            base[:, i] = kinetic
     base -= 2.0 * p
     return h, p, base
 
@@ -293,8 +293,7 @@ def phi_squared(j: int, k: float, b: float, w: EdgePotential) -> float:
     """
     w_plus = w.w_plus_limit
     reach = 10.0 / math.sqrt(b)
-    steps = w.steps
-    jumps = [c - k / b for c in steps[0]] if steps else []
+    jumps = [c - k / b for c in w.breakpoints]
     start, stop = -reach, reach
     if jumps:
         start, stop = min(start, jumps[0] - reach), min(stop, jumps[-1])
@@ -320,7 +319,9 @@ class EdgeComparison:
     H_+ (constant W_+) and H_W share one grid, so H_+ = H_W + D exactly,
     with D = diag(W_+ - W).  gap_dist is E_j(k; W_+) - E_j(k; W),
     Richardson-extrapolated from the twin gaps on the n and n_half grids
-    (the continuum gap distance up to an O(h^4) relative bias).  overlap
+    (the continuum gap distance up to a relative bias that is O(h^4) for
+    a smooth W and O(h^2) at a jump, where it moves with the jump's
+    position in its grid cell).  overlap
     c = <v_+, v_W>, defect 1 - c^2 and energy_w, the Rayleigh quotient
     of v_W, are the fine-grid values.  The trace-norm distance of the
     rank-one band projection from its limit is ||pi - pi_inf||_1 =
@@ -355,14 +356,14 @@ _TWIN_CONV_TOL = 0.1
 @lru_cache(maxsize=64)
 def _plus_twin(free: FiberDiscretization, n: int, w_plus: float, j: int):
     """(base, v, ln|v|, sign v, E) of level j of the constant-W_+ operator
-    on the n-point grid of the free window (b, half_width): the same
-    matrix at every momentum, so it is solved once.  v is unit-normalized
-    and rebuilt from its log form, whose tails the twin identity sums.
+    on the n-point grid of the free window (b, half_width): base is the
+    _bases column with w_plus, the same at every momentum, so it is
+    solved once.  v is unit-normalized and rebuilt from its log form,
+    whose tails the twin identity sums.
     """
     from .tridiagonal import log_level
-    diag, off, h = free.tridiagonal(0.0, n, w_override=w_plus)
-    p = -float(off[0])
-    base = diag - 2.0 * p
+    h, p, base = _bases(free, (0.0,), n, w_plus)
+    base = base[:, 0]
     energy, log_v, sign = log_level(
         base, p, j, *_band_brackets(free.b, j, h, w_plus, w_plus))
     v = sign * np.exp(log_v)
@@ -578,9 +579,13 @@ class GapModel:
 
     One batched coarse-to-fine twin pair (_twin_pair, which keeps no
     vectors) gives every node edge_comparisons' gap_dist, the twin gap
-    extrapolated over the (n, n_half) grid pair, so g is h^4-accurate at
-    every depth, including far below one ulp of the edge energy where no
-    difference of energies resolves it; a node whose h^2 correction
+    extrapolated over the (n, n_half) grid pair, with the same relative
+    accuracy at every depth, including far below one ulp of the edge
+    energy where no difference of energies resolves it.  For a jump of W
+    that accuracy is O(h^2), and ln g jitters in k on the scale of one
+    grid cell (over four cells at k = 4 on the reference window it
+    departs from a parabola by 1.6e-3), which the spline through the
+    nodes cannot follow.  A node whose h^2 correction
     exceeds the twin guard raises ConvergenceFailure.  A not-a-knot cubic
     on the uniform nodes interpolates ln g (slowly varying:
     asymptotically a parabola in k), and weight(k, lam) = (g + lam)^{-1/2}

@@ -33,6 +33,12 @@ class EdgePotential:
                           (non-decreasing, one more than breakpoints)
       smooth_monotone:    w_minus, w_plus, center, width  (tanh profile,
                           supremum attained only in the limit)
+
+    The three step-like kinds are one jump table: __post_init__ sets a
+    step's breakpoints to (x0,) or (-delta,) and its values to
+    (w_minus, w_plus), and every evaluation reads W = values[i] on
+    [breakpoints[i-1], breakpoints[i]).  smooth_monotone keeps an empty
+    table.
     """
 
     kind: str
@@ -56,67 +62,46 @@ class EdgePotential:
                 raise ValueError("breakpoints must be strictly increasing (ties rejected)")
             if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
                 raise ValueError("values must be non-decreasing")
-            object.__setattr__(self, "breakpoints", bp)
-            object.__setattr__(self, "values", vals)
+        elif self.kind == "smooth_monotone":
+            bp, vals = (), ()
+        else:
+            jump = self.x0 if self.kind == "step" else -self.delta
+            bp, vals = (jump,), (self.w_minus, self.w_plus)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
         if self.w_minus_limit >= self.w_plus_limit:
             raise ConstantPotential(
                 "edge potential must have W_- < W_+ (profile not identically constant)")
 
     @property
     def w_minus_limit(self) -> float:
-        if self.kind == "piecewise_constant":
-            return self.values[0]
-        return self.w_minus
+        return self.values[0] if self.values else self.w_minus
 
     @property
     def w_plus_limit(self) -> float:
-        if self.kind == "piecewise_constant":
-            return self.values[-1]
-        return self.w_plus
+        return self.values[-1] if self.values else self.w_plus
 
     @property
     def x_plus(self) -> float:
-        """inf{x : W(x) = W_+}; +inf when the supremum is never attained."""
-        if self.kind == "step":
-            return self.x0
-        if self.kind == "two_step_upper":
-            return -self.delta
-        if self.kind == "piecewise_constant":
-            top = self.values[-1]
-            for i, v in enumerate(self.values):
-                if v == top:
-                    return self.breakpoints[i - 1]
-        return math.inf
+        """inf{x : W(x) = W_+}: the breakpoint where the top value
+        starts; +inf when the supremum is never attained."""
+        if not self.values:
+            return math.inf
+        return self.breakpoints[self.values.index(self.values[-1]) - 1]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "step":
-            out = np.where(x >= self.x0, self.w_plus, self.w_minus)
-        elif self.kind == "two_step_upper":
-            out = np.where(x >= -self.delta, self.w_plus, self.w_minus)
-        elif self.kind == "smooth_monotone":
+        if self.values:
+            out = np.asarray(self.values)[
+                np.searchsorted(self.breakpoints, x, side="right")]
+        else:
             out = self.w_minus + (self.w_plus - self.w_minus) * 0.5 * (
                 1.0 + np.tanh((x - self.center) / self.width))
-        else:
-            vals = np.asarray(self.values)
-            idx = np.searchsorted(self.breakpoints, x, side="right")
-            out = vals[idx]
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def steps(self):
-        """(breakpoints, values) of the piecewise-constant kinds, jumps in
-        increasing order; None for smooth_monotone."""
-        if self.kind == "step":
-            return (self.x0,), (self.w_minus, self.w_plus)
-        if self.kind == "two_step_upper":
-            return (-self.delta,), (self.w_minus, self.w_plus)
-        if self.kind == "piecewise_constant":
-            return self.breakpoints, self.values
-        return None
-
     def cell_average(self, centers, h: float):
-        """Average of W over each cell (c - h/2, c + h/2).
+        """Average of W over each cell (c - h/2, c + h/2): the bottom
+        value plus each jump times the part of the cell right of it.
 
         Pointwise sampling of a jump on the grid biases discrete
         quadratures at first order in h; the exact cell average restores
@@ -124,13 +109,12 @@ class EdgePotential:
         value, which matches the average to O(h^2) anyway.
         """
         centers = np.asarray(centers, dtype=float)
-        steps = self.steps
-        if steps is None:
+        if not self.values:
             return self(centers)
-        bp, vals = steps
+        vals = self.values
         hi = centers + 0.5 * h
         acc = vals[0] * np.ones_like(centers) * h
-        for s, (va, vb) in zip(bp, zip(vals[:-1], vals[1:])):
+        for s, va, vb in zip(self.breakpoints, vals[:-1], vals[1:]):
             acc += (vb - va) * np.clip(hi - s, 0.0, h)
         return acc / h
 

@@ -1,5 +1,11 @@
 """References for the fiber levels.
 
+Fiber matrix: the tridiagonal (diag, offdiag, h) of the fiber operator
+at one momentum, built from the grid offsets s as
+2/h^2 + (b s)^2 + W with W the cell averages, the constant w_plus or
+zero, and offdiag -1/h^2.  The package's batched base columns
+(fiber._bases, fiber._plus_twin) must be its diag - 2/h^2, bit for bit.
+
 Bisection: LAPACK bisection (stebz, with stein vectors) on both grids
 of the Richardson pair, each grid's energies taken as exact-sum
 gradient-form Rayleigh quotients of its eigenvectors: the quantity the
@@ -53,10 +59,30 @@ from edgegap.tridiagonal import (_CHUNK, _MAX_RQI, _RQI_REL, _inverse_pivots,
 from edgegap.tridiagonal import refine as package_refine
 
 
+def fiber_matrix(disc: FiberDiscretization, k: float, n: int = None,
+                 w_plus: float = None):
+    """(diag, offdiag, h) of the fiber operator at momentum k on the
+    n-point grid k/b + s (default disc.n): h = s[1] - s[0] and
+    diag = 2/h^2 + (b s)^2 + W, where W is disc.w's cell averages, the
+    constant w_plus when given (the comparison operator, the same matrix
+    at every k), or zero for the free fiber."""
+    s = disc._offsets(n)
+    h = s[1] - s[0]
+    pot = np.zeros_like(s)
+    if w_plus is not None:
+        pot += w_plus
+    elif disc.w is not None:
+        pot = np.asarray(disc.w.cell_average(k / disc.b + s, h),
+                         dtype=float)
+    diag = 2.0 / h ** 2 + (disc.b * s) ** 2 + pot
+    off = np.full(len(s) - 1, -1.0 / h ** 2)
+    return diag, off, h
+
+
 def grid_levels(disc: FiberDiscretization, k: float, j_max: int, n: int = None):
     """(exact-sum Rayleigh quotients, unit eigenvectors) of the lowest
     j_max levels at momentum k on the n-point grid (default disc.n)."""
-    diag, off, _ = disc.tridiagonal(k, n)
+    diag, off, _ = fiber_matrix(disc, k, n)
     _, vecs = eigh_tridiagonal(diag, off, select="i",
                                select_range=(0, j_max - 1))
     p = -float(off[0])

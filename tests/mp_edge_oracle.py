@@ -14,6 +14,7 @@ import mpmath
 from scipy.linalg import eigh_tridiagonal
 
 from edgegap.fiber import FiberDiscretization
+from tests.fiber_oracle import fiber_matrix
 
 
 def _mp_tridiag_solve(diag, off, shift, rhs):
@@ -84,8 +85,8 @@ def mp_edge_comparison(disc: FiberDiscretization, j: int, k: float,
     """gap_dist, defect (1 - c^2), scaled_distance and energy_w of the
     twin comparison on the n-point grid of disc's window (default
     disc.n), each rounded once from arbitrary precision."""
-    diag_w, off, _ = disc.tridiagonal(k, n)
-    diag_p, _, _ = disc.tridiagonal(k, n, w_override=disc.w.w_plus_limit)
+    diag_w, off, _ = fiber_matrix(disc, k, n)
+    diag_p, _, _ = fiber_matrix(disc, k, n, w_plus=disc.w.w_plus_limit)
     i0 = j - 1
     ev_w, vec_w = eigh_tridiagonal(diag_w, off, select="i",
                                    select_range=(i0, i0))

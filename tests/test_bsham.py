@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ def test_section_and_phase_plane_routes_agree(coarse_scenario):
     for r in (0.5, 1.0, 2.0):
         assert (count_above(full.kernel, r * r).count
                 == count_above(anti.kernel, r * r).count)
+
+
+def test_band_kernel_takes_the_scenario_y_rule():
+    # sjstar_sj integrates y by quadrature.y_order, as the sandwich's q-+
+    # operators do: on reference with y_order 16 its counts are the Gauss
+    # rule's, at thresholds 0.49, 1, 1.69 the closed form's 2, 1, 1 at
+    # depth 1e-3 and 2, 2, 1 at the sandwich's 1e-4; full_line_gram keeps
+    # the closed form unless given an order
+    doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+    doc["quadrature"] = {**doc["quadrature"], "y_order": 16}
+    for sc, route in ((load_scenario(REFERENCE_CONFIG), "sections"),
+                      (scenario_from_dict(doc), "gauss")):
+        for lam, want in ((1e-3, [2, 1, 1]), (1e-4, [2, 2, 1])):
+            op = sjstar_sj(1, lam, sc)
+            assert op.meta["y_route"] == route
+            assert [count_above(op.kernel, s).count
+                    for s in (0.49, 1.0, 1.69)] == want
+        assert full_line_gram(1, 1e-3, sc).meta["y_route"] == "sections"
 
 
 def test_count_stable_under_node_doubling(coarse_scenario):

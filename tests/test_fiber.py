@@ -144,7 +144,7 @@ def test_coarse_energies_within_bisection_error(reference):
     coarse, _ = tridiagonal.certified_levels(
         base, p, levels, *fiber._band_brackets(disc.b, levels, h, 0.0, 1.0))
     for k, new in zip(ks, coarse):
-        diag, off, _ = disc.tridiagonal(float(k), disc.n_half)
+        diag, off, _ = fiber_oracle.fiber_matrix(disc, float(k), disc.n_half)
         old = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                select_range=(0, 5))
         bound = 2.0 * np.finfo(float).eps * float(np.max(np.abs(diag)) + 2.0 * p)
@@ -362,7 +362,7 @@ def test_level_order_rejects_a_swapped_pair(disc01, monkeypatch):
 def test_constant_twin_is_one_matrix_per_window(disc01, step01):
     # the offsets grid makes the constant-W_+ operator k-independent, bit
     # for bit, so one GapModel solves it once on each grid of its pair
-    first, *rest = [disc01.tridiagonal(k, w_override=1.0)
+    first, *rest = [fiber_oracle.fiber_matrix(disc01, k, w_plus=1.0)
                     for k in (-3.0, 0.7, 5.0)]
     for diag, off, h in rest:
         assert np.array_equal(diag, first[0]) and np.array_equal(off, first[1])
@@ -432,7 +432,7 @@ def test_phi_squared_hermite_tail_identity(w, b):
     # c, so Phi_j(k)^2 sums jump * int_t^inf phi_{j-1}^2 at
     # t = k/sqrt(b) - sqrt(b) c; k reaches 16, where the Gaussian tail of
     # the last jump lies past 10/sqrt(b) of the eigenfunction's centre
-    jumps, values = w.steps
+    jumps, values = w.breakpoints, w.values
     for k in np.arange(-4.0, 16.5, 0.5):
         tails = [hermite_tails(8, k / math.sqrt(b) - math.sqrt(b) * c)
                  for c in jumps]
@@ -573,8 +573,8 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
                                half_width=half_width)
     if kind == "smooth_monotone":
         # D = diag(W_+ - W) has no zero on the window: both tails count
-        diag_w, _, _ = disc.tridiagonal(k)
-        diag_p, _, _ = disc.tridiagonal(k, w_override=1.0)
+        diag_w, _, _ = fiber_oracle.fiber_matrix(disc, k)
+        diag_p, _, _ = fiber_oracle.fiber_matrix(disc, k, w_plus=1.0)
         assert np.all(diag_p - diag_w > 0)
     (cmp,) = fiber._twin_comparisons(_fine_twin(disc, j, [k]), j)
     oracle = mp_edge_comparison(disc, j, k)
@@ -584,6 +584,28 @@ def test_twin_identity_matches_arbitrary_precision_oracle(kind, j, k,
                                                 rel=1e-11, abs=0)
     assert abs(cmp.energy_w - oracle["energy_w"]) <= 4 * math.ulp(
         oracle["energy_w"])
+
+
+@pytest.mark.parametrize("b", [0.7, 1.0, 2.5])
+@pytest.mark.parametrize("kind", ["free", *TWIN_POTENTIALS])
+def test_bases_are_the_oracle_matrix(kind, b):
+    # every base column, the W operators' at each momentum and the
+    # constant-W_+ twin's, is the oracle's diag - 2p on both grids of the
+    # pair, and p = -offdiag; the free window's twin is at W_+ = 0
+    w = None if kind == "free" else TWIN_POTENTIALS[kind]
+    disc = FiberDiscretization(b=b, w=w)
+    w_plus = 0.0 if w is None else w.w_plus_limit
+    ks = (-3.0, 0.0, 0.35, 4.0)
+    for n in (disc.n, disc.n_half):
+        h, p, base = fiber._bases(disc, ks, n)
+        _, off, want_h = fiber_oracle.fiber_matrix(disc, 0.0, n)
+        assert h == want_h and _same_bits(np.full(n - 1, -p), off)
+        for k, column in zip(ks, base.T):
+            diag = fiber_oracle.fiber_matrix(disc, k, n)[0]
+            assert _same_bits(column, diag - 2.0 * p), k
+        diag = fiber_oracle.fiber_matrix(disc, 0.0, n, w_plus=w_plus)[0]
+        plus = _plus_twin(replace(disc, w=None), n, w_plus, 1)[0]
+        assert _same_bits(plus, diag - 2.0 * p)
 
 
 # a contract-fuzz document: the level-2 constant-W_+ twin on the n_half
@@ -605,7 +627,7 @@ def test_exact_zero_pivot_gives_no_nan(lanes):
     n, w_plus = disc.n_half, disc.w.w_plus_limit
     base, v, log_v, sign, energy = fiber._plus_twin(replace(disc, w=None), n,
                                                     w_plus, 2)
-    p = -float(disc.tridiagonal(0.0, n)[1][0])
+    p = -float(fiber_oracle.fiber_matrix(disc, 0.0, n)[1][0])
     ik, shift = np.zeros(lanes, dtype=np.intp), np.full(lanes, energy)
     inv_b = tridiagonal._twisted(base[:, None], p, ik, shift)[1]
     assert np.isposinf(inv_b[76]).all() and np.signbit(inv_b[75]).all()
@@ -635,7 +657,7 @@ def test_inverse_pivots_follow_the_scalar_recurrence(lanes):
     n, w_plus = disc.n_half, disc.w.w_plus_limit
     base, _, _, _, energy = fiber._plus_twin(replace(disc, w=None), n,
                                              w_plus, 2)
-    p = -float(disc.tridiagonal(0.0, n)[1][0])
+    p = -float(fiber_oracle.fiber_matrix(disc, 0.0, n)[1][0])
     shift = np.concatenate(([energy], np.linspace(base.min() - 1.0,
                                                   6.0 * energy, lanes - 1)))
     beta = np.ascontiguousarray((base[::-1, None] - shift) / p + 2.0)
@@ -673,7 +695,7 @@ def test_sturm_counts_equal_the_whole_sweep(reference):
     zero = ZERO_PIVOT_DISC
     twin, _, _, _, energy = fiber._plus_twin(replace(zero, w=None), zero.n_half,
                                              zero.w.w_plus_limit, 2)
-    p_twin = -float(zero.tridiagonal(0.0, zero.n_half)[1][0])
+    p_twin = -float(fiber_oracle.fiber_matrix(zero, 0.0, zero.n_half)[1][0])
     assert len(tridiagonal._chunks(base.shape[0], shifts.size)) > 1
     for case_base, case_p, lam in ((base, p, shifts),
                                    (twin[:, None], p_twin, [[energy]])):

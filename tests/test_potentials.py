@@ -10,6 +10,46 @@ from edgegap.potentials import (EdgePotential, Perturbation,
                                 step_potential, upper_envelope)
 
 from conftest import rect
+from tests import potential_oracle
+
+PROFILES = {
+    "step": step_potential(-0.5, 1.5, 0.3),
+    "step_int": step_potential(0, 1, 0),
+    "two_step_upper": EdgePotential(kind="two_step_upper", w_minus=0.2,
+                                    w_plus=1.0, delta=0.1),
+    "piecewise_constant": EdgePotential(kind="piecewise_constant",
+                                        breakpoints=(-0.5, 0.0),
+                                        values=(0.0, 0.4, 1.0)),
+    "plateau": EdgePotential(kind="piecewise_constant",
+                             breakpoints=(-1.0, 0.5, 2.0),
+                             values=(0.0, 0.25, 1.0, 1.0)),
+    "smooth_monotone": EdgePotential(kind="smooth_monotone", w_minus=0.0,
+                                     w_plus=1.0, center=0.0, width=0.3),
+}
+
+
+def _same(got, want):
+    """Same type, dtype, shape and bits (the sign of a zero included)."""
+    if not isinstance(want, np.ndarray):
+        return type(got) is type(want) and repr(got) == repr(want)
+    return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+            and got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _marks(w):
+    """The jumps of a step-like profile, the tanh centre of a smooth one."""
+    table = potential_oracle.steps(w)
+    return table[0] if table else (w.center,)
+
+
+def _probes(w):
+    """Points at each mark, one ulp either side of it, a quarter unit
+    away, far out and at +-inf."""
+    pts = [p for c in _marks(w) for p in (c, math.nextafter(c, -math.inf),
+                                          math.nextafter(c, math.inf),
+                                          c - 0.25, c + 0.25)]
+    return pts + [-50.0, 50.0, -math.inf, math.inf]
 
 
 def test_step_values_and_limits():
@@ -118,3 +158,39 @@ def test_finiteness_predicate(step01):
     straddle = Perturbation(support=rect(-0.25, 0.4, -0.5, 0.5))
     assert finiteness_predicate(left, step01)
     assert not finiteness_predicate(straddle, step01)
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_profile_matches_the_kind_branches(name):
+    # values, dtypes and scalar returns of the one jump table equal each
+    # kind's own branch on both sides of every jump and exactly at it,
+    # where a step is right-closed (x = x0 gives W_+)
+    w = PROFILES[name]
+    assert (w.w_minus_limit, w.w_plus_limit) == potential_oracle.limits(w)
+    assert _same(w.x_plus, potential_oracle.x_plus(w))
+    table = potential_oracle.steps(w)
+    assert ((w.breakpoints, w.values) == table if table
+            else w.breakpoints == w.values == ())
+    pts = _probes(w)
+    for x in pts:
+        for arg in (x, np.float64(x), np.asarray(x)):
+            assert _same(w(arg), potential_oracle.value(w, x)), (name, x)
+    assert _same(w(pts), potential_oracle.value(w, pts))
+    grid = np.array([pts, pts[::-1]])
+    assert _same(w(grid), potential_oracle.value(w, grid))
+    if table:
+        at = [w(c) for c in table[0]]
+        assert at == list(table[1][1:])
+
+
+@pytest.mark.parametrize("name", PROFILES)
+@pytest.mark.parametrize("h", [0.02, 0.3, 1.0])
+def test_cell_average_matches_the_kind_branches(name, h):
+    # cells that straddle a jump (or two, at h = 1), end on one or lie
+    # clear of it average to the kind branch's bits
+    w = PROFILES[name]
+    frac = np.array([-0.75, -0.5, -0.3, -1e-12, 0.0, 0.25, 0.5, 0.6])
+    centers = np.concatenate([c + h * frac for c in _marks(w)]
+                             + [[-50.0, 50.0]])
+    assert _same(w.cell_average(centers, h),
+                 potential_oracle.cell_average(w, centers, h))
