@@ -1,7 +1,7 @@
 """Counting eigenvalues pulled into a spectral gap by a compact perturbation.
 
 Three routes to the same counting function, kept numerically independent,
-on the momentum nodes of operators.momentum_rule up to k_truncation's K:
+on operators.momentum_rule's nodes up to k_truncation's |psi_inf|^2 cut K:
 
 * sjstar_sj: Gram matrix of the band-limited, gap-weighted kernel
   (2 pi)^{-1/2} V(x,y)^{1/2} e^{iky} psi_inf(x;k) (g_j(k) + lam)^{-1/2}
@@ -39,22 +39,36 @@ _TAIL_REL = 1e-16
 _MOMENTUM_BLOCK = 16
 
 
-def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
-    """Smallest K > a beyond which the envelope p_j k^{2j-2} e^{-(k/sqrt(b)
-    - sqrt(b) x_sup)^2} stays below _TAIL_REL times its maximum on [a, inf).
-    Its log f (p_j cancels) has f'' < -2/b: f peaks at a quadratic's root
-    or at a and falls past the cut within sqrt(-b ln _TAIL_REL), whence six
-    Newton steps reach K from the right.  K grows strictly with x_sup."""
-    c, rb, bx = 2 * j - 2, math.sqrt(b), b * x_sup
+@lru_cache(maxsize=8)
+def _hermite_lobe(j: int):
+    """(zeros of H_{j-1}, largest root of phi_j'): eigenvalues of the Hermite
+    Jacobi matrix on j - 1 points (Golub and Welsch 1969), and the top one
+    on j points, last coupling sqrt(j-1), where det(s - J) ~ phi_j' e^{s^2/2}."""
+    coupling = np.sqrt(np.arange(1, j) / 2.0)
+    coupling[-1:] = math.sqrt(j - 1)
+    jacobi = np.diag(coupling, 1) + np.diag(coupling, -1)
+    return np.linalg.eigvalsh(jacobi[:-1, :-1]), np.linalg.eigvalsh(jacobi)[-1]
 
-    def log_env(k):
-        return c * math.log(k) - (k / rb - rb * x_sup) ** 2
-    peak = max(a, 1e-6, 0.5 * (bx + math.sqrt(bx * bx + 2 * c * b)))
-    cut = log_env(peak) + math.log(_TAIL_REL)
-    k = peak + math.sqrt(-b * math.log(_TAIL_REL))
+
+def k_truncation(j: int, b: float, x_sup: float, a: float = 0.0) -> float:
+    """Smallest K > a past which |psi_inf(x_sup; k)|^2 stays below
+    _TAIL_REL times its maximum over k >= a: phi_j(s)^2 in s = k/sqrt(b) -
+    sqrt(b) x_sup.  Past the zeros z_i of H_{j-1}, its log 2 sum ln(s - z_i)
+    - s^2 + const has f'' < -2, so six Newton steps from sqrt(-ln
+    _TAIL_REL) past the peak (phi_j's last extremum, or s at a) reach the
+    cut from the right.  K = b x_sup + sqrt(b) s moves by b t with (x_sup +
+    t, a + b t) and grows strictly with x_sup."""
+    rb = math.sqrt(b)
+    zeros, peak = _hermite_lobe(j)
+
+    def log_env(t):
+        return 2.0 * np.log(t - zeros).sum() - t * t
+    s = max(a / rb - rb * x_sup, peak)
+    cut = log_env(s) + math.log(_TAIL_REL)
+    s += math.sqrt(-math.log(_TAIL_REL))
     for _ in range(6):
-        k -= (log_env(k) - cut) / (c / k - 2.0 * k / b + 2.0 * x_sup)
-    return k
+        s -= (log_env(s) - cut) / (2.0 * (1.0 / (s - zeros)).sum() - 2.0 * s)
+    return float(b * x_sup + rb * s)
 
 
 @lru_cache(maxsize=32)
@@ -74,13 +88,11 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
 
     Entries M(k,k') = (2 pi)^{-1} F(k)F(k') * int V(x,y) psi_inf(x;k)
     psi_inf(x;k') e^{i(k-k')y} dx dy with F = (g_j + lam)^{-1/2}.
-    k_lo defaults to the scenario's momentum cutoff a_momentum and K to
-    k_truncation's envelope root; the nodes are momentum_rule's and
-    polygon_x_rule's, and g_j is the GapModel's on the fiber window.
-    y_order defaults to the scenario's quadrature.y_order, the y-rule of
-    the sandwich's Q-+ (0: closed-form section integrals).
-    A TruncationWarning naming lam flags a K at which |psi|^2 is not yet
-    sqrt(_TAIL_REL) below its peak: the envelope missed the kernel.
+    k_lo defaults to the scenario's momentum cutoff a_momentum, K to
+    k_truncation's |psi_inf|^2 cut and y_order to the scenario's
+    quadrature.y_order, the y-rule of the sandwich's Q-+ (0: closed-form
+    section integrals).  The nodes are momentum_rule's and polygon_x_rule's
+    and g_j the GapModel's, whose fiber window about K/b must hold W's jump.
     """
     if lam <= 0:
         raise ValueError("lam must be positive (strictly inside the gap)")
@@ -101,10 +113,6 @@ def sjstar_sj(j: int, lam: float, scenario, k_lo: float = None,
     with np.errstate(divide="ignore"):
         x_logmag = np.log(np.abs(psi))
     x_sign = np.where(psi >= 0, 1.0, -1.0)
-    env = 2.0 * x_logmag.max(axis=0)  # the envelope's claim, on the nodes
-    if env[-1] > env.max() + 0.5 * math.log(_TAIL_REL):
-        warnings.warn(f"lam = {lam:g}: the envelope's reach K = {k_hi:.4g} "
-                      f"misses the band-{j} kernel", TruncationWarning)
     return product_gram(
         k_pts, k_wts, log_row, x_pts, x_wts, x_logmag, x_sign, secs, 1.0,
         math.log(v.amplitude / (2.0 * math.pi)), y_order=y_order,

@@ -256,13 +256,6 @@ def gamma_diag_count(m: float, xi: float, delta: float, R: float, s: float):
     return count, count / m
 
 
-def envelope_potentials(w, delta: float):
-    """(lower, upper) step envelopes of the edge potential: the two-value
-    step jumping at 0, and the two-step profile jumping at -delta."""
-    lower = step_potential(w.w_minus_limit, w.w_plus_limit, 0.0)
-    return lower, upper_envelope(w, delta)
-
-
 def q_operator(side: str, j: int, lam: float, scenario) -> DiscretizedOperator:
     """Gram of the step-envelope comparison kernel over a sandwich polygon.
 
@@ -281,13 +274,12 @@ def q_operator(side: str, j: int, lam: float, scenario) -> DiscretizedOperator:
     a, quad = scenario.a_momentum, scenario.quad
     if a < 0:
         raise ValueError("momentum cutoff a must be nonnegative")
-    w, v, b = scenario.w, scenario.v, scenario.b
-    delta = scenario.envelope_delta
-    lower, upper = envelope_potentials(w, delta)
+    w, v, b, delta = scenario.w, scenario.v, scenario.b, scenario.envelope_delta
     if side == "minus":
-        w0, omega = lower, v.omega_minus
+        w0 = step_potential(w.w_minus_limit, w.w_plus_limit, 0.0)
+        omega = v.omega_minus
     elif side == "plus":
-        w0, omega = upper, v.omega_plus
+        w0, omega = upper_envelope(w, delta), v.omega_plus
     else:
         raise ValueError("side must be 'minus' or 'plus'")
     k_hi = k_truncation(j, b, omega.x_extent[1], a)

@@ -6,7 +6,7 @@ series, a coefficient table) whose exact value is known, a plain
 evaluation that a faster package route must reproduce bit for bit
 (full_product_gram, full_exp_sinc_kernel, full_sinc_dense,
 complex_check_hermitian), or a brute-force search that a closed form
-replaced (grid_reach).
+must meet (psi_reach).
 """
 
 import math
@@ -18,7 +18,7 @@ from edgegap.counting import LogHermitian, count_above
 from edgegap.geometry import kappa
 from edgegap.modelops import IntervalSpec, g_sinc, sinc_rule
 from edgegap.operators import _section_gauss_integral, _section_osc_integral
-from edgegap.oscillator import _hermite_levels, log_p_coeff
+from edgegap.oscillator import _hermite_levels, psi_inf
 from tests.inertia_oracle import PrecisionExhausted
 
 
@@ -29,19 +29,33 @@ def p_coeff(j: int, b: float) -> float:
     return b ** (-j + 1.5) / (math.sqrt(math.pi) * math.factorial(j - 1) * 2.0 ** (j - 1))
 
 
-def grid_reach(j: int, b: float, x_sup: float, a: float = 0.0):
-    """The momentum reach by brute force, as bsham.k_truncation found it
-    before its closed form: the first point of a 0.01 sqrt(b) grid from
-    max(a, 1e-6) past the grid's envelope peak where the log envelope
-    lies below the peak plus ln 1e-16, or None when none does before the
-    search boundary b|x_sup| + 14 sqrt(b)."""
-    rb = math.sqrt(b)
-    grid = np.arange(max(a, 1e-6), b * abs(x_sup) + 14.0 * rb, 0.01 * rb)
-    vals = (log_p_coeff(j, b) + (2 * j - 2) * np.log(grid)
-            - (grid / rb - rb * x_sup) ** 2)
-    peak_idx = int(np.argmax(vals))
-    below = np.nonzero(vals[peak_idx:] < vals[peak_idx] + math.log(1e-16))[0]
-    return float(grid[peak_idx + below[0]]) if len(below) else None
+def psi_reach(j: int, b: float, x_sup: float, a: float = 0.0,
+              rel: float = 1e-16):
+    """(reach, log peak) of |psi_inf(x_sup; k)|^2 over k >= a by brute
+    force.  The reach is the first point of a 0.01 sqrt(b) grid from a
+    past which ln psi_inf^2 stays below the grid's maximum plus ln rel;
+    the log peak is that maximum refined by golden section within a grid
+    step (ln psi^2 is concave on each lobe).  The grid ends 1 + sqrt(-ln
+    rel) scaled units past both a and the last turning point
+    sqrt(2j - 1), beyond which the log falls faster than -(s - s_peak)^2."""
+    rb, step = math.sqrt(b), 0.01 * math.sqrt(b)
+    end = (max(a, b * x_sup + rb * math.sqrt(2 * j - 1))
+           + rb * (1.0 + math.sqrt(-math.log(rel))))
+    grid = np.arange(a, end, step)
+
+    def log_sq(k):
+        with np.errstate(divide="ignore"):
+            return np.log(psi_inf(j, k, x_sup, b) ** 2)
+    vals = log_sq(grid)
+    top = int(np.argmax(vals))
+    above = np.nonzero(vals >= vals[top] + math.log(rel))[0][-1]
+    assert above + 1 < len(grid), "psi_reach: grid ends above the cut"
+    lo, hi = max(a, grid[top] - step), grid[top] + step
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(80):
+        m1, m2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        lo, hi = (m1, hi) if log_sq(m1) < log_sq(m2) else (lo, m2)
+    return float(grid[above + 1]), max(vals[top], log_sq(lo), log_sq(hi))
 
 
 def reciprocal_interval(delta: float) -> IntervalSpec:

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,15 +17,17 @@ from edgegap.bsham import (
     k_truncation,
     sjstar_sj,
 )
+from edgegap.cli import run
 from edgegap.counting import count_above
 from edgegap.errors import TruncationWarning
 from edgegap.fiber import solve_fiber
 from edgegap.operators import QuadratureSpec, product_gram
+from edgegap.oscillator import psi_inf
 from edgegap.potentials import Perturbation
 from edgegap.scenario import load_scenario, scenario_from_dict
 from tests import fiber_oracle
 from tests.conftest import REFERENCE_CONFIG, ROOT, Bundle, rect, traced_peak
-from tests.model_oracles import full_product_gram, grid_reach
+from tests.model_oracles import full_product_gram, psi_reach
 
 # (depth, (lower, upper)) brackets on the coarse scenario at eps = 0.3
 BRACKETS = [(1e-3, (1, 2)), (1e-4, (2, 2)), (1e-5, (2, 2))]
@@ -159,28 +160,15 @@ def test_count_stable_under_node_doubling(coarse_scenario):
 
 
 def _assert_exact_reach(j, b, x_sup, a):
-    """k_truncation's K lies past the envelope peak on [a, inf) where the
-    log envelope f (p_j left out) has fallen by exactly -ln _TAIL_REL, to
-    1e-9 nats.  The peak is found apart from k_truncation's quadratic:
-    f is concave, so its peak is a or the root of f', bisected."""
-    rb = math.sqrt(b)
-
-    def f(k):
-        return (2 * j - 2) * math.log(k) - (k / rb - rb * x_sup) ** 2
-
-    def df(k):
-        return (2 * j - 2) / k - 2.0 * k / b + 2.0 * x_sup
-
+    """k_truncation's K lies where ln |psi_inf(x_sup; K)|^2 sits exactly
+    ln _TAIL_REL below its peak over k >= a, to 1e-9 nats, past that peak
+    and within one grid step of psi_reach's brute-force cut."""
+    rel = bsham._TAIL_REL
     k = k_truncation(j, b, x_sup, a)
-    assert df(k) < 0
-    peak, hi = max(a, 1e-6), k
-    if df(peak) > 0:
-        for _ in range(100):
-            mid = 0.5 * (peak + hi)
-            peak, hi = (mid, hi) if df(mid) > 0 else (peak, mid)
-    assert k > peak
-    assert f(k) - f(peak) == pytest.approx(math.log(bsham._TAIL_REL),
-                                           abs=1e-9)
+    k_grid, log_peak = psi_reach(j, b, x_sup, a, rel)
+    assert math.log(psi_inf(j, k, x_sup, b) ** 2) - log_peak == pytest.approx(
+        math.log(rel), abs=1e-9)
+    assert -1e-9 <= k_grid - k < 0.01 * math.sqrt(b)
     return k
 
 
@@ -189,16 +177,9 @@ REACH_B = (0.3, 1.0, 2.5)
 
 
 def test_reach_is_the_exact_envelope_root():
-    # the grid search the closed form replaced finds its cut within one
-    # grid step past the root for every band up to 20; for higher bands
-    # the cut may lie past its search boundary
     for j, b, a in itertools.product(REACH_J, REACH_B, (0.0, 0.3, 3.0)):
         for x_sup in np.linspace(-2.0, 2.0, 9):
-            k = _assert_exact_reach(j, b, x_sup, a)
-            k_grid = grid_reach(j, b, x_sup, a)
-            assert k_grid is not None or j > 20
-            if k_grid is not None:
-                assert 0.0 <= k_grid - k < 0.01 * math.sqrt(b)
+            _assert_exact_reach(j, b, x_sup, a)
 
 
 def test_reach_grows_strictly_with_the_support():
@@ -219,14 +200,13 @@ def test_truncation_is_certified(monkeypatch):
     assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0) > k1
     v = Perturbation(support=rect(-0.5, 2.0, 0.0, 1.0))
     assert bsham._full_line_reach(1, 1.0, v) == k_truncation(1, 1.0, 2.0)
-    # a high band's envelope peaks late: the grid search stopped at its
-    # boundary, 14.39, and warned; the root lies at 17.73
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _assert_exact_reach(170, 1.0, 0.4, 0.0) == pytest.approx(
-            17.7349, abs=1e-4)
-    assert grid_reach(170, 1.0, 0.4) is None
-    # a cut far below any search boundary is still the exact root
+    # on the reference support the leading monomial of H_{j-1} cut at
+    # 6.799, 7.460, 9.445, 12.556 and 17.735, short of |psi_j|^2
+    for j, want in ((1, 6.4697), (2, 6.8474), (5, 7.6608), (20, 10.2131),
+                    (60, 14.3517), (170, 21.4024)):
+        assert _assert_exact_reach(j, 1.0, 0.4, 0.0) == pytest.approx(
+            want, abs=1e-4)
+    # a cut 690 nats below the peak is still the exact root
     monkeypatch.setattr(bsham, "_TAIL_REL", 1e-300)
     _assert_exact_reach(1, 1.0, 0.0, 0.0)
 
@@ -368,12 +348,24 @@ def test_resolvent_columns_hold_no_whole_vectors():
     assert peak <= 13.4e6
 
 
-def test_a_reach_that_misses_the_kernel_warns():
-    # band 170's envelope peaks 2^169-fold above its Hermite function, so
-    # its reach 17.73 stops where the kernel is still at its peak; the
-    # counts move as K is raised by hand, so no depth counts silently
+def test_a_high_band_reach_holds_the_kernel():
+    # band 170 on a window that holds its reach 21.40: the monomial
+    # envelope's 17.73 stopped at the kernel's peak and counted (0, 2);
+    # the |psi|^2 cut's count does not move when K is raised by a quarter
     doc = json.loads((ROOT / "configs" / "reference.json").read_text())
-    doc["fiber"] = {"n": 8001, "half_width": 30.0}
+    doc["fiber"] = {"n": 14001, "half_width": 30.0}
     sc = scenario_from_dict(doc)
-    with pytest.warns(TruncationWarning, match="lam = 0.001"):
-        effective_count(170, 1e-3, 0.3, sc)
+    assert bracket(170, 1e-3, 0.3, sc) == (2, 3)
+    far = sjstar_sj(170, 1e-3, sc, k_hi=1.25 * k_truncation(
+        170, sc.b, sc.v.x_sup, sc.a_momentum))
+    assert tuple(count_above(far.kernel, s).count
+                 for s in (1.3, 0.7)) == (2, 3)
+
+
+def test_a_reach_past_the_fiber_window_exits_3(tmp_path, capsys):
+    # band 38's reach 12.32 lies past the default half-width 12, so the
+    # window centred at K/b misses the jump: the count exits 3 and names
+    # the half-width instead of counting on a kernel cut short
+    assert run(["effective-count", "--config", REFERENCE_CONFIG,
+                "--out", str(tmp_path), "--j", "38"]) == 3
+    assert "half_width 12 misses the jump" in capsys.readouterr().err

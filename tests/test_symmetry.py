@@ -25,15 +25,18 @@ Each shipped config runs on a coarse fiber window (n 1201, half-width
 """
 
 import copy
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from edgegap.bsham import bs_count, effective_count, full_line_gram
+from edgegap.bsham import (bs_count, effective_count, full_line_gram,
+                           k_truncation)
 from edgegap.counting import count_above
 from edgegap.scenario import normalized_scenario, scenario_from_dict
 from tests.conftest import ROOT
+from tests.test_bsham import REACH_B, REACH_J
 
 MOVES = {"y+7": {"dy": 7.0}, "y-reflection": {"flip": True},
          "x+1.7": {"dx": 1.7}, "x-0.5": {"dx": -0.5}}
@@ -130,6 +133,18 @@ def test_counts_never_fall_as_the_depth_shrinks(shipped):
         deeper = _counts(doc, depth=depth)
         _never_lower(counts, deeper)
         counts = deeper
+
+
+def test_reach_commutes_with_the_joint_x_translation():
+    # |psi_inf(x; k)|^2 depends on sqrt(b) x - k/sqrt(b) alone, so moving
+    # the support's end by t and the cutoff by b t moves the reach by b t
+    for j, b in itertools.product(REACH_J, REACH_B):
+        for x_sup, a in ((0.4, 0.0), (-1.0, 0.0), (-2.0, 0.0), (0.4, 3.0),
+                         (-0.5, 0.3)):
+            for t in (1.7, -0.5, 2.5):
+                assert k_truncation(j, b, x_sup + t, a + b * t) == (
+                    pytest.approx(k_truncation(j, b, x_sup, a) + b * t,
+                                  rel=1e-12))
 
 
 def test_normalized_mirror_keeps_the_counts():
